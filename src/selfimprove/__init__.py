@@ -13,15 +13,13 @@ from .dynamics import (CurriculumCoefficients, MapSpec, Trajectory,
                        iterate_curriculum, map_spec, write_trajectory_csv)
 from .errors import BracketError, DomainError, ParameterError, SelfImproveError
 from .montecarlo import (CellResult, ScanConfig, ScanResult, default_panels,
-                         run_scan, scan_feasible_region, scan_improvement_region,
-                         write_panel_csv, x0_grid)
+                         run_scan, write_panel_csv, x0_grid)
 from .params import (DerivedConstants, TheoryParams, ValidityReport,
                      derive_constants, load_config, validate_domain)
 from .regions import (ProfileResult, ThresholdCurve, baseline_error_term,
                       baseline_half_error_budget, coefficient_growth_ratio,
                       collapse_budget, conditional_mean_check, error_functional,
-                      error_functional_limit, feasibility_interval,
-                      improvement_margin, improvement_margin_limit,
+                      feasibility_interval, improvement_margin,
                       improvement_threshold, max_improving_nu,
                       max_improving_nu_profile, threshold_curve)
 from .simulate import (RoundRecord, SimWorld, acceptance_gain_ratio, build_world,
@@ -40,13 +38,11 @@ __all__ = [
     "build_world", "coefficient_growth_ratio", "collapse_budget",
     "conditional_mean_check", "cubic_roots", "curriculum_coefficients",
     "default_panels", "derive_constants", "effective_sigma", "error_functional",
-    "error_functional_limit", "eval_map", "exact_root_gap",
-    "feasibility_interval", "gap_lower_bound", "improvement_margin",
-    "improvement_margin_limit", "improvement_threshold", "invariant_interval",
+    "eval_map", "exact_root_gap", "feasibility_interval", "gap_lower_bound",
+    "improvement_margin", "improvement_threshold", "invariant_interval",
     "iterate_baseline", "iterate_curriculum", "load_config", "map_spec",
     "max_improving_nu", "max_improving_nu_profile", "mean_to_min_acceptance_ratio",
     "multi_try_acceptance", "run_replications", "run_scan", "run_selfimprove",
-    "satisfies_coupling", "scan_feasible_region", "scan_improvement_region",
-    "threshold_curve", "validate_domain", "write_panel_csv",
+    "satisfies_coupling", "threshold_curve", "validate_domain", "write_panel_csv",
     "write_simulation_csv", "write_trajectory_csv", "x0_grid",
 ]

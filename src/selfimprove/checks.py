@@ -462,7 +462,7 @@ def check_tail_exceeds_baseline(fast: bool) -> CheckResult:
     while done < (50 if fast else 300):
         beta_lo, beta_hi, nu, x0 = _sample_error_tuple(rng, p)
         try:
-            t1, _, t3 = regions._error_terms(beta_lo, beta_hi, nu, x0, p, d)
+            _, t1, _, t3 = regions._error_terms(beta_lo, beta_hi, nu, x0, p, d)
         except DomainError:
             continue
         if not t3 > t1:
@@ -592,20 +592,18 @@ def check_world_invariants(fast: bool) -> CheckResult:
 
 def check_sim_reproducibility(fast: bool) -> CheckResult:
     p = TheoryParams(n=500)
-    d = derive_constants(p)
     world = simulate.build_world(1000, 0.5, p, seed=3)
-    a = simulate.run_replications(world, p, d, rounds=3, replications=3, seed=11)
-    b = simulate.run_replications(world, p, d, rounds=3, replications=3, seed=11)
+    a = simulate.run_replications(world, p, rounds=3, replications=3, seed=11)
+    b = simulate.run_replications(world, p, rounds=3, replications=3, seed=11)
     return CheckResult("sim-reproducibility", a == b, "identical seeds, identical records")
 
 
 def check_sim_bound_coverage(fast: bool, replications: int | None = None,
                              rounds: int = 5) -> CheckResult:
     p = TheoryParams()
-    d = derive_constants(p)
     replications = replications or (50 if fast else 500)
     world = simulate.build_world(10_000, 0.5, p, seed=_SEED)
-    records = simulate.run_replications(world, p, d, rounds, replications, seed=_SEED)
+    records = simulate.run_replications(world, p, rounds, replications, seed=_SEED)
     live = [r for r in records if not r.collapsed]
     covered = sum(r.bound_satisfied for r in live)
     rate = covered / len(live)
@@ -615,10 +613,9 @@ def check_sim_bound_coverage(fast: bool, replications: int | None = None,
 
 def check_acceptance_count_mean(fast: bool) -> CheckResult:
     p = TheoryParams(n=400)
-    d = derive_constants(p)
     world = simulate.build_world(800, 0.5, p, seed=5)
     replications = 200 if fast else 1000
-    records = simulate.run_replications(world, p, d, 1, replications, seed=17)
+    records = simulate.run_replications(world, p, 1, replications, seed=17)
     counts = np.array([r.n_accept for r in records], dtype=float)
     accept = simulate.multi_try_acceptance(world.alpha, p.m)
     z = float(world.weights @ accept)
@@ -633,7 +630,6 @@ def check_acceptance_count_mean(fast: bool) -> CheckResult:
 
 def check_update_range(fast: bool) -> CheckResult:
     p = TheoryParams(n=500)
-    d = derive_constants(p)
     world = simulate.build_world(1000, 0.5, p, seed=9)
     current = world
     ss = np.random.SeedSequence(23)

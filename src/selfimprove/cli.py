@@ -264,9 +264,9 @@ def cmd_scan(args) -> int:
 def cmd_simulate(args) -> int:
     params, nu_override = _resolve_params(args)
     run = _Run(args, params, nu_override)
-    d = derive_constants(params, nu=nu_override)
+    derive_constants(params, nu=nu_override)  # rejects a negative nu override
     world = simulate.build_world(args.questions, args.v_target, params, seed=args.seed)
-    records = simulate.run_replications(world, params, d, args.rounds,
+    records = simulate.run_replications(world, params, args.rounds,
                                         args.replications, seed=args.seed)
     simulate.write_simulation_csv(records, run.path("simulation.csv"))
     live = [r for r in records if not r.collapsed]
@@ -303,10 +303,18 @@ _COMMANDS = {
 }
 
 
+def _check_common(args) -> None:
+    if args.seed < 0:
+        raise ParameterError("--seed must be a non-negative integer")
+    if args.threads < 1:
+        raise ParameterError("--threads must be a positive integer")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_common(args)
         return _COMMANDS[args.command](args)
     except (ParameterError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)

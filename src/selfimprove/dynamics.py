@@ -103,9 +103,6 @@ class Trajectory:
     monitored_from: int = 0
     exceeded_unit: bool = False
 
-    def steps(self) -> tuple[float, ...]:
-        return tuple(b - a for a, b in zip(self.values, self.values[1:]))
-
     def strictly_increasing(self, plateau_tol: float = PLATEAU_TOL) -> bool:
         """Monitored steps all increase, allowing numerical plateaus."""
         mon = self.values[self.monitored_from:]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,30 +173,23 @@ def classify_improvement(grid: np.ndarray, p: TheoryParams,
 
 def measured_interval(grid: np.ndarray, flags: np.ndarray,
                       analytic: Interval | None) -> tuple[float, float, float]:
-    """(lo, hi, length) of the maximal run, preferring the run containing
-    the analytic midpoint when one exists."""
-    runs: list[tuple[int, int]] = []
-    start = None
-    for i, v in enumerate(flags):
-        if v and start is None:
-            start = i
-        elif not v and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(flags) - 1))
-    if not runs:
+    """(lo, hi, length) of the maximal run (the first on ties), preferring
+    the run containing the analytic midpoint when one exists."""
+    # Flag changes alternate between run starts and one past run ends.
+    changes = np.flatnonzero(np.diff(np.asarray(flags, dtype=bool), prepend=False, append=False))
+    if changes.size == 0:
         return math.nan, math.nan, 0.0
+    starts, ends = changes[::2], changes[1::2] - 1
 
     chosen = None
     if analytic is not None and analytic.valid:
         mid = 0.5 * (analytic.lo + analytic.hi)
         j = int(np.argmin(np.abs(grid - mid)))
         if flags[j]:
-            chosen = next(r for r in runs if r[0] <= j <= r[1])
+            chosen = int(np.searchsorted(starts, j, side="right")) - 1
     if chosen is None:
-        chosen = max(runs, key=lambda r: r[1] - r[0])
-    lo, hi = float(grid[chosen[0]]), float(grid[chosen[1]])
+        chosen = int(np.argmax(ends - starts))
+    lo, hi = float(grid[starts[chosen]]), float(grid[ends[chosen]])
     return lo, hi, hi - lo
 
 
@@ -252,18 +245,6 @@ def run_scan(cfg: ScanConfig, p: TheoryParams, threads: int = 1) -> ScanResult:
     else:
         cells = [_scan_cell(cfg, v, nu, grid, p) for v, nu in tasks]
     return ScanResult(config=cfg, cells=tuple(cells))
-
-
-def scan_feasible_region(cfg: ScanConfig, p: TheoryParams, threads: int = 1) -> ScanResult:
-    if cfg.kind != "feasible":
-        cfg = replace(cfg, kind="feasible")
-    return run_scan(cfg, p, threads)
-
-
-def scan_improvement_region(cfg: ScanConfig, p: TheoryParams, threads: int = 1) -> ScanResult:
-    if cfg.kind != "improvement":
-        cfg = replace(cfg, kind="improvement")
-    return run_scan(cfg, p, threads)
 
 
 def write_panel_csv(result: ScanResult, path: str) -> None:

@@ -169,11 +169,17 @@ def load_config(path: str) -> tuple[TheoryParams, float | None]:
     """Load a JSON config whose keys match ``TheoryParams`` field names.
 
     An optional ``nu`` key overrides the budget parameter; when both ``n``
-    and ``nu`` appear, ``nu`` wins and a warning is emitted.  Unknown keys
-    are rejected.
+    and ``nu`` appear, ``nu`` wins and a warning is emitted.  Unknown keys,
+    non-numeric values, an unreadable file and malformed JSON raise
+    ``ParameterError``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read config {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:  # malformed JSON or text encoding
+        raise ParameterError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParameterError("config must be a JSON object")
 
@@ -183,6 +189,11 @@ def load_config(path: str) -> tuple[TheoryParams, float | None]:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
 
     nu_override = raw.pop("nu", None)
+    numbers = raw if nu_override is None else {**raw, "nu": nu_override}
+    for key, value in numbers.items():
+        # bool is an int subclass: a JSON true must not become 1.
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParameterError(f"{key} must be a number, got {value!r}")
     if nu_override is not None and "n" in raw:
         warnings.warn("config sets both n and nu; nu wins", stacklevel=2)
     for key in ("pi_size", "n", "m", "L"):

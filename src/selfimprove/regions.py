@@ -31,9 +31,20 @@ _SERIES_GUARD = 1e-10
 # Error functional and improvement margin
 # ---------------------------------------------------------------------------
 
+def baseline_error_term(nu: float, p: TheoryParams, d: DerivedConstants) -> float:
+    """The baseline accumulated-error term alone; strictly increasing in nu."""
+    base_inner = 1.0 - p.gamma - d.c_delta_prime * nu
+    if base_inner <= 0.0:
+        raise DomainError("radicand 1 - gamma - c_delta_prime*nu must be positive")
+    q = d.c_delta * nu / (2.0 * p.c * base_inner ** 1.5)
+    # Finite geometric sum; identical to (1 - q^(L-1))/(1 - q) but defined at q = 1.
+    return d.c_delta * nu / (p.c * math.sqrt(base_inner)) * sum(q ** j for j in range(p.L - 1))
+
+
 def _error_terms(beta_lo: float, beta_hi: float, nu: float, x0: float | None,
-                 p: TheoryParams, d: DerivedConstants) -> tuple[float, float, float]:
-    """The three assembled terms (baseline, tail, hard-level) of the functional.
+                 p: TheoryParams, d: DerivedConstants) -> tuple[float, float, float, float]:
+    """The final rescale coefficient and the three assembled terms
+    (baseline, hard-level, tail) of the functional.
 
     ``x0 = None`` evaluates the large-initialization limit (the residual
     term vanishes).  Raises ``DomainError`` naming the first violated
@@ -41,19 +52,13 @@ def _error_terms(beta_lo: float, beta_hi: float, nu: float, x0: float | None,
     """
     if nu < 0.0:
         raise DomainError("nu must be non-negative")
-    pp = p.with_betas(beta_lo, beta_hi)
-    coeffs = curriculum_coefficients(pp)
+    coeffs = curriculum_coefficients(p.with_betas(beta_lo, beta_hi))
     c, gamma = p.c, p.gamma
     cd, cdp = d.c_delta, d.c_delta_prime
     L = p.L
     hard = 2.0 ** (-beta_hi)
 
-    base_inner = 1.0 - gamma - cdp * nu
-    if base_inner <= 0.0:
-        raise DomainError("radicand 1 - gamma - c_delta_prime*nu must be positive")
-    q = cd * nu / (2.0 * c * base_inner ** 1.5)
-    # Finite geometric sum; identical to (1 - q^(L-1))/(1 - q) but defined at q = 1.
-    term_baseline = cd * nu / (c * math.sqrt(base_inner)) * sum(q ** j for j in range(L - 1))
+    term_baseline = baseline_error_term(nu, p, d)
 
     if x0 is None:
         residual = 0.0
@@ -81,52 +86,38 @@ def _error_terms(beta_lo: float, beta_hi: float, nu: float, x0: float | None,
     term_tail = cd * nu / (c * math.sqrt(hard_inner)) / (1.0 - common_ratio)
 
     term_hard = ratio ** (L - 1) * L ** (-beta_hi) * residual
-    return term_baseline, term_hard, term_tail
+    return coeffs.final, term_baseline, term_hard, term_tail
 
 
-def error_functional(beta_lo: float, beta_hi: float, nu: float, x0: float,
+def error_functional(beta_lo: float, beta_hi: float, nu: float, x0: float | None,
                      p: TheoryParams, d: DerivedConstants) -> float:
     """Signed accumulated-error comparison at initialization ``x0``.
 
     Strictly increasing in ``x0``, strictly decreasing in ``nu`` and in
-    ``beta_hi``; identically zero at nu = 0.
+    ``beta_hi``; identically zero at nu = 0.  ``x0 = None`` gives the
+    large-initialization limit.
     """
-    t1, t2, t3 = _error_terms(beta_lo, beta_hi, nu, x0, p, d)
-    final = curriculum_coefficients(p.with_betas(beta_lo, beta_hi)).final
+    final, t1, t2, t3 = _error_terms(beta_lo, beta_hi, nu, x0, p, d)
     return t1 - final * (t3 + t2)
 
 
-def improvement_margin(beta_lo: float, beta_hi: float, nu: float, x0: float,
+def improvement_margin(beta_lo: float, beta_hi: float, nu: float, x0: float | None,
                        p: TheoryParams, d: DerivedConstants) -> float:
     """Signed improvement condition: negative iff the easy-to-hard final
-    lower bound strictly exceeds the baseline's at horizon L."""
-    final = curriculum_coefficients(p.with_betas(beta_lo, beta_hi)).final
-    e = error_functional(beta_lo, beta_hi, nu, x0, p, d)
-    return -e - 0.5 * (final - 1.0) * (1.0 - p.gamma)
+    lower bound strictly exceeds the baseline's at horizon L.  ``x0 = None``
+    gives the large-initialization limit."""
+    final, t1, t2, t3 = _error_terms(beta_lo, beta_hi, nu, x0, p, d)
+    return -(t1 - final * (t3 + t2)) - 0.5 * (final - 1.0) * (1.0 - p.gamma)
 
 
-def error_functional_limit(beta_lo: float, beta_hi: float, nu: float,
-                           p: TheoryParams, d: DerivedConstants) -> float:
-    """Large-initialization limit of the error functional."""
-    t1, t2, t3 = _error_terms(beta_lo, beta_hi, nu, None, p, d)
-    final = curriculum_coefficients(p.with_betas(beta_lo, beta_hi)).final
-    return t1 - final * (t3 + t2)
-
-
-def improvement_margin_limit(beta_lo: float, beta_hi: float, nu: float,
-                             p: TheoryParams, d: DerivedConstants) -> float:
-    final = curriculum_coefficients(p.with_betas(beta_lo, beta_hi)).final
-    e = error_functional_limit(beta_lo, beta_hi, nu, p, d)
-    return -e - 0.5 * (final - 1.0) * (1.0 - p.gamma)
-
-
-def baseline_error_term(nu: float, p: TheoryParams, d: DerivedConstants) -> float:
-    """The baseline accumulated-error term alone; strictly increasing in nu."""
-    base_inner = 1.0 - p.gamma - d.c_delta_prime * nu
-    if base_inner <= 0.0:
-        raise DomainError("radicand 1 - gamma - c_delta_prime*nu must be positive")
-    q = d.c_delta * nu / (2.0 * p.c * base_inner ** 1.5)
-    return d.c_delta * nu / (p.c * math.sqrt(base_inner)) * sum(q ** j for j in range(p.L - 1))
+def _improving(beta_lo: float, beta_hi: float, nu: float, x0: float | None,
+               p: TheoryParams, d: DerivedConstants) -> bool:
+    """Whether the improvement margin is negative; a domain breakdown counts
+    as not improving (the margin diverges there)."""
+    try:
+        return improvement_margin(beta_lo, beta_hi, nu, x0, p, d) < 0.0
+    except DomainError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +151,17 @@ def _expand_until(pred, start: float, factor: float = 2.0, cap: float = 1e15):
     return None
 
 
+def _root_in_nu(holds, what: str, tol: float) -> float:
+    """Boundary in nu of a predicate that holds on [0, root) and fails after:
+    checked just above zero, bracketed by geometric expansion, then bisected."""
+    if not holds(1e-12):
+        raise BracketError(f"{what} fails already at nu ~ 0")
+    hi = _expand_until(lambda nu: not holds(nu), 1e-9, cap=1e6)
+    if hi is None:
+        raise BracketError(f"{what} still holds at nu = 1e6")
+    return _bisect_boundary(holds, 0.0, hi, tol)
+
+
 # ---------------------------------------------------------------------------
 # Regions and thresholds
 # ---------------------------------------------------------------------------
@@ -185,12 +187,6 @@ def feasibility_interval(p: TheoryParams, d: DerivedConstants,
     return Interval(lo, hi, True)
 
 
-def _domain_edge_in_x0(beta_lo: float, nu: float, p: TheoryParams,
-                       d: DerivedConstants) -> float:
-    first = p.L / sum(i ** (-beta_lo) for i in range(1, p.L + 1))
-    return d.c_delta_prime * nu / first
-
-
 def improvement_threshold(beta_lo: float, beta_hi: float, nu: float,
                           p: TheoryParams, d: DerivedConstants,
                           tol: float = BISECT_TOL) -> float:
@@ -207,22 +203,18 @@ def improvement_threshold(beta_lo: float, beta_hi: float, nu: float,
             return 0.0
         raise DomainError("nu must be non-negative")
 
-    def improving(x: float) -> bool:
-        try:
-            return improvement_margin(beta_lo, beta_hi, nu, x, p, d) < 0.0
-        except DomainError:
-            return False
-
-    edge = _domain_edge_in_x0(beta_lo, nu, p, d)
+    # Domain edge of the first curriculum step: a0*x0 = c_delta_prime*nu.
+    edge = d.c_delta_prime * nu / curriculum_coefficients(p.with_betas(beta_lo, beta_hi)).first
     start = max(edge * 2.0, edge + 1e-9, 1e-9)
-    probe = _expand_until(improving, start)
+    probe = _expand_until(lambda x: _improving(beta_lo, beta_hi, nu, x, p, d), start)
     if probe is None:
         raise BracketError(
             "no improving initialization: budget parameter at or beyond the "
             f"collapse budget (nu={nu!r})")
     # Predicate is False on (edge, threshold), True after; flip it for the
     # shared boundary helper.
-    return _bisect_boundary(lambda x: not improving(x), edge, probe, tol)
+    return _bisect_boundary(lambda x: not _improving(beta_lo, beta_hi, nu, x, p, d),
+                            edge, probe, tol)
 
 
 def collapse_budget(beta_lo: float, beta_hi: float, p: TheoryParams,
@@ -233,18 +225,8 @@ def collapse_budget(beta_lo: float, beta_hi: float, p: TheoryParams,
     strictly increasing in nu from a negative value at nu = 0 and diverges
     at the first domain breakdown.
     """
-    def improving(nu: float) -> bool:
-        try:
-            return improvement_margin_limit(beta_lo, beta_hi, nu, p, d) < 0.0
-        except DomainError:
-            return False
-
-    if not improving(1e-12):
-        raise BracketError("improvement margin non-negative already at nu ~ 0")
-    hi = _expand_until(lambda nu: not improving(nu), 1e-9, cap=1e6)
-    if hi is None:
-        raise BracketError("improvement margin never changes sign before nu = 1e6")
-    return _bisect_boundary(improving, 0.0, hi, tol)
+    return _root_in_nu(lambda nu: _improving(beta_lo, beta_hi, nu, None, p, d),
+                       "negative large-initialization improvement margin", tol)
 
 
 def baseline_half_error_budget(p: TheoryParams, d: DerivedConstants,
@@ -259,12 +241,7 @@ def baseline_half_error_budget(p: TheoryParams, d: DerivedConstants,
         except DomainError:
             return False
 
-    if not below(1e-12):
-        raise BracketError("baseline error term already above target at nu ~ 0")
-    hi = _expand_until(lambda nu: not below(nu), 1e-9, cap=1e6)
-    if hi is None:
-        raise BracketError("baseline error term never reaches the target")
-    return _bisect_boundary(below, 0.0, hi, tol)
+    return _root_in_nu(below, "baseline error term below (1 - gamma)/2", tol)
 
 
 def max_improving_nu(beta_lo: float, beta_hi: float, x0: float,
@@ -279,18 +256,8 @@ def max_improving_nu(beta_lo: float, beta_hi: float, x0: float,
     if not 0.0 < x0 < 1.0 - p.gamma:
         raise ParameterError("x0 must lie strictly between 0 and 1 - gamma")
 
-    def improving(nu: float) -> bool:
-        try:
-            return improvement_margin(beta_lo, beta_hi, nu, x0, p, d) < 0.0
-        except DomainError:
-            return False
-
-    if not improving(1e-12):
-        raise BracketError("margin non-negative already at nu ~ 0")
-    hi = _expand_until(lambda nu: not improving(nu), 1e-9, cap=1e6)
-    if hi is None:
-        raise BracketError("margin never changes sign before nu = 1e6")
-    return _bisect_boundary(improving, 0.0, hi, tol)
+    return _root_in_nu(lambda nu: _improving(beta_lo, beta_hi, nu, x0, p, d),
+                       f"negative improvement margin at x0={x0!r}", tol)
 
 
 @dataclass(frozen=True)

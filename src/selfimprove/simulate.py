@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .params import DerivedConstants, TheoryParams
+from .params import TheoryParams
 
 ALPHA_FLOOR = 1e-4
 
@@ -206,8 +206,8 @@ def _one_round(world: SimWorld, p: TheoryParams, rng: np.random.Generator,
     return new_world, record
 
 
-def run_selfimprove(world: SimWorld, p: TheoryParams, d: DerivedConstants,
-                    rounds: int, seed, replication: int = 0) -> list[RoundRecord]:
+def run_selfimprove(world: SimWorld, p: TheoryParams, rounds: int, seed,
+                    replication: int = 0) -> list[RoundRecord]:
     """Run ``rounds`` generate-filter-update rounds; deterministic in seed.
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence`` (the latter is
@@ -225,15 +225,15 @@ def run_selfimprove(world: SimWorld, p: TheoryParams, d: DerivedConstants,
     return records
 
 
-def run_replications(world: SimWorld, p: TheoryParams, d: DerivedConstants,
-                     rounds: int, replications: int, seed: int) -> list[RoundRecord]:
+def run_replications(world: SimWorld, p: TheoryParams, rounds: int,
+                     replications: int, seed: int) -> list[RoundRecord]:
     """Independent replications from the same initial world, flat record list."""
     if replications < 1:
         raise ParameterError("replications must be >= 1")
     top = np.random.SeedSequence(seed)
     records: list[RoundRecord] = []
     for rep, child in enumerate(top.spawn(replications)):
-        records.extend(run_selfimprove(world, p, d, rounds, child, replication=rep))
+        records.extend(run_selfimprove(world, p, rounds, child, replication=rep))
     return records
 
 

@@ -357,7 +357,7 @@ def test_c14_acceptance_ratio_laws():
 def test_c15_simulation_bound_coverage():
     start = time.perf_counter()
     world = si.build_world(10_000, 0.5, P, seed=115)
-    records = si.run_replications(world, P, D, rounds=5, replications=500, seed=115)
+    records = si.run_replications(world, P, rounds=5, replications=500, seed=115)
     live = [r for r in records if not r.collapsed]
     coverage = sum(r.bound_satisfied for r in live) / len(live)
     elapsed = time.perf_counter() - start

@@ -144,3 +144,21 @@ def test_verify_fast_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "all" in out and "properties hold" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("config, argv", [
+    (None, ["regions", "--x0", "0.5", "--config", "missing.json"]),
+    ("{not json", ["regions", "--x0", "0.5", "--config", "config.json"]),
+    ('{"c": "0.5"}', ["regions", "--x0", "0.5", "--config", "config.json"]),
+    ('{"n": true}', ["regions", "--x0", "0.5", "--config", "config.json"]),
+    (None, ["simulate", "--seed", "-1", "--questions", "500", "--rounds", "1"]),
+    (None, ["scan", "--panel", "a", "--x0-points", "100", "--threads", "0"]),
+], ids=["missing-config", "malformed-json", "string-value", "bool-integer",
+        "negative-seed", "zero-threads"])
+def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, argv):
+    if config is not None:
+        (tmp_path / "config.json").write_text(config)
+    assert run_in(tmp_path, argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))

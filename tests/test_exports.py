@@ -1,0 +1,17 @@
+import selfimprove
+
+REMOVED = ("error_functional_limit", "improvement_margin_limit",
+           "scan_feasible_region", "scan_improvement_region")
+
+
+def test_every_export_resolves_once():
+    names = selfimprove.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(selfimprove, name)]
+    assert missing == []
+
+
+def test_removed_names_are_not_exported():
+    for name in REMOVED:
+        assert name not in selfimprove.__all__
+        assert not hasattr(selfimprove, name)

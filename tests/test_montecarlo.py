@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from selfimprove import (ParameterError, ScanConfig, TheoryParams, derive_constants,
                          feasibility_interval, improvement_threshold, run_scan,
                          write_panel_csv, x0_grid)
+from selfimprove.cubic import Interval
 from selfimprove.montecarlo import (classify_feasible, classify_improvement,
                                     measured_interval)
 
@@ -110,7 +115,6 @@ def test_measured_lengths_decrease_in_budget_parameter():
 
 
 def test_measured_interval_prefers_run_containing_analytic_midpoint():
-    from selfimprove.cubic import Interval
     grid = np.linspace(0.1, 1.0, 10)
     flags = np.array([True, True, False, True, True, True, False, False, True, False])
     lo, hi, _ = measured_interval(grid, flags, Interval(0.4, 0.65, True))
@@ -119,6 +123,60 @@ def test_measured_interval_prefers_run_containing_analytic_midpoint():
     assert (lo, hi) == (pytest.approx(grid[3]), pytest.approx(grid[5]))
     lo, hi, length = measured_interval(grid, np.zeros(10, dtype=bool), None)
     assert length == 0.0
+
+
+def loop_measured_interval(grid, flags, analytic):
+    """Plain-loop reference: collect the runs, then pick one."""
+    runs = []
+    start = None
+    for i, v in enumerate(flags):
+        if v and start is None:
+            start = i
+        elif not v and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(flags) - 1))
+    if not runs:
+        return math.nan, math.nan, 0.0
+    chosen = None
+    if analytic is not None and analytic.valid:
+        mid = 0.5 * (analytic.lo + analytic.hi)
+        j = int(np.argmin(np.abs(grid - mid)))
+        if flags[j]:
+            chosen = next(r for r in runs if r[0] <= j <= r[1])
+    if chosen is None:
+        best = -1
+        for r in runs:
+            if r[1] - r[0] > best:     # strict: the first of equally long runs wins
+                chosen, best = r, r[1] - r[0]
+    lo, hi = float(grid[chosen[0]]), float(grid[chosen[1]])
+    return lo, hi, hi - lo
+
+
+@given(flags=st.lists(st.booleans(), min_size=1, max_size=60),
+       mid=st.one_of(st.none(), st.floats(min_value=-0.2, max_value=1.2)),
+       valid=st.booleans())
+@example(flags=[False] * 7, mid=0.5, valid=True)                     # all False
+@example(flags=[True] * 7, mid=None, valid=True)                     # all True
+@example(flags=[True, True, False, True, False, True, True], mid=None,
+         valid=True)                                                 # runs at both ends
+@example(flags=[True, False, True, True, False, True, True], mid=None,
+         valid=True)                                                 # tie: first wins
+@example(flags=[True, True, False, True, True, False, True], mid=0.95,
+         valid=True)                                                 # midpoint in a later run
+@example(flags=[True, True, False, True, True, False, True], mid=0.4,
+         valid=True)                                                 # midpoint off every run
+@example(flags=[True, True, False, True, True, False, True], mid=0.95,
+         valid=False)                                                # invalid analytic
+@settings(max_examples=300, deadline=None)
+def test_measured_interval_matches_plain_loop(flags, mid, valid):
+    flags = np.array(flags)
+    grid = (np.arange(len(flags)) + 0.5) / len(flags)
+    analytic = None if mid is None else Interval(mid - 0.01, mid + 0.01, valid)
+    got = measured_interval(grid, flags, analytic)
+    want = loop_measured_interval(grid, flags, analytic)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_grid_refinement_first_order():

@@ -7,7 +7,7 @@ from selfimprove import (BracketError, DomainError, ParameterError, TheoryParams
                          baseline_error_term, baseline_half_error_budget,
                          coefficient_growth_ratio, collapse_budget,
                          conditional_mean_check, curriculum_coefficients,
-                         derive_constants, error_functional, error_functional_limit,
+                         derive_constants, error_functional,
                          feasibility_interval, improvement_margin,
                          improvement_threshold, invariant_interval, max_improving_nu,
                          max_improving_nu_profile, threshold_curve)
@@ -173,13 +173,8 @@ def test_threshold_blowup_toward_collapse():
 
 def test_collapse_budget_sign_change():
     nu_c = collapse_budget(P.beta_lo, P.beta_hi, P, D)
-    assert improvement_margin_limit_sign(nu_c * 0.999) < 0.0
-    assert improvement_margin_limit_sign(nu_c * 1.001) > 0.0
-
-
-def improvement_margin_limit_sign(nu):
-    from selfimprove import improvement_margin_limit
-    return improvement_margin_limit(P.beta_lo, P.beta_hi, nu, P, D)
+    assert improvement_margin(P.beta_lo, P.beta_hi, nu_c * 0.999, None, P, D) < 0.0
+    assert improvement_margin(P.beta_lo, P.beta_hi, nu_c * 1.001, None, P, D) > 0.0
 
 
 def test_collapse_budget_decreasing_in_difficulty_span():
@@ -189,7 +184,7 @@ def test_collapse_budget_decreasing_in_difficulty_span():
 
 def test_error_limit_matches_large_initialization():
     for nu in (0.005, 0.015):
-        limit = error_functional_limit(P.beta_lo, P.beta_hi, nu, P, D)
+        limit = error_functional(P.beta_lo, P.beta_hi, nu, None, P, D)
         at_large = error_functional(P.beta_lo, P.beta_hi, nu, 1e9, P, D)
         assert at_large == pytest.approx(limit, abs=1e-7)
 

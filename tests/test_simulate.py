@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from selfimprove import (DomainError, ParameterError, SimWorld, TheoryParams,
-                         acceptance_gain_ratio, build_world, derive_constants,
+                         acceptance_gain_ratio, build_world,
                          mean_to_min_acceptance_ratio, multi_try_acceptance,
                          run_replications, run_selfimprove, satisfies_coupling,
                          write_simulation_csv)
 
 P = TheoryParams()
-D = derive_constants(P)
 
 
 def small_world(count=500, alpha_lo=0.05, alpha_hi=1.0, seed=0):
@@ -137,18 +136,18 @@ def test_gain_ratio_domain():
 def test_run_reproducible_bit_for_bit():
     p = TheoryParams(n=400)
     world = small_world()
-    a = run_selfimprove(world, p, D, rounds=4, seed=123)
-    b = run_selfimprove(world, p, D, rounds=4, seed=123)
+    a = run_selfimprove(world, p, rounds=4, seed=123)
+    b = run_selfimprove(world, p, rounds=4, seed=123)
     assert a == b
-    c = run_selfimprove(world, p, D, rounds=4, seed=124)
+    c = run_selfimprove(world, p, rounds=4, seed=124)
     assert a != c
 
 
 def test_replications_reproducible_and_distinct():
     p = TheoryParams(n=300)
     world = small_world()
-    a = run_replications(world, p, D, rounds=2, replications=3, seed=5)
-    b = run_replications(world, p, D, rounds=2, replications=3, seed=5)
+    a = run_replications(world, p, rounds=2, replications=3, seed=5)
+    b = run_replications(world, p, rounds=2, replications=3, seed=5)
     assert a == b
     by_rep = {}
     for r in a:
@@ -160,7 +159,7 @@ def test_replications_reproducible_and_distinct():
 def test_round_records_well_formed():
     p = TheoryParams(n=500)
     world = build_world(2000, 0.5, p, seed=3)
-    records = run_selfimprove(world, p, D, rounds=4, seed=7)
+    records = run_selfimprove(world, p, rounds=4, seed=7)
     assert [r.round_index for r in records] == [0, 1, 2, 3]
     for r in records:
         assert 0 <= r.n_accept <= p.n
@@ -185,7 +184,7 @@ def test_update_keeps_alpha_in_range_and_v_consistent():
 def test_unrepresented_questions_keep_alpha():
     p = TheoryParams(n=10)
     world = small_world(count=5000)
-    records = run_selfimprove(world, p, D, rounds=1, seed=1)
+    records = run_selfimprove(world, p, rounds=1, seed=1)
     assert records[0].n_accept <= 10
 
 
@@ -193,7 +192,7 @@ def test_collapse_round_skips_update():
     p = TheoryParams(n=20, m=1)
     alpha = np.full(50, 1e-9)
     world = SimWorld(weights=np.full(50, 0.02), alpha=alpha, c=P.c, gamma=P.gamma)
-    records = run_selfimprove(world, p, D, rounds=1, seed=0)
+    records = run_selfimprove(world, p, rounds=1, seed=0)
     assert records[0].collapsed
     assert math.isnan(records[0].bound)
     assert records[0].v_realized == pytest.approx(1e-9)
@@ -205,7 +204,7 @@ def test_bound_improves_with_answer_budget():
     bounds = {}
     for m in (1, 4):
         p = TheoryParams(n=1000, m=m)
-        records = run_replications(world, p, D, rounds=1, replications=50, seed=21)
+        records = run_replications(world, p, rounds=1, replications=50, seed=21)
         bounds[m] = np.mean([r.bound for r in records if not r.collapsed])
     assert bounds[4] >= bounds[1]
 
@@ -215,7 +214,7 @@ def test_bound_slack_scales_with_inverse_root_budget():
     slack = {}
     for n in (500, 2000):
         p = TheoryParams(n=n, m=4)
-        records = run_replications(world, p, D, rounds=1, replications=100, seed=31)
+        records = run_replications(world, p, rounds=1, replications=100, seed=31)
         slack[n] = np.mean([p.tau - r.bound for r in records])
     assert slack[500] / slack[2000] == pytest.approx(2.0, rel=0.1)
 
@@ -223,7 +222,7 @@ def test_bound_slack_scales_with_inverse_root_budget():
 def test_acceptance_count_matches_binomial_mean():
     p = TheoryParams(n=400, m=4)
     world = small_world(count=800)
-    records = run_replications(world, p, D, rounds=1, replications=400, seed=17)
+    records = run_replications(world, p, rounds=1, replications=400, seed=17)
     counts = np.array([r.n_accept for r in records], dtype=float)
     z = float(world.weights @ multi_try_acceptance(world.alpha, p.m))
     se = math.sqrt(p.n * z * (1 - z) / len(counts))
@@ -233,7 +232,7 @@ def test_acceptance_count_matches_binomial_mean():
 def test_bound_coverage_reduced():
     p = TheoryParams()  # n=2000, m=4
     world = build_world(10_000, 0.5, p, seed=29)
-    records = run_replications(world, p, D, rounds=3, replications=40, seed=37)
+    records = run_replications(world, p, rounds=3, replications=40, seed=37)
     live = [r for r in records if not r.collapsed]
     coverage = sum(r.bound_satisfied for r in live) / len(live)
     assert coverage >= 0.95
@@ -242,7 +241,7 @@ def test_bound_coverage_reduced():
 def test_simulation_csv(tmp_path):
     p = TheoryParams(n=200)
     world = small_world(count=300)
-    records = run_replications(world, p, D, rounds=2, replications=2, seed=3)
+    records = run_replications(world, p, rounds=2, replications=2, seed=3)
     path = tmp_path / "simulation.csv"
     write_simulation_csv(records, str(path))
     lines = path.read_text().splitlines()
