@@ -14,14 +14,14 @@ from .dynamics import (CurriculumCoefficients, MapSpec, Trajectory,
 from .errors import BracketError, DomainError, ParameterError, SelfImproveError
 from .montecarlo import (CellResult, ScanConfig, ScanResult, default_panels,
                          run_scan, write_panel_csv, x0_grid)
-from .params import (DerivedConstants, TheoryParams, ValidityReport,
-                     derive_constants, load_config, validate_domain)
-from .regions import (ProfileResult, ThresholdCurve, baseline_error_term,
-                      baseline_half_error_budget, coefficient_growth_ratio,
-                      collapse_budget, conditional_mean_check, error_functional,
+from .params import DerivedConstants, TheoryParams, derive_constants, load_config
+from .regions import (ProfileResult, ThresholdCurve, ValidityReport,
+                      baseline_error_term, baseline_half_error_budget,
+                      coefficient_growth_ratio, collapse_budget,
+                      conditional_mean_check, error_functional,
                       feasibility_interval, improvement_margin,
                       improvement_threshold, max_improving_nu,
-                      max_improving_nu_profile, threshold_curve)
+                      max_improving_nu_profile, threshold_curve, validate_domain)
 from .simulate import (RoundRecord, SimWorld, acceptance_gain_ratio, build_world,
                        mean_to_min_acceptance_ratio, multi_try_acceptance,
                        run_replications, run_selfimprove, satisfies_coupling,

@@ -7,7 +7,8 @@ resolved parameters, seed, outputs, version, and duration, enough to
 reproduce the output files byte for byte.
 
 Exit codes: 0 success, 1 property failure (verify), 2 usage or parameter
-error.
+error.  Parameters are checked here, where they enter, before any output is
+written.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__, checks, montecarlo, regions, simulate
 from .cubic import invariant_interval
 from .errors import BracketError, ParameterError, SelfImproveError
-from .params import TheoryParams, derive_constants, load_config
+from .params import DerivedConstants, TheoryParams, derive_constants, load_config
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_params(args) -> tuple[TheoryParams, float | None]:
+def _resolve_params(args) -> tuple[TheoryParams, float | None, DerivedConstants]:
     params, nu_override = (load_config(args.config) if args.config
                            else (TheoryParams(), None))
     overrides = {}
@@ -99,7 +100,10 @@ def _resolve_params(args) -> tuple[TheoryParams, float | None]:
         params = TheoryParams(**{**asdict(params), **overrides})
     if args.nu is not None:
         nu_override = args.nu
-    return params, nu_override
+    # The curriculum divides by t^(-beta_hi), t < L, which must not underflow.
+    if not params.L ** -params.beta_hi > 0.0:
+        raise ParameterError("beta_hi too large: L^(-beta_hi) underflows to zero")
+    return params, nu_override, derive_constants(params, nu=nu_override)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -150,9 +154,10 @@ class _Run:
 
 
 def cmd_intervals(args) -> int:
-    params, nu_override = _resolve_params(args)
+    params, nu_override, d = _resolve_params(args)
+    if args.a is not None and not math.isfinite(args.a):
+        raise ParameterError(f"--a must be finite, got {args.a!r}")
     run = _Run(args, params, nu_override)
-    d = derive_constants(params, nu=nu_override)
     rows = []
     if args.a is not None:
         iv = invariant_interval(args.a, params, d)
@@ -180,15 +185,20 @@ def cmd_intervals(args) -> int:
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, count = spec.split(":")
-        return np.linspace(float(start), float(stop), int(count))
+        grid = np.linspace(float(start), float(stop), int(count))
     except ValueError as exc:
         raise ParameterError(f"bad grid spec {spec!r}; expected start:stop:count") from exc
+    if grid.size < 2:
+        raise ParameterError(f"grid spec {spec!r} needs two points for the tail slope")
+    return grid
 
 
 def cmd_thresholds(args) -> int:
-    params, nu_override = _resolve_params(args)
+    params, nu_override, d = _resolve_params(args)
+    if args.curve is not None and args.curve < 1:
+        raise ParameterError("--curve must be a positive integer")
+    beta_grid = _parse_grid(args.beta_grid) if args.profile else None
     run = _Run(args, params, nu_override)
-    d = derive_constants(params, nu=nu_override)
     rows = []
     if args.nu_c:
         value = regions.collapse_budget(params.beta_lo, params.beta_hi, params, d)
@@ -212,8 +222,7 @@ def cmd_thresholds(args) -> int:
                    [[_fmt(nu), _fmt(x), str(ok).lower()] for nu, x, ok in curve.samples])
     if args.profile:
         x0 = args.x0 if args.x0 is not None else 0.5 * (1.0 - params.gamma)
-        profile = regions.max_improving_nu_profile(
-            args.delta_gap, _parse_grid(args.beta_grid), x0, params, d)
+        profile = regions.max_improving_nu_profile(args.delta_gap, beta_grid, x0, params, d)
         _write_csv(run.path("profile.csv"),
                    ["beta_lo", "nu_star", "is_argmax"],
                    [[_fmt(bl), _fmt(v), str(i == profile.argmax_index).lower()]
@@ -226,9 +235,9 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    params, nu_override = _resolve_params(args)
+    params, nu_override, d = _resolve_params(args)
+    regions.check_initialization(args.x0, params)
     run = _Run(args, params, nu_override)
-    d = derive_constants(params, nu=nu_override)
     e = regions.error_functional(params.beta_lo, params.beta_hi, d.nu, args.x0, params, d)
     margin = regions.improvement_margin(params.beta_lo, params.beta_hi, d.nu, args.x0,
                                         params, d)
@@ -244,7 +253,7 @@ def cmd_regions(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    params, nu_override = _resolve_params(args)
+    params, nu_override, _ = _resolve_params(args)
     run = _Run(args, params, nu_override)
     panels = montecarlo.default_panels(params)
     names = ["a", "b", "c", "d"] if args.panel == "all" else [args.panel]
@@ -262,9 +271,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    params, nu_override = _resolve_params(args)
+    params, nu_override, _ = _resolve_params(args)
     run = _Run(args, params, nu_override)
-    derive_constants(params, nu=nu_override)  # rejects a negative nu override
     world = simulate.build_world(args.questions, args.v_target, params, seed=args.seed)
     records = simulate.run_replications(world, params, args.rounds,
                                         args.replications, seed=args.seed)
@@ -277,7 +285,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params, nu_override = _resolve_params(args)
+    params, nu_override, _ = _resolve_params(args)
     run = _Run(args, params, nu_override)
     results = checks.run_checks(fast=args.fast)
     width = max(len(r.name) for r in results)

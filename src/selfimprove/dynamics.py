@@ -103,10 +103,10 @@ class Trajectory:
     monitored_from: int = 0
     exceeded_unit: bool = False
 
-    def strictly_increasing(self, plateau_tol: float = PLATEAU_TOL) -> bool:
+    def strictly_increasing(self) -> bool:
         """Monitored steps all increase, allowing numerical plateaus."""
         mon = self.values[self.monitored_from:]
-        return all(b > a or abs(b - a) <= plateau_tol
+        return all(b > a or abs(b - a) <= PLATEAU_TOL
                    for a, b in zip(mon, mon[1:]))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -16,6 +17,9 @@ from .errors import ParameterError
 
 # Absolute tolerance for comparisons against domain boundaries.
 BOUNDARY_TOL = 1e-12
+
+# Fold of the conjugated cubic y*(1-y)^2 = sigma^2: two roots in (0, 1) below it.
+SIGMA_MAX = math.sqrt(4.0 / 27.0)
 
 _CONFIG_EXTRA_KEYS = frozenset({"nu"})
 
@@ -83,8 +87,8 @@ def derive_constants(p: TheoryParams, nu: float | None = None) -> DerivedConstan
     """
     if nu is None:
         nu = math.sqrt(1.0 / p.n)
-    elif nu < 0.0:
-        raise ParameterError("nu must be non-negative")
+    elif not 0.0 <= nu < math.inf:
+        raise ParameterError(f"nu must be non-negative and finite, got {nu!r}")
     return DerivedConstants(
         c_delta=math.sqrt(2.0 * math.log(p.pi_size / p.delta)),
         c_delta_prime=math.sqrt(math.log(1.0 / p.delta_prime) / 2.0),
@@ -92,86 +96,13 @@ def derive_constants(p: TheoryParams, nu: float | None = None) -> DerivedConstan
     )
 
 
-@dataclass(frozen=True)
-class ValidityCheck:
-    name: str
-    valid: bool
-    first_violation: str | None = None
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    """Well-definedness report for the downstream computations.
-
-    Never raised; callers inspect ``all_valid`` or individual entries.  The
-    ``sigma_degenerate`` flag marks the noiseless limit in which every map
-    collapses to the constant 1 - gamma.
-    """
-
-    checks: tuple[ValidityCheck, ...]
-    sigma_degenerate: bool
-
-    @property
-    def all_valid(self) -> bool:
-        return all(c.valid for c in self.checks)
-
-    def entry(self, name: str) -> ValidityCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-SIGMA_MAX = math.sqrt(4.0 / 27.0)
-
-
-def _interval_check(name: str, a: float, p: TheoryParams, d: DerivedConstants) -> ValidityCheck:
-    inner = a * (1.0 - p.gamma) - d.c_delta_prime * d.nu
-    if inner <= BOUNDARY_TOL:
-        return ValidityCheck(name, False, "radicand a*(1-gamma) - c_delta_prime*nu must be positive")
-    sigma = a * d.c_delta * d.nu / (p.c * inner ** 1.5)
-    if sigma >= SIGMA_MAX - BOUNDARY_TOL and d.nu > 0.0:
-        return ValidityCheck(name, False, "sigma must stay below sqrt(4/27)")
-    return ValidityCheck(name, True)
-
-
-def validate_domain(p: TheoryParams, d: DerivedConstants) -> ValidityReport:
-    """Report, per downstream computation, whether its regime holds."""
-    a_hard = 2.0 ** (-p.beta_hi)
-    checks = [
-        _interval_check("invariant_interval_baseline", 1.0, p, d),
-        _interval_check("invariant_interval_hard", a_hard, p, d),
-    ]
-
-    # Error-functional regime in the large-initialization limit: the only
-    # conditions free of the initialization are the two radicands and the
-    # geometric-series denominator.
-    violations = []
-    t1_inner = 1.0 - p.gamma - d.c_delta_prime * d.nu
-    if t1_inner <= BOUNDARY_TOL:
-        violations.append("radicand 1 - gamma - c_delta_prime*nu must be positive")
-    t3_inner = a_hard * (1.0 - p.gamma) - d.c_delta_prime * d.nu
-    if t3_inner <= BOUNDARY_TOL:
-        violations.append("radicand 2^(-beta_hi)*(1-gamma) - c_delta_prime*nu must be positive")
-    elif not violations:
-        ratio = d.c_delta * d.nu / (2.0 * p.c * t3_inner ** 1.5) * math.exp(-p.beta_hi / p.L)
-        if ratio >= 1.0 - BOUNDARY_TOL and d.nu > 0.0:
-            violations.append("geometric-series ratio must stay below 1")
-    ef = ValidityCheck("error_functional", not violations,
-                       violations[0] if violations else None)
-    checks.append(ef)
-    checks.append(ValidityCheck("improvement_margin", ef.valid, ef.first_violation))
-
-    return ValidityReport(checks=tuple(checks), sigma_degenerate=(d.nu == 0.0))
-
-
 def load_config(path: str) -> tuple[TheoryParams, float | None]:
     """Load a JSON config whose keys match ``TheoryParams`` field names.
 
     An optional ``nu`` key overrides the budget parameter; when both ``n``
     and ``nu`` appear, ``nu`` wins and a warning is emitted.  Unknown keys,
-    non-numeric values, an unreadable file and malformed JSON raise
-    ``ParameterError``.
+    non-numeric or non-finite values (JSON ``NaN``, ``Infinity``), an
+    unreadable file and malformed JSON raise ``ParameterError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -194,6 +125,9 @@ def load_config(path: str) -> tuple[TheoryParams, float | None]:
         # bool is an int subclass: a JSON true must not become 1.
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParameterError(f"{key} must be a number, got {value!r}")
+        # Also rejects an integer beyond the float range, which cannot convert.
+        if not abs(value) <= sys.float_info.max:
+            raise ParameterError(f"{key} must be a finite number")
     if nu_override is not None and "n" in raw:
         warnings.warn("config sets both n and nu; nu wins", stacklevel=2)
     for key in ("pi_size", "n", "m", "L"):

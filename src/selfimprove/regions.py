@@ -124,15 +124,15 @@ def _improving(beta_lo: float, beta_hi: float, nu: float, x0: float | None,
 # Bisection on monotone predicates
 # ---------------------------------------------------------------------------
 
-def _bisect_boundary(pred_left, lo: float, hi: float, tol: float = BISECT_TOL) -> float:
+def _bisect_boundary(pred_left, lo: float, hi: float) -> float:
     """Boundary of a monotone predicate: True on [lo, boundary), False after.
 
-    Stops at ``tol`` interval width or when the midpoint can no longer be
-    distinguished from the endpoints in double precision (huge roots).
+    Stops at ``BISECT_TOL`` interval width or when the midpoint can no longer
+    be distinguished from the endpoints in double precision (huge roots).
     """
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi or hi - lo <= tol:
+        if mid <= lo or mid >= hi or hi - lo <= BISECT_TOL:
             break
         if pred_left(mid):
             lo = mid
@@ -141,17 +141,17 @@ def _bisect_boundary(pred_left, lo: float, hi: float, tol: float = BISECT_TOL) -
     return 0.5 * (lo + hi)
 
 
-def _expand_until(pred, start: float, factor: float = 2.0, cap: float = 1e15):
-    """First probe >= start where ``pred`` holds, expanding geometrically."""
+def _expand_until(pred, start: float, cap: float = 1e15):
+    """First probe >= start where ``pred`` holds, doubling from ``start``."""
     x = start
     while x <= cap:
         if pred(x):
             return x
-        x *= factor
+        x *= 2.0
     return None
 
 
-def _root_in_nu(holds, what: str, tol: float) -> float:
+def _root_in_nu(holds, what: str) -> float:
     """Boundary in nu of a predicate that holds on [0, root) and fails after:
     checked just above zero, bracketed by geometric expansion, then bisected."""
     if not holds(1e-12):
@@ -159,7 +159,64 @@ def _root_in_nu(holds, what: str, tol: float) -> float:
     hi = _expand_until(lambda nu: not holds(nu), 1e-9, cap=1e6)
     if hi is None:
         raise BracketError(f"{what} still holds at nu = 1e6")
-    return _bisect_boundary(holds, 0.0, hi, tol)
+    return _bisect_boundary(holds, 0.0, hi)
+
+
+# ---------------------------------------------------------------------------
+# Validity regimes
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ValidityCheck:
+    name: str
+    valid: bool
+    first_violation: str | None = None
+
+
+@dataclass(frozen=True)
+class ValidityReport:
+    """Well-definedness report for the downstream computations.
+
+    Never raised; callers inspect ``all_valid`` or individual entries.  The
+    ``sigma_degenerate`` flag marks the noiseless limit in which every map
+    collapses to the constant 1 - gamma.
+    """
+
+    checks: tuple[ValidityCheck, ...]
+    sigma_degenerate: bool
+
+    @property
+    def all_valid(self) -> bool:
+        return all(c.valid for c in self.checks)
+
+    def entry(self, name: str) -> ValidityCheck:
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
+
+
+def validate_domain(p: TheoryParams, d: DerivedConstants) -> ValidityReport:
+    """Report, per downstream computation, whether its regime holds.
+
+    Each entry is the computation's own verdict, so the report cannot
+    disagree with it: the interval entries are ``invariant_interval`` at
+    scale 1 and at the hardest level's 2^(-beta_hi), and the error-functional
+    entry is whether its large-initialization limit raises ``DomainError``.
+    """
+    checks = []
+    for name, a in (("invariant_interval_baseline", 1.0),
+                    ("invariant_interval_hard", 2.0 ** (-p.beta_hi))):
+        interval = invariant_interval(a, p, d)
+        checks.append(ValidityCheck(name, interval.valid, interval.reason))
+    try:
+        _error_terms(p.beta_lo, p.beta_hi, d.nu, None, p, d)
+        violation = None
+    except DomainError as exc:
+        violation = str(exc)
+    checks.append(ValidityCheck("error_functional", violation is None, violation))
+    checks.append(ValidityCheck("improvement_margin", violation is None, violation))
+    return ValidityReport(checks=tuple(checks), sigma_degenerate=(d.nu == 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +245,7 @@ def feasibility_interval(p: TheoryParams, d: DerivedConstants,
 
 
 def improvement_threshold(beta_lo: float, beta_hi: float, nu: float,
-                          p: TheoryParams, d: DerivedConstants,
-                          tol: float = BISECT_TOL) -> float:
+                          p: TheoryParams, d: DerivedConstants) -> float:
     """Unique initialization at which the improvement margin changes sign.
 
     The margin is strictly decreasing in the initialization, diverging to
@@ -214,11 +270,11 @@ def improvement_threshold(beta_lo: float, beta_hi: float, nu: float,
     # Predicate is False on (edge, threshold), True after; flip it for the
     # shared boundary helper.
     return _bisect_boundary(lambda x: not _improving(beta_lo, beta_hi, nu, x, p, d),
-                            edge, probe, tol)
+                            edge, probe)
 
 
 def collapse_budget(beta_lo: float, beta_hi: float, p: TheoryParams,
-                    d: DerivedConstants, tol: float = BISECT_TOL) -> float:
+                    d: DerivedConstants) -> float:
     """Critical budget parameter where the improvement region collapses.
 
     Unique root of the large-initialization improvement margin, which is
@@ -226,11 +282,10 @@ def collapse_budget(beta_lo: float, beta_hi: float, p: TheoryParams,
     at the first domain breakdown.
     """
     return _root_in_nu(lambda nu: _improving(beta_lo, beta_hi, nu, None, p, d),
-                       "negative large-initialization improvement margin", tol)
+                       "negative large-initialization improvement margin")
 
 
-def baseline_half_error_budget(p: TheoryParams, d: DerivedConstants,
-                               tol: float = BISECT_TOL) -> float:
+def baseline_half_error_budget(p: TheoryParams, d: DerivedConstants) -> float:
     """Budget parameter at which the baseline error term reaches half the
     attainable ceiling (1 - gamma)/2; unique by strict monotonicity."""
     target = 0.5 * (1.0 - p.gamma)
@@ -241,23 +296,26 @@ def baseline_half_error_budget(p: TheoryParams, d: DerivedConstants,
         except DomainError:
             return False
 
-    return _root_in_nu(below, "baseline error term below (1 - gamma)/2", tol)
+    return _root_in_nu(below, "baseline error term below (1 - gamma)/2")
+
+
+def check_initialization(x0: float, p: TheoryParams) -> None:
+    """Reject an initialization outside (0, 1 - gamma), NaN included."""
+    if not 0.0 < x0 < 1.0 - p.gamma:
+        raise ParameterError("x0 must lie strictly between 0 and 1 - gamma")
 
 
 def max_improving_nu(beta_lo: float, beta_hi: float, x0: float,
-                     p: TheoryParams, d: DerivedConstants,
-                     tol: float = BISECT_TOL) -> float:
+                     p: TheoryParams, d: DerivedConstants) -> float:
     """Largest budget parameter for which initialization ``x0`` improves.
 
     Equals the unique root in nu of the improvement margin at ``x0`` (the
     margin is strictly increasing in nu), and equivalently the budget at
     which the improvement threshold crosses ``x0``.
     """
-    if not 0.0 < x0 < 1.0 - p.gamma:
-        raise ParameterError("x0 must lie strictly between 0 and 1 - gamma")
-
+    check_initialization(x0, p)
     return _root_in_nu(lambda nu: _improving(beta_lo, beta_hi, nu, x0, p, d),
-                       f"negative improvement margin at x0={x0!r}", tol)
+                       f"negative improvement margin at x0={x0!r}")
 
 
 @dataclass(frozen=True)
@@ -279,9 +337,9 @@ class ProfileResult:
 
 
 def max_improving_nu_profile(delta_gap: float, beta_grid, x0: float,
-                             p: TheoryParams, d: DerivedConstants,
-                             tail_fraction: float = 0.3) -> ProfileResult:
-    """Evaluate the largest improving budget along ``beta_lo`` at fixed gap."""
+                             p: TheoryParams, d: DerivedConstants) -> ProfileResult:
+    """Evaluate the largest improving budget along ``beta_lo`` at fixed gap;
+    the tail slope is fitted on the last 30% of the grid."""
     if delta_gap <= 0.0:
         raise ParameterError("delta_gap must be positive")
     points = []
@@ -290,7 +348,7 @@ def max_improving_nu_profile(delta_gap: float, beta_grid, x0: float,
     values = [v for _, v in points]
     argmax = max(range(len(values)), key=values.__getitem__)
 
-    k = max(2, int(len(points) * tail_fraction))
+    k = max(2, int(len(points) * 0.3))
     xs = [b for b, _ in points[-k:]]
     ys = [math.log(v) for _, v in points[-k:]]
     xbar = sum(xs) / k

@@ -1,5 +1,9 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
+Criteria 1-7 and 12-15 run the full-size ``selfimprove.checks`` function
+that ``verify`` runs, at its seed ``checks._SEED``, and add only the
+wall-time bounds and criterion 7's blow-up exponent.
+
 The improvement and feasibility regions are sufficient conditions built
 from finite-sample lower bounds, and the budget laws are asymptotic.
 Criteria 9, 10, 16 and 17 therefore assert what the bounds promise (a
@@ -17,11 +21,9 @@ import numpy as np
 import pytest
 
 import selfimprove as si
-from selfimprove.checks import (check_error_functional_monotone,
-                                classify_trajectory_inside, oracle_cubic_roots)
+from selfimprove import checks
 from selfimprove.montecarlo import (classify_improvement, measured_interval,
                                     x0_grid)
-from selfimprove.params import SIGMA_MAX
 
 P = si.TheoryParams()
 D = si.derive_constants(P)
@@ -55,151 +57,51 @@ def panels():
     return results, time.perf_counter() - start
 
 
-def test_c01_cubic_oracle_equivalence():
-    rng = np.random.default_rng(101)
+def _timed(check):
+    """A check's full-size result and its wall time in seconds."""
     start = time.perf_counter()
-    worst = 0.0
-    for sigma in rng.uniform(1e-4, SIGMA_MAX - 1e-4, size=1000):
-        y_minus, y_plus = si.cubic_roots(float(sigma))
-        o_minus, o_plus = oracle_cubic_roots(float(sigma))
-        worst = max(worst, abs(y_minus - o_minus), abs(y_plus - o_plus))
-    elapsed = time.perf_counter() - start
+    result = check(False)
+    return result, time.perf_counter() - start
+
+
+def test_c01_cubic_oracle_equivalence():
+    result, elapsed = _timed(checks.check_cubic_oracle)
     report(1, "trig roots match bisection oracle to 1e-10 in under 1 s",
-           worst < 1e-10 and elapsed < 1.0,
-           f"max dev {worst:.2e}, {elapsed:.2f} s")
-
-
-def _last_true(holds, lo: float, hi: float) -> float:
-    """Boundary of a predicate that holds at ``lo`` and fails from some
-    point on: ``hi`` is doubled until it fails, then the bracket is halved."""
-    while holds(hi):
-        hi *= 2
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
-    return lo
-
-
-def _fold_budget(a: float) -> float:
-    """Exact budget parameter at which the scale-``a`` interval folds."""
-    def below(nu: float) -> bool:
-        try:
-            return si.effective_sigma(a, P, si.derive_constants(P, nu=nu)) < SIGMA_MAX
-        except si.DomainError:
-            return False
-
-    return _last_true(below, 0.0, 1.0)
-
-
-def _breakdown_budget(beta_lo: float, beta_hi: float, lo: float) -> float:
-    """Budget at which the error functional at ``X0_REFERENCE`` leaves its
-    domain (the hard-level series ratio reaches 1); ``lo`` is in-domain."""
-    def defined(nu: float) -> bool:
-        try:
-            si.error_functional(beta_lo, beta_hi, nu, X0_REFERENCE, P, D)
-            return True
-        except si.DomainError:
-            return False
-
-    return _last_true(defined, lo, 2.0 * lo)
+           result.passed and elapsed < 1.0, f"{result.detail}, {elapsed:.2f} s")
 
 
 def test_c02_fixed_point_residuals():
-    worst = 0.0
-    cells = 0
-    for a in np.linspace(0.4, 2.5, 10):
-        fold = _fold_budget(float(a))
-        for frac in np.linspace(0.08, 0.9, 10):
-            d = si.derive_constants(P, nu=float(frac * fold))
-            interval = si.invariant_interval(float(a), P, d)
-            assert interval.valid, "grid cell unexpectedly inadmissible"
-            spec = si.map_spec(float(a), P, d)
-            for endpoint in (interval.lo, interval.hi):
-                worst = max(worst, abs(si.eval_map(spec, endpoint) - endpoint))
-            cells += 1
+    result = checks.check_fixed_point_residuals(False)
     report(2, "fixed-point residuals below 1e-10 on a 10x10 admissible grid",
-           cells == 100 and worst < 1e-10, f"max residual {worst:.2e}")
+           result.passed, result.detail)
 
 
 def test_c03_gap_bound():
-    rng = np.random.default_rng(103)
-    ok = True
-    for sigma in rng.uniform(1e-4, SIGMA_MAX - 1e-4, size=1000):
-        ok &= si.exact_root_gap(float(sigma)) >= si.gap_lower_bound(float(sigma)) - 1e-12
-    special = si.exact_root_gap(math.sqrt(2.0 / 27.0))
-    ok &= abs(special - 1.0 / math.sqrt(3.0)) <= 1e-12
-    report(3, "exact gap dominates closed-form bound; special value exact",
-           ok, f"gap at sigma^2=2/27: {special!r}")
+    result = checks.check_gap_identities(False)
+    report(3, "exact gap dominates closed-form bound; special value exact; "
+              "interval length identity", result.passed, result.detail)
 
 
 def test_c04_interval_inclusion():
-    rng = np.random.default_rng(104)
-    violations = 0
-    done = 0
-    while done < 500:
-        a1 = rng.uniform(0.3, 2.0)
-        a2 = a1 * rng.uniform(1.01, 2.0)
-        per_nu = si.effective_sigma(a1, P, si.derive_constants(P, nu=1e-9)) / 1e-9
-        nu = rng.uniform(0.05, 0.8) * SIGMA_MAX / per_nu
-        d = si.derive_constants(P, nu=nu)
-        i1, i2 = si.invariant_interval(a1, P, d), si.invariant_interval(a2, P, d)
-        if not (i1.valid and i2.valid):
-            continue
-        violations += not (i2.lo < i1.lo and i1.hi < i2.hi)
-        done += 1
-    done = 0
-    while done < 500:
-        a = rng.uniform(0.3, 2.0)
-        per_nu = si.effective_sigma(a, P, si.derive_constants(P, nu=1e-9)) / 1e-9
-        nu1 = rng.uniform(0.05, 0.6) * SIGMA_MAX / per_nu
-        nu2 = nu1 * rng.uniform(1.01, 1.5)
-        j1 = si.invariant_interval(a, P, si.derive_constants(P, nu=nu1))
-        j2 = si.invariant_interval(a, P, si.derive_constants(P, nu=nu2))
-        if not (j1.valid and j2.valid):
-            continue
-        violations += not (j1.lo < j2.lo and j2.hi < j1.hi)
-        done += 1
+    result = checks.check_interval_inclusion(False)
     report(4, "inclusion monotone in scale and anti-monotone in budget (500+500 pairs)",
-           violations == 0, f"{violations} violations")
+           result.passed, result.detail)
 
 
 def test_c05_trajectory_classification():
-    rng = np.random.default_rng(105)
-    d = si.derive_constants(P, nu=0.05)
-    interval = si.invariant_interval(1.0, P, d)
-    spec = si.map_spec(1.0, P, d)
-    misclassified = 0
-    for _ in range(200):
-        x0 = rng.uniform(interval.lo + 1e-6, interval.hi - 1e-6)
-        traj = si.iterate_baseline(P, d, x0, t_steps=100)
-        misclassified += not classify_trajectory_inside(traj, interval)
-    for _ in range(200):
-        if rng.random() < 0.5:
-            x0 = rng.uniform(spec.domain_lo + 1e-6, interval.lo - 1e-6)
-        else:
-            x0 = rng.uniform(interval.hi + 1e-6, 1.0 - P.gamma)
-        traj = si.iterate_baseline(P, d, x0, t_steps=100)
-        fails_immediately = (len(traj.values) > 1
-                             and traj.values[1] < traj.values[0] - 1e-14)
-        misclassified += not (fails_immediately or not traj.stayed_in_domain)
+    result = checks.check_trajectory_classification(False)
     report(5, "100-step trajectories classified by the invariant interval "
-              "(200 starts per side)", misclassified == 0,
-           f"{misclassified} misclassifications")
+              "(200 starts per side)", result.passed, result.detail)
 
 
 def test_c06_error_functional_monotonicities():
-    result = check_error_functional_monotone(False, count=2000, step=1e-6, guard=1e-9)
+    result = checks.check_error_functional_monotone(False)
     report(6, "error functional: decreasing in nu and beta_hi, increasing in x0 "
               "(2000 tuples)", result.passed, result.detail)
 
 
 def test_c07_threshold_asymptotics():
-    first = si.curriculum_coefficients(P).first
-    slope0 = (si.improvement_threshold(P.beta_lo, P.beta_hi, 1.5e-6, P, D)
-              - si.improvement_threshold(P.beta_lo, P.beta_hi, 0.5e-6, P, D)) / 1e-6
-    expected = D.c_delta_prime / first
-    small_ok = abs(slope0 - expected) <= 0.01 * expected
-
+    result = checks.check_threshold_curve(False)
     nu_c = si.collapse_budget(P.beta_lo, P.beta_hi, P, D)
     gaps = np.geomspace(0.001, 0.1, 12) * nu_c
     log_x = [math.log(si.improvement_threshold(P.beta_lo, P.beta_hi,
@@ -207,9 +109,9 @@ def test_c07_threshold_asymptotics():
              for g in gaps]
     blowup_slope = float(np.polyfit(np.log(gaps), log_x, 1)[0])
     blowup_ok = abs(blowup_slope + 2.0) <= 0.15
-    report(7, "threshold slope matches at zero budget; blow-up exponent -2 near collapse",
-           small_ok and blowup_ok,
-           f"slope0 {slope0:.5f} vs {expected:.5f}; blow-up slope {blowup_slope:.3f}")
+    report(7, "threshold increasing, slope within 1% at zero budget; blow-up "
+              "exponent -2 near collapse", result.passed and blowup_ok,
+           f"{result.detail}; blow-up slope {blowup_slope:.3f}")
 
 
 def test_c08_max_improving_nu_monotonicities(nu_star_grid):
@@ -255,6 +157,19 @@ def test_c09_small_exponent_coefficient():
     report(9, "Richardson limit of the largest improving budget's linear "
               "coefficient within 0.1%; remainder negative and first order", ok,
            "; ".join(details))
+
+
+def _breakdown_budget(beta_lo: float, beta_hi: float, lo: float) -> float:
+    """Budget at which the error functional at ``X0_REFERENCE`` leaves its
+    domain (the hard-level series ratio reaches 1); ``lo`` is in-domain."""
+    def defined(nu: float) -> bool:
+        try:
+            si.error_functional(beta_lo, beta_hi, nu, X0_REFERENCE, P, D)
+            return True
+        except si.DomainError:
+            return False
+
+    return checks.last_true(defined, lo, 2.0 * lo)
 
 
 def test_c10_profile_unimodality_and_tail():
@@ -308,62 +223,27 @@ def test_c11_max_improving_below_half_error_budget(nu_star_grid):
 
 
 def test_c12_growth_ratio_monotone():
-    grid = np.linspace(0.01, 20.0, 200)
-    ok = True
-    details = []
-    for levels in (2, 3, 5, 10):
-        values = [si.coefficient_growth_ratio(float(b), levels) for b in grid]
-        increasing = all(b > a for a, b in zip(values, values[1:]))
-        endpoints = values[0] < 0.05 and values[-1] > 1e3
-        ok &= increasing and endpoints
-        details.append(f"L={levels}: [{values[0]:.3f}, {values[-1]:.2e}]")
+    result = checks.check_growth_ratio(False)
     report(12, "growth ratio strictly increasing with limits 0 and +inf",
-           ok, "; ".join(details))
+           result.passed, result.detail)
 
 
 def test_c13_conditional_mean_exhaustive():
-    start = time.perf_counter()
-    violations = 0
-    for levels in range(2, 13):
-        for beta_lo in np.linspace(0.05, 5.0, 20):
-            for t in np.linspace(0.0, math.log(levels) * 0.999, 50):
-                lhs, rhs = si.conditional_mean_check(levels, float(beta_lo), float(t))
-                violations += lhs > rhs + 1e-12
-    elapsed = time.perf_counter() - start
+    result, elapsed = _timed(checks.check_conditional_mean)
     report(13, "tail conditional-mean inequality holds exhaustively in under 5 s",
-           violations == 0 and elapsed < 5.0,
-           f"{violations} violations, {elapsed:.2f} s")
+           result.passed and elapsed < 5.0, f"{result.detail}, {elapsed:.2f} s")
 
 
 def test_c14_acceptance_ratio_laws():
-    rng = np.random.default_rng(114)
-    ok = True
-    for _ in range(200):
-        count = int(rng.integers(5, 400))
-        alpha = rng.uniform(0.05, 1.0, size=count)
-        world = si.SimWorld(weights=np.full(count, 1.0 / count), alpha=alpha,
-                            c=P.c, gamma=P.gamma)
-        ratios = [si.mean_to_min_acceptance_ratio(world, m) for m in range(1, 65)]
-        ok &= all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
-        ok &= abs(si.mean_to_min_acceptance_ratio(world, 1024) - 1.0) <= 1e-6
-    for m in range(1, 51):
-        values = [si.acceptance_gain_ratio(float(y), m)
-                  for y in np.linspace(0.0, 0.999, 60)]
-        ok &= all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-    report(14, "mean-to-min ratio non-increasing to 1; gain ratio increasing",
-           ok, "200 worlds, m up to 1024")
+    result = checks.check_acceptance_ratio_laws(False)
+    report(14, "mean-to-min ratio at least 1, non-increasing to 1; gain ratio "
+               "increasing", result.passed, result.detail)
 
 
 def test_c15_simulation_bound_coverage():
-    start = time.perf_counter()
-    world = si.build_world(10_000, 0.5, P, seed=115)
-    records = si.run_replications(world, P, rounds=5, replications=500, seed=115)
-    live = [r for r in records if not r.collapsed]
-    coverage = sum(r.bound_satisfied for r in live) / len(live)
-    elapsed = time.perf_counter() - start
+    result, elapsed = _timed(checks.check_sim_bound_coverage)
     report(15, "realized reward meets the bound in >= 95% of rounds in under 2 min",
-           coverage >= 0.95 and elapsed < 120.0,
-           f"coverage {coverage:.4f} over {len(live)} rounds, {elapsed:.1f} s")
+           result.passed and elapsed < 120.0, f"{result.detail}, {elapsed:.1f} s")
 
 
 def test_c16_scan_agreement(panels):

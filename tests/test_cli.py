@@ -153,8 +153,24 @@ def test_verify_fast_passes(tmp_path, capsys):
     ('{"n": true}', ["regions", "--x0", "0.5", "--config", "config.json"]),
     (None, ["simulate", "--seed", "-1", "--questions", "500", "--rounds", "1"]),
     (None, ["scan", "--panel", "a", "--x0-points", "100", "--threads", "0"]),
+    (None, ["intervals", "--nu", "nan"]),
+    (None, ["intervals", "--nu", "inf"]),
+    ('{"nu": Infinity}', ["intervals", "--config", "config.json"]),
+    (None, ["regions", "--x0", "nan"]),
+    (None, ["regions", "--x0", "5", "--nu", "0.01"]),
+    (None, ["intervals", "--a", "nan"]),
+    (None, ["intervals", "--a", "inf"]),
+    ('{"beta_hi": 1e308}', ["intervals", "--config", "config.json"]),
+    ('{"beta_hi": Infinity}', ["intervals", "--config", "config.json"]),
+    (None, ["thresholds", "--nu-c", "--curve", "-1"]),
+    (None, ["thresholds", "--nu-c", "--profile", "--beta-grid", "0.01:12:0"]),
+    (None, ["thresholds", "--profile", "--beta-grid", "0.5:12:1"]),
+    (None, ["thresholds", "--nu-c", "--profile", "--beta-grid", "a:b"]),
 ], ids=["missing-config", "malformed-json", "string-value", "bool-integer",
-        "negative-seed", "zero-threads"])
+        "negative-seed", "zero-threads", "nan-nu", "inf-nu", "config-inf-nu",
+        "nan-x0", "x0-above-ceiling", "nan-a", "inf-a", "huge-beta-hi",
+        "config-inf-beta-hi", "negative-curve", "empty-grid", "one-point-grid",
+        "bad-grid-after-csv"])
 def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, argv):
     if config is not None:
         (tmp_path / "config.json").write_text(config)

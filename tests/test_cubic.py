@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from selfimprove import (DomainError, TheoryParams, cubic_roots, derive_constants,
                          effective_sigma, eval_map, exact_root_gap, gap_lower_bound,
                          invariant_interval, map_spec)
-from selfimprove.checks import oracle_cubic_roots
+from selfimprove.checks import last_true, oracle_cubic_roots
 from selfimprove.params import SIGMA_MAX
 
 # Frozen from high-precision evaluation of the closed forms.
@@ -167,18 +167,10 @@ def test_interval_invalid_and_near_degenerate():
     assert not broken.valid and "radicand" in broken.reason
 
     # Tune nu so sigma lands inside the near-degenerate guard band.
-    d1 = derive_constants(p, nu=1e-9)
-    per_nu = effective_sigma(1.0, p, d1) / 1e-9
-    lo_nu, hi_nu = 0.0, 0.2
-    for _ in range(80):
-        mid = 0.5 * (lo_nu + hi_nu)
-        if effective_sigma(1.0, p, derive_constants(p, nu=mid)) < SIGMA_MAX - 5e-9:
-            lo_nu = mid
-        else:
-            hi_nu = mid
-    near = invariant_interval(1.0, p, derive_constants(p, nu=lo_nu))
+    nu = last_true(lambda nu: effective_sigma(1.0, p, derive_constants(p, nu=nu))
+                   < SIGMA_MAX - 5e-9, 0.0, 0.2)
+    near = invariant_interval(1.0, p, derive_constants(p, nu=nu))
     assert not near.valid and "near-degenerate" in near.reason
-    del per_nu
 
 
 def test_fixed_point_stability_classification():

@@ -3,8 +3,11 @@ import math
 
 import pytest
 
-from selfimprove import (ParameterError, TheoryParams, derive_constants,
-                         load_config, validate_domain)
+from selfimprove import (DomainError, ParameterError, TheoryParams,
+                         derive_constants, effective_sigma, error_functional,
+                         invariant_interval, load_config, validate_domain)
+from selfimprove.checks import last_true
+from selfimprove.params import SIGMA_MAX
 
 # sqrt(2*ln(20000)) at high precision
 C_DELTA_DEFAULT = 4.450502792390120
@@ -86,6 +89,37 @@ def test_validate_domain_flags_hard_radicand():
     report = validate_domain(p, d)
     assert not report.entry("invariant_interval_hard").valid
     assert not report.entry("error_functional").valid
+
+
+def test_validate_domain_is_the_computations_verdict():
+    """On both sides of the baseline interval's near-fold edge (sigma 1e-10
+    below the fold) and of the error functional's series breakdown, each
+    entry says what the computation itself does."""
+    p = TheoryParams()
+
+    def sigma_below(nu: float) -> bool:
+        try:
+            sigma = effective_sigma(1.0, p, derive_constants(p, nu=nu))
+        except DomainError:
+            return False
+        return sigma < SIGMA_MAX - 1e-10
+
+    def functional_defined(nu: float) -> bool:
+        try:
+            error_functional(p.beta_lo, p.beta_hi, nu, None, p, derive_constants(p, nu=nu))
+        except DomainError:
+            return False
+        return True
+
+    for holds in (sigma_below, functional_defined):
+        edge = last_true(holds, 0.0, 1.0)
+        for nu in (edge, math.nextafter(edge, 1.0)):
+            d = derive_constants(p, nu=nu)
+            report = validate_domain(p, d)
+            for name, a in (("baseline", 1.0), ("hard", 2.0 ** -p.beta_hi)):
+                assert (report.entry(f"invariant_interval_{name}").valid
+                        == invariant_interval(a, p, d).valid), (holds.__name__, nu, name)
+            assert report.entry("error_functional").valid == functional_defined(nu)
 
 
 def test_load_config_roundtrip(tmp_path):

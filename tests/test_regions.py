@@ -127,13 +127,6 @@ def test_feasibility_propagates_invalidity():
     assert not region.valid
 
 
-def test_threshold_small_budget_slope():
-    first = curriculum_coefficients(P).first
-    slope = (improvement_threshold(P.beta_lo, P.beta_hi, 1.5e-6, P, D)
-             - improvement_threshold(P.beta_lo, P.beta_hi, 0.5e-6, P, D)) / 1e-6
-    assert slope == pytest.approx(D.c_delta_prime / first, rel=0.01)
-
-
 def test_threshold_strictly_increasing():
     nu_c = collapse_budget(P.beta_lo, P.beta_hi, P, D)
     values = [improvement_threshold(P.beta_lo, P.beta_hi, float(nu), P, D)
