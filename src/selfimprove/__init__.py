@@ -8,17 +8,14 @@ simulates the loop itself.
 
 from .cubic import (Interval, cubic_roots, effective_sigma, exact_root_gap,
                     gap_lower_bound, invariant_interval)
-from .dynamics import (CurriculumCoefficients, MapSpec, Trajectory,
-                       curriculum_coefficients, eval_map, iterate_baseline,
-                       iterate_curriculum, map_spec, write_trajectory_csv)
+from .dynamics import CurriculumCoefficients, curriculum_coefficients
 from .errors import BracketError, DomainError, ParameterError, SelfImproveError
 from .montecarlo import (CellResult, ScanConfig, ScanResult, default_panels,
                          run_scan, write_panel_csv, x0_grid)
 from .params import DerivedConstants, TheoryParams, derive_constants, load_config
-from .regions import (ProfileResult, ThresholdCurve, ValidityReport,
-                      baseline_error_term, baseline_half_error_budget,
-                      coefficient_growth_ratio, collapse_budget,
-                      conditional_mean_check, error_functional,
+from .regions import (ProfileResult, ValidityReport, baseline_error_term,
+                      baseline_half_error_budget, coefficient_growth_ratio,
+                      collapse_budget, conditional_mean_check, error_functional,
                       feasibility_interval, improvement_margin,
                       improvement_threshold, max_improving_nu,
                       max_improving_nu_profile, threshold_curve, validate_domain)
@@ -31,18 +28,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BracketError", "CellResult", "CurriculumCoefficients", "DerivedConstants",
-    "DomainError", "Interval", "MapSpec", "ParameterError", "ProfileResult",
-    "RoundRecord", "ScanConfig", "ScanResult", "SelfImproveError", "SimWorld",
-    "TheoryParams", "ThresholdCurve", "Trajectory", "ValidityReport",
-    "acceptance_gain_ratio", "baseline_error_term", "baseline_half_error_budget",
-    "build_world", "coefficient_growth_ratio", "collapse_budget",
-    "conditional_mean_check", "cubic_roots", "curriculum_coefficients",
-    "default_panels", "derive_constants", "effective_sigma", "error_functional",
-    "eval_map", "exact_root_gap", "feasibility_interval", "gap_lower_bound",
-    "improvement_margin", "improvement_threshold", "invariant_interval",
-    "iterate_baseline", "iterate_curriculum", "load_config", "map_spec",
-    "max_improving_nu", "max_improving_nu_profile", "mean_to_min_acceptance_ratio",
+    "DomainError", "Interval", "ParameterError", "ProfileResult", "RoundRecord",
+    "ScanConfig", "ScanResult", "SelfImproveError", "SimWorld", "TheoryParams",
+    "ValidityReport", "acceptance_gain_ratio", "baseline_error_term",
+    "baseline_half_error_budget", "build_world", "coefficient_growth_ratio",
+    "collapse_budget", "conditional_mean_check", "cubic_roots",
+    "curriculum_coefficients", "default_panels", "derive_constants",
+    "effective_sigma", "error_functional", "exact_root_gap", "feasibility_interval",
+    "gap_lower_bound", "improvement_margin", "improvement_threshold",
+    "invariant_interval", "load_config", "max_improving_nu",
+    "max_improving_nu_profile", "mean_to_min_acceptance_ratio",
     "multi_try_acceptance", "run_replications", "run_scan", "run_selfimprove",
     "satisfies_coupling", "threshold_curve", "validate_domain", "write_panel_csv",
-    "write_simulation_csv", "write_trajectory_csv", "x0_grid",
+    "write_simulation_csv", "x0_grid",
 ]

@@ -134,9 +134,8 @@ def check_fixed_point_residuals(fast: bool) -> CheckResult:
             if not interval.valid:
                 return CheckResult("fixed-point-residuals", False,
                                    f"inadmissible cell a={a}, nu={d.nu}")
-            spec = dynamics.map_spec(a, p, d)
             for endpoint in (interval.lo, interval.hi):
-                worst = max(worst, abs(dynamics.eval_map(spec, endpoint) - endpoint))
+                worst = max(worst, abs(dynamics.step(endpoint, a, p, d) - endpoint))
     return CheckResult("fixed-point-residuals", worst < 1e-10,
                        f"max residual {worst:.3e} on 10x10 grid")
 
@@ -219,14 +218,11 @@ def check_map_monotonicities(fast: bool) -> CheckResult:
     for _ in range(100 if fast else 1000):
         a, nu = _random_map_setting(rng, p)
         d = derive_constants(p, nu=nu)
-        spec = dynamics.map_spec(a, p, d)
-        x = rng.uniform(spec.domain_lo + 0.05, 1.0)
-        up_x = dynamics.eval_map(spec, x + h) - dynamics.eval_map(spec, x - h)
-        spec_hi = dynamics.map_spec(a, p, derive_constants(p, nu=nu + h))
-        spec_lo = dynamics.map_spec(a, p, derive_constants(p, nu=nu - h))
-        down_nu = dynamics.eval_map(spec_hi, x) - dynamics.eval_map(spec_lo, x)
-        up_a = (dynamics.eval_map(dynamics.map_spec(a + h, p, d), x)
-                - dynamics.eval_map(dynamics.map_spec(a - h, p, d), x))
+        x = rng.uniform(d.c_delta_prime * nu / a + 0.05, 1.0)
+        up_x = dynamics.step(x + h, a, p, d) - dynamics.step(x - h, a, p, d)
+        down_nu = (dynamics.step(x, a, p, derive_constants(p, nu=nu + h))
+                   - dynamics.step(x, a, p, derive_constants(p, nu=nu - h)))
+        up_a = dynamics.step(x, a + h, p, d) - dynamics.step(x, a - h, p, d)
         if not (up_x > 0.0 and down_nu < 0.0 and up_a > 0.0):
             return CheckResult("map-monotonicities", False, f"a={a}, nu={nu}, x={x}")
     return CheckResult("map-monotonicities", True, "increasing in x and a, decreasing in nu")
@@ -248,16 +244,6 @@ def check_coefficient_telescoping(fast: bool) -> CheckResult:
     return CheckResult("coefficient-telescoping", True, "mid product equals L^(-beta_hi)")
 
 
-def classify_trajectory_inside(traj: dynamics.Trajectory, interval: cubic.Interval) -> bool:
-    """Inside-behavior: never a genuine decrease, never leaves the closed
-    interval (1e-12 slack for rounding at the attracting endpoint)."""
-    if not traj.stayed_in_domain:
-        return False
-    if not traj.strictly_increasing():
-        return False
-    return all(interval.lo - 1e-12 <= v <= interval.hi + 1e-12 for v in traj.values)
-
-
 def check_trajectory_classification(fast: bool) -> CheckResult:
     rng = _rng()
     count = 50 if fast else 200
@@ -265,23 +251,30 @@ def check_trajectory_classification(fast: bool) -> CheckResult:
     p = TheoryParams()
     d = derive_constants(p, nu=0.05)
     interval = cubic.invariant_interval(1.0, p, d)
-    spec = dynamics.map_spec(1.0, p, d)
     margin = 1e-6
+    starts = []
     for _ in range(count):
         inside = rng.uniform(interval.lo + margin, interval.hi - margin)
-        traj = dynamics.iterate_baseline(p, d, inside, steps)
-        if not classify_trajectory_inside(traj, interval):
-            return CheckResult("trajectory-classification", False,
-                               f"inside x0={inside} misclassified")
         if rng.random() < 0.5:
-            outside = rng.uniform(spec.domain_lo + margin, interval.lo - margin)
+            outside = rng.uniform(d.c_delta_prime * d.nu + margin, interval.lo - margin)
         else:
             outside = rng.uniform(interval.hi + margin, 1.0 - p.gamma)
-        traj = dynamics.iterate_baseline(p, d, outside, steps)
-        first_step_down = len(traj.values) > 1 and traj.values[1] < traj.values[0] - dynamics.PLATEAU_TOL
-        if not (first_step_down or not traj.stayed_in_domain):
+        starts.append((inside, outside))
+    inside, outside = (dynamics.iterate(np.array(x0), (1.0,) * steps, p, d)
+                       for x0 in zip(*starts))
+    # Inside: never a genuine decrease, never leaves the closed interval
+    # (1e-12 slack for rounding at the attracting endpoint).  Outside: the
+    # first step goes down, or the sequence leaves the domain.
+    in_closed = (interval.lo - 1e-12 <= inside) & (inside <= interval.hi + 1e-12)
+    inside_ok = dynamics.increasing(inside) & in_closed.all(axis=0)
+    outside_ok = (outside[1] < outside[0] - dynamics.PLATEAU_TOL) | np.isnan(outside[-1])
+    for (x_in, x_out), ok_in, ok_out in zip(starts, inside_ok, outside_ok):
+        if not ok_in:
             return CheckResult("trajectory-classification", False,
-                               f"outside x0={outside} misclassified")
+                               f"inside x0={x_in} misclassified")
+        if not ok_out:
+            return CheckResult("trajectory-classification", False,
+                               f"outside x0={x_out} misclassified")
     return CheckResult("trajectory-classification", True,
                        f"{count} starts per side, {steps} steps")
 
@@ -289,11 +282,9 @@ def check_trajectory_classification(fast: bool) -> CheckResult:
 def check_trajectory_reproducibility(fast: bool) -> CheckResult:
     p = TheoryParams()
     d = derive_constants(p, nu=0.03)
-    a = dynamics.iterate_baseline(p, d, 0.4, 50)
-    b = dynamics.iterate_baseline(p, d, 0.4, 50)
-    c1 = dynamics.iterate_curriculum(p, d, 0.4)
-    c2 = dynamics.iterate_curriculum(p, d, 0.4)
-    ok = a.values == b.values and c1.values == c2.values
+    schedule = dynamics.curriculum_coefficients(p).schedule
+    ok = all(np.array_equal(dynamics.iterate(0.4, s, p, d), dynamics.iterate(0.4, s, p, d))
+             for s in ((1.0,) * 50, schedule))
     return CheckResult("trajectory-reproducibility", ok, "bit-identical reruns")
 
 
@@ -374,8 +365,8 @@ def check_threshold_curve(fast: bool) -> CheckResult:
     d = derive_constants(p)
     nu_c = regions.collapse_budget(p.beta_lo, p.beta_hi, p, d)
     grid = np.linspace(0.05, 0.95, 10 if fast else 25) * nu_c
-    curve = regions.threshold_curve(p.beta_lo, p.beta_hi, grid, p, d)
-    xs = [x for _, x, ok in curve.samples if ok]
+    samples = regions.threshold_curve(p.beta_lo, p.beta_hi, grid, p, d)
+    xs = [x for _, x, ok in samples if ok]
     if len(xs) != len(grid):
         return CheckResult("threshold-curve", False, "threshold undefined below nu_c")
     if any(b <= a for a, b in zip(xs, xs[1:])):

@@ -200,9 +200,10 @@ def cmd_thresholds(args) -> int:
     beta_grid = _parse_grid(args.beta_grid) if args.profile else None
     run = _Run(args, params, nu_override)
     rows = []
+    nu_c = (regions.collapse_budget(params.beta_lo, params.beta_hi, params, d)
+            if args.nu_c or args.curve else None)
     if args.nu_c:
-        value = regions.collapse_budget(params.beta_lo, params.beta_hi, params, d)
-        rows.append(["nu_c", _fmt(params.beta_lo), _fmt(params.beta_hi), "", _fmt(value)])
+        rows.append(["nu_c", _fmt(params.beta_lo), _fmt(params.beta_hi), "", _fmt(nu_c)])
     if args.nu_t:
         value = regions.baseline_half_error_budget(params, d)
         rows.append(["nu_T", _fmt(params.beta_lo), _fmt(params.beta_hi), "", _fmt(value)])
@@ -214,12 +215,11 @@ def cmd_thresholds(args) -> int:
         _write_csv(run.path("thresholds.csv"),
                    ["name", "beta_lo", "beta_hi", "x0", "value"], rows)
     if args.curve:
-        nu_c = regions.collapse_budget(params.beta_lo, params.beta_hi, params, d)
         grid = np.linspace(0.02, 0.995, args.curve) * nu_c
-        curve = regions.threshold_curve(params.beta_lo, params.beta_hi, grid, params, d)
+        samples = regions.threshold_curve(params.beta_lo, params.beta_hi, grid, params, d)
         _write_csv(run.path("threshold_curve.csv"),
                    ["nu", "x_threshold", "domain_flag"],
-                   [[_fmt(nu), _fmt(x), str(ok).lower()] for nu, x, ok in curve.samples])
+                   [[_fmt(nu), _fmt(x), str(ok).lower()] for nu, x, ok in samples])
     if args.profile:
         x0 = args.x0 if args.x0 is not None else 0.5 * (1.0 - params.gamma)
         profile = regions.max_improving_nu_profile(args.delta_gap, beta_grid, x0, params, d)
@@ -254,6 +254,8 @@ def cmd_regions(args) -> int:
 
 def cmd_scan(args) -> int:
     params, nu_override, _ = _resolve_params(args)
+    if nu_override is not None:
+        raise ParameterError('scan does not use a config "nu": each panel sweeps its own budgets')
     run = _Run(args, params, nu_override)
     panels = montecarlo.default_panels(params)
     names = ["a", "b", "c", "d"] if args.panel == "all" else [args.panel]
@@ -311,11 +313,23 @@ _COMMANDS = {
 }
 
 
+# Common options a subcommand has no use for, by destination: they are
+# rejected, so that no manifest records a parameter its run did not use.
+_UNUSED_OPTIONS = {
+    "scan": {"nu": "--nu"},
+    "verify": {"config": "--config", "beta_lo": "--beta-lo", "beta_hi": "--beta",
+               "nu": "--nu"},
+}
+
+
 def _check_common(args) -> None:
     if args.seed < 0:
         raise ParameterError("--seed must be a non-negative integer")
     if args.threads < 1:
         raise ParameterError("--threads must be a positive integer")
+    for dest, flag in _UNUSED_OPTIONS.get(args.command, {}).items():
+        if getattr(args, dest) is not None:
+            raise ParameterError(f"{args.command} does not use {flag}")
 
 
 def main(argv=None) -> int:

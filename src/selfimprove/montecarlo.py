@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubic import Interval
-from .dynamics import PLATEAU_TOL, curriculum_coefficients
+from .dynamics import curriculum_coefficients, increasing, iterate
 from .errors import BracketError, DomainError, ParameterError
 from .params import DerivedConstants, TheoryParams, derive_constants
 from .regions import feasibility_interval, improvement_threshold
@@ -44,7 +44,6 @@ class ScanConfig:
     fixed_value: float
     nu_values: tuple[float, ...]
     x0_points: int = 2000
-    t_steps: int | None = None     # defaults to the number of levels
     fixed_kind: str = "exponent"
 
     def __post_init__(self) -> None:
@@ -104,71 +103,25 @@ def x0_grid(p: TheoryParams, points: int) -> np.ndarray:
     return (np.arange(points) + 0.5) * cell
 
 
-def _step(x: np.ndarray, alive: np.ndarray, a: float, p: TheoryParams,
-          d: DerivedConstants) -> tuple[np.ndarray, np.ndarray]:
-    radicand = a * x - d.c_delta_prime * d.nu
-    alive = alive & (radicand > 0.0)
-    out = np.full_like(x, np.nan)
-    ok = alive
-    if d.nu == 0.0:
-        out[ok] = 1.0 - p.gamma
-    else:
-        out[ok] = 1.0 - p.gamma - d.c_delta * d.nu / (p.c * np.sqrt(radicand[ok]))
-    return out, alive
-
-
 def classify_feasible(grid: np.ndarray, p: TheoryParams,
-                      d: DerivedConstants, t_steps: int | None = None) -> np.ndarray:
+                      d: DerivedConstants) -> np.ndarray:
     """Start points whose baseline and easy-to-hard sequences are strictly
     increasing (plateau-tolerant) and in-domain at every step.
 
     The easy-to-hard monotonicity is monitored from the first image on,
     matching the sequence the guarantee is stated for.
     """
-    steps = p.L if t_steps is None else t_steps
-    x = grid.astype(float)
-    alive = np.ones(len(grid), dtype=bool)
-    increasing = np.ones(len(grid), dtype=bool)
-    for _ in range(steps):
-        nxt, alive = _step(x, alive, 1.0, p, d)
-        with np.errstate(invalid="ignore"):
-            stepped_up = (nxt > x) | (np.abs(nxt - x) <= PLATEAU_TOL)
-        increasing &= alive & stepped_up
-        x = nxt
-    feasible = increasing & alive
-
-    coeffs = curriculum_coefficients(p)
-    y, alive_c = _step(grid.astype(float), np.ones(len(grid), dtype=bool),
-                       coeffs.first, p, d)
-    for a in coeffs.mid:
-        nxt, alive_c = _step(y, alive_c, a, p, d)
-        with np.errstate(invalid="ignore"):
-            stepped_up = (nxt > y) | (np.abs(nxt - y) <= PLATEAU_TOL)
-        feasible &= alive_c & stepped_up
-        y = nxt
-    return feasible & alive_c
+    return (increasing(iterate(grid, (1.0,) * p.L, p, d))
+            & increasing(iterate(grid, curriculum_coefficients(p).schedule, p, d)[1:]))
 
 
 def classify_improvement(grid: np.ndarray, p: TheoryParams,
-                         d: DerivedConstants, t_steps: int | None = None) -> np.ndarray:
+                         d: DerivedConstants) -> np.ndarray:
     """Start points where the easy-to-hard final value (with the final
     rescale) strictly exceeds the baseline final value, both in-domain."""
-    steps = p.L if t_steps is None else t_steps
-    x = grid.astype(float)
-    alive_b = np.ones(len(grid), dtype=bool)
-    for _ in range(steps):
-        x, alive_b = _step(x, alive_b, 1.0, p, d)
-
     coeffs = curriculum_coefficients(p)
-    y = grid.astype(float)
-    alive_c = np.ones(len(grid), dtype=bool)
-    for a in coeffs.schedule:
-        y, alive_c = _step(y, alive_c, a, p, d)
-    y = coeffs.final * y
-
-    with np.errstate(invalid="ignore"):
-        better = y > x
-    return alive_b & alive_c & better
+    curriculum = coeffs.final * iterate(grid, coeffs.schedule, p, d)[-1]
+    return curriculum > iterate(grid, (1.0,) * p.L, p, d)[-1]
 
 
 def measured_interval(grid: np.ndarray, flags: np.ndarray,
@@ -193,12 +146,11 @@ def measured_interval(grid: np.ndarray, flags: np.ndarray,
     return lo, hi, hi - lo
 
 
-def _analytic_interval(kind: str, beta_lo: float, beta_hi: float,
-                       p: TheoryParams, d: DerivedConstants) -> Interval:
+def _analytic_interval(kind: str, p: TheoryParams, d: DerivedConstants) -> Interval:
     if kind == "feasible":
-        return feasibility_interval(p, d, beta_lo, beta_hi)
+        return feasibility_interval(p, d)
     try:
-        threshold = improvement_threshold(beta_lo, beta_hi, d.nu, p, d)
+        threshold = improvement_threshold(p.beta_lo, p.beta_hi, d.nu, p, d)
     except (BracketError, DomainError):
         return Interval(math.nan, math.nan, False, "no improving initialization")
     ceiling = 1.0 - p.gamma
@@ -212,11 +164,11 @@ def _scan_cell(cfg: ScanConfig, vary_value: float, nu: float, grid: np.ndarray,
     beta_lo, beta_hi = cfg.betas(vary_value)
     pp = p.with_betas(beta_lo, beta_hi)
     d = derive_constants(pp, nu=nu)
-    analytic = _analytic_interval(cfg.kind, beta_lo, beta_hi, pp, d)
+    analytic = _analytic_interval(cfg.kind, pp, d)
     if cfg.kind == "feasible":
-        flags = classify_feasible(grid, pp, d, cfg.t_steps)
+        flags = classify_feasible(grid, pp, d)
     else:
-        flags = classify_improvement(grid, pp, d, cfg.t_steps)
+        flags = classify_improvement(grid, pp, d)
     lo, hi, length = measured_interval(grid, flags, analytic)
 
     cell = (1.0 - p.gamma) / cfg.x0_points

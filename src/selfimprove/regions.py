@@ -223,20 +223,15 @@ def validate_domain(p: TheoryParams, d: DerivedConstants) -> ValidityReport:
 # Regions and thresholds
 # ---------------------------------------------------------------------------
 
-def feasibility_interval(p: TheoryParams, d: DerivedConstants,
-                         beta_lo: float | None = None,
-                         beta_hi: float | None = None) -> Interval:
+def feasibility_interval(p: TheoryParams, d: DerivedConstants) -> Interval:
     """Initialization interval on which both bound sequences are guaranteed
     monotone: the hardest-level invariant interval with its upper endpoint
     pulled back through the first curriculum step."""
-    bl = p.beta_lo if beta_lo is None else beta_lo
-    bh = p.beta_hi if beta_hi is None else beta_hi
-    pp = p.with_betas(bl, bh)
-    hard = 2.0 ** (-bh)
-    inner = invariant_interval(hard, pp, d)
+    hard = 2.0 ** (-p.beta_hi)
+    inner = invariant_interval(hard, p, d)
     if not inner.valid:
         return inner
-    first = curriculum_coefficients(pp).first
+    first = curriculum_coefficients(p).first
     lo = inner.lo
     hi = hard / first * inner.hi
     if hi <= lo:
@@ -358,17 +353,10 @@ def max_improving_nu_profile(delta_gap: float, beta_grid, x0: float,
     return ProfileResult(points=tuple(points), argmax_index=argmax, tail_slope=slope)
 
 
-@dataclass(frozen=True)
-class ThresholdCurve:
-    """Improvement threshold sampled along a budget grid."""
-
-    samples: tuple[tuple[float, float, bool], ...]  # (nu, threshold, defined)
-    nu_c: float
-
-
-def threshold_curve(beta_lo: float, beta_hi: float, nu_grid,
-                    p: TheoryParams, d: DerivedConstants) -> ThresholdCurve:
-    nu_c = collapse_budget(beta_lo, beta_hi, p, d)
+def threshold_curve(beta_lo: float, beta_hi: float, nu_grid, p: TheoryParams,
+                    d: DerivedConstants) -> tuple[tuple[float, float, bool], ...]:
+    """Improvement threshold along a budget grid, as (nu, threshold, defined)
+    samples; undefined samples carry a NaN threshold."""
     samples = []
     for nu in nu_grid:
         try:
@@ -376,7 +364,7 @@ def threshold_curve(beta_lo: float, beta_hi: float, nu_grid,
             samples.append((float(nu), float(threshold), True))
         except (BracketError, DomainError):
             samples.append((float(nu), math.nan, False))
-    return ThresholdCurve(samples=tuple(samples), nu_c=nu_c)
+    return tuple(samples)
 
 
 # ---------------------------------------------------------------------------

@@ -281,8 +281,8 @@ def test_c16_scan_agreement(panels):
             ok &= abs(c.measured_hi - c.analytic_hi) <= within
             extension = max(extension, (c.analytic_lo - c.measured_lo) / cell)
             beta_lo, beta_hi = result.config.betas(c.axis1)
-            feas = si.feasibility_interval(P, si.derive_constants(P, nu=c.axis2),
-                                           beta_lo, beta_hi)
+            pp = P.with_betas(beta_lo, beta_hi)
+            feas = si.feasibility_interval(pp, si.derive_constants(pp, nu=c.axis2))
             lo, hi = max(c.analytic_lo, feas.lo), min(c.analytic_hi, feas.hi)
             if feas.valid and lo < hi:
                 contained += 1

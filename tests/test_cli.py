@@ -166,15 +166,22 @@ def test_verify_fast_passes(tmp_path, capsys):
     (None, ["thresholds", "--nu-c", "--profile", "--beta-grid", "0.01:12:0"]),
     (None, ["thresholds", "--profile", "--beta-grid", "0.5:12:1"]),
     (None, ["thresholds", "--nu-c", "--profile", "--beta-grid", "a:b"]),
+    (None, ["verify", "--fast", "--beta", "5"]),
+    (None, ["verify", "--fast", "--beta-lo", "0.2"]),
+    (None, ["verify", "--fast", "--nu", "0.3"]),
+    ("{}", ["verify", "--fast", "--config", "config.json"]),
+    (None, ["scan", "--panel", "a", "--x0-points", "100", "--nu", "0.3"]),
+    ('{"nu": 0.3}', ["scan", "--panel", "a", "--x0-points", "100", "--config", "config.json"]),
 ], ids=["missing-config", "malformed-json", "string-value", "bool-integer",
         "negative-seed", "zero-threads", "nan-nu", "inf-nu", "config-inf-nu",
         "nan-x0", "x0-above-ceiling", "nan-a", "inf-a", "huge-beta-hi",
         "config-inf-beta-hi", "negative-curve", "empty-grid", "one-point-grid",
-        "bad-grid-after-csv"])
+        "bad-grid-after-csv", "verify-beta", "verify-beta-lo", "verify-nu",
+        "verify-config", "scan-nu", "scan-config-nu"])
 def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, argv):
     if config is not None:
         (tmp_path / "config.json").write_text(config)
     assert run_in(tmp_path, argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not list(tmp_path.glob("*.csv"))
+    assert [f.name for f in tmp_path.iterdir()] == ([] if config is None else ["config.json"])

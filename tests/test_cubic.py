@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfimprove import (DomainError, TheoryParams, cubic_roots, derive_constants,
-                         effective_sigma, eval_map, exact_root_gap, gap_lower_bound,
-                         invariant_interval, map_spec)
+                         effective_sigma, exact_root_gap, gap_lower_bound,
+                         invariant_interval)
 from selfimprove.checks import last_true, oracle_cubic_roots
+from selfimprove.dynamics import step
 from selfimprove.params import SIGMA_MAX
 
 # Frozen from high-precision evaluation of the closed forms.
@@ -117,9 +118,8 @@ def test_interval_endpoints_are_fixed_points():
             iv = invariant_interval(a, p, d)
             if not iv.valid:
                 continue
-            spec = map_spec(a, p, d)
-            assert abs(eval_map(spec, iv.lo) - iv.lo) < 1e-10
-            assert abs(eval_map(spec, iv.hi) - iv.hi) < 1e-10
+            assert abs(step(iv.lo, a, p, d) - iv.lo) < 1e-10
+            assert abs(step(iv.hi, a, p, d) - iv.hi) < 1e-10
 
 
 def test_interval_inclusion_in_scale():

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from selfimprove import (ParameterError, ScanConfig, TheoryParams, derive_constants,
+from selfimprove import (ParameterError, ScanConfig, TheoryParams,
+                         curriculum_coefficients, derive_constants,
                          feasibility_interval, improvement_threshold, run_scan,
                          write_panel_csv, x0_grid)
 from selfimprove.cubic import Interval
+from selfimprove.dynamics import PLATEAU_TOL
 from selfimprove.montecarlo import (classify_feasible, classify_improvement,
                                     measured_interval)
 
@@ -177,6 +179,46 @@ def test_measured_interval_matches_plain_loop(flags, mid, valid):
     got = measured_interval(grid, flags, analytic)
     want = loop_measured_interval(grid, flags, analytic)
     assert np.array_equal(got, want, equal_nan=True)
+
+
+def loop_run(x0, schedule, p, d):
+    """Plain-loop reference: ``x0`` and its images, or None once the map
+    leaves its domain."""
+    values = [x0]
+    for a in schedule:
+        radicand = a * values[-1] - d.c_delta_prime * d.nu
+        if not radicand > 0.0:
+            return None
+        values.append(1.0 - p.gamma - d.c_delta * d.nu / (p.c * math.sqrt(radicand)))
+    return values
+
+
+def loop_rises(values):
+    return all(b > a or abs(b - a) <= PLATEAU_TOL for a, b in zip(values, values[1:]))
+
+
+@given(beta_lo=st.floats(min_value=0.01, max_value=1.5),
+       gap=st.floats(min_value=0.01, max_value=1.5),
+       nu=st.floats(min_value=0.0, max_value=0.05),
+       levels=st.integers(min_value=2, max_value=8))
+@example(beta_lo=0.1, gap=0.3, nu=0.0, levels=5)         # noiseless: plateaus at the ceiling
+@example(beta_lo=0.1, gap=0.3, nu=0.012, levels=5)       # the default cell
+@settings(max_examples=60, deadline=None)
+def test_classifiers_match_plain_loop(beta_lo, gap, nu, levels):
+    p = TheoryParams(L=levels, beta_lo=beta_lo, beta_hi=beta_lo + gap)
+    d = derive_constants(p, nu=nu)
+    co = curriculum_coefficients(p)
+    grid = x0_grid(p, 300)
+    feasible, improving = [], []
+    for x0 in grid.tolist():
+        base = loop_run(x0, (1.0,) * p.L, p, d)
+        cur = loop_run(x0, co.schedule, p, d)
+        alive = base is not None and cur is not None
+        # The easy-to-hard sequence is monitored from its first image on.
+        feasible.append(alive and loop_rises(base) and loop_rises(cur[1:]))
+        improving.append(alive and co.final * cur[-1] > base[-1])
+    assert classify_feasible(grid, p, d).tolist() == feasible
+    assert classify_improvement(grid, p, d).tolist() == improving
 
 
 def test_grid_refinement_first_order():

@@ -255,13 +255,13 @@ def test_profile_unimodal_small_grid():
 def test_threshold_curve_samples():
     nu_c = collapse_budget(P.beta_lo, P.beta_hi, P, D)
     grid = list(np.linspace(0.1, 0.9, 9) * nu_c) + [1.1 * nu_c]
-    curve = threshold_curve(P.beta_lo, P.beta_hi, grid, P, D)
-    assert curve.nu_c == pytest.approx(nu_c, rel=1e-9)
-    defined = [(nu, x) for nu, x, ok in curve.samples if ok]
+    samples = threshold_curve(P.beta_lo, P.beta_hi, grid, P, D)
+    assert [nu for nu, _, _ in samples] == grid
+    defined = [(nu, x) for nu, x, ok in samples if ok]
     assert len(defined) == 9
     xs = [x for _, x in defined]
     assert all(b > a for a, b in zip(xs, xs[1:]))
-    assert curve.samples[-1][2] is False
+    assert samples[-1][2] is False and math.isnan(samples[-1][1])
 
 
 def test_growth_ratio_against_numeric_derivative():
