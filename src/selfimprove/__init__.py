@@ -13,10 +13,9 @@ from .errors import BracketError, DomainError, ParameterError, SelfImproveError
 from .montecarlo import (CellResult, ScanConfig, ScanResult, default_panels,
                          run_scan, write_panel_csv, x0_grid)
 from .params import DerivedConstants, TheoryParams, derive_constants, load_config
-from .regions import (ProfileResult, ValidityReport, baseline_error_term,
+from .regions import (BoundProblem, ProfileResult, ValidityReport,
                       baseline_half_error_budget, coefficient_growth_ratio,
-                      collapse_budget, conditional_mean_check, error_functional,
-                      feasibility_interval, improvement_margin,
+                      collapse_budget, conditional_mean_check, feasibility_interval,
                       improvement_threshold, max_improving_nu,
                       max_improving_nu_profile, threshold_curve, validate_domain)
 from .simulate import (RoundRecord, SimWorld, acceptance_gain_ratio, build_world,
@@ -27,18 +26,17 @@ from .simulate import (RoundRecord, SimWorld, acceptance_gain_ratio, build_world
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketError", "CellResult", "CurriculumCoefficients", "DerivedConstants",
-    "DomainError", "Interval", "ParameterError", "ProfileResult", "RoundRecord",
-    "ScanConfig", "ScanResult", "SelfImproveError", "SimWorld", "TheoryParams",
-    "ValidityReport", "acceptance_gain_ratio", "baseline_error_term",
+    "BoundProblem", "BracketError", "CellResult", "CurriculumCoefficients",
+    "DerivedConstants", "DomainError", "Interval", "ParameterError", "ProfileResult",
+    "RoundRecord", "ScanConfig", "ScanResult", "SelfImproveError", "SimWorld",
+    "TheoryParams", "ValidityReport", "acceptance_gain_ratio",
     "baseline_half_error_budget", "build_world", "coefficient_growth_ratio",
     "collapse_budget", "conditional_mean_check", "cubic_roots",
-    "curriculum_coefficients", "default_panels", "derive_constants",
-    "effective_sigma", "error_functional", "exact_root_gap", "feasibility_interval",
-    "gap_lower_bound", "improvement_margin", "improvement_threshold",
-    "invariant_interval", "load_config", "max_improving_nu",
-    "max_improving_nu_profile", "mean_to_min_acceptance_ratio",
-    "multi_try_acceptance", "run_replications", "run_scan", "run_selfimprove",
-    "satisfies_coupling", "threshold_curve", "validate_domain", "write_panel_csv",
-    "write_simulation_csv", "x0_grid",
+    "curriculum_coefficients", "default_panels", "derive_constants", "effective_sigma",
+    "exact_root_gap", "feasibility_interval", "gap_lower_bound",
+    "improvement_threshold", "invariant_interval", "load_config", "max_improving_nu",
+    "max_improving_nu_profile", "mean_to_min_acceptance_ratio", "multi_try_acceptance",
+    "run_replications", "run_scan", "run_selfimprove", "satisfies_coupling",
+    "threshold_curve", "validate_domain", "write_panel_csv", "write_simulation_csv",
+    "x0_grid",
 ]

@@ -305,17 +305,15 @@ def check_error_functional_monotone(fast: bool) -> CheckResult:
     count = 200 if fast else 2000
     step, guard = 1e-6, 1e-9
     p = TheoryParams()
-    d = derive_constants(p)
     done = 0
     while done < count:
         beta_lo, beta_hi, nu, x0 = _sample_error_tuple(rng, p)
+        problem, harder, easier = (regions.BoundProblem(p.with_betas(beta_lo, b))
+                                   for b in (beta_hi, beta_hi + step, beta_hi - step))
         try:
-            d_nu = (regions.error_functional(beta_lo, beta_hi, nu + step, x0, p, d)
-                    - regions.error_functional(beta_lo, beta_hi, nu - step, x0, p, d))
-            d_x0 = (regions.error_functional(beta_lo, beta_hi, nu, x0 + step, p, d)
-                    - regions.error_functional(beta_lo, beta_hi, nu, x0 - step, p, d))
-            d_beta = (regions.error_functional(beta_lo, beta_hi + step, nu, x0, p, d)
-                      - regions.error_functional(beta_lo, beta_hi - step, nu, x0, p, d))
+            d_nu = problem.error(nu + step, x0) - problem.error(nu - step, x0)
+            d_x0 = problem.error(nu, x0 + step) - problem.error(nu, x0 - step)
+            d_beta = harder.error(nu, x0) - easier.error(nu, x0)
         except DomainError:
             continue
         if not (d_nu < guard and d_x0 > -guard and d_beta < guard):
@@ -329,14 +327,14 @@ def check_error_functional_monotone(fast: bool) -> CheckResult:
 def check_improvement_equivalence(fast: bool) -> CheckResult:
     rng = _rng()
     p = TheoryParams()
-    d = derive_constants(p)
     trials = 20 if fast else 100
     done = 0
     while done < trials:
         beta_lo, beta_hi, nu, _ = _sample_error_tuple(rng, p)
         nu = min(nu, 0.02)
+        problem = regions.BoundProblem(p.with_betas(beta_lo, beta_hi))
         try:
-            threshold = regions.improvement_threshold(beta_lo, beta_hi, nu, p, d)
+            threshold = regions.improvement_threshold(nu, problem.p)
         except (regions.BracketError, DomainError):
             continue
         if threshold >= 1.0 - p.gamma:
@@ -344,7 +342,7 @@ def check_improvement_equivalence(fast: bool) -> CheckResult:
         for x0 in (threshold * 0.9 + 1e-9, threshold * 1.1,
                    rng.uniform(threshold, 1.0 - p.gamma)):
             try:
-                margin = regions.improvement_margin(beta_lo, beta_hi, nu, x0, p, d)
+                margin = problem.margin(nu, x0)
             except DomainError:
                 if x0 > threshold:
                     return CheckResult("improvement-equivalence", False,
@@ -362,19 +360,18 @@ def check_improvement_equivalence(fast: bool) -> CheckResult:
 
 def check_threshold_curve(fast: bool) -> CheckResult:
     p = TheoryParams()
-    d = derive_constants(p)
-    nu_c = regions.collapse_budget(p.beta_lo, p.beta_hi, p, d)
+    nu_c = regions.collapse_budget(p)
     grid = np.linspace(0.05, 0.95, 10 if fast else 25) * nu_c
-    samples = regions.threshold_curve(p.beta_lo, p.beta_hi, grid, p, d)
+    samples = regions.threshold_curve(grid, p)
     xs = [x for _, x, ok in samples if ok]
     if len(xs) != len(grid):
         return CheckResult("threshold-curve", False, "threshold undefined below nu_c")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         return CheckResult("threshold-curve", False, "not strictly increasing")
-    slope = (regions.improvement_threshold(p.beta_lo, p.beta_hi, 1.5e-6, p, d)
-             - regions.improvement_threshold(p.beta_lo, p.beta_hi, 0.5e-6, p, d)) / 1e-6
+    slope = (regions.improvement_threshold(1.5e-6, p)
+             - regions.improvement_threshold(0.5e-6, p)) / 1e-6
     first = dynamics.curriculum_coefficients(p).first
-    expected = d.c_delta_prime / first
+    expected = derive_constants(p).c_delta_prime / first
     ok = abs(slope - expected) <= 0.01 * expected
     return CheckResult("threshold-curve", ok,
                        f"increasing; slope at 0 = {slope:.6f} vs {expected:.6f}")
@@ -382,16 +379,16 @@ def check_threshold_curve(fast: bool) -> CheckResult:
 
 def check_critical_budgets(fast: bool) -> CheckResult:
     p = TheoryParams()
-    d = derive_constants(p)
-    nu_t = regions.baseline_half_error_budget(p, d)
+    nu_t = regions.baseline_half_error_budget(p)
     betas = np.linspace(0.3, 0.9, 4 if fast else 8)
     prev = None
     for beta in betas:
-        nu_c = regions.collapse_budget(0.1, float(beta), p, d)
+        pp = p.with_betas(0.1, float(beta))
+        nu_c = regions.collapse_budget(pp)
         if prev is not None and nu_c >= prev:
             return CheckResult("critical-budgets", False, "nu_c not decreasing in beta_hi")
         prev = nu_c
-        star = regions.max_improving_nu(0.1, float(beta), 0.5 * (1 - p.gamma), p, d)
+        star = regions.max_improving_nu(0.5 * (1 - p.gamma), pp)
         if not star < nu_t:
             return CheckResult("critical-budgets", False, "max improving nu above nu_T")
     return CheckResult("critical-budgets", True, f"nu_T={nu_t:.5f}")
@@ -457,12 +454,11 @@ def check_feasibility_length_bounds(fast: bool) -> CheckResult:
 def check_tail_exceeds_baseline(fast: bool) -> CheckResult:
     rng = _rng()
     p = TheoryParams()
-    d = derive_constants(p)
     done = 0
     while done < (50 if fast else 300):
         beta_lo, beta_hi, nu, x0 = _sample_error_tuple(rng, p)
         try:
-            _, t1, _, t3 = regions._error_terms(beta_lo, beta_hi, nu, x0, p, d)
+            _, t1, _, t3 = regions.BoundProblem(p.with_betas(beta_lo, beta_hi)).terms(nu, x0)
         except DomainError:
             continue
         if not t3 > t1:
@@ -521,7 +517,7 @@ def check_scan_contains_analytic(fast: bool) -> CheckResult:
                                    f"feasible point misclassified at nu={nu}")
         impr = montecarlo.classify_improvement(grid, p, d)
         try:
-            threshold = regions.improvement_threshold(p.beta_lo, p.beta_hi, nu, p, d)
+            threshold = regions.improvement_threshold(nu, p)
         except regions.BracketError:
             continue
         if analytic.valid and threshold < 1.0 - p.gamma:

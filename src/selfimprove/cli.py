@@ -6,9 +6,9 @@ summaries only.  Every run writes ``manifest_<subcommand>.json`` with the
 resolved parameters, seed, outputs, version, and duration, enough to
 reproduce the output files byte for byte.
 
-Exit codes: 0 success, 1 property failure (verify), 2 usage or parameter
-error.  Parameters are checked here, where they enter, before any output is
-written.
+Exit codes: 0 success, 1 property failure (verify), 2 usage error or any
+toolkit error (parameter, domain or bracketing).  Parameters are checked
+here, where they enter, before any output is written.
 """
 
 from __future__ import annotations
@@ -98,6 +98,8 @@ def _resolve_params(args) -> tuple[TheoryParams, float | None, DerivedConstants]
         overrides["beta_hi"] = args.beta_hi
     if overrides:
         params = TheoryParams(**{**asdict(params), **overrides})
+    if nu_override is not None and "nu" in _UNUSED_OPTIONS.get(args.command, {}):
+        raise ParameterError(f'{args.command} does not use a config "nu"')
     if args.nu is not None:
         nu_override = args.nu
     # The curriculum divides by t^(-beta_hi), t < L, which must not underflow.
@@ -167,8 +169,7 @@ def cmd_intervals(args) -> int:
     rows.append(["I_M", _fmt(params.beta_hi), _fmt(d.nu), _fmt(feas.lo), _fmt(feas.hi),
                  str(feas.valid).lower()])
     try:
-        threshold = regions.improvement_threshold(params.beta_lo, params.beta_hi,
-                                                  d.nu, params, d)
+        threshold = regions.improvement_threshold(d.nu, params)
         ceiling = 1.0 - params.gamma
         rows.append(["I_N", _fmt(params.beta_hi), _fmt(d.nu), _fmt(threshold),
                      _fmt(ceiling), str(threshold < ceiling).lower()])
@@ -200,15 +201,14 @@ def cmd_thresholds(args) -> int:
     beta_grid = _parse_grid(args.beta_grid) if args.profile else None
     run = _Run(args, params, nu_override)
     rows = []
-    nu_c = (regions.collapse_budget(params.beta_lo, params.beta_hi, params, d)
-            if args.nu_c or args.curve else None)
+    nu_c = regions.collapse_budget(params) if args.nu_c or args.curve else None
     if args.nu_c:
         rows.append(["nu_c", _fmt(params.beta_lo), _fmt(params.beta_hi), "", _fmt(nu_c)])
     if args.nu_t:
-        value = regions.baseline_half_error_budget(params, d)
+        value = regions.baseline_half_error_budget(params)
         rows.append(["nu_T", _fmt(params.beta_lo), _fmt(params.beta_hi), "", _fmt(value)])
     if args.x0 is not None:
-        value = regions.max_improving_nu(params.beta_lo, params.beta_hi, args.x0, params, d)
+        value = regions.max_improving_nu(args.x0, params)
         rows.append(["nu_star", _fmt(params.beta_lo), _fmt(params.beta_hi),
                      _fmt(float(args.x0)), _fmt(value)])
     if rows:
@@ -216,13 +216,13 @@ def cmd_thresholds(args) -> int:
                    ["name", "beta_lo", "beta_hi", "x0", "value"], rows)
     if args.curve:
         grid = np.linspace(0.02, 0.995, args.curve) * nu_c
-        samples = regions.threshold_curve(params.beta_lo, params.beta_hi, grid, params, d)
+        samples = regions.threshold_curve(grid, params)
         _write_csv(run.path("threshold_curve.csv"),
                    ["nu", "x_threshold", "domain_flag"],
                    [[_fmt(nu), _fmt(x), str(ok).lower()] for nu, x, ok in samples])
     if args.profile:
         x0 = args.x0 if args.x0 is not None else 0.5 * (1.0 - params.gamma)
-        profile = regions.max_improving_nu_profile(args.delta_gap, beta_grid, x0, params, d)
+        profile = regions.max_improving_nu_profile(args.delta_gap, beta_grid, x0, params)
         _write_csv(run.path("profile.csv"),
                    ["beta_lo", "nu_star", "is_argmax"],
                    [[_fmt(bl), _fmt(v), str(i == profile.argmax_index).lower()]
@@ -238,9 +238,9 @@ def cmd_regions(args) -> int:
     params, nu_override, d = _resolve_params(args)
     regions.check_initialization(args.x0, params)
     run = _Run(args, params, nu_override)
-    e = regions.error_functional(params.beta_lo, params.beta_hi, d.nu, args.x0, params, d)
-    margin = regions.improvement_margin(params.beta_lo, params.beta_hi, d.nu, args.x0,
-                                        params, d)
+    problem = regions.BoundProblem(params)
+    e = problem.error(d.nu, args.x0)
+    margin = problem.margin(d.nu, args.x0)
     _write_csv(run.path("regions.csv"),
                ["beta_lo", "beta_hi", "nu", "x0", "error_functional",
                 "improvement_margin", "improving"],
@@ -254,8 +254,6 @@ def cmd_regions(args) -> int:
 
 def cmd_scan(args) -> int:
     params, nu_override, _ = _resolve_params(args)
-    if nu_override is not None:
-        raise ParameterError('scan does not use a config "nu": each panel sweeps its own budgets')
     run = _Run(args, params, nu_override)
     panels = montecarlo.default_panels(params)
     names = ["a", "b", "c", "d"] if args.panel == "all" else [args.panel]
@@ -314,9 +312,12 @@ _COMMANDS = {
 
 
 # Common options a subcommand has no use for, by destination: they are
-# rejected, so that no manifest records a parameter its run did not use.
+# rejected, so that no manifest records a parameter its run did not use.  A
+# subcommand without "--nu" also rejects a config "nu".
 _UNUSED_OPTIONS = {
+    "thresholds": {"nu": "--nu"},
     "scan": {"nu": "--nu"},
+    "simulate": {"beta_lo": "--beta-lo", "beta_hi": "--beta", "nu": "--nu"},
     "verify": {"config": "--config", "beta_lo": "--beta-lo", "beta_hi": "--beta",
                "nu": "--nu"},
 }
@@ -338,12 +339,9 @@ def main(argv=None) -> int:
     try:
         _check_common(args)
         return _COMMANDS[args.command](args)
-    except (ParameterError, BracketError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SelfImproveError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

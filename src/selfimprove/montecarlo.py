@@ -61,8 +61,8 @@ class ScanConfig:
         for grid, label in ((self.vary_values, "vary_values"), (self.nu_values, "nu_values")):
             if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ParameterError(f"{label} must be non-empty and strictly increasing")
-        if self.x0_points < 2:
-            raise ParameterError("x0_points must be >= 2")
+        if not 2 <= self.x0_points <= 10**6:
+            raise ParameterError("x0_points must lie in [2, 10^6]")
 
     def betas(self, value: float) -> tuple[float, float]:
         if self.vary == "beta_hi":
@@ -150,7 +150,7 @@ def _analytic_interval(kind: str, p: TheoryParams, d: DerivedConstants) -> Inter
     if kind == "feasible":
         return feasibility_interval(p, d)
     try:
-        threshold = improvement_threshold(p.beta_lo, p.beta_hi, d.nu, p, d)
+        threshold = improvement_threshold(d.nu, p)
     except (BracketError, DomainError):
         return Interval(math.nan, math.nan, False, "no improving initialization")
     ceiling = 1.0 - p.gamma
@@ -165,10 +165,8 @@ def _scan_cell(cfg: ScanConfig, vary_value: float, nu: float, grid: np.ndarray,
     pp = p.with_betas(beta_lo, beta_hi)
     d = derive_constants(pp, nu=nu)
     analytic = _analytic_interval(cfg.kind, pp, d)
-    if cfg.kind == "feasible":
-        flags = classify_feasible(grid, pp, d)
-    else:
-        flags = classify_improvement(grid, pp, d)
+    classify = classify_feasible if cfg.kind == "feasible" else classify_improvement
+    flags = classify(grid, pp, d)
     lo, hi, length = measured_interval(grid, flags, analytic)
 
     cell = (1.0 - p.gamma) / cfg.x0_points

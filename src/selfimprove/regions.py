@@ -15,12 +15,12 @@ derivative- or secant-based solver would not tolerate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cubic import Interval, invariant_interval
-from .dynamics import curriculum_coefficients
+from .dynamics import CurriculumCoefficients, curriculum_coefficients
 from .errors import BracketError, DomainError, ParameterError
-from .params import DerivedConstants, TheoryParams
+from .params import DerivedConstants, TheoryParams, derive_constants
 
 BISECT_TOL = 1e-12
 _MAX_ITER = 300
@@ -31,91 +31,101 @@ _SERIES_GUARD = 1e-10
 # Error functional and improvement margin
 # ---------------------------------------------------------------------------
 
-def baseline_error_term(nu: float, p: TheoryParams, d: DerivedConstants) -> float:
-    """The baseline accumulated-error term alone; strictly increasing in nu."""
-    base_inner = 1.0 - p.gamma - d.c_delta_prime * nu
-    if base_inner <= 0.0:
-        raise DomainError("radicand 1 - gamma - c_delta_prime*nu must be positive")
-    q = d.c_delta * nu / (2.0 * p.c * base_inner ** 1.5)
-    # Finite geometric sum; identical to (1 - q^(L-1))/(1 - q) but defined at q = 1.
-    return d.c_delta * nu / (p.c * math.sqrt(base_inner)) * sum(q ** j for j in range(p.L - 1))
+@dataclass(frozen=True)
+class BoundProblem:
+    """The error functional of one parameter set, built once from ``p``.
 
-
-def _error_terms(beta_lo: float, beta_hi: float, nu: float, x0: float | None,
-                 p: TheoryParams, d: DerivedConstants) -> tuple[float, float, float, float]:
-    """The final rescale coefficient and the three assembled terms
-    (baseline, hard-level, tail) of the functional.
-
-    ``x0 = None`` evaluates the large-initialization limit (the residual
-    term vanishes).  Raises ``DomainError`` naming the first violated
-    positivity condition.
+    The betas enter only through ``p``: the curriculum coefficients and the
+    confidence radii are computed here, and every method evaluates at a
+    budget ``nu`` and an initialization ``x0`` (``None`` is the
+    large-initialization limit, where the residual term vanishes).  A
+    violated positivity condition raises ``DomainError`` naming it.
     """
-    if nu < 0.0:
-        raise DomainError("nu must be non-negative")
-    coeffs = curriculum_coefficients(p.with_betas(beta_lo, beta_hi))
-    c, gamma = p.c, p.gamma
-    cd, cdp = d.c_delta, d.c_delta_prime
-    L = p.L
-    hard = 2.0 ** (-beta_hi)
 
-    term_baseline = baseline_error_term(nu, p, d)
+    p: TheoryParams
+    coeffs: CurriculumCoefficients = field(init=False)
+    c_delta: float = field(init=False)
+    c_delta_prime: float = field(init=False)
 
-    if x0 is None:
-        residual = 0.0
-    else:
-        res_inner = coeffs.first * x0 - cdp * nu
-        if res_inner <= 0.0:
+    def __post_init__(self) -> None:
+        d = derive_constants(self.p)
+        object.__setattr__(self, "coeffs", curriculum_coefficients(self.p))
+        object.__setattr__(self, "c_delta", d.c_delta)
+        object.__setattr__(self, "c_delta_prime", d.c_delta_prime)
+
+    def baseline(self, nu: float) -> float:
+        """The baseline accumulated-error term alone; strictly increasing in nu."""
+        p, cd = self.p, self.c_delta
+        base_inner = 1.0 - p.gamma - self.c_delta_prime * nu
+        if base_inner <= 0.0:
+            raise DomainError("radicand 1 - gamma - c_delta_prime*nu must be positive")
+        q = cd * nu / (2.0 * p.c * base_inner ** 1.5)
+        # Finite geometric sum; identical to (1 - q^(L-1))/(1 - q) but defined at q = 1.
+        return cd * nu / (p.c * math.sqrt(base_inner)) * sum(q ** j for j in range(p.L - 1))
+
+    def terms(self, nu: float, x0: float | None = None) -> tuple[float, float, float, float]:
+        """The final rescale coefficient and the three assembled terms
+        (baseline, hard-level, tail) of the functional."""
+        if nu < 0.0:
+            raise DomainError("nu must be non-negative")
+        c, gamma, L, beta_hi = self.p.c, self.p.gamma, self.p.L, self.p.beta_hi
+        cd, cdp = self.c_delta, self.c_delta_prime
+        hard = 2.0 ** (-beta_hi)
+
+        term_baseline = self.baseline(nu)
+
+        if x0 is None:
+            residual = 0.0
+        else:
+            res_inner = self.coeffs.first * x0 - cdp * nu
+            if res_inner <= 0.0:
+                raise DomainError("radicand a0*x0 - c_delta_prime*nu must be positive")
+            residual = cd * nu / (c * math.sqrt(res_inner))
+
+        ratio_inner = hard * (1.0 - gamma - residual) - cdp * nu
+        if ratio_inner <= 0.0:
             raise DomainError(
-                "radicand a0*x0 - c_delta_prime*nu must be positive")
-        residual = cd * nu / (c * math.sqrt(res_inner))
+                "radicand 2^(-beta_hi)*(1-gamma-residual) - c_delta_prime*nu must be positive")
+        ratio = cd * nu / (2.0 * c * ratio_inner ** 1.5)
 
-    ratio_inner = hard * (1.0 - gamma - residual) - cdp * nu
-    if ratio_inner <= 0.0:
-        raise DomainError(
-            "radicand 2^(-beta_hi)*(1-gamma-residual) - c_delta_prime*nu must be positive")
-    ratio = cd * nu / (2.0 * c * ratio_inner ** 1.5)
+        hard_inner = hard * (1.0 - gamma) - cdp * nu
+        if hard_inner <= 0.0:
+            raise DomainError(
+                "radicand 2^(-beta_hi)*(1-gamma) - c_delta_prime*nu must be positive")
 
-    hard_inner = hard * (1.0 - gamma) - cdp * nu
-    if hard_inner <= 0.0:
-        raise DomainError(
-            "radicand 2^(-beta_hi)*(1-gamma) - c_delta_prime*nu must be positive")
+        common_ratio = ratio * math.exp(-beta_hi / L)
+        if common_ratio >= 1.0 - _SERIES_GUARD:
+            raise DomainError("geometric-series ratio must stay below 1")
+        term_tail = cd * nu / (c * math.sqrt(hard_inner)) / (1.0 - common_ratio)
 
-    common_ratio = ratio * math.exp(-beta_hi / L)
-    if common_ratio >= 1.0 - _SERIES_GUARD:
-        raise DomainError("geometric-series ratio must stay below 1")
-    term_tail = cd * nu / (c * math.sqrt(hard_inner)) / (1.0 - common_ratio)
+        term_hard = ratio ** (L - 1) * L ** (-beta_hi) * residual
+        return self.coeffs.final, term_baseline, term_hard, term_tail
 
-    term_hard = ratio ** (L - 1) * L ** (-beta_hi) * residual
-    return coeffs.final, term_baseline, term_hard, term_tail
+    def error(self, nu: float, x0: float | None = None) -> float:
+        """Signed accumulated-error comparison at initialization ``x0``.
 
+        Strictly increasing in ``x0``, strictly decreasing in ``nu`` and in
+        ``beta_hi``; identically zero at nu = 0.
+        """
+        final, t1, t2, t3 = self.terms(nu, x0)
+        return t1 - final * (t3 + t2)
 
-def error_functional(beta_lo: float, beta_hi: float, nu: float, x0: float | None,
-                     p: TheoryParams, d: DerivedConstants) -> float:
-    """Signed accumulated-error comparison at initialization ``x0``.
-
-    Strictly increasing in ``x0``, strictly decreasing in ``nu`` and in
-    ``beta_hi``; identically zero at nu = 0.  ``x0 = None`` gives the
-    large-initialization limit.
-    """
-    final, t1, t2, t3 = _error_terms(beta_lo, beta_hi, nu, x0, p, d)
-    return t1 - final * (t3 + t2)
+    def margin(self, nu: float, x0: float | None = None) -> float:
+        """Signed improvement condition: negative iff the easy-to-hard final
+        lower bound strictly exceeds the baseline's at horizon L."""
+        return -self.error(nu, x0) - 0.5 * (self.coeffs.final - 1.0) * (1.0 - self.p.gamma)
 
 
-def improvement_margin(beta_lo: float, beta_hi: float, nu: float, x0: float | None,
-                       p: TheoryParams, d: DerivedConstants) -> float:
-    """Signed improvement condition: negative iff the easy-to-hard final
-    lower bound strictly exceeds the baseline's at horizon L.  ``x0 = None``
-    gives the large-initialization limit."""
-    final, t1, t2, t3 = _error_terms(beta_lo, beta_hi, nu, x0, p, d)
-    return -(t1 - final * (t3 + t2)) - 0.5 * (final - 1.0) * (1.0 - p.gamma)
+# The solvers evaluate the margin through this module-level name, so that a
+# tracer wrapping module functions (perfbench) sees every evaluation.
+improvement_margin = BoundProblem.margin
 
 
-def _improving(beta_lo: float, beta_hi: float, nu: float, x0: float | None,
-               p: TheoryParams, d: DerivedConstants) -> bool:
+def _improving(problem: BoundProblem, nu: float, x0: float | None) -> bool:
     """Whether the improvement margin is negative; a domain breakdown counts
     as not improving (the margin diverges there)."""
     try:
-        return improvement_margin(beta_lo, beta_hi, nu, x0, p, d) < 0.0
+        return improvement_margin(problem, nu, x0) < 0.0
     except DomainError:
         return False
 
@@ -134,10 +144,7 @@ def _bisect_boundary(pred_left, lo: float, hi: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi or hi - lo <= BISECT_TOL:
             break
-        if pred_left(mid):
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if pred_left(mid) else (lo, mid)
     return 0.5 * (lo + hi)
 
 
@@ -210,7 +217,7 @@ def validate_domain(p: TheoryParams, d: DerivedConstants) -> ValidityReport:
         interval = invariant_interval(a, p, d)
         checks.append(ValidityCheck(name, interval.valid, interval.reason))
     try:
-        _error_terms(p.beta_lo, p.beta_hi, d.nu, None, p, d)
+        BoundProblem(p).terms(d.nu)
         violation = None
     except DomainError as exc:
         violation = str(exc)
@@ -232,15 +239,13 @@ def feasibility_interval(p: TheoryParams, d: DerivedConstants) -> Interval:
     if not inner.valid:
         return inner
     first = curriculum_coefficients(p).first
-    lo = inner.lo
-    hi = hard / first * inner.hi
+    lo, hi = inner.lo, hard / first * inner.hi
     if hi <= lo:
         return Interval(lo, hi, False, "empty: pulled-back upper endpoint at or below lower endpoint")
     return Interval(lo, hi, True)
 
 
-def improvement_threshold(beta_lo: float, beta_hi: float, nu: float,
-                          p: TheoryParams, d: DerivedConstants) -> float:
+def improvement_threshold(nu: float, p: TheoryParams) -> float:
     """Unique initialization at which the improvement margin changes sign.
 
     The margin is strictly decreasing in the initialization, diverging to
@@ -254,40 +259,40 @@ def improvement_threshold(beta_lo: float, beta_hi: float, nu: float,
             return 0.0
         raise DomainError("nu must be non-negative")
 
+    problem = BoundProblem(p)
     # Domain edge of the first curriculum step: a0*x0 = c_delta_prime*nu.
-    edge = d.c_delta_prime * nu / curriculum_coefficients(p.with_betas(beta_lo, beta_hi)).first
+    edge = problem.c_delta_prime * nu / problem.coeffs.first
     start = max(edge * 2.0, edge + 1e-9, 1e-9)
-    probe = _expand_until(lambda x: _improving(beta_lo, beta_hi, nu, x, p, d), start)
+    probe = _expand_until(lambda x: _improving(problem, nu, x), start)
     if probe is None:
-        raise BracketError(
-            "no improving initialization: budget parameter at or beyond the "
-            f"collapse budget (nu={nu!r})")
+        raise BracketError("no improving initialization: budget parameter at or beyond "
+                           f"the collapse budget (nu={nu!r})")
     # Predicate is False on (edge, threshold), True after; flip it for the
     # shared boundary helper.
-    return _bisect_boundary(lambda x: not _improving(beta_lo, beta_hi, nu, x, p, d),
-                            edge, probe)
+    return _bisect_boundary(lambda x: not _improving(problem, nu, x), edge, probe)
 
 
-def collapse_budget(beta_lo: float, beta_hi: float, p: TheoryParams,
-                    d: DerivedConstants) -> float:
+def collapse_budget(p: TheoryParams) -> float:
     """Critical budget parameter where the improvement region collapses.
 
     Unique root of the large-initialization improvement margin, which is
     strictly increasing in nu from a negative value at nu = 0 and diverges
     at the first domain breakdown.
     """
-    return _root_in_nu(lambda nu: _improving(beta_lo, beta_hi, nu, None, p, d),
+    problem = BoundProblem(p)
+    return _root_in_nu(lambda nu: _improving(problem, nu, None),
                        "negative large-initialization improvement margin")
 
 
-def baseline_half_error_budget(p: TheoryParams, d: DerivedConstants) -> float:
+def baseline_half_error_budget(p: TheoryParams) -> float:
     """Budget parameter at which the baseline error term reaches half the
     attainable ceiling (1 - gamma)/2; unique by strict monotonicity."""
     target = 0.5 * (1.0 - p.gamma)
+    problem = BoundProblem(p)
 
     def below(nu: float) -> bool:
         try:
-            return baseline_error_term(nu, p, d) < target
+            return problem.baseline(nu) < target
         except DomainError:
             return False
 
@@ -300,8 +305,7 @@ def check_initialization(x0: float, p: TheoryParams) -> None:
         raise ParameterError("x0 must lie strictly between 0 and 1 - gamma")
 
 
-def max_improving_nu(beta_lo: float, beta_hi: float, x0: float,
-                     p: TheoryParams, d: DerivedConstants) -> float:
+def max_improving_nu(x0: float, p: TheoryParams) -> float:
     """Largest budget parameter for which initialization ``x0`` improves.
 
     Equals the unique root in nu of the improvement margin at ``x0`` (the
@@ -309,7 +313,8 @@ def max_improving_nu(beta_lo: float, beta_hi: float, x0: float,
     which the improvement threshold crosses ``x0``.
     """
     check_initialization(x0, p)
-    return _root_in_nu(lambda nu: _improving(beta_lo, beta_hi, nu, x0, p, d),
+    problem = BoundProblem(p)
+    return _root_in_nu(lambda nu: _improving(problem, nu, x0),
                        f"negative improvement margin at x0={x0!r}")
 
 
@@ -332,36 +337,32 @@ class ProfileResult:
 
 
 def max_improving_nu_profile(delta_gap: float, beta_grid, x0: float,
-                             p: TheoryParams, d: DerivedConstants) -> ProfileResult:
+                             p: TheoryParams) -> ProfileResult:
     """Evaluate the largest improving budget along ``beta_lo`` at fixed gap;
     the tail slope is fitted on the last 30% of the grid."""
     if delta_gap <= 0.0:
         raise ParameterError("delta_gap must be positive")
-    points = []
-    for bl in beta_grid:
-        points.append((float(bl), max_improving_nu(bl, bl + delta_gap, x0, p, d)))
+    points = [(float(bl), max_improving_nu(x0, p.with_betas(bl, bl + delta_gap)))
+              for bl in beta_grid]
     values = [v for _, v in points]
     argmax = max(range(len(values)), key=values.__getitem__)
 
     k = max(2, int(len(points) * 0.3))
     xs = [b for b, _ in points[-k:]]
     ys = [math.log(v) for _, v in points[-k:]]
-    xbar = sum(xs) / k
-    ybar = sum(ys) / k
+    xbar, ybar = sum(xs) / k, sum(ys) / k
     denom = sum((x - xbar) ** 2 for x in xs)
     slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / denom
     return ProfileResult(points=tuple(points), argmax_index=argmax, tail_slope=slope)
 
 
-def threshold_curve(beta_lo: float, beta_hi: float, nu_grid, p: TheoryParams,
-                    d: DerivedConstants) -> tuple[tuple[float, float, bool], ...]:
+def threshold_curve(nu_grid, p: TheoryParams) -> tuple[tuple[float, float, bool], ...]:
     """Improvement threshold along a budget grid, as (nu, threshold, defined)
     samples; undefined samples carry a NaN threshold."""
     samples = []
     for nu in nu_grid:
         try:
-            threshold = improvement_threshold(beta_lo, beta_hi, float(nu), p, d)
-            samples.append((float(nu), float(threshold), True))
+            samples.append((float(nu), float(improvement_threshold(float(nu), p)), True))
         except (BracketError, DomainError):
             samples.append((float(nu), math.nan, False))
     return tuple(samples)

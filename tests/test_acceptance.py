@@ -44,8 +44,8 @@ def nu_star_grid():
     values = np.empty((len(BETA_LO_GRID), len(BETA_HI_GRID)))
     for i, beta_lo in enumerate(BETA_LO_GRID):
         for j, beta_hi in enumerate(BETA_HI_GRID):
-            values[i, j] = si.max_improving_nu(float(beta_lo), float(beta_hi),
-                                               X0_REFERENCE, P, D)
+            values[i, j] = si.max_improving_nu(
+                X0_REFERENCE, P.with_betas(float(beta_lo), float(beta_hi)))
     return values
 
 
@@ -102,11 +102,9 @@ def test_c06_error_functional_monotonicities():
 
 def test_c07_threshold_asymptotics():
     result = checks.check_threshold_curve(False)
-    nu_c = si.collapse_budget(P.beta_lo, P.beta_hi, P, D)
+    nu_c = si.collapse_budget(P)
     gaps = np.geomspace(0.001, 0.1, 12) * nu_c
-    log_x = [math.log(si.improvement_threshold(P.beta_lo, P.beta_hi,
-                                               float(nu_c - g), P, D))
-             for g in gaps]
+    log_x = [math.log(si.improvement_threshold(float(nu_c - g), P)) for g in gaps]
     blowup_slope = float(np.polyfit(np.log(gaps), log_x, 1)[0])
     blowup_ok = abs(blowup_slope + 2.0) <= 0.15
     report(7, "threshold increasing, slope within 1% at zero budget; blow-up "
@@ -143,7 +141,7 @@ def test_c09_small_exponent_coefficient():
     for gap in (0.05, 0.1, 0.2):
         coeff = (P.c * (1 - P.gamma) ** 1.5 * log_factor
                  / (2 * D.c_delta * (2 ** (gap / 2) - 1)))
-        coarse, fine = (si.max_improving_nu(b, b + gap, X0_REFERENCE, P, D) / b
+        coarse, fine = (si.max_improving_nu(X0_REFERENCE, P.with_betas(b, b + gap)) / b
                         for b in (1e-3, 1e-4))
         limit = (10.0 * fine - coarse) / 9.0
         limit_rel = (limit - coeff) / coeff
@@ -162,9 +160,11 @@ def test_c09_small_exponent_coefficient():
 def _breakdown_budget(beta_lo: float, beta_hi: float, lo: float) -> float:
     """Budget at which the error functional at ``X0_REFERENCE`` leaves its
     domain (the hard-level series ratio reaches 1); ``lo`` is in-domain."""
+    problem = si.BoundProblem(P.with_betas(beta_lo, beta_hi))
+
     def defined(nu: float) -> bool:
         try:
-            si.error_functional(beta_lo, beta_hi, nu, X0_REFERENCE, P, D)
+            problem.error(nu, X0_REFERENCE)
             return True
         except si.DomainError:
             return False
@@ -189,14 +189,14 @@ def test_c10_profile_unimodality_and_tail():
     slope is -1.170 log2 units against -1.211.
     """
     profile = si.max_improving_nu_profile(0.1, np.linspace(0.01, 12.0, 121),
-                                          X0_REFERENCE, P, D)
+                                          X0_REFERENCE, P)
     peaks = profile.local_maxima()
     unimodal_ok = len(peaks) == 1
 
     fractions, envelope = [], []
     for b in np.linspace(8.0, 12.0, 9):
         b = float(b)
-        nu_star = si.max_improving_nu(b, b + 0.1, X0_REFERENCE, P, D)
+        nu_star = si.max_improving_nu(X0_REFERENCE, P.with_betas(b, b + 0.1))
         fractions.append(nu_star / _breakdown_budget(b, b + 0.1, nu_star))
         envelope.append(nu_star * 2 ** (b / 2))
     pinned_ok = (0.9 <= fractions[0] and fractions[-1] < 1.0
@@ -216,7 +216,7 @@ def test_c10_profile_unimodality_and_tail():
 
 
 def test_c11_max_improving_below_half_error_budget(nu_star_grid):
-    nu_t = si.baseline_half_error_budget(P, D)
+    nu_t = si.baseline_half_error_budget(P)
     worst = float(nu_star_grid.max())
     report(11, "largest improving budget below the half-error budget at every "
                "grid point", worst < nu_t, f"max {worst:.5f} < nu_T {nu_t:.5f}")
@@ -314,12 +314,12 @@ def test_c17_phase_transition():
     smoothly instead (slope ratio 2.0) and still spans 0.936 at nu_c and
     0.849 at 2 nu_c.
     """
-    nu_c = si.collapse_budget(P.beta_lo, P.beta_hi, P, D)
+    nu_c = si.collapse_budget(P)
     ceiling = 1.0 - P.gamma
 
     def analytic_length(nu: float) -> float:
         try:
-            threshold = si.improvement_threshold(P.beta_lo, P.beta_hi, nu, P, D)
+            threshold = si.improvement_threshold(nu, P)
         except si.BracketError:
             return 0.0
         return max(ceiling - threshold, 0.0)
@@ -382,10 +382,10 @@ def test_refuted_expectations_survive_50_digit_arithmetic():
     mpmath = pytest.importorskip("mpmath")
     for beta_lo, gap in ((1e-3, 0.05), (1e-4, 0.05), (8.0, 0.1), (12.0, 0.1)):
         beta_hi = beta_lo + gap
-        nu_star = si.max_improving_nu(beta_lo, beta_hi, X0_REFERENCE, P, D)
+        pp = P.with_betas(beta_lo, beta_hi)
+        nu_star = si.max_improving_nu(X0_REFERENCE, pp)
         half, _ = _margin_50_digits(mpmath, beta_lo, beta_hi, 0.5 * nu_star, X0_REFERENCE)
-        reference = si.improvement_margin(beta_lo, beta_hi, 0.5 * nu_star,
-                                          X0_REFERENCE, P, D)
+        reference = si.BoundProblem(pp).margin(0.5 * nu_star, X0_REFERENCE)
         assert abs(float(half) - reference) <= 1e-9 * abs(reference)
         below, _ = _margin_50_digits(mpmath, beta_lo, beta_hi,
                                      nu_star * (1 - 1e-7), X0_REFERENCE)

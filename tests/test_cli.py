@@ -172,12 +172,22 @@ def test_verify_fast_passes(tmp_path, capsys):
     ("{}", ["verify", "--fast", "--config", "config.json"]),
     (None, ["scan", "--panel", "a", "--x0-points", "100", "--nu", "0.3"]),
     ('{"nu": 0.3}', ["scan", "--panel", "a", "--x0-points", "100", "--config", "config.json"]),
+    (None, ["scan", "--panel", "a", "--x0-points", "1000001"]),
+    (None, ["thresholds", "--nu-c", "--nu", "0.3"]),
+    ('{"nu": 0.3}', ["thresholds", "--nu-c", "--config", "config.json"]),
+    (None, ["simulate", "--questions", "500", "--rounds", "1", "--nu", "0.3"]),
+    (None, ["simulate", "--questions", "500", "--rounds", "1", "--beta", "0.5"]),
+    (None, ["simulate", "--questions", "500", "--rounds", "1", "--beta-lo", "0.05"]),
+    ('{"nu": 0.3}', ["simulate", "--questions", "500", "--rounds", "1", "--config", "config.json"]),
+    (None, ["regions", "--x0", "0.5", "--beta", "60"]),
 ], ids=["missing-config", "malformed-json", "string-value", "bool-integer",
         "negative-seed", "zero-threads", "nan-nu", "inf-nu", "config-inf-nu",
         "nan-x0", "x0-above-ceiling", "nan-a", "inf-a", "huge-beta-hi",
         "config-inf-beta-hi", "negative-curve", "empty-grid", "one-point-grid",
         "bad-grid-after-csv", "verify-beta", "verify-beta-lo", "verify-nu",
-        "verify-config", "scan-nu", "scan-config-nu"])
+        "verify-config", "scan-nu", "scan-config-nu", "scan-x0-points-above-bound",
+        "thresholds-nu", "thresholds-config-nu", "simulate-nu", "simulate-beta",
+        "simulate-beta-lo", "simulate-config-nu", "regions-domain-error"])
 def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, argv):
     if config is not None:
         (tmp_path / "config.json").write_text(config)

@@ -232,7 +232,7 @@ def test_curriculum_prefix_counts_interior_steps():
 def test_curriculum_beats_baseline_inside_improvement_region():
     d = derive_constants(P, nu=0.01)
     co = curriculum_coefficients(P)
-    threshold = improvement_threshold(P.beta_lo, P.beta_hi, d.nu, P, d)
+    threshold = improvement_threshold(d.nu, P)
     starts = np.linspace(threshold + 1e-3, 1.0 - P.gamma - 1e-3, 25)
     curriculum = iterate(starts, co.schedule, P, d)
     baseline = iterate(starts, (1.0,) * P.L, P, d)

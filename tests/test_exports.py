@@ -3,7 +3,8 @@ import selfimprove
 REMOVED = ("error_functional_limit", "improvement_margin_limit",
            "scan_feasible_region", "scan_improvement_region",
            "MapSpec", "map_spec", "eval_map", "Trajectory", "iterate_baseline",
-           "iterate_curriculum", "write_trajectory_csv", "ThresholdCurve")
+           "iterate_curriculum", "write_trajectory_csv", "ThresholdCurve",
+           "error_functional", "improvement_margin", "baseline_error_term")
 
 
 def test_every_export_resolves_once():

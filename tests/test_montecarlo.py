@@ -27,6 +27,12 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         ScanConfig(kind="feasible", vary="beta_hi", vary_values=(0.3, 0.2),
                    fixed_value=0.1, nu_values=(0.01,))
+    for points in (1, 10**6 + 1):
+        with pytest.raises(ParameterError, match="x0_points"):
+            ScanConfig(kind="feasible", vary="beta_hi", vary_values=(0.3,),
+                       fixed_value=0.1, nu_values=(0.01,), x0_points=points)
+    assert ScanConfig(kind="feasible", vary="beta_hi", vary_values=(0.3,),
+                      fixed_value=0.1, nu_values=(0.01,), x0_points=10**6).x0_points == 10**6
 
 
 def test_grid_spacing_matches_cell():
@@ -83,7 +89,7 @@ def test_measured_contains_improvement_region():
     cell = (1 - P.gamma) / points
     for nu in (0.004, 0.01, 0.018):
         d = derive_constants(P, nu=nu)
-        threshold = improvement_threshold(P.beta_lo, P.beta_hi, nu, P, d)
+        threshold = improvement_threshold(nu, P)
         feas = feasibility_interval(P, d)
         flags = classify_improvement(grid, P, d)
         lo = max(threshold, feas.lo)

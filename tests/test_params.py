@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from selfimprove import (DomainError, ParameterError, TheoryParams,
-                         derive_constants, effective_sigma, error_functional,
-                         invariant_interval, load_config, validate_domain)
+from selfimprove import (BoundProblem, DomainError, ParameterError, TheoryParams,
+                         derive_constants, effective_sigma, invariant_interval,
+                         load_config, validate_domain)
 from selfimprove.checks import last_true
 from selfimprove.params import SIGMA_MAX
 
@@ -106,7 +106,7 @@ def test_validate_domain_is_the_computations_verdict():
 
     def functional_defined(nu: float) -> bool:
         try:
-            error_functional(p.beta_lo, p.beta_hi, nu, None, p, derive_constants(p, nu=nu))
+            BoundProblem(p).error(nu)
         except DomainError:
             return False
         return True

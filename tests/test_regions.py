@@ -3,18 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from selfimprove import (BracketError, DomainError, ParameterError, TheoryParams,
-                         baseline_error_term, baseline_half_error_budget,
+from selfimprove import (BoundProblem, BracketError, DomainError, ParameterError,
+                         TheoryParams, baseline_half_error_budget,
                          coefficient_growth_ratio, collapse_budget,
                          conditional_mean_check, curriculum_coefficients,
-                         derive_constants, error_functional,
-                         feasibility_interval, improvement_margin,
+                         derive_constants, feasibility_interval,
                          improvement_threshold, invariant_interval, max_improving_nu,
                          max_improving_nu_profile, threshold_curve)
+from selfimprove import regions
 
 P = TheoryParams()
 D = derive_constants(P)
+PROBLEM = BoundProblem(P)
 RNG = np.random.default_rng(11)
+
+
+def problem(beta_lo, beta_hi):
+    return BoundProblem(P.with_betas(beta_lo, beta_hi))
 
 
 def random_admissible_tuple():
@@ -24,7 +29,7 @@ def random_admissible_tuple():
         nu = RNG.uniform(1e-4, 0.04)
         x0 = RNG.uniform(0.05, 0.95) * (1 - P.gamma)
         try:
-            error_functional(beta_lo, beta_hi, nu, x0, P, D)
+            problem(beta_lo, beta_hi).error(nu, x0)
         except DomainError:
             continue
         return beta_lo, beta_hi, nu, x0
@@ -33,7 +38,7 @@ def random_admissible_tuple():
 def test_error_functional_zero_at_zero_budget():
     for _ in range(25):
         beta_lo, beta_hi, _, x0 = random_admissible_tuple()
-        assert error_functional(beta_lo, beta_hi, 0.0, x0, P, D) == 0.0
+        assert problem(beta_lo, beta_hi).error(0.0, x0) == 0.0
 
 
 def test_error_functional_monotonicities():
@@ -41,12 +46,11 @@ def test_error_functional_monotonicities():
     for _ in range(150):
         beta_lo, beta_hi, nu, x0 = random_admissible_tuple()
         try:
-            down_nu = (error_functional(beta_lo, beta_hi, nu + h, x0, P, D)
-                       - error_functional(beta_lo, beta_hi, nu - h, x0, P, D))
-            up_x0 = (error_functional(beta_lo, beta_hi, nu, x0 + h, P, D)
-                     - error_functional(beta_lo, beta_hi, nu, x0 - h, P, D))
-            down_beta = (error_functional(beta_lo, beta_hi + h, nu, x0, P, D)
-                         - error_functional(beta_lo, beta_hi - h, nu, x0, P, D))
+            at = problem(beta_lo, beta_hi)
+            down_nu = at.error(nu + h, x0) - at.error(nu - h, x0)
+            up_x0 = at.error(nu, x0 + h) - at.error(nu, x0 - h)
+            down_beta = (problem(beta_lo, beta_hi + h).error(nu, x0)
+                         - problem(beta_lo, beta_hi - h).error(nu, x0))
         except DomainError:
             continue
         assert down_nu < 1e-9
@@ -56,22 +60,22 @@ def test_error_functional_monotonicities():
 
 def test_error_functional_names_first_violation():
     with pytest.raises(DomainError, match="a0\\*x0"):
-        error_functional(0.1, 0.4, 0.02, 1e-9, P, D)
+        problem(0.1, 0.4).error(0.02, 1e-9)
     with pytest.raises(DomainError, match="1 - gamma"):
-        error_functional(0.1, 0.4, 0.9, 0.5, P, D)
+        problem(0.1, 0.4).error(0.9, 0.5)
 
 
 def test_margin_at_zero_budget():
     for beta_lo in (0.05, 0.3, 1.0):
         pp = P.with_betas(beta_lo, beta_lo + 0.3)
         final = curriculum_coefficients(pp).final
-        margin = improvement_margin(beta_lo, beta_lo + 0.3, 0.0, 0.5, P, D)
+        margin = problem(beta_lo, beta_lo + 0.3).margin(0.0, 0.5)
         assert margin == pytest.approx(-0.5 * (final - 1.0) * (1.0 - P.gamma), rel=1e-12)
         assert margin < 0.0
 
 
 def test_margin_vanishes_in_flat_limit():
-    assert improvement_margin(1e-13, 0.4, 0.0, 0.5, P, D) == pytest.approx(0.0, abs=1e-12)
+    assert problem(1e-13, 0.4).margin(0.0, 0.5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_margin_increasing_in_nu():
@@ -79,11 +83,36 @@ def test_margin_increasing_in_nu():
     for _ in range(60):
         beta_lo, beta_hi, nu, x0 = random_admissible_tuple()
         try:
-            lo = improvement_margin(beta_lo, beta_hi, nu - h, x0, P, D)
-            hi = improvement_margin(beta_lo, beta_hi, nu + h, x0, P, D)
+            at = problem(beta_lo, beta_hi)
+            lo, hi = at.margin(nu - h, x0), at.margin(nu + h, x0)
         except DomainError:
             continue
         assert hi > lo - 1e-12
+
+
+def test_solvers_build_the_problem_once(monkeypatch):
+    """A solve validates no parameters and builds the curriculum
+    coefficients at most once, however many margins it evaluates."""
+    counts = dict.fromkeys(("params", "coeffs", "margins"), 0)
+
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(TheoryParams, "__post_init__",
+                        counting("params", TheoryParams.__post_init__))
+    monkeypatch.setattr(regions, "curriculum_coefficients",
+                        counting("coeffs", curriculum_coefficients))
+    monkeypatch.setattr(regions, "improvement_margin",
+                        counting("margins", regions.improvement_margin))
+    for solve in (lambda: improvement_threshold(0.01, P), lambda: collapse_budget(P),
+                  lambda: max_improving_nu(0.49, P)):
+        counts.update(params=0, coeffs=0, margins=0)
+        solve()
+        assert counts["params"] == 0 and counts["coeffs"] <= 1
+        assert counts["margins"] > 10
 
 
 def test_feasibility_interval_noiseless():
@@ -128,67 +157,67 @@ def test_feasibility_propagates_invalidity():
 
 
 def test_threshold_strictly_increasing():
-    nu_c = collapse_budget(P.beta_lo, P.beta_hi, P, D)
-    values = [improvement_threshold(P.beta_lo, P.beta_hi, float(nu), P, D)
+    nu_c = collapse_budget(P)
+    values = [improvement_threshold(float(nu), P)
               for nu in np.linspace(0.05, 0.95, 16) * nu_c]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_threshold_zero_at_zero_budget():
-    assert improvement_threshold(P.beta_lo, P.beta_hi, 0.0, P, D) == 0.0
+    assert improvement_threshold(0.0, P) == 0.0
 
 
 def test_threshold_no_root_beyond_collapse():
-    nu_c = collapse_budget(P.beta_lo, P.beta_hi, P, D)
+    nu_c = collapse_budget(P)
     with pytest.raises(BracketError, match="collapse"):
-        improvement_threshold(P.beta_lo, P.beta_hi, 1.05 * nu_c, P, D)
+        improvement_threshold(1.05 * nu_c, P)
 
 
 def test_threshold_sign_equivalence():
     # margin < 0 exactly for initializations above the threshold
     for nu in (0.005, 0.012, 0.02):
-        x_t = improvement_threshold(P.beta_lo, P.beta_hi, nu, P, D)
+        x_t = improvement_threshold(nu, P)
         for x0 in (x_t * 1.001, x_t * 1.5, 0.97):
-            assert improvement_margin(P.beta_lo, P.beta_hi, nu, x0, P, D) < 0.0
+            assert PROBLEM.margin(nu, x0) < 0.0
         for x0 in (x_t * 0.999, x_t * 0.7):
             try:
-                assert improvement_margin(P.beta_lo, P.beta_hi, nu, x0, P, D) > 0.0
+                assert PROBLEM.margin(nu, x0) > 0.0
             except DomainError:
                 pass  # below the domain edge counts as not improving
 
 
 def test_threshold_blowup_toward_collapse():
-    nu_c = collapse_budget(P.beta_lo, P.beta_hi, P, D)
-    close = improvement_threshold(P.beta_lo, P.beta_hi, 0.999 * nu_c, P, D)
-    far = improvement_threshold(P.beta_lo, P.beta_hi, 0.9 * nu_c, P, D)
+    nu_c = collapse_budget(P)
+    close = improvement_threshold(0.999 * nu_c, P)
+    far = improvement_threshold(0.9 * nu_c, P)
     assert close > 50 * far
 
 
 def test_collapse_budget_sign_change():
-    nu_c = collapse_budget(P.beta_lo, P.beta_hi, P, D)
-    assert improvement_margin(P.beta_lo, P.beta_hi, nu_c * 0.999, None, P, D) < 0.0
-    assert improvement_margin(P.beta_lo, P.beta_hi, nu_c * 1.001, None, P, D) > 0.0
+    nu_c = collapse_budget(P)
+    assert PROBLEM.margin(nu_c * 0.999) < 0.0
+    assert PROBLEM.margin(nu_c * 1.001) > 0.0
 
 
 def test_collapse_budget_decreasing_in_difficulty_span():
-    values = [collapse_budget(0.1, beta, P, D) for beta in (0.3, 0.5, 0.8, 1.2)]
+    values = [collapse_budget(P.with_betas(0.1, beta)) for beta in (0.3, 0.5, 0.8, 1.2)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_error_limit_matches_large_initialization():
     for nu in (0.005, 0.015):
-        limit = error_functional(P.beta_lo, P.beta_hi, nu, None, P, D)
-        at_large = error_functional(P.beta_lo, P.beta_hi, nu, 1e9, P, D)
+        limit = PROBLEM.error(nu)
+        at_large = PROBLEM.error(nu, 1e9)
         assert at_large == pytest.approx(limit, abs=1e-7)
 
 
 def test_half_error_budget():
-    nu_t = baseline_half_error_budget(P, D)
+    nu_t = baseline_half_error_budget(P)
     target = 0.5 * (1 - P.gamma)
-    assert baseline_error_term(nu_t, P, D) == pytest.approx(target, abs=1e-9)
-    assert baseline_error_term(0.0, P, D) == 0.0
+    assert PROBLEM.baseline(nu_t) == pytest.approx(target, abs=1e-9)
+    assert PROBLEM.baseline(0.0) == 0.0
     # strictly increasing on a sample grid
-    values = [baseline_error_term(float(nu), P, D) for nu in np.linspace(0.0, nu_t, 12)]
+    values = [PROBLEM.baseline(float(nu)) for nu in np.linspace(0.0, nu_t, 12)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -198,39 +227,38 @@ def test_baseline_term_geometric_forms_agree():
         q = D.c_delta * nu / (2 * P.c * inner ** 1.5)
         ratio_form = (D.c_delta * nu / (P.c * math.sqrt(inner))
                       * (1 - q ** (P.L - 1)) / (1 - q))
-        assert baseline_error_term(float(nu), P, D) == pytest.approx(ratio_form, rel=1e-12)
+        assert PROBLEM.baseline(float(nu)) == pytest.approx(ratio_form, rel=1e-12)
 
 
 def test_max_improving_nu_roundtrip():
     for x0 in (0.2, 0.49, 0.8):
-        star = max_improving_nu(P.beta_lo, P.beta_hi, x0, P, D)
+        star = max_improving_nu(x0, P)
         # the threshold at the root budget equals the initialization
-        assert improvement_threshold(P.beta_lo, P.beta_hi, star, P, D) == pytest.approx(
-            x0, rel=1e-6)
-        assert improvement_margin(P.beta_lo, P.beta_hi, star * 0.999, x0, P, D) < 0.0
-        assert improvement_margin(P.beta_lo, P.beta_hi, star * 1.001, x0, P, D) > 0.0
+        assert improvement_threshold(star, P) == pytest.approx(x0, rel=1e-6)
+        assert PROBLEM.margin(star * 0.999, x0) < 0.0
+        assert PROBLEM.margin(star * 1.001, x0) > 0.0
 
 
 def test_max_improving_nu_rejects_bad_initialization():
     with pytest.raises(ParameterError):
-        max_improving_nu(P.beta_lo, P.beta_hi, 0.0, P, D)
+        max_improving_nu(0.0, P)
     with pytest.raises(ParameterError):
-        max_improving_nu(P.beta_lo, P.beta_hi, 1.0 - P.gamma, P, D)
+        max_improving_nu(1.0 - P.gamma, P)
 
 
 def test_max_improving_nu_monotonicities_small_grid():
     x0 = 0.5 * (1 - P.gamma)
-    along_hi = [max_improving_nu(0.1, beta, x0, P, D) for beta in (0.3, 0.6, 0.9)]
+    along_hi = [max_improving_nu(x0, P.with_betas(0.1, beta)) for beta in (0.3, 0.6, 0.9)]
     assert all(b < a for a, b in zip(along_hi, along_hi[1:]))
-    along_lo = [max_improving_nu(bl, 1.0, x0, P, D) for bl in (0.05, 0.3, 0.6)]
+    along_lo = [max_improving_nu(x0, P.with_betas(bl, 1.0)) for bl in (0.05, 0.3, 0.6)]
     assert all(b > a for a, b in zip(along_lo, along_lo[1:]))
 
 
 def test_max_improving_nu_below_half_error_budget():
-    nu_t = baseline_half_error_budget(P, D)
+    nu_t = baseline_half_error_budget(P)
     x0 = 0.5 * (1 - P.gamma)
     for beta_lo, beta_hi in ((0.05, 0.3), (0.2, 0.9), (1.0, 1.4)):
-        assert max_improving_nu(beta_lo, beta_hi, x0, P, D) < nu_t
+        assert max_improving_nu(x0, P.with_betas(beta_lo, beta_hi)) < nu_t
 
 
 def test_small_exponent_linear_coefficient():
@@ -240,22 +268,22 @@ def test_small_exponent_linear_coefficient():
     coeff = (P.c * (1 - P.gamma) ** 1.5 * log_factor
              / (2 * D.c_delta * (2 ** (gap / 2) - 1)))
     beta_lo = 1e-3
-    star = max_improving_nu(beta_lo, beta_lo + gap, 0.5 * (1 - P.gamma), P, D)
+    star = max_improving_nu(0.5 * (1 - P.gamma), P.with_betas(beta_lo, beta_lo + gap))
     assert star / beta_lo == pytest.approx(coeff, rel=0.05)
 
 
 def test_profile_unimodal_small_grid():
     profile = max_improving_nu_profile(0.1, np.linspace(0.05, 6.0, 40),
-                                       0.5 * (1 - P.gamma), P, D)
+                                       0.5 * (1 - P.gamma), P)
     assert len(profile.local_maxima()) == 1
     assert profile.points[profile.argmax_index][1] == max(v for _, v in profile.points)
     assert profile.tail_slope < 0.0
 
 
 def test_threshold_curve_samples():
-    nu_c = collapse_budget(P.beta_lo, P.beta_hi, P, D)
+    nu_c = collapse_budget(P)
     grid = list(np.linspace(0.1, 0.9, 9) * nu_c) + [1.1 * nu_c]
-    samples = threshold_curve(P.beta_lo, P.beta_hi, grid, P, D)
+    samples = threshold_curve(grid, P)
     assert [nu for nu, _, _ in samples] == grid
     defined = [(nu, x) for nu, x, ok in samples if ok]
     assert len(defined) == 9
