@@ -10,33 +10,29 @@ from .cubic import (Interval, cubic_roots, effective_sigma, exact_root_gap,
                     gap_lower_bound, invariant_interval)
 from .dynamics import CurriculumCoefficients, curriculum_coefficients
 from .errors import BracketError, DomainError, ParameterError, SelfImproveError
-from .montecarlo import (CellResult, ScanConfig, ScanResult, default_panels,
-                         run_scan, write_panel_csv, x0_grid)
+from .montecarlo import CellResult, ScanConfig, default_panels, run_scan, x0_grid
 from .params import DerivedConstants, TheoryParams, derive_constants, load_config
-from .regions import (BoundProblem, ProfileResult, ValidityReport,
-                      baseline_half_error_budget, coefficient_growth_ratio,
-                      collapse_budget, conditional_mean_check, feasibility_interval,
-                      improvement_threshold, max_improving_nu,
+from .regions import (BoundProblem, ProfileResult, baseline_half_error_budget,
+                      coefficient_growth_ratio, collapse_budget, conditional_mean_check,
+                      feasibility_interval, improvement_threshold, max_improving_nu,
                       max_improving_nu_profile, threshold_curve, validate_domain)
 from .simulate import (RoundRecord, SimWorld, acceptance_gain_ratio, build_world,
                        mean_to_min_acceptance_ratio, multi_try_acceptance,
-                       run_replications, run_selfimprove, satisfies_coupling,
-                       write_simulation_csv)
+                       run_replications, run_selfimprove, satisfies_coupling)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundProblem", "BracketError", "CellResult", "CurriculumCoefficients",
     "DerivedConstants", "DomainError", "Interval", "ParameterError", "ProfileResult",
-    "RoundRecord", "ScanConfig", "ScanResult", "SelfImproveError", "SimWorld",
-    "TheoryParams", "ValidityReport", "acceptance_gain_ratio",
-    "baseline_half_error_budget", "build_world", "coefficient_growth_ratio",
+    "RoundRecord", "ScanConfig", "SelfImproveError", "SimWorld", "TheoryParams",
+    "acceptance_gain_ratio", "baseline_half_error_budget", "build_world",
+    "coefficient_growth_ratio",
     "collapse_budget", "conditional_mean_check", "cubic_roots",
     "curriculum_coefficients", "default_panels", "derive_constants", "effective_sigma",
     "exact_root_gap", "feasibility_interval", "gap_lower_bound",
     "improvement_threshold", "invariant_interval", "load_config", "max_improving_nu",
     "max_improving_nu_profile", "mean_to_min_acceptance_ratio", "multi_try_acceptance",
     "run_replications", "run_scan", "run_selfimprove", "satisfies_coupling",
-    "threshold_curve", "validate_domain", "write_panel_csv", "write_simulation_csv",
-    "x0_grid",
+    "threshold_curve", "validate_domain", "x0_grid",
 ]

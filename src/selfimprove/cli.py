@@ -7,8 +7,9 @@ resolved parameters, seed, outputs, version, and duration, enough to
 reproduce the output files byte for byte.
 
 Exit codes: 0 success, 1 property failure (verify), 2 usage error or any
-toolkit error (parameter, domain or bracketing).  Parameters are checked
-here, where they enter, before any output is written.
+toolkit error (parameter, domain or bracketing), 3 any other exception (a
+fault in the program, reported as one ``error:`` line).  Parameters are
+checked here, where they enter, before any output is written.
 """
 
 from __future__ import annotations
@@ -89,8 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_params(args) -> tuple[TheoryParams, float | None, DerivedConstants]:
-    params, nu_override = (load_config(args.config) if args.config
-                           else (TheoryParams(), None))
+    params, nu_override, keys = (load_config(args.config) if args.config
+                                 else (TheoryParams(), None, frozenset()))
+    for key in sorted(keys & _UNUSED_OPTIONS.get(args.command, {}).keys()):
+        raise ParameterError(f'{args.command} does not use a config "{key}"')
     overrides = {}
     if args.beta_lo is not None:
         overrides["beta_lo"] = args.beta_lo
@@ -98,27 +101,25 @@ def _resolve_params(args) -> tuple[TheoryParams, float | None, DerivedConstants]
         overrides["beta_hi"] = args.beta_hi
     if overrides:
         params = TheoryParams(**{**asdict(params), **overrides})
-    if nu_override is not None and "nu" in _UNUSED_OPTIONS.get(args.command, {}):
-        raise ParameterError(f'{args.command} does not use a config "nu"')
     if args.nu is not None:
         nu_override = args.nu
-    # The curriculum divides by t^(-beta_hi), t < L, which must not underflow.
-    if not params.L ** -params.beta_hi > 0.0:
-        raise ParameterError("beta_hi too large: L^(-beta_hi) underflows to zero")
     return params, nu_override, derive_constants(params, nu=nu_override)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _fmt(value) -> str:
+    """One CSV field: floats round-trip exactly, bools are lower-case."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (bool, np.bool_)):
+        return str(value).lower()
+    return str(value)
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
 
 
 class _Run:
@@ -163,19 +164,15 @@ def cmd_intervals(args) -> int:
     rows = []
     if args.a is not None:
         iv = invariant_interval(args.a, params, d)
-        rows.append(["I", _fmt(float(args.a)), _fmt(d.nu), _fmt(iv.lo), _fmt(iv.hi),
-                     str(iv.valid).lower()])
+        rows.append(["I", args.a, d.nu, iv.lo, iv.hi, iv.valid])
     feas = regions.feasibility_interval(params, d)
-    rows.append(["I_M", _fmt(params.beta_hi), _fmt(d.nu), _fmt(feas.lo), _fmt(feas.hi),
-                 str(feas.valid).lower()])
+    rows.append(["I_M", params.beta_hi, d.nu, feas.lo, feas.hi, feas.valid])
     try:
         threshold = regions.improvement_threshold(d.nu, params)
         ceiling = 1.0 - params.gamma
-        rows.append(["I_N", _fmt(params.beta_hi), _fmt(d.nu), _fmt(threshold),
-                     _fmt(ceiling), str(threshold < ceiling).lower()])
+        rows.append(["I_N", params.beta_hi, d.nu, threshold, ceiling, threshold < ceiling])
     except BracketError:
-        rows.append(["I_N", _fmt(params.beta_hi), _fmt(d.nu), _fmt(math.nan),
-                     _fmt(math.nan), "false"])
+        rows.append(["I_N", params.beta_hi, d.nu, math.nan, math.nan, False])
     _write_csv(run.path("intervals.csv"),
                ["kind", "a_or_beta", "nu", "lo", "hi", "valid"], rows)
     run.finish()
@@ -200,33 +197,32 @@ def cmd_thresholds(args) -> int:
         raise ParameterError("--curve must be a positive integer")
     beta_grid = _parse_grid(args.beta_grid) if args.profile else None
     run = _Run(args, params, nu_override)
+    betas = [params.beta_lo, params.beta_hi]
     rows = []
     nu_c = regions.collapse_budget(params) if args.nu_c or args.curve else None
     if args.nu_c:
-        rows.append(["nu_c", _fmt(params.beta_lo), _fmt(params.beta_hi), "", _fmt(nu_c)])
+        rows.append(["nu_c", *betas, "", nu_c])
     if args.nu_t:
-        value = regions.baseline_half_error_budget(params)
-        rows.append(["nu_T", _fmt(params.beta_lo), _fmt(params.beta_hi), "", _fmt(value)])
+        rows.append(["nu_T", *betas, "", regions.baseline_half_error_budget(params)])
     if args.x0 is not None:
-        value = regions.max_improving_nu(args.x0, params)
-        rows.append(["nu_star", _fmt(params.beta_lo), _fmt(params.beta_hi),
-                     _fmt(float(args.x0)), _fmt(value)])
+        rows.append(["nu_star", *betas, args.x0, regions.max_improving_nu(args.x0, params)])
+    files = []
     if rows:
-        _write_csv(run.path("thresholds.csv"),
-                   ["name", "beta_lo", "beta_hi", "x0", "value"], rows)
+        files.append(("thresholds.csv", ["name", "beta_lo", "beta_hi", "x0", "value"], rows))
     if args.curve:
         grid = np.linspace(0.02, 0.995, args.curve) * nu_c
-        samples = regions.threshold_curve(grid, params)
-        _write_csv(run.path("threshold_curve.csv"),
-                   ["nu", "x_threshold", "domain_flag"],
-                   [[_fmt(nu), _fmt(x), str(ok).lower()] for nu, x, ok in samples])
+        files.append(("threshold_curve.csv", ["nu", "x_threshold", "domain_flag"],
+                      regions.threshold_curve(grid, params)))
     if args.profile:
         x0 = args.x0 if args.x0 is not None else 0.5 * (1.0 - params.gamma)
         profile = regions.max_improving_nu_profile(args.delta_gap, beta_grid, x0, params)
-        _write_csv(run.path("profile.csv"),
-                   ["beta_lo", "nu_star", "is_argmax"],
-                   [[_fmt(bl), _fmt(v), str(i == profile.argmax_index).lower()]
-                    for i, (bl, v) in enumerate(profile.points)])
+        files.append(("profile.csv", ["beta_lo", "nu_star", "is_argmax"],
+                      [[bl, v, i == profile.argmax_index]
+                       for i, (bl, v) in enumerate(profile.points)]))
+    # Written only now, so that a failing solve leaves no partial output.
+    for name, header, file_rows in files:
+        _write_csv(run.path(name), header, file_rows)
+    if args.profile:
         print(f"profile argmax at beta_lo={profile.argmax_beta_lo:.4f}, "
               f"tail slope {profile.tail_slope:.4f} per unit beta_lo")
     run.finish()
@@ -244,9 +240,7 @@ def cmd_regions(args) -> int:
     _write_csv(run.path("regions.csv"),
                ["beta_lo", "beta_hi", "nu", "x0", "error_functional",
                 "improvement_margin", "improving"],
-               [[_fmt(params.beta_lo), _fmt(params.beta_hi), _fmt(d.nu),
-                 _fmt(float(args.x0)), _fmt(e), _fmt(margin),
-                 str(margin < 0.0).lower()]])
+               [[params.beta_lo, params.beta_hi, d.nu, args.x0, e, margin, margin < 0.0]])
     run.finish()
     print(f"margin={margin:.6g} ({'improving' if margin < 0 else 'not improving'})")
     return 0
@@ -261,11 +255,13 @@ def cmd_scan(args) -> int:
         cfg = panels[name]
         if args.x0_points != cfg.x0_points:
             cfg = montecarlo.ScanConfig(**{**asdict(cfg), "x0_points": args.x0_points})
-        result = montecarlo.run_scan(cfg, params, threads=args.threads)
-        montecarlo.write_panel_csv(result, run.path(f"panel_{name}.csv"))
-        agree = sum(c.agree for c in result.cells)
-        print(f"panel {name}: {len(result.cells)} cells, "
-              f"{agree} with endpoint-level agreement")
+        cells = montecarlo.run_scan(cfg, params, threads=args.threads)
+        _write_csv(run.path(f"panel_{name}.csv"),
+                   ["axis1", "axis2", "measured_len", "analytic_len", "agree"],
+                   [[c.axis1, c.axis2, c.measured_len, c.analytic_len, c.agree]
+                    for c in cells])
+        agree = sum(c.agree for c in cells)
+        print(f"panel {name}: {len(cells)} cells, {agree} with endpoint-level agreement")
     run.finish()
     return 0
 
@@ -276,7 +272,12 @@ def cmd_simulate(args) -> int:
     world = simulate.build_world(args.questions, args.v_target, params, seed=args.seed)
     records = simulate.run_replications(world, params, args.rounds,
                                         args.replications, seed=args.seed)
-    simulate.write_simulation_csv(records, run.path("simulation.csv"))
+    _write_csv(run.path("simulation.csv"),
+               ["replication", "round", "n_accept", "Z_m", "alpha_m_min", "V_realized",
+                "bound", "bound_satisfied"],
+               [[r.replication, r.round_index, r.n_accept, r.z_m, r.alpha_m_min,
+                 r.v_realized, r.bound, "skipped" if r.collapsed else r.bound_satisfied]
+                for r in records])
     live = [r for r in records if not r.collapsed]
     coverage = (sum(r.bound_satisfied for r in live) / len(live)) if live else float("nan")
     run.finish()
@@ -313,7 +314,7 @@ _COMMANDS = {
 
 # Common options a subcommand has no use for, by destination: they are
 # rejected, so that no manifest records a parameter its run did not use.  A
-# subcommand without "--nu" also rejects a config "nu".
+# config key named like one of them (beta_lo, beta_hi, nu) is rejected too.
 _UNUSED_OPTIONS = {
     "thresholds": {"nu": "--nu"},
     "scan": {"nu": "--nu"},
@@ -342,6 +343,9 @@ def main(argv=None) -> int:
     except SelfImproveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault in the program, not in its input
+        print(f"error: unexpected {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -33,9 +33,6 @@ class Interval:
     def length(self) -> float:
         return self.hi - self.lo if self.valid else 0.0
 
-    def contains(self, x: float) -> bool:
-        return self.valid and self.lo < x < self.hi
-
 
 def effective_sigma(a: float, p: TheoryParams, d: DerivedConstants) -> float:
     """Noise parameter of the conjugated map for scale coefficient ``a``.

@@ -15,7 +15,6 @@ per-cell ``agree`` flag records the stronger endpoint-level agreement.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -83,18 +82,6 @@ class CellResult:
     analytic_hi: float
     analytic_len: float
     agree: bool
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    config: ScanConfig
-    cells: tuple[CellResult, ...]
-
-    def cell(self, axis1: float, axis2: float) -> CellResult:
-        for c in self.cells:
-            if c.axis1 == axis1 and c.axis2 == axis2:
-                return c
-        raise KeyError((axis1, axis2))
 
 
 def x0_grid(p: TheoryParams, points: int) -> np.ndarray:
@@ -184,9 +171,9 @@ def _scan_cell(cfg: ScanConfig, vary_value: float, nu: float, grid: np.ndarray,
                       analytic_len=a_len, agree=agree)
 
 
-def run_scan(cfg: ScanConfig, p: TheoryParams, threads: int = 1) -> ScanResult:
-    """Run one panel; deterministic regardless of thread count (cells are
-    pure and merged in grid order)."""
+def run_scan(cfg: ScanConfig, p: TheoryParams, threads: int = 1) -> tuple[CellResult, ...]:
+    """Run one panel: its cells in grid order (swept exponent major, budget
+    minor); deterministic regardless of thread count (cells are pure)."""
     grid = x0_grid(p, cfg.x0_points)
     tasks = [(v, nu) for v in cfg.vary_values for nu in cfg.nu_values]
     if threads > 1:
@@ -194,16 +181,7 @@ def run_scan(cfg: ScanConfig, p: TheoryParams, threads: int = 1) -> ScanResult:
             cells = list(pool.map(lambda t: _scan_cell(cfg, t[0], t[1], grid, p), tasks))
     else:
         cells = [_scan_cell(cfg, v, nu, grid, p) for v, nu in tasks]
-    return ScanResult(config=cfg, cells=tuple(cells))
-
-
-def write_panel_csv(result: ScanResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["axis1", "axis2", "measured_len", "analytic_len", "agree"])
-        for c in result.cells:
-            writer.writerow([repr(c.axis1), repr(c.axis2), repr(c.measured_len),
-                             repr(c.analytic_len), str(c.agree).lower()])
+    return tuple(cells)
 
 
 def default_panels(p: TheoryParams) -> dict[str, ScanConfig]:

@@ -65,6 +65,9 @@ class TheoryParams:
         for ok, message in checks:
             if not ok:
                 raise ParameterError(message)
+        # The curriculum divides by t^(-beta_hi), t < L, which must not underflow.
+        if not self.L ** -self.beta_hi > 0.0:
+            raise ParameterError("beta_hi too large: L^(-beta_hi) underflows to zero")
 
     def with_betas(self, beta_lo: float, beta_hi: float) -> "TheoryParams":
         return replace(self, beta_lo=beta_lo, beta_hi=beta_hi)
@@ -96,13 +99,15 @@ def derive_constants(p: TheoryParams, nu: float | None = None) -> DerivedConstan
     )
 
 
-def load_config(path: str) -> tuple[TheoryParams, float | None]:
+def load_config(path: str) -> tuple[TheoryParams, float | None, frozenset[str]]:
     """Load a JSON config whose keys match ``TheoryParams`` field names.
 
-    An optional ``nu`` key overrides the budget parameter; when both ``n``
-    and ``nu`` appear, ``nu`` wins and a warning is emitted.  Unknown keys,
-    non-numeric or non-finite values (JSON ``NaN``, ``Infinity``), an
-    unreadable file and malformed JSON raise ``ParameterError``.
+    Returns the parameters, the ``nu`` override (``None`` when absent) and
+    the set of keys the file sets.  An optional ``nu`` key overrides the
+    budget parameter; when both ``n`` and ``nu`` appear, ``nu`` wins and a
+    warning is emitted.  Unknown keys, non-numeric or non-finite values
+    (JSON ``NaN``, ``Infinity``), an unreadable file and malformed JSON
+    raise ``ParameterError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -119,6 +124,7 @@ def load_config(path: str) -> tuple[TheoryParams, float | None]:
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
 
+    keys = frozenset(raw)
     nu_override = raw.pop("nu", None)
     numbers = raw if nu_override is None else {**raw, "nu": nu_override}
     for key, value in numbers.items():
@@ -137,4 +143,4 @@ def load_config(path: str) -> tuple[TheoryParams, float | None]:
                 raise ParameterError(f"{key} must be an integer")
             raw[key] = int(value)
     params = TheoryParams(**raw)
-    return params, (float(nu_override) if nu_override is not None else None)
+    return params, (float(nu_override) if nu_override is not None else None), keys

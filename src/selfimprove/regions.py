@@ -23,7 +23,6 @@ from .errors import BracketError, DomainError, ParameterError
 from .params import DerivedConstants, TheoryParams, derive_constants
 
 BISECT_TOL = 1e-12
-_MAX_ITER = 300
 _SERIES_GUARD = 1e-10
 
 
@@ -140,12 +139,11 @@ def _bisect_boundary(pred_left, lo: float, hi: float) -> float:
     Stops at ``BISECT_TOL`` interval width or when the midpoint can no longer
     be distinguished from the endpoints in double precision (huge roots).
     """
-    for _ in range(_MAX_ITER):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi or hi - lo <= BISECT_TOL:
-            break
+            return mid
         lo, hi = (mid, hi) if pred_left(mid) else (lo, mid)
-    return 0.5 * (lo + hi)
 
 
 def _expand_until(pred, start: float, cap: float = 1e15):
@@ -173,57 +171,25 @@ def _root_in_nu(holds, what: str) -> float:
 # Validity regimes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidityCheck:
-    name: str
-    valid: bool
-    first_violation: str | None = None
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    """Well-definedness report for the downstream computations.
-
-    Never raised; callers inspect ``all_valid`` or individual entries.  The
-    ``sigma_degenerate`` flag marks the noiseless limit in which every map
-    collapses to the constant 1 - gamma.
-    """
-
-    checks: tuple[ValidityCheck, ...]
-    sigma_degenerate: bool
-
-    @property
-    def all_valid(self) -> bool:
-        return all(c.valid for c in self.checks)
-
-    def entry(self, name: str) -> ValidityCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def validate_domain(p: TheoryParams, d: DerivedConstants) -> ValidityReport:
-    """Report, per downstream computation, whether its regime holds.
+def validate_domain(p: TheoryParams, d: DerivedConstants) -> dict[str, str | None]:
+    """Per downstream computation, the first violation of its regime, or
+    ``None`` where it holds.
 
     Each entry is the computation's own verdict, so the report cannot
-    disagree with it: the interval entries are ``invariant_interval`` at
-    scale 1 and at the hardest level's 2^(-beta_hi), and the error-functional
-    entry is whether its large-initialization limit raises ``DomainError``.
+    disagree with it: ``invariant_interval_baseline`` and
+    ``invariant_interval_hard`` are ``invariant_interval`` at scale 1 and at
+    the hardest level's 2^(-beta_hi), and ``error_functional`` is whether
+    its large-initialization limit (the improvement margin's too) raises
+    ``DomainError``.  Never raises for a regime violation.
     """
-    checks = []
-    for name, a in (("invariant_interval_baseline", 1.0),
-                    ("invariant_interval_hard", 2.0 ** (-p.beta_hi))):
-        interval = invariant_interval(a, p, d)
-        checks.append(ValidityCheck(name, interval.valid, interval.reason))
+    report = {f"invariant_interval_{name}": invariant_interval(a, p, d).reason
+              for name, a in (("baseline", 1.0), ("hard", 2.0 ** (-p.beta_hi)))}
     try:
         BoundProblem(p).terms(d.nu)
-        violation = None
+        report["error_functional"] = None
     except DomainError as exc:
-        violation = str(exc)
-    checks.append(ValidityCheck("error_functional", violation is None, violation))
-    checks.append(ValidityCheck("improvement_margin", violation is None, violation))
-    return ValidityReport(checks=tuple(checks), sigma_degenerate=(d.nu == 0.0))
+        report["error_functional"] = str(exc)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -330,18 +296,13 @@ class ProfileResult:
     def argmax_beta_lo(self) -> float:
         return self.points[self.argmax_index][0]
 
-    def local_maxima(self) -> list[int]:
-        vals = [v for _, v in self.points]
-        return [i for i in range(1, len(vals) - 1)
-                if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]]
-
 
 def max_improving_nu_profile(delta_gap: float, beta_grid, x0: float,
                              p: TheoryParams) -> ProfileResult:
     """Evaluate the largest improving budget along ``beta_lo`` at fixed gap;
     the tail slope is fitted on the last 30% of the grid."""
-    if delta_gap <= 0.0:
-        raise ParameterError("delta_gap must be positive")
+    if not delta_gap > 0.0:
+        raise ParameterError(f"delta_gap must be positive, got {delta_gap!r}")
     points = [(float(bl), max_improving_nu(x0, p.with_betas(bl, bl + delta_gap)))
               for bl in beta_grid]
     values = [v for _, v in points]

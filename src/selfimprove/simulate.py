@@ -17,7 +17,6 @@ bit for bit and safe to run in parallel.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -45,8 +44,6 @@ class SimWorld:
 
     weights: np.ndarray   # question distribution, sums to 1
     alpha: np.ndarray     # per-question acceptance probability in (0, 1]
-    c: float
-    gamma: float
 
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.alpha):
@@ -57,16 +54,9 @@ class SimWorld:
             raise ParameterError("alpha must lie in [0, 1]")
 
     @property
-    def question_count(self) -> int:
-        return len(self.weights)
-
-    @property
     def expected_reward(self) -> float:
         """Population expected reward under binary reward: mean acceptance."""
         return float(self.weights @ self.alpha)
-
-    def with_alpha(self, alpha: np.ndarray) -> "SimWorld":
-        return replace(self, alpha=alpha)
 
 
 def satisfies_coupling(alpha: np.ndarray, weights: np.ndarray,
@@ -119,7 +109,7 @@ def build_world(question_count: int, v_target: float, p: TheoryParams,
     shift = (v_target - float(weights @ alpha)) * question_count / n_high
     alpha[n_low:] = np.clip(alpha[n_low:] + shift, pivot + 0.5 * _MARGIN, 1.0)
 
-    world = SimWorld(weights=weights, alpha=alpha, c=p.c, gamma=p.gamma)
+    world = SimWorld(weights=weights, alpha=alpha)
     if abs(world.expected_reward - v_target) > 1e-3:
         raise ParameterError("construction missed the target reward by more than 1e-3")
     if not satisfies_coupling(alpha, weights, p.c, p.gamma):
@@ -181,7 +171,7 @@ def _one_round(world: SimWorld, p: TheoryParams, rng: np.random.Generator,
     z_m = float(world.weights @ accept_m)
     alpha_m_min = float(accept_m[support].min())
 
-    questions = rng.choice(world.question_count, size=p.n, p=world.weights)
+    questions = rng.choice(len(world.weights), size=p.n, p=world.weights)
     accepted_mask = rng.random(p.n) < accept_m[questions]
     n_accept = int(accepted_mask.sum())
 
@@ -199,7 +189,7 @@ def _one_round(world: SimWorld, p: TheoryParams, rng: np.random.Generator,
     new_alpha = world.alpha.copy()
     new_alpha[represented] = np.maximum(ALPHA_FLOOR, 1.0 - error_budget * share)
 
-    new_world = world.with_alpha(new_alpha)
+    new_world = replace(world, alpha=new_alpha)
     v_realized = new_world.expected_reward
     record = RoundRecord(replication, round_index, n_accept, z_m, alpha_m_min,
                          v_realized, bound, v_realized >= bound)
@@ -236,15 +226,3 @@ def run_replications(world: SimWorld, p: TheoryParams, rounds: int,
         records.extend(run_selfimprove(world, p, rounds, child, replication=rep))
     return records
 
-
-def write_simulation_csv(records: list[RoundRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["replication", "round", "n_accept", "Z_m", "alpha_m_min",
-                         "V_realized", "bound", "bound_satisfied"])
-        for r in records:
-            writer.writerow([
-                r.replication, r.round_index, r.n_accept, repr(r.z_m),
-                repr(r.alpha_m_min), repr(r.v_realized), repr(r.bound),
-                "skipped" if r.collapsed else str(r.bound_satisfied).lower(),
-            ])

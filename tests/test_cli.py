@@ -180,6 +180,12 @@ def test_verify_fast_passes(tmp_path, capsys):
     (None, ["simulate", "--questions", "500", "--rounds", "1", "--beta-lo", "0.05"]),
     ('{"nu": 0.3}', ["simulate", "--questions", "500", "--rounds", "1", "--config", "config.json"]),
     (None, ["regions", "--x0", "0.5", "--beta", "60"]),
+    (None, ["thresholds", "--nu-c", "--profile", "--delta-gap", "-1"]),
+    (None, ["thresholds", "--nu-c", "--profile", "--delta-gap", "nan"]),
+    (None, ["thresholds", "--profile", "--delta-gap", "inf"]),
+    (None, ["thresholds", "--nu-c", "--x0", "0.49", "--profile", "--delta-gap", "20"]),
+    ('{"beta_lo": 0.2, "beta_hi": 0.9}',
+     ["simulate", "--questions", "500", "--rounds", "1", "--config", "config.json"]),
 ], ids=["missing-config", "malformed-json", "string-value", "bool-integer",
         "negative-seed", "zero-threads", "nan-nu", "inf-nu", "config-inf-nu",
         "nan-x0", "x0-above-ceiling", "nan-a", "inf-a", "huge-beta-hi",
@@ -187,7 +193,9 @@ def test_verify_fast_passes(tmp_path, capsys):
         "bad-grid-after-csv", "verify-beta", "verify-beta-lo", "verify-nu",
         "verify-config", "scan-nu", "scan-config-nu", "scan-x0-points-above-bound",
         "thresholds-nu", "thresholds-config-nu", "simulate-nu", "simulate-beta",
-        "simulate-beta-lo", "simulate-config-nu", "regions-domain-error"])
+        "simulate-beta-lo", "simulate-config-nu", "regions-domain-error",
+        "negative-delta-gap-after-csv", "nan-delta-gap-after-csv", "inf-delta-gap",
+        "profile-bracket-error-after-csv", "simulate-config-betas"])
 def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, argv):
     if config is not None:
         (tmp_path / "config.json").write_text(config)
@@ -195,3 +203,39 @@ def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, a
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert [f.name for f in tmp_path.iterdir()] == ([] if config is None else ["config.json"])
+
+
+def test_unexpected_exception_exits_3_with_one_line_error(tmp_path, capsys, monkeypatch):
+    from selfimprove import regions
+
+    def fault(*args):
+        raise ZeroDivisionError("float division by zero\nsecond line")
+
+    monkeypatch.setattr(regions, "feasibility_interval", fault)
+    assert run_in(tmp_path, ["intervals", "--a", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ZeroDivisionError" in err
+    assert err.count("\n") == 1
+
+
+def test_panel_csv_layout(tmp_path):
+    from selfimprove import TheoryParams, default_panels
+    assert run_in(tmp_path, ["scan", "--panel", "a", "--x0-points", "600"]) == 0
+    cfg = default_panels(TheoryParams())["a"]
+    lines = (tmp_path / "panel_a.csv").read_text().splitlines()
+    assert lines[0] == "axis1,axis2,measured_len,analytic_len,agree"
+    assert len(lines) == 1 + len(cfg.vary_values) * len(cfg.nu_values)
+    first = lines[1].split(",")
+    assert float(first[0]) == cfg.vary_values[0]
+    assert first[4] in ("true", "false")
+
+
+def test_simulation_csv(tmp_path):
+    (tmp_path / "config.json").write_text(json.dumps({"n": 200}))
+    assert run_in(tmp_path, ["simulate", "--config", "config.json", "--questions", "300",
+                             "--rounds", "2", "--replications", "2", "--seed", "3"]) == 0
+    lines = (tmp_path / "simulation.csv").read_text().splitlines()
+    assert lines[0] == ("replication,round,n_accept,Z_m,alpha_m_min,"
+                        "V_realized,bound,bound_satisfied")
+    assert len(lines) == 5
+    assert lines[1].split(",")[0] == "0"

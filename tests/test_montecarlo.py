@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from selfimprove import (ParameterError, ScanConfig, TheoryParams,
                          curriculum_coefficients, derive_constants,
-                         feasibility_interval, improvement_threshold, run_scan,
-                         write_panel_csv, x0_grid)
+                         feasibility_interval, improvement_threshold, run_scan, x0_grid)
 from selfimprove.cubic import Interval
 from selfimprove.dynamics import PLATEAU_TOL
 from selfimprove.montecarlo import (classify_feasible, classify_improvement,
@@ -18,6 +17,11 @@ P = TheoryParams()
 
 SMALL = ScanConfig(kind="feasible", vary="beta_hi", vary_values=(0.3, 0.45),
                    fixed_value=0.1, nu_values=(0.006, 0.014), x0_points=600)
+
+
+def by_axes(cells):
+    """Scan cells keyed by (swept exponent, budget)."""
+    return {(c.axis1, c.axis2): c for c in cells}
 
 
 def test_config_validation():
@@ -43,9 +47,7 @@ def test_grid_spacing_matches_cell():
 
 
 def test_scan_deterministic_across_threads():
-    single = run_scan(SMALL, P, threads=1)
-    multi = run_scan(SMALL, P, threads=4)
-    assert single.cells == multi.cells
+    assert run_scan(SMALL, P, threads=1) == run_scan(SMALL, P, threads=4)
 
 
 def test_noiseless_column_spans_feasibility_interval():
@@ -110,15 +112,15 @@ def test_improvement_small_budget_spans_nearly_everything():
 
 
 def test_measured_lengths_decrease_in_budget_parameter():
-    result = run_scan(SMALL, P)
+    result = by_axes(run_scan(SMALL, P))
     for beta in SMALL.vary_values:
-        lengths = [result.cell(beta, nu).measured_len for nu in SMALL.nu_values]
+        lengths = [result[beta, nu].measured_len for nu in SMALL.nu_values]
         assert all(b < a for a, b in zip(lengths, lengths[1:]))
-    improvement = run_scan(ScanConfig(kind="improvement", vary="beta_hi",
-                                      vary_values=(0.3, 0.45), fixed_value=0.1,
-                                      nu_values=(0.006, 0.014), x0_points=600), P)
+    improvement = by_axes(run_scan(ScanConfig(kind="improvement", vary="beta_hi",
+                                              vary_values=(0.3, 0.45), fixed_value=0.1,
+                                              nu_values=(0.006, 0.014), x0_points=600), P))
     for beta in (0.3, 0.45):
-        lengths = [improvement.cell(beta, nu).measured_len for nu in (0.006, 0.014)]
+        lengths = [improvement[beta, nu].measured_len for nu in (0.006, 0.014)]
         assert lengths[1] < lengths[0]
 
 
@@ -241,23 +243,10 @@ def test_grid_refinement_first_order():
     assert errs[-1] <= 0.6 * errs[0]
 
 
-def test_panel_csv_layout(tmp_path):
-    result = run_scan(SMALL, P)
-    path = tmp_path / "panel_a.csv"
-    write_panel_csv(result, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "axis1,axis2,measured_len,analytic_len,agree"
-    assert len(lines) == 1 + len(result.cells)
-    first = lines[1].split(",")
-    assert float(first[0]) == SMALL.vary_values[0]
-    assert first[4] in ("true", "false")
-
-
 def test_infeasible_cells_recorded_with_zero_length():
     cfg = ScanConfig(kind="improvement", vary="beta_hi", vary_values=(0.4,),
                      fixed_value=0.1, nu_values=(0.05,), x0_points=300)
-    result = run_scan(cfg, P)
-    cell = result.cells[0]
+    cell, = run_scan(cfg, P)
     assert cell.analytic_len == 0.0
 
 
@@ -290,8 +279,8 @@ def test_gap_fixed_measured_length_rises_then_falls():
                      vary_values=tuple(np.geomspace(2e-4, 8.0, 30)),
                      fixed_value=0.1, nu_values=(0.01,), x0_points=800,
                      fixed_kind="gap")
-    result = run_scan(cfg, P)
-    lengths = [result.cell(v, 0.01).measured_len for v in cfg.vary_values]
+    result = by_axes(run_scan(cfg, P))
+    lengths = [result[v, 0.01].measured_len for v in cfg.vary_values]
     cell = (1 - P.gamma) / cfg.x0_points
     assert lengths[0] == 0.0
     assert max(lengths) > 0.9

@@ -6,8 +6,7 @@ import pytest
 from selfimprove import (DomainError, ParameterError, SimWorld, TheoryParams,
                          acceptance_gain_ratio, build_world,
                          mean_to_min_acceptance_ratio, multi_try_acceptance,
-                         run_replications, run_selfimprove, satisfies_coupling,
-                         write_simulation_csv)
+                         run_replications, run_selfimprove, satisfies_coupling)
 
 P = TheoryParams()
 
@@ -16,7 +15,7 @@ def small_world(count=500, alpha_lo=0.05, alpha_hi=1.0, seed=0):
     rng = np.random.default_rng(seed)
     alpha = rng.uniform(alpha_lo, alpha_hi, size=count)
     weights = np.full(count, 1.0 / count)
-    return SimWorld(weights=weights, alpha=alpha, c=P.c, gamma=P.gamma)
+    return SimWorld(weights=weights, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +54,11 @@ def test_build_world_infeasible_target():
 
 def test_world_validation():
     with pytest.raises(ParameterError, match="probability"):
-        SimWorld(weights=np.array([0.5, 0.6]), alpha=np.array([0.5, 0.5]),
-                 c=P.c, gamma=P.gamma)
+        SimWorld(weights=np.array([0.5, 0.6]), alpha=np.array([0.5, 0.5]))
     with pytest.raises(ParameterError, match="alpha"):
-        SimWorld(weights=np.array([0.5, 0.5]), alpha=np.array([0.5, 1.5]),
-                 c=P.c, gamma=P.gamma)
+        SimWorld(weights=np.array([0.5, 0.5]), alpha=np.array([0.5, 1.5]))
     with pytest.raises(ParameterError, match="length"):
-        SimWorld(weights=np.array([1.0]), alpha=np.array([0.5, 0.5]),
-                 c=P.c, gamma=P.gamma)
+        SimWorld(weights=np.array([1.0]), alpha=np.array([0.5, 0.5]))
 
 
 def test_coupling_trivial_cases():
@@ -81,8 +77,7 @@ def test_coupling_trivial_cases():
 # ---------------------------------------------------------------------------
 
 def test_ratio_constant_world_is_one():
-    world = SimWorld(weights=np.full(50, 0.02), alpha=np.full(50, 0.37),
-                     c=P.c, gamma=P.gamma)
+    world = SimWorld(weights=np.full(50, 0.02), alpha=np.full(50, 0.37))
     for m in (1, 2, 8, 64):
         assert mean_to_min_acceptance_ratio(world, m) == pytest.approx(1.0, abs=1e-14)
 
@@ -98,13 +93,12 @@ def test_ratio_nonincreasing_and_limits():
 def test_ratio_ignores_zero_weight_questions():
     weights = np.array([0.5, 0.5, 0.0])
     alpha = np.array([0.6, 0.7, 1e-9])
-    world = SimWorld(weights=weights, alpha=alpha, c=P.c, gamma=P.gamma)
+    world = SimWorld(weights=weights, alpha=alpha)
     assert mean_to_min_acceptance_ratio(world, 1) == pytest.approx(0.65 / 0.6, rel=1e-12)
 
 
 def test_ratio_degenerate_error():
-    world = SimWorld(weights=np.array([0.5, 0.5]), alpha=np.array([0.0, 0.5]),
-                     c=P.c, gamma=P.gamma)
+    world = SimWorld(weights=np.array([0.5, 0.5]), alpha=np.array([0.0, 0.5]))
     with pytest.raises(DomainError):
         mean_to_min_acceptance_ratio(world, 4)
 
@@ -191,7 +185,7 @@ def test_unrepresented_questions_keep_alpha():
 def test_collapse_round_skips_update():
     p = TheoryParams(n=20, m=1)
     alpha = np.full(50, 1e-9)
-    world = SimWorld(weights=np.full(50, 0.02), alpha=alpha, c=P.c, gamma=P.gamma)
+    world = SimWorld(weights=np.full(50, 0.02), alpha=alpha)
     records = run_selfimprove(world, p, rounds=1, seed=0)
     assert records[0].collapsed
     assert math.isnan(records[0].bound)
@@ -237,15 +231,3 @@ def test_bound_coverage_reduced():
     coverage = sum(r.bound_satisfied for r in live) / len(live)
     assert coverage >= 0.95
 
-
-def test_simulation_csv(tmp_path):
-    p = TheoryParams(n=200)
-    world = small_world(count=300)
-    records = run_replications(world, p, rounds=2, replications=2, seed=3)
-    path = tmp_path / "simulation.csv"
-    write_simulation_csv(records, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == ("replication,round,n_accept,Z_m,alpha_m_min,"
-                        "V_realized,bound,bound_satisfied")
-    assert len(lines) == 5
-    assert lines[1].split(",")[0] == "0"
