@@ -11,7 +11,7 @@ from .cubic import (Interval, cubic_roots, effective_sigma, exact_root_gap,
 from .dynamics import CurriculumCoefficients, curriculum_coefficients
 from .errors import BracketError, DomainError, ParameterError, SelfImproveError
 from .montecarlo import CellResult, ScanConfig, default_panels, run_scan, x0_grid
-from .params import DerivedConstants, TheoryParams, derive_constants, load_config
+from .params import TheoryParams, load_config
 from .regions import (BoundProblem, ProfileResult, baseline_half_error_budget,
                       coefficient_growth_ratio, collapse_budget, conditional_mean_check,
                       feasibility_interval, improvement_threshold, max_improving_nu,
@@ -23,16 +23,14 @@ from .simulate import (RoundRecord, SimWorld, acceptance_gain_ratio, build_world
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundProblem", "BracketError", "CellResult", "CurriculumCoefficients",
-    "DerivedConstants", "DomainError", "Interval", "ParameterError", "ProfileResult",
-    "RoundRecord", "ScanConfig", "SelfImproveError", "SimWorld", "TheoryParams",
-    "acceptance_gain_ratio", "baseline_half_error_budget", "build_world",
-    "coefficient_growth_ratio",
-    "collapse_budget", "conditional_mean_check", "cubic_roots",
-    "curriculum_coefficients", "default_panels", "derive_constants", "effective_sigma",
-    "exact_root_gap", "feasibility_interval", "gap_lower_bound",
-    "improvement_threshold", "invariant_interval", "load_config", "max_improving_nu",
-    "max_improving_nu_profile", "mean_to_min_acceptance_ratio", "multi_try_acceptance",
-    "run_replications", "run_scan", "run_selfimprove", "satisfies_coupling",
-    "threshold_curve", "validate_domain", "x0_grid",
+    "BoundProblem", "BracketError", "CellResult", "CurriculumCoefficients", "DomainError",
+    "Interval", "ParameterError", "ProfileResult", "RoundRecord", "ScanConfig",
+    "SelfImproveError", "SimWorld", "TheoryParams", "acceptance_gain_ratio",
+    "baseline_half_error_budget", "build_world", "coefficient_growth_ratio",
+    "collapse_budget", "conditional_mean_check", "cubic_roots", "curriculum_coefficients",
+    "default_panels", "effective_sigma", "exact_root_gap", "feasibility_interval",
+    "gap_lower_bound", "improvement_threshold", "invariant_interval", "load_config",
+    "max_improving_nu", "max_improving_nu_profile", "mean_to_min_acceptance_ratio",
+    "multi_try_acceptance", "run_replications", "run_scan", "run_selfimprove",
+    "satisfies_coupling", "threshold_curve", "validate_domain", "x0_grid",
 ]

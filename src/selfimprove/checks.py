@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cubic, dynamics, montecarlo, regions, simulate
 from .errors import DomainError
-from .params import SIGMA_MAX, TheoryParams, derive_constants
+from .params import SIGMA_MAX, TheoryParams
 
 _SEED = 20240613
 
@@ -51,7 +51,7 @@ def _fold_budget(a: float, p: TheoryParams) -> float:
     """Exact budget parameter at which the scale-``a`` interval folds."""
     def below(nu: float) -> bool:
         try:
-            return cubic.effective_sigma(a, p, derive_constants(p, nu=nu)) < SIGMA_MAX
+            return cubic.effective_sigma(a, p, nu) < SIGMA_MAX
         except DomainError:
             return False
 
@@ -69,10 +69,10 @@ def _admissible_sigma(rng, count: int) -> np.ndarray:
 def _random_map_setting(rng, p: TheoryParams):
     """Random (a, nu) with a healthy margin from the fold."""
     a = rng.uniform(0.3, 3.0)
-    sig_per_nu = cubic.effective_sigma(a, p, derive_constants(p, nu=1e-9)) / 1e-9
+    sig_per_nu = cubic.effective_sigma(a, p, 1e-9) / 1e-9
     nu_fold = SIGMA_MAX / sig_per_nu  # first-order fold estimate
     nu = rng.uniform(0.05, 0.8) * nu_fold
-    if not cubic.invariant_interval(a, p, derive_constants(p, nu=nu)).valid:
+    if not cubic.invariant_interval(a, p, nu).valid:
         nu *= 0.5
     return a, nu
 
@@ -83,15 +83,13 @@ def _random_map_setting(rng, p: TheoryParams):
 
 def check_derived_constants_monotone(fast: bool) -> CheckResult:
     base = TheoryParams()
-    d = derive_constants(base)
-    bigger_class = derive_constants(TheoryParams(pi_size=10_000))
-    tighter = derive_constants(TheoryParams(delta=0.01))
-    more_questions = derive_constants(TheoryParams(n=8000))
-    ok = (bigger_class.c_delta > d.c_delta and tighter.c_delta > d.c_delta
-          and more_questions.nu < d.nu
-          and abs(d.nu * d.nu * base.n - 1.0) < 1e-12)
+    nu = base.default_nu
+    ok = (TheoryParams(pi_size=10_000).c_delta > base.c_delta
+          and TheoryParams(delta=0.01).c_delta > base.c_delta
+          and TheoryParams(n=8000).default_nu < nu
+          and abs(nu * nu * base.n - 1.0) < 1e-12)
     return CheckResult("derived-constants-monotone", ok,
-                       f"c_delta={d.c_delta:.6f} nu={d.nu:.6f}")
+                       f"c_delta={base.c_delta:.6f} nu={nu:.6f}")
 
 
 def check_validate_domain_noiseless(fast: bool) -> CheckResult:
@@ -101,7 +99,7 @@ def check_validate_domain_noiseless(fast: bool) -> CheckResult:
         p = TheoryParams(c=rng.uniform(0.05, 0.95), gamma=rng.uniform(0.0, 0.5),
                          beta_lo=rng.uniform(0.01, 2.0),
                          beta_hi=rng.uniform(2.01, 4.0))
-        report = regions.validate_domain(p, derive_constants(p, nu=0.0))
+        report = regions.validate_domain(p, 0.0)
         if any(violation is not None for violation in report.values()):
             return CheckResult("validate-domain-noiseless", False, f"failed for {p}")
     return CheckResult("validate-domain-noiseless", True, f"{trials} random params")
@@ -129,13 +127,13 @@ def check_fixed_point_residuals(fast: bool) -> CheckResult:
     for a in np.linspace(0.4, 2.5, 10):
         fold = _fold_budget(float(a), p)
         for frac in np.linspace(0.08, 0.9, 10):
-            d = derive_constants(p, nu=float(frac * fold))
-            interval = cubic.invariant_interval(a, p, d)
+            nu = float(frac * fold)
+            interval = cubic.invariant_interval(a, p, nu)
             if not interval.valid:
                 return CheckResult("fixed-point-residuals", False,
-                                   f"inadmissible cell a={a}, nu={d.nu}")
+                                   f"inadmissible cell a={a}, nu={nu}")
             for endpoint in (interval.lo, interval.hi):
-                worst = max(worst, abs(dynamics.step(endpoint, a, p, d) - endpoint))
+                worst = max(worst, abs(dynamics.step(endpoint, a, p, nu) - endpoint))
     return CheckResult("fixed-point-residuals", worst < 1e-10,
                        f"max residual {worst:.3e} on 10x10 grid")
 
@@ -154,12 +152,11 @@ def check_gap_identities(fast: bool) -> CheckResult:
     # length identity |I| = scale * exact gap
     for _ in range(10 if fast else 50):
         a, nu = _random_map_setting(rng, p)
-        d = derive_constants(p, nu=nu)
-        interval = cubic.invariant_interval(a, p, d)
+        interval = cubic.invariant_interval(a, p, nu)
         if not interval.valid:
             continue
-        sigma = cubic.effective_sigma(a, p, d)
-        scale = 1.0 - p.gamma - d.c_delta_prime * d.nu / a
+        sigma = cubic.effective_sigma(a, p, nu)
+        scale = 1.0 - p.gamma - p.c_delta_prime * nu / a
         ident = scale * cubic.exact_root_gap(sigma)
         if abs(ident - interval.length) > 1e-12 * max(1.0, interval.length):
             return CheckResult("gap-bound-and-identity", False,
@@ -175,16 +172,15 @@ def check_interval_inclusion(fast: bool) -> CheckResult:
     while done_a < count or done_nu < count:
         a1, nu = _random_map_setting(rng, p)
         a2 = a1 * rng.uniform(1.01, 2.0)
-        d = derive_constants(p, nu=nu)
-        i1, i2 = cubic.invariant_interval(a1, p, d), cubic.invariant_interval(a2, p, d)
+        i1, i2 = cubic.invariant_interval(a1, p, nu), cubic.invariant_interval(a2, p, nu)
         if done_a < count and i1.valid and i2.valid:
             if not (i2.lo < i1.lo and i1.hi < i2.hi):
                 return CheckResult("interval-inclusion", False,
                                    f"scale inclusion fails at a1={a1}, a2={a2}, nu={nu}")
             done_a += 1
         nu2 = nu * rng.uniform(1.01, 1.5)
-        j1 = cubic.invariant_interval(a1, p, derive_constants(p, nu=nu))
-        j2 = cubic.invariant_interval(a1, p, derive_constants(p, nu=nu2))
+        j1 = cubic.invariant_interval(a1, p, nu)
+        j2 = cubic.invariant_interval(a1, p, nu2)
         if done_nu < count and j1.valid and j2.valid:
             if not (j1.lo < j2.lo and j2.hi < j1.hi):
                 return CheckResult("interval-inclusion", False,
@@ -217,12 +213,10 @@ def check_map_monotonicities(fast: bool) -> CheckResult:
     h = 1e-7
     for _ in range(100 if fast else 1000):
         a, nu = _random_map_setting(rng, p)
-        d = derive_constants(p, nu=nu)
-        x = rng.uniform(d.c_delta_prime * nu / a + 0.05, 1.0)
-        up_x = dynamics.step(x + h, a, p, d) - dynamics.step(x - h, a, p, d)
-        down_nu = (dynamics.step(x, a, p, derive_constants(p, nu=nu + h))
-                   - dynamics.step(x, a, p, derive_constants(p, nu=nu - h)))
-        up_a = dynamics.step(x, a + h, p, d) - dynamics.step(x, a - h, p, d)
+        x = rng.uniform(p.c_delta_prime * nu / a + 0.05, 1.0)
+        up_x = dynamics.step(x + h, a, p, nu) - dynamics.step(x - h, a, p, nu)
+        down_nu = dynamics.step(x, a, p, nu + h) - dynamics.step(x, a, p, nu - h)
+        up_a = dynamics.step(x, a + h, p, nu) - dynamics.step(x, a - h, p, nu)
         if not (up_x > 0.0 and down_nu < 0.0 and up_a > 0.0):
             return CheckResult("map-monotonicities", False, f"a={a}, nu={nu}, x={x}")
     return CheckResult("map-monotonicities", True, "increasing in x and a, decreasing in nu")
@@ -249,18 +243,18 @@ def check_trajectory_classification(fast: bool) -> CheckResult:
     count = 50 if fast else 200
     steps = 100
     p = TheoryParams()
-    d = derive_constants(p, nu=0.05)
-    interval = cubic.invariant_interval(1.0, p, d)
+    nu = 0.05
+    interval = cubic.invariant_interval(1.0, p, nu)
     margin = 1e-6
     starts = []
     for _ in range(count):
         inside = rng.uniform(interval.lo + margin, interval.hi - margin)
         if rng.random() < 0.5:
-            outside = rng.uniform(d.c_delta_prime * d.nu + margin, interval.lo - margin)
+            outside = rng.uniform(p.c_delta_prime * nu + margin, interval.lo - margin)
         else:
             outside = rng.uniform(interval.hi + margin, 1.0 - p.gamma)
         starts.append((inside, outside))
-    inside, outside = (dynamics.iterate(np.array(x0), (1.0,) * steps, p, d)
+    inside, outside = (dynamics.iterate(np.array(x0), (1.0,) * steps, p, nu)
                        for x0 in zip(*starts))
     # Inside: never a genuine decrease, never leaves the closed interval
     # (1e-12 slack for rounding at the attracting endpoint).  Outside: the
@@ -281,9 +275,9 @@ def check_trajectory_classification(fast: bool) -> CheckResult:
 
 def check_trajectory_reproducibility(fast: bool) -> CheckResult:
     p = TheoryParams()
-    d = derive_constants(p, nu=0.03)
     schedule = dynamics.curriculum_coefficients(p).schedule
-    ok = all(np.array_equal(dynamics.iterate(0.4, s, p, d), dynamics.iterate(0.4, s, p, d))
+    ok = all(np.array_equal(dynamics.iterate(0.4, s, p, 0.03),
+                            dynamics.iterate(0.4, s, p, 0.03))
              for s in ((1.0,) * 50, schedule))
     return CheckResult("trajectory-reproducibility", ok, "bit-identical reruns")
 
@@ -371,7 +365,7 @@ def check_threshold_curve(fast: bool) -> CheckResult:
     slope = (regions.improvement_threshold(1.5e-6, p)
              - regions.improvement_threshold(0.5e-6, p)) / 1e-6
     first = dynamics.curriculum_coefficients(p).first
-    expected = derive_constants(p).c_delta_prime / first
+    expected = p.c_delta_prime / first
     ok = abs(slope - expected) <= 0.01 * expected
     return CheckResult("threshold-curve", ok,
                        f"increasing; slope at 0 = {slope:.6f} vs {expected:.6f}")
@@ -435,16 +429,14 @@ def check_geometric_identity(fast: bool) -> CheckResult:
 def check_feasibility_length_bounds(fast: bool) -> CheckResult:
     p = TheoryParams()
     for nu in np.linspace(0.002, 0.03, 5 if fast else 15):
-        d = derive_constants(p, nu=float(nu))
-        d0 = derive_constants(p, nu=0.0)
-        now = regions.feasibility_interval(p, d)
-        base = regions.feasibility_interval(p, d0)
+        now = regions.feasibility_interval(p, nu)
+        base = regions.feasibility_interval(p, 0.0)
         if not (now.valid and base.valid):
             continue
         shrink = base.length - now.length
-        lo_bound = 2.0 ** p.beta_hi * d.c_delta_prime * nu
-        inner = 2.0 ** (-p.beta_hi) * (1.0 - p.gamma) - d.c_delta_prime * nu
-        hi_bound = lo_bound + 1.5 * math.sqrt(3.0) * d.c_delta * nu / (p.c * math.sqrt(inner))
+        lo_bound = 2.0 ** p.beta_hi * p.c_delta_prime * nu
+        inner = 2.0 ** (-p.beta_hi) * (1.0 - p.gamma) - p.c_delta_prime * nu
+        hi_bound = lo_bound + 1.5 * math.sqrt(3.0) * p.c_delta * nu / (p.c * math.sqrt(inner))
         if not lo_bound - 1e-12 <= shrink <= hi_bound + 1e-12:
             return CheckResult("feasibility-length-bounds", False,
                                f"nu={nu}: shrink={shrink} outside [{lo_bound}, {hi_bound}]")
@@ -507,15 +499,14 @@ def check_scan_contains_analytic(fast: bool) -> CheckResult:
     grid = montecarlo.x0_grid(p, points)
     cell = (1.0 - p.gamma) / points
     for nu in (0.005, 0.012, 0.02):
-        d = derive_constants(p, nu=nu)
-        feas = montecarlo.classify_feasible(grid, p, d)
-        analytic = regions.feasibility_interval(p, d)
+        feas = montecarlo.classify_feasible(grid, p, nu)
+        analytic = regions.feasibility_interval(p, nu)
         if analytic.valid:
             inside = (grid > analytic.lo + cell) & (grid < analytic.hi - cell)
             if not feas[inside].all():
                 return CheckResult("scan-contains-analytic", False,
                                    f"feasible point misclassified at nu={nu}")
-        impr = montecarlo.classify_improvement(grid, p, d)
+        impr = montecarlo.classify_improvement(grid, p, nu)
         try:
             threshold = regions.improvement_threshold(nu, p)
         except regions.BracketError:
@@ -533,11 +524,10 @@ def check_scan_contains_analytic(fast: bool) -> CheckResult:
 
 def check_grid_refinement(fast: bool) -> CheckResult:
     p = TheoryParams()
-    d = derive_constants(p, nu=0.012)
 
     def lower_endpoint(points: int) -> float:
         grid = montecarlo.x0_grid(p, points)
-        flags = montecarlo.classify_feasible(grid, p, d)
+        flags = montecarlo.classify_feasible(grid, p, 0.012)
         lo, _, _ = montecarlo.measured_interval(grid, flags, None)
         return lo
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, checks, montecarlo, regions, simulate
 from .cubic import invariant_interval
 from .errors import BracketError, ParameterError, SelfImproveError
-from .params import DerivedConstants, TheoryParams, derive_constants, load_config
+from .params import TheoryParams, load_config
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -89,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_params(args) -> tuple[TheoryParams, float | None, DerivedConstants]:
+def _resolve_params(args) -> tuple[TheoryParams, float | None, float]:
+    """The parameters, the ``nu`` override (``None`` when absent) and the
+    budget parameter in effect: the override, else ``params.default_nu``."""
     params, nu_override, keys = (load_config(args.config) if args.config
                                  else (TheoryParams(), None, frozenset()))
     for key in sorted(keys & _UNUSED_OPTIONS.get(args.command, {}).keys()):
@@ -103,7 +105,9 @@ def _resolve_params(args) -> tuple[TheoryParams, float | None, DerivedConstants]
         params = TheoryParams(**{**asdict(params), **overrides})
     if args.nu is not None:
         nu_override = args.nu
-    return params, nu_override, derive_constants(params, nu=nu_override)
+    if nu_override is not None and not 0.0 <= nu_override < math.inf:
+        raise ParameterError(f"nu must be non-negative and finite, got {nu_override!r}")
+    return params, nu_override, params.default_nu if nu_override is None else nu_override
 
 
 def _fmt(value) -> str:
@@ -157,44 +161,45 @@ class _Run:
 
 
 def cmd_intervals(args) -> int:
-    params, nu_override, d = _resolve_params(args)
+    params, nu_override, nu = _resolve_params(args)
     if args.a is not None and not math.isfinite(args.a):
         raise ParameterError(f"--a must be finite, got {args.a!r}")
     run = _Run(args, params, nu_override)
     rows = []
     if args.a is not None:
-        iv = invariant_interval(args.a, params, d)
-        rows.append(["I", args.a, d.nu, iv.lo, iv.hi, iv.valid])
-    feas = regions.feasibility_interval(params, d)
-    rows.append(["I_M", params.beta_hi, d.nu, feas.lo, feas.hi, feas.valid])
+        iv = invariant_interval(args.a, params, nu)
+        rows.append(["I", args.a, nu, iv.lo, iv.hi, iv.valid])
+    feas = regions.feasibility_interval(params, nu)
+    rows.append(["I_M", params.beta_hi, nu, feas.lo, feas.hi, feas.valid])
     try:
-        threshold = regions.improvement_threshold(d.nu, params)
+        threshold = regions.improvement_threshold(nu, params)
         ceiling = 1.0 - params.gamma
-        rows.append(["I_N", params.beta_hi, d.nu, threshold, ceiling, threshold < ceiling])
+        rows.append(["I_N", params.beta_hi, nu, threshold, ceiling, threshold < ceiling])
     except BracketError:
-        rows.append(["I_N", params.beta_hi, d.nu, math.nan, math.nan, False])
+        rows.append(["I_N", params.beta_hi, nu, math.nan, math.nan, False])
     _write_csv(run.path("intervals.csv"),
                ["kind", "a_or_beta", "nu", "lo", "hi", "valid"], rows)
     run.finish()
-    print(f"wrote {len(rows)} interval rows (nu={d.nu:.6g})")
+    print(f"wrote {len(rows)} interval rows (nu={nu:.6g})")
     return 0
 
 
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, count = spec.split(":")
-        grid = np.linspace(float(start), float(stop), int(count))
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ParameterError(f"bad grid spec {spec!r}; expected start:stop:count") from exc
-    if grid.size < 2:
-        raise ParameterError(f"grid spec {spec!r} needs two points for the tail slope")
-    return grid
+    if not 2 <= count <= montecarlo.MAX_GRID_POINTS:
+        raise ParameterError(f"grid spec {spec!r} needs 2 to 10^6 points "
+                             "(two for the tail slope)")
+    return np.linspace(start, stop, count)
 
 
 def cmd_thresholds(args) -> int:
-    params, nu_override, d = _resolve_params(args)
-    if args.curve is not None and args.curve < 1:
-        raise ParameterError("--curve must be a positive integer")
+    params, nu_override, _ = _resolve_params(args)
+    if args.curve is not None and not 1 <= args.curve <= montecarlo.MAX_GRID_POINTS:
+        raise ParameterError("--curve must lie in [1, 10^6]")
     beta_grid = _parse_grid(args.beta_grid) if args.profile else None
     run = _Run(args, params, nu_override)
     betas = [params.beta_lo, params.beta_hi]
@@ -231,16 +236,16 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    params, nu_override, d = _resolve_params(args)
+    params, nu_override, nu = _resolve_params(args)
     regions.check_initialization(args.x0, params)
     run = _Run(args, params, nu_override)
     problem = regions.BoundProblem(params)
-    e = problem.error(d.nu, args.x0)
-    margin = problem.margin(d.nu, args.x0)
+    e = problem.error(nu, args.x0)
+    margin = problem.margin(nu, args.x0)
     _write_csv(run.path("regions.csv"),
                ["beta_lo", "beta_hi", "nu", "x0", "error_functional",
                 "improvement_margin", "improving"],
-               [[params.beta_lo, params.beta_hi, d.nu, args.x0, e, margin, margin < 0.0]])
+               [[params.beta_lo, params.beta_hi, nu, args.x0, e, margin, margin < 0.0]])
     run.finish()
     print(f"margin={margin:.6g} ({'improving' if margin < 0 else 'not improving'})")
     return 0

@@ -4,7 +4,8 @@ Every map x -> 1 - gamma - c_delta*nu / (c*sqrt(a*x - c_delta_prime*nu)) is
 affinely conjugate to g(y) = 1 - sigma/sqrt(y) on (0, 1), whose fixed points
 solve y*(1-y)^2 = sigma^2.  That cubic is solved in closed form with the
 trigonometric method, which keeps the two real roots in (0,1) separated and
-accurate even near the fold at sigma = sqrt(4/27).
+accurate even near the fold at sigma = sqrt(4/27).  The radii come from
+``TheoryParams``; the budget ``nu`` is a plain float argument.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .params import BOUNDARY_TOL, SIGMA_MAX, DerivedConstants, TheoryParams
+from .params import BOUNDARY_TOL, SIGMA_MAX, TheoryParams
 
 # Below this margin from the fold the two roots coalesce and downstream
 # monotonicity guarantees degrade; such sigma are reported invalid.
@@ -34,21 +35,28 @@ class Interval:
         return self.hi - self.lo if self.valid else 0.0
 
 
-def effective_sigma(a: float, p: TheoryParams, d: DerivedConstants) -> float:
+def effective_sigma(a: float, p: TheoryParams, nu: float) -> float:
     """Noise parameter of the conjugated map for scale coefficient ``a``.
 
     Requires a*(1-gamma) > c_delta_prime*nu so the conjugating affine change
-    of variables is orientation preserving.
+    of variables is orientation preserving, and a finite result.
     """
     if a <= 0.0:
         raise DomainError("scale coefficient a must be positive")
-    inner = a * (1.0 - p.gamma) - d.c_delta_prime * d.nu
+    nu = float(nu)
+    inner = a * (1.0 - p.gamma) - p.c_delta_prime * nu
     if inner <= 0.0:
         raise DomainError(
             "a*(1-gamma) - c_delta_prime*nu must be positive "
-            f"(got {inner!r} for a={a!r}, nu={d.nu!r})"
+            f"(got {inner!r} for a={a!r}, nu={nu!r})"
         )
-    return a * d.c_delta * d.nu / (p.c * inner ** 1.5)
+    try:
+        sigma = a * p.c_delta * nu / (p.c * inner ** 1.5)
+    except OverflowError:
+        sigma = math.inf
+    if not math.isfinite(sigma):
+        raise DomainError(f"sigma overflows for a={a!r}, nu={nu!r}")
+    return sigma
 
 
 def _check_sigma(sigma: float) -> None:
@@ -95,30 +103,34 @@ def gap_lower_bound(sigma: float) -> float:
     return 1.0 - (3.0 * math.sqrt(3.0) / 2.0) * sigma
 
 
-def invariant_interval(a: float, p: TheoryParams, d: DerivedConstants) -> Interval:
+def invariant_interval(a: float, p: TheoryParams, nu: float) -> Interval:
     """Open interval between the two fixed points of the scale-``a`` map.
 
     Iterates started inside increase strictly and stay inside.  Returns an
     invalid ``Interval`` (never raises) when the regime fails: non-positive
-    radicand, sigma at or beyond the fold, or within the near-degenerate
-    margin of it.  At nu = 0 the interval is exactly (0, 1-gamma).
+    radicand, sigma overflowing, at or beyond the fold, or within the
+    near-degenerate margin of it.  At nu = 0 the interval is exactly
+    (0, 1-gamma).
     """
     if a <= 0.0:
         return Interval(math.nan, math.nan, False, "scale coefficient a must be positive")
-    if d.nu == 0.0:
+    nu = float(nu)
+    if nu == 0.0:
         return Interval(0.0, 1.0 - p.gamma, True)
 
-    inner = a * (1.0 - p.gamma) - d.c_delta_prime * d.nu
-    if inner <= BOUNDARY_TOL:
+    if a * (1.0 - p.gamma) - p.c_delta_prime * nu <= BOUNDARY_TOL:
         return Interval(math.nan, math.nan, False,
                         "radicand a*(1-gamma) - c_delta_prime*nu must be positive")
-    sigma = a * d.c_delta * d.nu / (p.c * inner ** 1.5)
+    try:
+        sigma = effective_sigma(a, p, nu)
+    except DomainError as exc:
+        return Interval(math.nan, math.nan, False, str(exc))
     if sigma >= SIGMA_MAX - NEAR_DEGENERATE_MARGIN:
         reason = ("near-degenerate: sigma within 1e-8 of sqrt(4/27)"
                   if sigma < SIGMA_MAX else "sigma at or beyond sqrt(4/27)")
         return Interval(math.nan, math.nan, False, reason)
 
     y_minus, y_plus = cubic_roots(sigma)
-    offset = d.c_delta_prime * d.nu / a
+    offset = p.c_delta_prime * nu / a
     scale = 1.0 - p.gamma - offset
     return Interval(offset + scale * y_minus, offset + scale * y_plus, True)

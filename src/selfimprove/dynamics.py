@@ -9,7 +9,8 @@ difficulty ratios afterwards, followed by an optional final rescale.
 ``step`` is the one place the map is evaluated.  It works on floats and
 arrays alike and marks a left domain with NaN, which ``iterate`` carries
 forward and ``increasing`` rejects, so whole grids of start points are
-iterated and classified without per-point bookkeeping.
+iterated and classified without per-point bookkeeping.  The radii come
+from ``TheoryParams`` and the budget ``nu`` is a plain float argument.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DerivedConstants, TheoryParams
+from .params import TheoryParams
 
 # Steps whose increment magnitude falls below this are plateaus: numerical
 # convergence to a fixed point, not a monotonicity violation.
@@ -51,19 +52,19 @@ def curriculum_coefficients(p: TheoryParams) -> CurriculumCoefficients:
     return CurriculumCoefficients(first=first, final=final, mid=mid)
 
 
-def step(x, a: float, p: TheoryParams, d: DerivedConstants):
+def step(x, a: float, p: TheoryParams, nu: float):
     """The scale-``a`` map at ``x`` (a float or an array).
 
     NaN where ``x`` is NaN or a*x <= c_delta_prime*nu, outside the natural
     domain.  The value is below 1 - gamma, with equality exactly at nu = 0.
     """
-    radicand = a * np.asarray(x, dtype=float) - d.c_delta_prime * d.nu
+    radicand = a * np.asarray(x, dtype=float) - p.c_delta_prime * nu
     with np.errstate(invalid="ignore", divide="ignore"):
-        value = 1.0 - p.gamma - d.c_delta * d.nu / (p.c * np.sqrt(radicand))
+        value = 1.0 - p.gamma - p.c_delta * nu / (p.c * np.sqrt(radicand))
     return np.where(radicand > 0.0, value, np.nan)[()]
 
 
-def iterate(x0, schedule, p: TheoryParams, d: DerivedConstants) -> np.ndarray:
+def iterate(x0, schedule, p: TheoryParams, nu: float) -> np.ndarray:
     """``x0`` and its images under the maps with the scale coefficients of
     ``schedule``, one row each: ``(1.0,) * L`` gives the baseline,
     ``curriculum_coefficients(p).schedule`` the easy-to-hard run before its
@@ -72,7 +73,7 @@ def iterate(x0, schedule, p: TheoryParams, d: DerivedConstants) -> np.ndarray:
     values = np.empty((len(schedule) + 1,) + x0.shape)
     values[0] = x0
     for t, a in enumerate(schedule):
-        values[t + 1] = step(values[t], a, p, d)
+        values[t + 1] = step(values[t], a, p, nu)
     return values
 
 

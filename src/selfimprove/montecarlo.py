@@ -24,8 +24,12 @@ import numpy as np
 from .cubic import Interval
 from .dynamics import curriculum_coefficients, increasing, iterate
 from .errors import BracketError, DomainError, ParameterError
-from .params import DerivedConstants, TheoryParams, derive_constants
+from .params import TheoryParams
 from .regions import feasibility_interval, improvement_threshold
+
+# Largest grid a caller may ask for: the x0 grid here, and the command
+# line's budget curve and beta grid.
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,9 @@ class ScanConfig:
         for grid, label in ((self.vary_values, "vary_values"), (self.nu_values, "nu_values")):
             if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ParameterError(f"{label} must be non-empty and strictly increasing")
-        if not 2 <= self.x0_points <= 10**6:
+        if not all(0.0 <= nu < math.inf for nu in self.nu_values):
+            raise ParameterError("nu_values must be non-negative and finite")
+        if not 2 <= self.x0_points <= MAX_GRID_POINTS:
             raise ParameterError("x0_points must lie in [2, 10^6]")
 
     def betas(self, value: float) -> tuple[float, float]:
@@ -90,25 +96,23 @@ def x0_grid(p: TheoryParams, points: int) -> np.ndarray:
     return (np.arange(points) + 0.5) * cell
 
 
-def classify_feasible(grid: np.ndarray, p: TheoryParams,
-                      d: DerivedConstants) -> np.ndarray:
+def classify_feasible(grid: np.ndarray, p: TheoryParams, nu: float) -> np.ndarray:
     """Start points whose baseline and easy-to-hard sequences are strictly
     increasing (plateau-tolerant) and in-domain at every step.
 
     The easy-to-hard monotonicity is monitored from the first image on,
     matching the sequence the guarantee is stated for.
     """
-    return (increasing(iterate(grid, (1.0,) * p.L, p, d))
-            & increasing(iterate(grid, curriculum_coefficients(p).schedule, p, d)[1:]))
+    return (increasing(iterate(grid, (1.0,) * p.L, p, nu))
+            & increasing(iterate(grid, curriculum_coefficients(p).schedule, p, nu)[1:]))
 
 
-def classify_improvement(grid: np.ndarray, p: TheoryParams,
-                         d: DerivedConstants) -> np.ndarray:
+def classify_improvement(grid: np.ndarray, p: TheoryParams, nu: float) -> np.ndarray:
     """Start points where the easy-to-hard final value (with the final
     rescale) strictly exceeds the baseline final value, both in-domain."""
     coeffs = curriculum_coefficients(p)
-    curriculum = coeffs.final * iterate(grid, coeffs.schedule, p, d)[-1]
-    return curriculum > iterate(grid, (1.0,) * p.L, p, d)[-1]
+    curriculum = coeffs.final * iterate(grid, coeffs.schedule, p, nu)[-1]
+    return curriculum > iterate(grid, (1.0,) * p.L, p, nu)[-1]
 
 
 def measured_interval(grid: np.ndarray, flags: np.ndarray,
@@ -133,11 +137,11 @@ def measured_interval(grid: np.ndarray, flags: np.ndarray,
     return lo, hi, hi - lo
 
 
-def _analytic_interval(kind: str, p: TheoryParams, d: DerivedConstants) -> Interval:
+def _analytic_interval(kind: str, p: TheoryParams, nu: float) -> Interval:
     if kind == "feasible":
-        return feasibility_interval(p, d)
+        return feasibility_interval(p, nu)
     try:
-        threshold = improvement_threshold(d.nu, p)
+        threshold = improvement_threshold(nu, p)
     except (BracketError, DomainError):
         return Interval(math.nan, math.nan, False, "no improving initialization")
     ceiling = 1.0 - p.gamma
@@ -150,10 +154,9 @@ def _scan_cell(cfg: ScanConfig, vary_value: float, nu: float, grid: np.ndarray,
                p: TheoryParams) -> CellResult:
     beta_lo, beta_hi = cfg.betas(vary_value)
     pp = p.with_betas(beta_lo, beta_hi)
-    d = derive_constants(pp, nu=nu)
-    analytic = _analytic_interval(cfg.kind, pp, d)
+    analytic = _analytic_interval(cfg.kind, pp, nu)
     classify = classify_feasible if cfg.kind == "feasible" else classify_improvement
-    flags = classify(grid, pp, d)
+    flags = classify(grid, pp, nu)
     lo, hi, length = measured_interval(grid, flags, analytic)
 
     cell = (1.0 - p.gamma) / cfg.x0_points

@@ -1,8 +1,10 @@
 """Theory constants shared by every module.
 
-``TheoryParams`` holds the primitive scalars; ``DerivedConstants`` the three
-quantities derived from them (confidence radii and the inverse-root question
-budget).  Both are frozen value objects and safe to share across workers.
+``TheoryParams`` holds the primitive scalars and the two confidence radii
+derived from them.  It is a frozen value object, safe to share across
+workers.  The budget parameter ``nu`` is not part of it: every function that
+needs one takes it as a plain float, with ``TheoryParams.default_nu`` the
+paper's sqrt(1/n).
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ class TheoryParams:
     ``beta_lo < beta_hi`` bound the power-law difficulty ratio of adjacent
     levels; ``n``/``m`` are the per-iteration question and answer budgets;
     ``L`` is the number of difficulty levels.
+
+    The confidence radii ``c_delta`` and ``c_delta_prime`` are set once on
+    construction as plain attributes, not fields, so ``asdict``, equality
+    and hashing see only the eleven fields.
     """
 
     c: float = 0.9
@@ -68,35 +74,17 @@ class TheoryParams:
         # The curriculum divides by t^(-beta_hi), t < L, which must not underflow.
         if not self.L ** -self.beta_hi > 0.0:
             raise ParameterError("beta_hi too large: L^(-beta_hi) underflows to zero")
+        object.__setattr__(self, "c_delta", math.sqrt(2.0 * math.log(self.pi_size / self.delta)))
+        object.__setattr__(self, "c_delta_prime",
+                           math.sqrt(math.log(1.0 / self.delta_prime) / 2.0))
+
+    @property
+    def default_nu(self) -> float:
+        """The budget parameter sqrt(1/n) used when none is given."""
+        return math.sqrt(1.0 / self.n)
 
     def with_betas(self, beta_lo: float, beta_hi: float) -> "TheoryParams":
         return replace(self, beta_lo=beta_lo, beta_hi=beta_hi)
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Confidence radii and budget parameter derived from ``TheoryParams``."""
-
-    c_delta: float
-    c_delta_prime: float
-    nu: float
-
-
-def derive_constants(p: TheoryParams, nu: float | None = None) -> DerivedConstants:
-    """Compute the derived constants; ``nu`` overrides sqrt(1/n) when given.
-
-    The override exists because parameter scans sweep the budget parameter as
-    a continuous axis instead of re-deriving it from an integer ``n``.
-    """
-    if nu is None:
-        nu = math.sqrt(1.0 / p.n)
-    elif not 0.0 <= nu < math.inf:
-        raise ParameterError(f"nu must be non-negative and finite, got {nu!r}")
-    return DerivedConstants(
-        c_delta=math.sqrt(2.0 * math.log(p.pi_size / p.delta)),
-        c_delta_prime=math.sqrt(math.log(1.0 / p.delta_prime) / 2.0),
-        nu=float(nu),
-    )
 
 
 def load_config(path: str) -> tuple[TheoryParams, float | None, frozenset[str]]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .cubic import Interval, invariant_interval
 from .dynamics import CurriculumCoefficients, curriculum_coefficients
 from .errors import BracketError, DomainError, ParameterError
-from .params import DerivedConstants, TheoryParams, derive_constants
+from .params import TheoryParams
 
 BISECT_TOL = 1e-12
 _SERIES_GUARD = 1e-10
@@ -34,28 +34,23 @@ _SERIES_GUARD = 1e-10
 class BoundProblem:
     """The error functional of one parameter set, built once from ``p``.
 
-    The betas enter only through ``p``: the curriculum coefficients and the
-    confidence radii are computed here, and every method evaluates at a
-    budget ``nu`` and an initialization ``x0`` (``None`` is the
+    The betas and the confidence radii enter only through ``p``; the
+    curriculum coefficients are computed here, and every method evaluates at
+    a budget ``nu`` and an initialization ``x0`` (``None`` is the
     large-initialization limit, where the residual term vanishes).  A
     violated positivity condition raises ``DomainError`` naming it.
     """
 
     p: TheoryParams
     coeffs: CurriculumCoefficients = field(init=False)
-    c_delta: float = field(init=False)
-    c_delta_prime: float = field(init=False)
 
     def __post_init__(self) -> None:
-        d = derive_constants(self.p)
         object.__setattr__(self, "coeffs", curriculum_coefficients(self.p))
-        object.__setattr__(self, "c_delta", d.c_delta)
-        object.__setattr__(self, "c_delta_prime", d.c_delta_prime)
 
     def baseline(self, nu: float) -> float:
         """The baseline accumulated-error term alone; strictly increasing in nu."""
-        p, cd = self.p, self.c_delta
-        base_inner = 1.0 - p.gamma - self.c_delta_prime * nu
+        p, cd = self.p, self.p.c_delta
+        base_inner = 1.0 - p.gamma - p.c_delta_prime * nu
         if base_inner <= 0.0:
             raise DomainError("radicand 1 - gamma - c_delta_prime*nu must be positive")
         q = cd * nu / (2.0 * p.c * base_inner ** 1.5)
@@ -67,8 +62,9 @@ class BoundProblem:
         (baseline, hard-level, tail) of the functional."""
         if nu < 0.0:
             raise DomainError("nu must be non-negative")
-        c, gamma, L, beta_hi = self.p.c, self.p.gamma, self.p.L, self.p.beta_hi
-        cd, cdp = self.c_delta, self.c_delta_prime
+        p = self.p
+        c, gamma, L, beta_hi = p.c, p.gamma, p.L, p.beta_hi
+        cd, cdp = p.c_delta, p.c_delta_prime
         hard = 2.0 ** (-beta_hi)
 
         term_baseline = self.baseline(nu)
@@ -171,7 +167,7 @@ def _root_in_nu(holds, what: str) -> float:
 # Validity regimes
 # ---------------------------------------------------------------------------
 
-def validate_domain(p: TheoryParams, d: DerivedConstants) -> dict[str, str | None]:
+def validate_domain(p: TheoryParams, nu: float) -> dict[str, str | None]:
     """Per downstream computation, the first violation of its regime, or
     ``None`` where it holds.
 
@@ -182,10 +178,10 @@ def validate_domain(p: TheoryParams, d: DerivedConstants) -> dict[str, str | Non
     its large-initialization limit (the improvement margin's too) raises
     ``DomainError``.  Never raises for a regime violation.
     """
-    report = {f"invariant_interval_{name}": invariant_interval(a, p, d).reason
+    report = {f"invariant_interval_{name}": invariant_interval(a, p, nu).reason
               for name, a in (("baseline", 1.0), ("hard", 2.0 ** (-p.beta_hi)))}
     try:
-        BoundProblem(p).terms(d.nu)
+        BoundProblem(p).terms(nu)
         report["error_functional"] = None
     except DomainError as exc:
         report["error_functional"] = str(exc)
@@ -196,12 +192,12 @@ def validate_domain(p: TheoryParams, d: DerivedConstants) -> dict[str, str | Non
 # Regions and thresholds
 # ---------------------------------------------------------------------------
 
-def feasibility_interval(p: TheoryParams, d: DerivedConstants) -> Interval:
+def feasibility_interval(p: TheoryParams, nu: float) -> Interval:
     """Initialization interval on which both bound sequences are guaranteed
     monotone: the hardest-level invariant interval with its upper endpoint
     pulled back through the first curriculum step."""
     hard = 2.0 ** (-p.beta_hi)
-    inner = invariant_interval(hard, p, d)
+    inner = invariant_interval(hard, p, nu)
     if not inner.valid:
         return inner
     first = curriculum_coefficients(p).first
@@ -227,7 +223,7 @@ def improvement_threshold(nu: float, p: TheoryParams) -> float:
 
     problem = BoundProblem(p)
     # Domain edge of the first curriculum step: a0*x0 = c_delta_prime*nu.
-    edge = problem.c_delta_prime * nu / problem.coeffs.first
+    edge = p.c_delta_prime * nu / problem.coeffs.first
     start = max(edge * 2.0, edge + 1e-9, 1e-9)
     probe = _expand_until(lambda x: _improving(problem, nu, x), start)
     if probe is None:

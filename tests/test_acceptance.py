@@ -26,7 +26,6 @@ from selfimprove.montecarlo import (classify_improvement, measured_interval,
                                     x0_grid)
 
 P = si.TheoryParams()
-D = si.derive_constants(P)
 X0_REFERENCE = 0.5 * (1.0 - P.gamma)
 
 BETA_LO_GRID = np.linspace(0.05, 0.5, 20)
@@ -140,7 +139,7 @@ def test_c09_small_exponent_coefficient():
     ok = True
     for gap in (0.05, 0.1, 0.2):
         coeff = (P.c * (1 - P.gamma) ** 1.5 * log_factor
-                 / (2 * D.c_delta * (2 ** (gap / 2) - 1)))
+                 / (2 * P.c_delta * (2 ** (gap / 2) - 1)))
         coarse, fine = (si.max_improving_nu(X0_REFERENCE, P.with_betas(b, b + gap)) / b
                         for b in (1e-3, 1e-4))
         limit = (10.0 * fine - coarse) / 9.0
@@ -284,7 +283,7 @@ def test_c16_scan_agreement(panels):
             extension = max(extension, (c.analytic_lo - c.measured_lo) / cell)
             beta_lo, beta_hi = cfg.betas(c.axis1)
             pp = P.with_betas(beta_lo, beta_hi)
-            feas = si.feasibility_interval(pp, si.derive_constants(pp, nu=c.axis2))
+            feas = si.feasibility_interval(pp, c.axis2)
             lo, hi = max(c.analytic_lo, feas.lo), min(c.analytic_hi, feas.hi)
             if feas.valid and lo < hi:
                 contained += 1
@@ -335,7 +334,7 @@ def test_c17_phase_transition():
     shallow = slope_at(0.10)
     grid = x0_grid(P, 2000)
     near = 0.95 * nu_c
-    flags = classify_improvement(grid, P, si.derive_constants(P, nu=near))
+    flags = classify_improvement(grid, P, near)
     _, _, measured = measured_interval(grid, flags, None)
     analytic = analytic_length(near)
     report(17, "analytic improvement length collapses 10x faster near the "

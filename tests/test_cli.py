@@ -32,15 +32,23 @@ def test_intervals_noiseless(tmp_path, capsys):
 
 
 def test_intervals_feasibility_matches_library(tmp_path):
-    from selfimprove import TheoryParams, derive_constants, feasibility_interval
+    from selfimprove import TheoryParams, feasibility_interval
     assert run_in(tmp_path, ["intervals", "--beta", "0.4", "--beta-lo", "0.1",
                              "--nu", "0.02"]) == 0
     rows = read_rows(tmp_path / "intervals.csv")
     feas = next(r for r in rows if r["kind"] == "I_M")
     p = TheoryParams(beta_lo=0.1, beta_hi=0.4)
-    expected = feasibility_interval(p, derive_constants(p, nu=0.02))
+    expected = feasibility_interval(p, 0.02)
     assert float(feas["lo"]) == pytest.approx(expected.lo, rel=1e-12)
     assert float(feas["hi"]) == pytest.approx(expected.hi, rel=1e-12)
+
+
+def test_intervals_overflowing_scale_is_an_invalid_row(tmp_path, capsys):
+    assert run_in(tmp_path, ["intervals", "--a", "1e308", "--nu", "0.01"]) == 0
+    rows = read_rows(tmp_path / "intervals.csv")
+    base = next(r for r in rows if r["kind"] == "I")
+    assert (base["lo"], base["hi"], base["valid"]) == ("nan", "nan", "false")
+    assert capsys.readouterr().err == ""
 
 
 def test_malformed_flag_exits_2_without_files(tmp_path):
@@ -186,6 +194,10 @@ def test_verify_fast_passes(tmp_path, capsys):
     (None, ["thresholds", "--nu-c", "--x0", "0.49", "--profile", "--delta-gap", "20"]),
     ('{"beta_lo": 0.2, "beta_hi": 0.9}',
      ["simulate", "--questions", "500", "--rounds", "1", "--config", "config.json"]),
+    (None, ["intervals", "--nu", "-0.1"]),
+    ('{"nu": -0.1}', ["intervals", "--config", "config.json"]),
+    (None, ["thresholds", "--curve", "1000001"]),
+    (None, ["thresholds", "--profile", "--beta-grid", "0.01:12:1000001"]),
 ], ids=["missing-config", "malformed-json", "string-value", "bool-integer",
         "negative-seed", "zero-threads", "nan-nu", "inf-nu", "config-inf-nu",
         "nan-x0", "x0-above-ceiling", "nan-a", "inf-a", "huge-beta-hi",
@@ -195,7 +207,8 @@ def test_verify_fast_passes(tmp_path, capsys):
         "thresholds-nu", "thresholds-config-nu", "simulate-nu", "simulate-beta",
         "simulate-beta-lo", "simulate-config-nu", "regions-domain-error",
         "negative-delta-gap-after-csv", "nan-delta-gap-after-csv", "inf-delta-gap",
-        "profile-bracket-error-after-csv", "simulate-config-betas"])
+        "profile-bracket-error-after-csv", "simulate-config-betas", "negative-nu",
+        "config-negative-nu", "curve-above-bound", "beta-grid-above-bound"])
 def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, argv):
     if config is not None:
         (tmp_path / "config.json").write_text(config)

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfimprove import (DomainError, TheoryParams, cubic_roots, derive_constants,
-                         effective_sigma, exact_root_gap, gap_lower_bound,
-                         invariant_interval)
+from selfimprove import (DomainError, TheoryParams, cubic_roots, effective_sigma,
+                         exact_root_gap, gap_lower_bound, invariant_interval)
 from selfimprove.checks import last_true, oracle_cubic_roots
 from selfimprove.dynamics import step
 from selfimprove.params import SIGMA_MAX
@@ -80,33 +79,33 @@ def test_bound_never_exceeds_exact_gap(sigma):
 def test_sigma_specializes_to_baseline_form():
     # At a=1 the noise parameter is c_delta*nu / (c*(1-gamma-c_delta_prime*nu)^(3/2)).
     p = TheoryParams()
-    d = derive_constants(p, nu=0.03)
-    direct = d.c_delta * d.nu / (p.c * (1 - p.gamma - d.c_delta_prime * d.nu) ** 1.5)
-    assert effective_sigma(1.0, p, d) == pytest.approx(direct, rel=1e-14)
+    nu = 0.03
+    direct = p.c_delta * nu / (p.c * (1 - p.gamma - p.c_delta_prime * nu) ** 1.5)
+    assert effective_sigma(1.0, p, nu) == pytest.approx(direct, rel=1e-14)
 
 
 def test_sigma_zero_at_zero_budget():
     p = TheoryParams()
-    assert effective_sigma(1.0, p, derive_constants(p, nu=0.0)) == 0.0
+    assert effective_sigma(1.0, p, 0.0) == 0.0
 
 
 def test_sigma_grows_as_scale_shrinks():
     # Consistent with the interval shrinking when the task level hardens.
     p = TheoryParams()
-    d = derive_constants(p, nu=0.02)
-    sigmas = [effective_sigma(2.0 ** (-b), p, d) for b in (0.2, 0.4, 0.8)]
+    nu = 0.02
+    sigmas = [effective_sigma(2.0 ** (-b), p, nu) for b in (0.2, 0.4, 0.8)]
     assert sigmas[0] < sigmas[1] < sigmas[2]
 
 
 def test_sigma_rejects_negative_radicand():
     p = TheoryParams()
     with pytest.raises(DomainError):
-        effective_sigma(0.01, p, derive_constants(p, nu=0.1))
+        effective_sigma(0.01, p, 0.1)
 
 
 def test_interval_noiseless():
     p = TheoryParams()
-    iv = invariant_interval(0.7, p, derive_constants(p, nu=0.0))
+    iv = invariant_interval(0.7, p, 0.0)
     assert iv.valid and iv.lo == 0.0 and iv.hi == 1.0 - p.gamma
 
 
@@ -114,27 +113,26 @@ def test_interval_endpoints_are_fixed_points():
     p = TheoryParams()
     for a in (0.6, 1.0, 1.7):
         for nu in (0.01, 0.03, 0.05):
-            d = derive_constants(p, nu=nu)
-            iv = invariant_interval(a, p, d)
+            iv = invariant_interval(a, p, nu)
             if not iv.valid:
                 continue
-            assert abs(step(iv.lo, a, p, d) - iv.lo) < 1e-10
-            assert abs(step(iv.hi, a, p, d) - iv.hi) < 1e-10
+            assert abs(step(iv.lo, a, p, nu) - iv.lo) < 1e-10
+            assert abs(step(iv.hi, a, p, nu) - iv.hi) < 1e-10
 
 
 def test_interval_inclusion_in_scale():
     p = TheoryParams()
-    d = derive_constants(p, nu=0.04)
-    inner = invariant_interval(0.8, p, d)
-    outer = invariant_interval(1.3, p, d)
+    nu = 0.04
+    inner = invariant_interval(0.8, p, nu)
+    outer = invariant_interval(1.3, p, nu)
     assert outer.lo < inner.lo and inner.hi < outer.hi
 
 
 def test_interval_shrinks_with_budget_parameter():
     p = TheoryParams()
-    prev = invariant_interval(1.0, p, derive_constants(p, nu=0.01))
+    prev = invariant_interval(1.0, p, 0.01)
     for nu in (0.02, 0.04, 0.06):
-        cur = invariant_interval(1.0, p, derive_constants(p, nu=nu))
+        cur = invariant_interval(1.0, p, nu)
         assert prev.lo < cur.lo and cur.hi < prev.hi
         assert cur.length < prev.length
         prev = cur
@@ -143,34 +141,41 @@ def test_interval_shrinks_with_budget_parameter():
 def test_interval_length_matches_sine_identity():
     p = TheoryParams()
     for a, nu in ((1.0, 0.05), (0.76, 0.03), (1.5, 0.06)):
-        d = derive_constants(p, nu=nu)
-        iv = invariant_interval(a, p, d)
-        sigma = effective_sigma(a, p, d)
-        scale = 1.0 - p.gamma - d.c_delta_prime * nu / a
+        iv = invariant_interval(a, p, nu)
+        sigma = effective_sigma(a, p, nu)
+        scale = 1.0 - p.gamma - p.c_delta_prime * nu / a
         assert iv.length == pytest.approx(scale * exact_root_gap(sigma), rel=1e-12)
 
 
 def test_interval_length_lower_bound():
     p = TheoryParams()
     for a, nu in ((1.0, 0.05), (0.76, 0.03), (1.5, 0.06)):
-        d = derive_constants(p, nu=nu)
-        iv = invariant_interval(a, p, d)
-        bound = ((1.0 - p.gamma - d.c_delta_prime * nu / a)
-                 - 1.5 * math.sqrt(3.0) * d.c_delta * nu
-                 / (p.c * math.sqrt(a * (1.0 - p.gamma) - d.c_delta_prime * nu)))
+        iv = invariant_interval(a, p, nu)
+        bound = ((1.0 - p.gamma - p.c_delta_prime * nu / a)
+                 - 1.5 * math.sqrt(3.0) * p.c_delta * nu
+                 / (p.c * math.sqrt(a * (1.0 - p.gamma) - p.c_delta_prime * nu)))
         assert iv.length >= bound - 1e-12
 
 
 def test_interval_invalid_and_near_degenerate():
     p = TheoryParams()
-    broken = invariant_interval(0.02, p, derive_constants(p, nu=0.05))
+    broken = invariant_interval(0.02, p, 0.05)
     assert not broken.valid and "radicand" in broken.reason
 
     # Tune nu so sigma lands inside the near-degenerate guard band.
-    nu = last_true(lambda nu: effective_sigma(1.0, p, derive_constants(p, nu=nu))
-                   < SIGMA_MAX - 5e-9, 0.0, 0.2)
-    near = invariant_interval(1.0, p, derive_constants(p, nu=nu))
+    nu = last_true(lambda nu: effective_sigma(1.0, p, nu) < SIGMA_MAX - 5e-9, 0.0, 0.2)
+    near = invariant_interval(1.0, p, nu)
     assert not near.valid and "near-degenerate" in near.reason
+
+
+def test_overflowing_sigma_is_a_domain_error_and_an_invalid_interval():
+    # A finite but huge scale overflows a*c_delta*nu or inner^(3/2).
+    p = TheoryParams()
+    for a in (1e250, 1e308):
+        with pytest.raises(DomainError, match="overflows"):
+            effective_sigma(a, p, 0.01)
+        iv = invariant_interval(a, p, 0.01)
+        assert not iv.valid and "overflows" in iv.reason
 
 
 def test_fixed_point_stability_classification():

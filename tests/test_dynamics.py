@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfimprove import (TheoryParams, curriculum_coefficients, derive_constants,
-                         improvement_threshold, invariant_interval)
+from selfimprove import (TheoryParams, curriculum_coefficients, improvement_threshold,
+                         invariant_interval)
 from selfimprove.dynamics import PLATEAU_TOL, increasing, iterate, step
 
 # Frozen from high-precision summation: sum_{i=1..5} i^(-0.1) = 4.550881937194478
@@ -17,9 +17,9 @@ RATIO_FIRST_STEP = 0.7578582832551990  # 2^(-0.4)
 P = TheoryParams()
 
 
-def domain_lo(d):
+def domain_lo(nu):
     """Lower edge of the baseline map's natural domain."""
-    return d.c_delta_prime * d.nu
+    return P.c_delta_prime * nu
 
 
 def test_coefficients_frozen_values():
@@ -52,54 +52,54 @@ def test_coefficients_at_least_one():
 
 
 def test_eval_map_noiseless():
-    d = derive_constants(P, nu=0.0)
+    nu = 0.0
     for x in (1e-9, 0.3, 0.97):
-        assert step(x, 1.0, P, d) == 1.0 - P.gamma
-    assert np.all(step(np.array([1e-9, 0.3, 0.97]), 1.0, P, d) == 1.0 - P.gamma)
+        assert step(x, 1.0, P, nu) == 1.0 - P.gamma
+    assert np.all(step(np.array([1e-9, 0.3, 0.97]), 1.0, P, nu) == 1.0 - P.gamma)
 
 
 def test_eval_map_below_ceiling():
-    d = derive_constants(P, nu=0.02)
-    assert np.all(step(np.linspace(0.1, 0.97, 20), 1.0, P, d) < 1.0 - P.gamma)
+    nu = 0.02
+    assert np.all(step(np.linspace(0.1, 0.97, 20), 1.0, P, nu) < 1.0 - P.gamma)
 
 
 def test_eval_map_domain_error():
     # Outside the natural domain, and for NaN input, the map is NaN.
-    d = derive_constants(P, nu=0.05)
-    for x in (domain_lo(d), domain_lo(d) - 0.01, 0.0, math.nan):
-        assert math.isnan(step(x, 1.0, P, d))
-    values = step(np.array([domain_lo(d), 0.5, math.nan]), 1.0, P, d)
+    nu = 0.05
+    for x in (domain_lo(nu), domain_lo(nu) - 0.01, 0.0, math.nan):
+        assert math.isnan(step(x, 1.0, P, nu))
+    values = step(np.array([domain_lo(nu), 0.5, math.nan]), 1.0, P, nu)
     assert np.isnan(values[0]) and np.isfinite(values[1]) and np.isnan(values[2])
 
 
 def test_eval_map_diverges_at_boundary():
-    d = derive_constants(P, nu=0.05)
-    values = [step(domain_lo(d) + eps, 1.0, P, d) for eps in (1e-2, 1e-4, 1e-8, 1e-12)]
+    nu = 0.05
+    values = [step(domain_lo(nu) + eps, 1.0, P, nu) for eps in (1e-2, 1e-4, 1e-8, 1e-12)]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert values[-1] < -1e3
 
 
 def test_eval_map_fixed_point_residual():
-    d = derive_constants(P, nu=0.05)
-    iv = invariant_interval(1.0, P, d)
-    assert abs(step(iv.lo, 1.0, P, d) - iv.lo) < 1e-10
-    assert abs(step(iv.hi, 1.0, P, d) - iv.hi) < 1e-10
+    nu = 0.05
+    iv = invariant_interval(1.0, P, nu)
+    assert abs(step(iv.lo, 1.0, P, nu) - iv.lo) < 1e-10
+    assert abs(step(iv.hi, 1.0, P, nu) - iv.hi) < 1e-10
 
 
 def test_step_on_arrays_matches_scalar_calls():
-    d = derive_constants(P, nu=0.03)
+    nu = 0.03
     xs = np.linspace(0.0, 1.0, 41)
-    values = step(xs, 0.8, P, d)
+    values = step(xs, 0.8, P, nu)
     assert values.shape == xs.shape
-    assert np.array_equal(values, [step(float(x), 0.8, P, d) for x in xs], equal_nan=True)
+    assert np.array_equal(values, [step(float(x), 0.8, P, nu) for x in xs], equal_nan=True)
 
 
 @given(x=st.floats(min_value=0.15, max_value=0.97),
        bump=st.floats(min_value=1e-6, max_value=0.1))
 @settings(max_examples=200, deadline=None)
 def test_eval_map_strictly_increasing_in_x(x, bump):
-    d = derive_constants(P, nu=0.04)
-    assert step(x + bump, 1.0, P, d) > step(x, 1.0, P, d)
+    nu = 0.04
+    assert step(x + bump, 1.0, P, nu) > step(x, 1.0, P, nu)
 
 
 @given(x=st.floats(min_value=0.2, max_value=0.97),
@@ -107,8 +107,8 @@ def test_eval_map_strictly_increasing_in_x(x, bump):
        bump=st.floats(min_value=1e-5, max_value=0.02))
 @settings(max_examples=200, deadline=None)
 def test_eval_map_strictly_decreasing_in_nu(x, nu, bump):
-    lo = step(x, 1.0, P, derive_constants(P, nu=nu))
-    hi = step(x, 1.0, P, derive_constants(P, nu=nu + bump))
+    lo = step(x, 1.0, P, nu)
+    hi = step(x, 1.0, P, nu + bump)
     assert hi < lo
 
 
@@ -117,8 +117,8 @@ def test_eval_map_strictly_decreasing_in_nu(x, nu, bump):
        bump=st.floats(min_value=1e-5, max_value=0.5))
 @settings(max_examples=200, deadline=None)
 def test_eval_map_increasing_in_scale(x, a, bump):
-    d = derive_constants(P, nu=0.03)
-    assert step(x, a + bump, P, d) > step(x, a, P, d)
+    nu = 0.03
+    assert step(x, a + bump, P, nu) > step(x, a, P, nu)
 
 
 def test_increasing_plateau_and_nan_rules():
@@ -130,34 +130,34 @@ def test_increasing_plateau_and_nan_rules():
 
 
 def test_baseline_monotone_inside_interval():
-    d = derive_constants(P, nu=0.05)
-    iv = invariant_interval(1.0, P, d)
-    values = iterate(iv.lo + 0.05, (1.0,) * 15, P, d)
+    nu = 0.05
+    iv = invariant_interval(1.0, P, nu)
+    values = iterate(iv.lo + 0.05, (1.0,) * 15, P, nu)
     assert values.shape == (16,)
     assert np.all(np.diff(values) > 0.0)
     assert np.all((iv.lo < values) & (values < iv.hi + 1e-12))
 
 
 def test_baseline_constant_at_attracting_fixed_point():
-    d = derive_constants(P, nu=0.05)
-    iv = invariant_interval(1.0, P, d)
-    values = iterate(iv.hi, (1.0,) * 100, P, d)
+    nu = 0.05
+    iv = invariant_interval(1.0, P, nu)
+    values = iterate(iv.hi, (1.0,) * 100, P, nu)
     assert increasing(values)
     assert np.max(np.abs(values - iv.hi)) < 5e-13
 
 
 def test_baseline_near_constant_at_repelling_fixed_point():
     # The lower endpoint repels, so float drift grows; a short horizon stays put.
-    d = derive_constants(P, nu=0.05)
-    iv = invariant_interval(1.0, P, d)
-    values = iterate(iv.lo, (1.0,) * 5, P, d)
+    nu = 0.05
+    iv = invariant_interval(1.0, P, nu)
+    values = iterate(iv.lo, (1.0,) * 5, P, nu)
     assert np.max(np.abs(values - iv.lo)) < 1e-10
 
 
 def test_baseline_decreasing_below_interval():
-    d = derive_constants(P, nu=0.05)
-    iv = invariant_interval(1.0, P, d)
-    values = iterate(iv.lo - 1e-6, (1.0,) * 50, P, d)
+    nu = 0.05
+    iv = invariant_interval(1.0, P, nu)
+    values = iterate(iv.lo - 1e-6, (1.0,) * 50, P, nu)
     finite = values[~np.isnan(values)]
     assert np.all(np.diff(finite) < 0.0)
     assert not increasing(values)
@@ -165,8 +165,8 @@ def test_baseline_decreasing_below_interval():
 
 def test_baseline_truncates_on_domain_exit():
     # Once a value leaves the domain every later one is NaN.
-    d = derive_constants(P, nu=0.05)
-    values = iterate(domain_lo(d) + 1e-10, (1.0,) * 10, P, d)
+    nu = 0.05
+    values = iterate(domain_lo(nu) + 1e-10, (1.0,) * 10, P, nu)
     exited = np.isnan(values)
     assert exited[-1] and not exited[0]
     first = int(np.argmax(exited))
@@ -175,37 +175,37 @@ def test_baseline_truncates_on_domain_exit():
 
 
 def test_baseline_zero_steps():
-    d = derive_constants(P, nu=0.05)
-    values = iterate(0.4, (), P, d)
+    nu = 0.05
+    values = iterate(0.4, (), P, nu)
     assert values.tolist() == [0.4]
     assert increasing(values)
 
 
 def test_iterate_rows_match_per_start_iteration():
-    d = derive_constants(P, nu=0.04)
+    nu = 0.04
     starts = np.linspace(0.0, 1.0 - P.gamma, 31)
     schedule = curriculum_coefficients(P).schedule
-    rows = iterate(starts, schedule, P, d)
+    rows = iterate(starts, schedule, P, nu)
     assert rows.shape == (P.L + 1, starts.size)
     for j, x0 in enumerate(starts):
-        assert np.array_equal(rows[:, j], iterate(float(x0), schedule, P, d), equal_nan=True)
+        assert np.array_equal(rows[:, j], iterate(float(x0), schedule, P, nu), equal_nan=True)
     assert np.array_equal(increasing(rows),
                           [increasing(rows[:, j]) for j in range(starts.size)])
 
 
 def test_curriculum_noiseless():
-    d = derive_constants(P, nu=0.0)
+    nu = 0.0
     co = curriculum_coefficients(P)
     ceiling = 1.0 - P.gamma
-    values = iterate(0.3, co.schedule, P, d)
+    values = iterate(0.3, co.schedule, P, nu)
     assert values[1:].tolist() == [ceiling] * P.L
 
 
 def test_curriculum_noiseless_flat_exponent():
     p = TheoryParams(beta_lo=1e-13, beta_hi=0.4)
-    d = derive_constants(p, nu=0.0)
+    nu = 0.0
     co = curriculum_coefficients(p)
-    final = co.final * iterate(0.3, co.schedule, p, d)[-1]
+    final = co.final * iterate(0.3, co.schedule, p, nu)[-1]
     assert final == pytest.approx(1.0 - p.gamma, abs=1e-11)
 
 
@@ -213,16 +213,16 @@ def test_curriculum_monitoring_skips_initialization_step():
     # Noiseless map sends everything to the ceiling, so a start above it
     # drops at step 0; the monitored sequence begins at the first image and
     # must stay classified as non-decreasing.
-    d = derive_constants(P, nu=0.0)
-    values = iterate(0.99, curriculum_coefficients(P).schedule, P, d)
+    nu = 0.0
+    values = iterate(0.99, curriculum_coefficients(P).schedule, P, nu)
     assert values[1] < values[0]
     assert not increasing(values)
     assert increasing(values[1:])
 
 
 def test_curriculum_prefix_counts_interior_steps():
-    d = derive_constants(P, nu=0.01)
-    values = iterate(0.4, curriculum_coefficients(P).schedule, P, d)
+    nu = 0.01
+    values = iterate(0.4, curriculum_coefficients(P).schedule, P, nu)
     assert values.shape == (P.L + 1,)
     assert not np.isnan(values).any()
     assert np.all(np.diff(values[1:]) > 0.0)
@@ -230,12 +230,12 @@ def test_curriculum_prefix_counts_interior_steps():
 
 
 def test_curriculum_beats_baseline_inside_improvement_region():
-    d = derive_constants(P, nu=0.01)
+    nu = 0.01
     co = curriculum_coefficients(P)
-    threshold = improvement_threshold(d.nu, P)
+    threshold = improvement_threshold(nu, P)
     starts = np.linspace(threshold + 1e-3, 1.0 - P.gamma - 1e-3, 25)
-    curriculum = iterate(starts, co.schedule, P, d)
-    baseline = iterate(starts, (1.0,) * P.L, P, d)
+    curriculum = iterate(starts, co.schedule, P, nu)
+    baseline = iterate(starts, (1.0,) * P.L, P, nu)
     assert not (np.isnan(curriculum).any() or np.isnan(baseline).any())
     assert np.all(co.final * curriculum[-1] > baseline[-1])
 
@@ -244,13 +244,13 @@ def test_final_rescale_can_exceed_ceiling():
     # The rescale is a change of evaluation distribution; values above the
     # map ceiling are reported, not clipped.
     p = TheoryParams(beta_lo=3.0, beta_hi=3.5)
-    d = derive_constants(p, nu=0.0)
+    nu = 0.0
     co = curriculum_coefficients(p)
-    assert co.final * iterate(0.5, co.schedule, p, d)[-1] > 1.0
+    assert co.final * iterate(0.5, co.schedule, p, nu)[-1] > 1.0
 
 
 def test_trajectory_reproducible():
-    d = derive_constants(P, nu=0.03)
-    first = iterate(0.37, (1.0,) * 60, P, d)
-    second = iterate(0.37, (1.0,) * 60, P, d)
+    nu = 0.03
+    first = iterate(0.37, (1.0,) * 60, P, nu)
+    second = iterate(0.37, (1.0,) * 60, P, nu)
     assert first.tobytes() == second.tobytes()

@@ -5,7 +5,8 @@ REMOVED = ("error_functional_limit", "improvement_margin_limit",
            "MapSpec", "map_spec", "eval_map", "Trajectory", "iterate_baseline",
            "iterate_curriculum", "write_trajectory_csv", "ThresholdCurve",
            "error_functional", "improvement_margin", "baseline_error_term",
-           "ScanResult", "ValidityReport", "write_panel_csv", "write_simulation_csv")
+           "ScanResult", "ValidityReport", "write_panel_csv", "write_simulation_csv",
+           "DerivedConstants", "derive_constants")
 
 
 def test_every_export_resolves_once():

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from selfimprove import (ParameterError, ScanConfig, TheoryParams,
-                         curriculum_coefficients, derive_constants,
+from selfimprove import (ParameterError, ScanConfig, TheoryParams, curriculum_coefficients,
                          feasibility_interval, improvement_threshold, run_scan, x0_grid)
 from selfimprove.cubic import Interval
 from selfimprove.dynamics import PLATEAU_TOL
@@ -37,6 +36,10 @@ def test_config_validation():
                        fixed_value=0.1, nu_values=(0.01,), x0_points=points)
     assert ScanConfig(kind="feasible", vary="beta_hi", vary_values=(0.3,),
                       fixed_value=0.1, nu_values=(0.01,), x0_points=10**6).x0_points == 10**6
+    for nu in (-0.01, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="nu_values"):
+            ScanConfig(kind="feasible", vary="beta_hi", vary_values=(0.3,),
+                       fixed_value=0.1, nu_values=(nu,))
 
 
 def test_grid_spacing_matches_cell():
@@ -51,10 +54,9 @@ def test_scan_deterministic_across_threads():
 
 
 def test_noiseless_column_spans_feasibility_interval():
-    d0 = derive_constants(P, nu=0.0)
     grid = x0_grid(P, 1000)
-    flags = classify_feasible(grid, P, d0)
-    region = feasibility_interval(P, d0)
+    flags = classify_feasible(grid, P, 0.0)
+    region = feasibility_interval(P, 0.0)
     inside = (grid > region.lo) & (grid < region.hi)
     assert flags[inside].all()
 
@@ -64,10 +66,9 @@ def test_measured_contains_analytic_feasible():
     grid = x0_grid(P, points)
     cell = (1 - P.gamma) / points
     for nu in (0.005, 0.015, 0.03):
-        d = derive_constants(P, nu=nu)
-        region = feasibility_interval(P, d)
+        region = feasibility_interval(P, nu)
         assert region.valid
-        flags = classify_feasible(grid, P, d)
+        flags = classify_feasible(grid, P, nu)
         inside = (grid > region.lo + cell) & (grid < region.hi - cell)
         assert flags[inside].all()
 
@@ -78,9 +79,8 @@ def test_measured_feasible_upper_endpoint_matches_analytic():
     grid = x0_grid(P, points)
     cell = (1 - P.gamma) / points
     for nu in (0.01, 0.025):
-        d = derive_constants(P, nu=nu)
-        region = feasibility_interval(P, d)
-        flags = classify_feasible(grid, P, d)
+        region = feasibility_interval(P, nu)
+        flags = classify_feasible(grid, P, nu)
         _, hi, _ = measured_interval(grid, flags, region)
         assert abs(hi - region.hi) <= cell + 1e-12
 
@@ -90,10 +90,9 @@ def test_measured_contains_improvement_region():
     grid = x0_grid(P, points)
     cell = (1 - P.gamma) / points
     for nu in (0.004, 0.01, 0.018):
-        d = derive_constants(P, nu=nu)
         threshold = improvement_threshold(nu, P)
-        feas = feasibility_interval(P, d)
-        flags = classify_improvement(grid, P, d)
+        feas = feasibility_interval(P, nu)
+        flags = classify_improvement(grid, P, nu)
         lo = max(threshold, feas.lo)
         hi = min(1 - P.gamma, feas.hi)
         inside = (grid > lo + cell) & (grid < hi - cell)
@@ -103,8 +102,7 @@ def test_measured_contains_improvement_region():
 def test_improvement_small_budget_spans_nearly_everything():
     points = 2000
     grid = x0_grid(P, points)
-    d = derive_constants(P, nu=0.002)
-    flags = classify_improvement(grid, P, d)
+    flags = classify_improvement(grid, P, 0.002)
     lo, hi, length = measured_interval(grid, flags, None)
     assert hi == pytest.approx(grid[-1])
     assert lo < 0.01
@@ -189,15 +187,15 @@ def test_measured_interval_matches_plain_loop(flags, mid, valid):
     assert np.array_equal(got, want, equal_nan=True)
 
 
-def loop_run(x0, schedule, p, d):
+def loop_run(x0, schedule, p, nu):
     """Plain-loop reference: ``x0`` and its images, or None once the map
     leaves its domain."""
     values = [x0]
     for a in schedule:
-        radicand = a * values[-1] - d.c_delta_prime * d.nu
+        radicand = a * values[-1] - p.c_delta_prime * nu
         if not radicand > 0.0:
             return None
-        values.append(1.0 - p.gamma - d.c_delta * d.nu / (p.c * math.sqrt(radicand)))
+        values.append(1.0 - p.gamma - p.c_delta * nu / (p.c * math.sqrt(radicand)))
     return values
 
 
@@ -214,27 +212,26 @@ def loop_rises(values):
 @settings(max_examples=60, deadline=None)
 def test_classifiers_match_plain_loop(beta_lo, gap, nu, levels):
     p = TheoryParams(L=levels, beta_lo=beta_lo, beta_hi=beta_lo + gap)
-    d = derive_constants(p, nu=nu)
     co = curriculum_coefficients(p)
     grid = x0_grid(p, 300)
     feasible, improving = [], []
     for x0 in grid.tolist():
-        base = loop_run(x0, (1.0,) * p.L, p, d)
-        cur = loop_run(x0, co.schedule, p, d)
+        base = loop_run(x0, (1.0,) * p.L, p, nu)
+        cur = loop_run(x0, co.schedule, p, nu)
         alive = base is not None and cur is not None
         # The easy-to-hard sequence is monitored from its first image on.
         feasible.append(alive and loop_rises(base) and loop_rises(cur[1:]))
         improving.append(alive and co.final * cur[-1] > base[-1])
-    assert classify_feasible(grid, p, d).tolist() == feasible
-    assert classify_improvement(grid, p, d).tolist() == improving
+    assert classify_feasible(grid, p, nu).tolist() == feasible
+    assert classify_improvement(grid, p, nu).tolist() == improving
 
 
 def test_grid_refinement_first_order():
-    d = derive_constants(P, nu=0.012)
+    nu = 0.012
 
     def lower(points):
         grid = x0_grid(P, points)
-        lo, _, _ = measured_interval(grid, classify_feasible(grid, P, d), None)
+        lo, _, _ = measured_interval(grid, classify_feasible(grid, P, nu), None)
         return lo
 
     reference = lower(32000)

@@ -1,50 +1,82 @@
 import json
 import math
+from dataclasses import asdict, replace
 
 import pytest
 
 from selfimprove import (BoundProblem, DomainError, ParameterError, TheoryParams,
-                         derive_constants, effective_sigma, invariant_interval,
-                         load_config, validate_domain)
+                         effective_sigma, invariant_interval, load_config,
+                         validate_domain)
 from selfimprove.checks import last_true
+from selfimprove.cli import _resolve_params, build_parser
 from selfimprove.params import SIGMA_MAX
 
 # sqrt(2*ln(20000)) at high precision
 C_DELTA_DEFAULT = 4.450502792390120
+FIELDS = ("c", "gamma", "delta", "delta_prime", "pi_size", "tau", "n", "m", "L",
+          "beta_lo", "beta_hi")
 
 
-def test_derive_constants_default():
-    d = derive_constants(TheoryParams(pi_size=1000, delta=0.05))
-    assert d.c_delta == pytest.approx(C_DELTA_DEFAULT, abs=1e-12)
+def radii(p):
+    """The closed forms of the two confidence radii."""
+    return (math.sqrt(2.0 * math.log(p.pi_size / p.delta)),
+            math.sqrt(math.log(1.0 / p.delta_prime) / 2.0))
+
+
+def test_c_delta_default():
+    assert TheoryParams(pi_size=1000, delta=0.05).c_delta == pytest.approx(
+        C_DELTA_DEFAULT, abs=1e-12)
 
 
 def test_delta_prime_one_gives_zero_radius():
-    d = derive_constants(TheoryParams(delta_prime=1.0))
-    assert d.c_delta_prime == 0.0
+    assert TheoryParams(delta_prime=1.0).c_delta_prime == 0.0
 
 
 def test_single_question_budget():
-    d = derive_constants(TheoryParams(n=1))
-    assert d.nu == 1.0
+    assert TheoryParams(n=1).default_nu == 1.0
 
 
 def test_nu_squared_times_n_is_one():
     for n in (1, 7, 2000, 10_000):
-        p = TheoryParams(n=n)
-        d = derive_constants(p)
-        assert d.nu * d.nu * n == pytest.approx(1.0, abs=1e-12)
+        nu = TheoryParams(n=n).default_nu
+        assert nu * nu * n == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nu_override_wins():
-    d = derive_constants(TheoryParams(n=2000), nu=0.125)
-    assert d.nu == 0.125
+    args = build_parser().parse_args(["intervals", "--nu", "0.125"])
+    params, nu_override, nu = _resolve_params(args)
+    assert params.n == 2000 and nu_override == 0.125 and nu == 0.125
+    args = build_parser().parse_args(["intervals"])
+    assert _resolve_params(args) == (TheoryParams(), None, TheoryParams().default_nu)
 
 
 def test_monotone_in_class_size_and_confidence():
-    base = derive_constants(TheoryParams())
-    assert derive_constants(TheoryParams(pi_size=100_000)).c_delta > base.c_delta
-    assert derive_constants(TheoryParams(delta=0.001)).c_delta > base.c_delta
-    assert derive_constants(TheoryParams(n=100_000)).nu < base.nu
+    base = TheoryParams()
+    assert TheoryParams(pi_size=100_000).c_delta > base.c_delta
+    assert TheoryParams(delta=0.001).c_delta > base.c_delta
+    assert TheoryParams(n=100_000).default_nu < base.default_nu
+
+
+def test_radii_are_attributes_not_fields():
+    p = TheoryParams()
+    assert tuple(asdict(p)) == FIELDS
+    assert (p.c_delta, p.c_delta_prime) == radii(p)
+    assert "c_delta" not in repr(p)
+
+
+def test_radii_follow_replace_and_with_betas():
+    p = TheoryParams()
+    tighter = replace(p, delta=0.01, delta_prime=0.2)
+    assert (tighter.c_delta, tighter.c_delta_prime) == radii(tighter)
+    assert tighter.c_delta > p.c_delta and tighter.c_delta_prime < p.c_delta_prime
+    moved = tighter.with_betas(0.2, 0.9)
+    assert (moved.c_delta, moved.c_delta_prime) == radii(moved) == radii(tighter)
+
+
+def test_equal_params_stay_equal_and_hash_alike():
+    p, q = TheoryParams(), replace(TheoryParams(delta=0.01), delta=0.05)
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert TheoryParams(delta=0.01) != p
 
 
 @pytest.mark.parametrize("kwargs,fragment", [
@@ -69,23 +101,22 @@ def test_invalid_parameters_name_the_invariant(kwargs, fragment):
 
 def test_validate_domain_noiseless_always_valid():
     p = TheoryParams(beta_lo=1.5, beta_hi=3.0)
-    report = validate_domain(p, derive_constants(p, nu=0.0))
+    report = validate_domain(p, 0.0)
     assert report == {"invariant_interval_baseline": None,
                       "invariant_interval_hard": None, "error_functional": None}
 
 
 def test_validate_domain_flags_fold():
     p = TheoryParams()
-    report = validate_domain(p, derive_constants(p, nu=0.12))
+    report = validate_domain(p, 0.12)
     assert "sqrt(4/27)" in report["invariant_interval_baseline"]
 
 
 def test_validate_domain_flags_hard_radicand():
     # 2^(-beta_hi)*(1-gamma) <= c_delta_prime*nu breaks the curriculum maps
     p = TheoryParams(beta_hi=6.0, beta_lo=0.1)
-    d = derive_constants(p, nu=0.02)
-    assert 2.0 ** (-p.beta_hi) * (1 - p.gamma) <= d.c_delta_prime * d.nu
-    report = validate_domain(p, d)
+    assert 2.0 ** (-p.beta_hi) * (1 - p.gamma) <= p.c_delta_prime * 0.02
+    report = validate_domain(p, 0.02)
     assert report["invariant_interval_hard"] is not None
     assert report["error_functional"] is not None
 
@@ -98,7 +129,7 @@ def test_validate_domain_is_the_computations_verdict():
 
     def sigma_below(nu: float) -> bool:
         try:
-            sigma = effective_sigma(1.0, p, derive_constants(p, nu=nu))
+            sigma = effective_sigma(1.0, p, nu)
         except DomainError:
             return False
         return sigma < SIGMA_MAX - 1e-10
@@ -113,11 +144,10 @@ def test_validate_domain_is_the_computations_verdict():
     for holds in (sigma_below, functional_defined):
         edge = last_true(holds, 0.0, 1.0)
         for nu in (edge, math.nextafter(edge, 1.0)):
-            d = derive_constants(p, nu=nu)
-            report = validate_domain(p, d)
+            report = validate_domain(p, nu)
             for name, a in (("baseline", 1.0), ("hard", 2.0 ** -p.beta_hi)):
                 assert ((report[f"invariant_interval_{name}"] is None)
-                        == invariant_interval(a, p, d).valid), (holds.__name__, nu, name)
+                        == invariant_interval(a, p, nu).valid), (holds.__name__, nu, name)
             assert (report["error_functional"] is None) == functional_defined(nu)
 
 
@@ -141,8 +171,7 @@ def test_load_config_nu_wins_with_warning(tmp_path):
     path.write_text(json.dumps({"n": 100, "nu": 0.25}))
     with pytest.warns(UserWarning, match="nu wins"):
         p, nu, keys = load_config(str(path))
-    assert nu == 0.25 and keys == {"n", "nu"}
-    assert derive_constants(p, nu=nu).nu == 0.25
+    assert p.n == 100 and nu == 0.25 and keys == {"n", "nu"}
 
 
 def test_load_config_rejects_fractional_integers(tmp_path):
@@ -160,14 +189,9 @@ def test_params_are_immutable():
 
 def test_nu_zero_behaves_like_infinite_budget():
     p = TheoryParams()
-    d = derive_constants(p, nu=0.0)
-    assert d.nu == 0.0
-    assert math.isfinite(d.c_delta)
-
-
-def test_negative_nu_override_rejected():
-    with pytest.raises(ParameterError, match="non-negative"):
-        derive_constants(TheoryParams(), nu=-0.1)
+    assert math.isfinite(p.c_delta)
+    iv = invariant_interval(1.0, p, 0.0)
+    assert (iv.lo, iv.hi, iv.valid) == (0.0, 1.0 - p.gamma, True)
 
 
 def test_load_config_rejects_non_object(tmp_path):

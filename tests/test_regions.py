@@ -7,13 +7,11 @@ from selfimprove import (BoundProblem, BracketError, DomainError, ParameterError
                          TheoryParams, baseline_half_error_budget,
                          coefficient_growth_ratio, collapse_budget,
                          conditional_mean_check, curriculum_coefficients,
-                         derive_constants, feasibility_interval,
-                         improvement_threshold, invariant_interval, max_improving_nu,
-                         max_improving_nu_profile, threshold_curve)
+                         feasibility_interval, improvement_threshold, invariant_interval,
+                         max_improving_nu, max_improving_nu_profile, threshold_curve)
 from selfimprove import regions
 
 P = TheoryParams()
-D = derive_constants(P)
 PROBLEM = BoundProblem(P)
 RNG = np.random.default_rng(11)
 
@@ -116,43 +114,41 @@ def test_solvers_build_the_problem_once(monkeypatch):
 
 
 def test_feasibility_interval_noiseless():
-    d0 = derive_constants(P, nu=0.0)
-    region = feasibility_interval(P, d0)
+    region = feasibility_interval(P, 0.0)
     first = curriculum_coefficients(P).first
     assert region.valid and region.lo == 0.0
     assert region.hi == pytest.approx(2 ** (-P.beta_hi) * (1 - P.gamma) / first, rel=1e-14)
 
 
 def test_feasibility_interval_endpoints():
-    d = derive_constants(P, nu=0.02)
-    region = feasibility_interval(P, d)
-    hard = invariant_interval(2 ** (-P.beta_hi), P, d)
+    nu = 0.02
+    region = feasibility_interval(P, nu)
+    hard = invariant_interval(2 ** (-P.beta_hi), P, nu)
     first = curriculum_coefficients(P).first
     assert region.lo == hard.lo
     assert region.hi == pytest.approx(2 ** (-P.beta_hi) / first * hard.hi, rel=1e-14)
 
 
 def test_feasibility_shrinkage_two_sided_bound():
-    base = feasibility_interval(P, derive_constants(P, nu=0.0))
+    base = feasibility_interval(P, 0.0)
     for nu in np.linspace(0.003, 0.035, 12):
-        d = derive_constants(P, nu=float(nu))
-        region = feasibility_interval(P, d)
+        region = feasibility_interval(P, nu)
         assert region.valid
         shrink = base.length - region.length
-        lo_bound = 2 ** P.beta_hi * d.c_delta_prime * nu
-        inner = 2 ** (-P.beta_hi) * (1 - P.gamma) - d.c_delta_prime * nu
-        hi_bound = lo_bound + 1.5 * math.sqrt(3) * d.c_delta * nu / (P.c * math.sqrt(inner))
+        lo_bound = 2 ** P.beta_hi * P.c_delta_prime * nu
+        inner = 2 ** (-P.beta_hi) * (1 - P.gamma) - P.c_delta_prime * nu
+        hi_bound = lo_bound + 1.5 * math.sqrt(3) * P.c_delta * nu / (P.c * math.sqrt(inner))
         assert lo_bound - 1e-12 <= shrink <= hi_bound + 1e-12
 
 
 def test_feasibility_length_decreasing_in_budget_parameter():
-    lengths = [feasibility_interval(P, derive_constants(P, nu=float(nu))).length
+    lengths = [feasibility_interval(P, nu).length
                for nu in np.linspace(0.0, 0.04, 15)]
     assert all(b < a for a, b in zip(lengths, lengths[1:]))
 
 
 def test_feasibility_propagates_invalidity():
-    region = feasibility_interval(P, derive_constants(P, nu=0.2))
+    region = feasibility_interval(P, 0.2)
     assert not region.valid
 
 
@@ -223,9 +219,9 @@ def test_half_error_budget():
 
 def test_baseline_term_geometric_forms_agree():
     for nu in np.linspace(1e-4, 0.05, 9):
-        inner = 1 - P.gamma - D.c_delta_prime * nu
-        q = D.c_delta * nu / (2 * P.c * inner ** 1.5)
-        ratio_form = (D.c_delta * nu / (P.c * math.sqrt(inner))
+        inner = 1 - P.gamma - P.c_delta_prime * nu
+        q = P.c_delta * nu / (2 * P.c * inner ** 1.5)
+        ratio_form = (P.c_delta * nu / (P.c * math.sqrt(inner))
                       * (1 - q ** (P.L - 1)) / (1 - q))
         assert PROBLEM.baseline(float(nu)) == pytest.approx(ratio_form, rel=1e-12)
 
@@ -266,7 +262,7 @@ def test_small_exponent_linear_coefficient():
     assert log_factor == pytest.approx(0.6519395638776911, abs=1e-12)
     gap = 0.1
     coeff = (P.c * (1 - P.gamma) ** 1.5 * log_factor
-             / (2 * D.c_delta * (2 ** (gap / 2) - 1)))
+             / (2 * P.c_delta * (2 ** (gap / 2) - 1)))
     beta_lo = 1e-3
     star = max_improving_nu(0.5 * (1 - P.gamma), P.with_betas(beta_lo, beta_lo + gap))
     assert star / beta_lo == pytest.approx(coeff, rel=0.05)
