@@ -53,7 +53,9 @@ def effective_sigma(a: float, p: TheoryParams, nu: float) -> float:
     try:
         sigma = a * p.c_delta * nu / (p.c * inner ** 1.5)
     except OverflowError:
-        sigma = math.inf
+        # inner ** 1.5 overflows for a huge scale, yet sigma ~ nu/sqrt(a) is
+        # then tiny: divide a by inner before scaling.
+        sigma = (a / inner) * p.c_delta * nu / (p.c * math.sqrt(inner))
     if not math.isfinite(sigma):
         raise DomainError(f"sigma overflows for a={a!r}, nu={nu!r}")
     return sigma

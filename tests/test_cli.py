@@ -44,11 +44,21 @@ def test_intervals_feasibility_matches_library(tmp_path):
 
 
 def test_intervals_overflowing_scale_is_an_invalid_row(tmp_path, capsys):
-    assert run_in(tmp_path, ["intervals", "--a", "1e308", "--nu", "0.01"]) == 0
+    # a*c_delta*nu overflows; sigma is far beyond the fold either way.
+    assert run_in(tmp_path, ["intervals", "--a", "1e200", "--nu", "1e150"]) == 0
     rows = read_rows(tmp_path / "intervals.csv")
     base = next(r for r in rows if r["kind"] == "I")
     assert (base["lo"], base["hi"], base["valid"]) == ("nan", "nan", "false")
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("a", ["1e250", "1e308"])
+def test_intervals_huge_scale_is_a_valid_row(tmp_path, a):
+    # inner^(3/2) overflows, but sigma is tiny and the interval near (0, 1-gamma).
+    assert run_in(tmp_path, ["intervals", "--a", a, "--nu", "0.01"]) == 0
+    base = next(r for r in read_rows(tmp_path / "intervals.csv") if r["kind"] == "I")
+    assert base["valid"] == "true"
+    assert 0.0 < float(base["lo"]) < 1e-250 and base["hi"] == "0.98"
 
 
 def test_malformed_flag_exits_2_without_files(tmp_path):
@@ -198,6 +208,7 @@ def test_verify_fast_passes(tmp_path, capsys):
     ('{"nu": -0.1}', ["intervals", "--config", "config.json"]),
     (None, ["thresholds", "--curve", "1000001"]),
     (None, ["thresholds", "--profile", "--beta-grid", "0.01:12:1000001"]),
+    (None, ["simulate", "--questions", "100000000000", "--rounds", "1"]),
 ], ids=["missing-config", "malformed-json", "string-value", "bool-integer",
         "negative-seed", "zero-threads", "nan-nu", "inf-nu", "config-inf-nu",
         "nan-x0", "x0-above-ceiling", "nan-a", "inf-a", "huge-beta-hi",
@@ -208,7 +219,8 @@ def test_verify_fast_passes(tmp_path, capsys):
         "simulate-beta-lo", "simulate-config-nu", "regions-domain-error",
         "negative-delta-gap-after-csv", "nan-delta-gap-after-csv", "inf-delta-gap",
         "profile-bracket-error-after-csv", "simulate-config-betas", "negative-nu",
-        "config-negative-nu", "curve-above-bound", "beta-grid-above-bound"])
+        "config-negative-nu", "curve-above-bound", "beta-grid-above-bound",
+        "questions-above-bound"])
 def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, argv):
     if config is not None:
         (tmp_path / "config.json").write_text(config)

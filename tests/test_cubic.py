@@ -169,13 +169,27 @@ def test_interval_invalid_and_near_degenerate():
 
 
 def test_overflowing_sigma_is_a_domain_error_and_an_invalid_interval():
-    # A finite but huge scale overflows a*c_delta*nu or inner^(3/2).
+    # A huge budget overflows a*c_delta*nu on the regular path, and
+    # (a/inner)*c_delta*nu on the path taken when inner^(3/2) overflows.
     p = TheoryParams()
-    for a in (1e250, 1e308):
+    for a, nu in ((1e200, 1e150), (1e308, 8e307)):
         with pytest.raises(DomainError, match="overflows"):
-            effective_sigma(a, p, 0.01)
-        iv = invariant_interval(a, p, 0.01)
+            effective_sigma(a, p, nu)
+        iv = invariant_interval(a, p, nu)
         assert not iv.valid and "overflows" in iv.reason
+
+
+def test_sigma_of_a_huge_scale_is_tiny_and_its_interval_valid():
+    # For large a, sigma*sqrt(a) tends to c_delta*nu/(c*(1-gamma)^(3/2)):
+    # a = 1e200 takes the regular path, 1e250 and 1e308 overflow inner^(3/2).
+    p = TheoryParams()
+    nu = 0.01
+    limit = p.c_delta * nu / (p.c * (1.0 - p.gamma) ** 1.5)
+    for a in (1e200, 1e250, 1e308):
+        assert effective_sigma(a, p, nu) * math.sqrt(a) == pytest.approx(limit, rel=1e-12)
+        iv = invariant_interval(a, p, nu)
+        assert iv.valid and iv.lo == pytest.approx(p.c_delta_prime * nu / a, rel=1e-9)
+        assert iv.hi == pytest.approx(1.0 - p.gamma, rel=1e-12)
 
 
 def test_fixed_point_stability_classification():

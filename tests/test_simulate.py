@@ -7,6 +7,7 @@ from selfimprove import (DomainError, ParameterError, SimWorld, TheoryParams,
                          acceptance_gain_ratio, build_world,
                          mean_to_min_acceptance_ratio, multi_try_acceptance,
                          run_replications, run_selfimprove, satisfies_coupling)
+from selfimprove.simulate import MAX_QUESTIONS, _distinct, _draw_sorted, _one_round
 
 P = TheoryParams()
 
@@ -52,6 +53,11 @@ def test_build_world_infeasible_target():
         build_world(1000, 1.5, P, seed=0)
 
 
+def test_build_world_bounds_question_count_before_allocating():
+    with pytest.raises(ParameterError, match="at most"):
+        build_world(MAX_QUESTIONS + 1, 0.5, P, seed=0)
+
+
 def test_world_validation():
     with pytest.raises(ParameterError, match="probability"):
         SimWorld(weights=np.array([0.5, 0.6]), alpha=np.array([0.5, 0.5]))
@@ -59,6 +65,21 @@ def test_world_validation():
         SimWorld(weights=np.array([0.5, 0.5]), alpha=np.array([0.5, 1.5]))
     with pytest.raises(ParameterError, match="length"):
         SimWorld(weights=np.array([1.0]), alpha=np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_world_rejects_non_finite_entries(bad):
+    with pytest.raises(ParameterError, match="probability"):
+        SimWorld(weights=np.array([bad, 0.5, 0.5]), alpha=np.array([0.5, 0.5, 0.5]))
+    with pytest.raises(ParameterError, match="alpha"):
+        SimWorld(weights=np.full(3, 1 / 3), alpha=np.array([0.5, bad, 0.5]))
+
+
+def test_world_support_and_cdf():
+    world = SimWorld(weights=np.array([0.5, 0.0, 0.5]), alpha=np.array([0.6, 0.1, 0.7]))
+    assert np.array_equal(world.support, [True, False, True])
+    assert world.cdf[-1] == 1.0 and np.array_equal(world.cdf, [0.5, 0.5, 1.0])
+    assert small_world().support is True
 
 
 def test_coupling_trivial_cases():
@@ -166,7 +187,6 @@ def test_update_keeps_alpha_in_range_and_v_consistent():
     world = build_world(2000, 0.5, p, seed=3)
     current = world
     ss = np.random.SeedSequence(99)
-    from selfimprove.simulate import _one_round
     for t, child in enumerate(ss.spawn(6)):
         rng = np.random.Generator(np.random.Philox(child))
         current, record = _one_round(current, p, rng, 0, t)
@@ -231,3 +251,90 @@ def test_bound_coverage_reduced():
     coverage = sum(r.bound_satisfied for r in live) / len(live)
     assert coverage >= 0.95
 
+
+
+# ---------------------------------------------------------------------------
+# the round's shortcuts reproduce the plain computation bit for bit
+# ---------------------------------------------------------------------------
+
+def philox(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+@pytest.mark.parametrize("count", [1_000, 100_000])
+@pytest.mark.parametrize("kind", ["uniform", "dirichlet"])
+def test_sorted_draw_is_the_choice_draw_and_keeps_the_stream(count, kind):
+    weights = (np.full(count, 1.0 / count) if kind == "uniform"
+               else np.random.default_rng(count).dirichlet(np.ones(count)))
+    world = SimWorld(weights=weights, alpha=np.full(count, 0.5))
+    for seed in range(3):
+        plain, sorted_ = philox(seed), philox(seed)
+        drawn = plain.choice(count, size=2000, p=weights)
+        questions, order = _draw_sorted(world, 2000, sorted_)
+        assert np.array_equal(drawn[order], questions)
+        assert np.array_equal(np.sort(drawn), questions)
+        assert np.array_equal(plain.random(50), sorted_.random(50))
+
+
+def test_distinct_is_unique():
+    rng = np.random.default_rng(4)
+    for size in (1, 2, 1700):
+        values = np.sort(rng.integers(0, 500, size=size))
+        assert np.array_equal(_distinct(values), np.unique(values))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 64, 1024])
+def test_multi_try_acceptance_is_the_plain_formula_bit_for_bit(m):
+    alpha = np.concatenate([np.random.default_rng(m).uniform(0.0, 1.0, 10_000),
+                            [0.0, 1e-300, 1.0 - 1e-16, 1.0]])
+    expected = 1.0 - (1.0 - alpha) ** m
+    assert np.array_equal(multi_try_acceptance(alpha, m).view(np.int64),
+                          expected.view(np.int64))
+
+
+def test_successor_checks_the_updated_entries_only():
+    world = small_world(count=10)
+    alpha = world.alpha.copy()
+    alpha[[2, 5]] = [0.25, 1.0]
+    successor = world._successor(alpha, np.array([2, 5]))
+    assert successor.alpha is alpha
+    assert successor.weights is world.weights and successor.cdf is world.cdf
+    for bad in (1.5, -0.1, math.nan):
+        alpha[5] = bad
+        with pytest.raises(ParameterError, match="alpha"):
+            world._successor(alpha, np.array([2, 5]))
+
+
+def plain_round(world, p, rng):
+    """The round written out with ``rng.choice`` and ``np.unique``."""
+    accept_m = 1.0 - (1.0 - world.alpha) ** p.m
+    support = world.weights > 0.0
+    z_m = float(world.weights @ accept_m)
+    alpha_m_min = float(accept_m[support].min())
+    questions = rng.choice(len(world.weights), size=p.n, p=world.weights)
+    accepted = rng.random(p.n) < accept_m[questions]
+    n_accept = int(accepted.sum())
+    error_budget = math.sqrt(2.0 * math.log(p.pi_size / p.delta) / n_accept)
+    represented = np.unique(questions[accepted])
+    filtered = world.weights[represented] * accept_m[represented]
+    alpha = world.alpha.copy()
+    share = filtered / filtered.sum()
+    alpha[represented] = np.maximum(1e-4, 1.0 - error_budget * share)
+    return alpha, (n_accept, z_m, alpha_m_min, float(world.weights @ alpha))
+
+
+def test_round_matches_the_plain_round():
+    # Dirichlet weights with zero-weight questions exercise the support mask.
+    rng = np.random.default_rng(8)
+    weights = rng.dirichlet(np.ones(3000))
+    weights[::7] = 0.0
+    weights /= weights.sum()
+    world = SimWorld(weights=weights, alpha=rng.uniform(0.05, 1.0, 3000))
+    p = TheoryParams(n=800)
+    expected_world = world
+    for t in range(4):
+        world, record = _one_round(world, p, philox(t), 0, t)
+        alpha, expected = plain_round(expected_world, p, philox(t))
+        expected_world = SimWorld(weights=weights, alpha=alpha)
+        assert np.array_equal(world.alpha, alpha)
+        assert (record.n_accept, record.z_m, record.alpha_m_min, record.v_realized) == expected
