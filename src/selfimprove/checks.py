@@ -616,14 +616,14 @@ def check_acceptance_count_mean(fast: bool) -> CheckResult:
 def check_update_range(fast: bool) -> CheckResult:
     p = TheoryParams(n=500)
     world = simulate.build_world(1000, 0.5, p, seed=9)
-    current = world
+    alpha = world.alpha
     ss = np.random.SeedSequence(23)
     for t, child in enumerate(ss.spawn(5)):
         rng = np.random.Generator(np.random.Philox(child))
-        current, record = simulate._one_round(current, p, rng, 0, t)
-        if not ((current.alpha > 0.0).all() and (current.alpha <= 1.0).all()):
+        alpha, record = simulate._one_round(world, p, alpha, rng, 0, t)
+        if not ((alpha > 0.0).all() and (alpha <= 1.0).all()):
             return CheckResult("update-range", False, "alpha escaped (0, 1]")
-        if not record.collapsed and record.v_realized != current.expected_reward:
+        if not record.collapsed and record.v_realized != float(world.weights @ alpha):
             return CheckResult("update-range", False, "recorded V mismatch")
     return CheckResult("update-range", True, "alpha in (0,1], V consistent")
 

@@ -6,10 +6,15 @@ summaries only.  Every run writes ``manifest_<subcommand>.json`` with the
 resolved parameters, seed, outputs, version, and duration, enough to
 reproduce the output files byte for byte.
 
-Exit codes: 0 success, 1 property failure (verify), 2 usage error or any
-toolkit error (parameter, domain or bracketing), 3 any other exception (a
-fault in the program, reported as one ``error:`` line).  Parameters are
-checked here, where they enter, before any output is written.
+``main`` resolves the parameters once and hands them to ``cmd_<name>``,
+which computes everything and returns ``(exit_code, files)``; only then is
+``--out`` created and written.  So a run that fails writes nothing, not even
+the directory.
+
+Exit codes: 0 success, 1 property failure (verify, which still writes its
+manifest), 2 usage error or any toolkit error (parameter, domain or
+bracketing), 3 any other exception (a fault in the program, reported as one
+``error:`` line).
 """
 
 from __future__ import annotations
@@ -119,52 +124,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(value) for value in row] for row in rows)
-
-
-class _Run:
-    """Collects outputs and writes the manifest on close."""
-
-    def __init__(self, args, params: TheoryParams, nu_override: float | None):
-        self.args = args
-        self.params = params
-        self.nu_override = nu_override
-        self.outputs: list[str] = []
-        self.start = time.monotonic()
-        os.makedirs(args.out, exist_ok=True)
-
-    def path(self, name: str) -> str:
-        full = os.path.join(self.args.out, name)
-        self.outputs.append(full)
-        return full
-
-    def finish(self) -> None:
-        manifest = {
-            "subcommand": self.args.command,
-            "parameters": asdict(self.params),
-            "nu_override": self.nu_override,
-            "options": {k: v for k, v in vars(self.args).items()
-                        if k not in ("command", "config") and not k.startswith("_")},
-            "seed": self.args.seed,
-            "outputs": self.outputs,
-            "version": __version__,
-            "duration_seconds": time.monotonic() - self.start,
-        }
-        path = os.path.join(self.args.out, f"manifest_{self.args.command}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def cmd_intervals(args) -> int:
-    params, nu_override, nu = _resolve_params(args)
+def cmd_intervals(args, params: TheoryParams, nu: float) -> tuple[int, list]:
     if args.a is not None and not math.isfinite(args.a):
         raise ParameterError(f"--a must be finite, got {args.a!r}")
-    run = _Run(args, params, nu_override)
     rows = []
     if args.a is not None:
         iv = invariant_interval(args.a, params, nu)
@@ -177,11 +139,8 @@ def cmd_intervals(args) -> int:
         rows.append(["I_N", params.beta_hi, nu, threshold, ceiling, threshold < ceiling])
     except BracketError:
         rows.append(["I_N", params.beta_hi, nu, math.nan, math.nan, False])
-    _write_csv(run.path("intervals.csv"),
-               ["kind", "a_or_beta", "nu", "lo", "hi", "valid"], rows)
-    run.finish()
     print(f"wrote {len(rows)} interval rows (nu={nu:.6g})")
-    return 0
+    return 0, [("intervals.csv", ["kind", "a_or_beta", "nu", "lo", "hi", "valid"], rows)]
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -196,12 +155,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def cmd_thresholds(args) -> int:
-    params, nu_override, _ = _resolve_params(args)
+def cmd_thresholds(args, params: TheoryParams, nu: float) -> tuple[int, list]:
     if args.curve is not None and not 1 <= args.curve <= montecarlo.MAX_GRID_POINTS:
         raise ParameterError("--curve must lie in [1, 10^6]")
     beta_grid = _parse_grid(args.beta_grid) if args.profile else None
-    run = _Run(args, params, nu_override)
     betas = [params.beta_lo, params.beta_hi]
     rows = []
     nu_c = regions.collapse_budget(params) if args.nu_c or args.curve else None
@@ -224,87 +181,98 @@ def cmd_thresholds(args) -> int:
         files.append(("profile.csv", ["beta_lo", "nu_star", "is_argmax"],
                       [[bl, v, i == profile.argmax_index]
                        for i, (bl, v) in enumerate(profile.points)]))
-    # Written only now, so that a failing solve leaves no partial output.
-    for name, header, file_rows in files:
-        _write_csv(run.path(name), header, file_rows)
-    if args.profile:
         print(f"profile argmax at beta_lo={profile.argmax_beta_lo:.4f}, "
               f"tail slope {profile.tail_slope:.4f} per unit beta_lo")
-    run.finish()
-    print(f"wrote {len(run.outputs)} threshold file(s)")
-    return 0
+    print(f"wrote {len(files)} threshold file(s)")
+    return 0, files
 
 
-def cmd_regions(args) -> int:
-    params, nu_override, nu = _resolve_params(args)
+def cmd_regions(args, params: TheoryParams, nu: float) -> tuple[int, list]:
     regions.check_initialization(args.x0, params)
-    run = _Run(args, params, nu_override)
     problem = regions.BoundProblem(params)
     e = problem.error(nu, args.x0)
     margin = problem.margin(nu, args.x0)
-    _write_csv(run.path("regions.csv"),
-               ["beta_lo", "beta_hi", "nu", "x0", "error_functional",
-                "improvement_margin", "improving"],
-               [[params.beta_lo, params.beta_hi, nu, args.x0, e, margin, margin < 0.0]])
-    run.finish()
     print(f"margin={margin:.6g} ({'improving' if margin < 0 else 'not improving'})")
-    return 0
+    return 0, [("regions.csv",
+                ["beta_lo", "beta_hi", "nu", "x0", "error_functional",
+                 "improvement_margin", "improving"],
+                [[params.beta_lo, params.beta_hi, nu, args.x0, e, margin, margin < 0.0]])]
 
 
-def cmd_scan(args) -> int:
-    params, nu_override, _ = _resolve_params(args)
-    run = _Run(args, params, nu_override)
+def cmd_scan(args, params: TheoryParams, nu: float) -> tuple[int, list]:
     panels = montecarlo.default_panels(params)
     names = ["a", "b", "c", "d"] if args.panel == "all" else [args.panel]
+    files = []
     for name in names:
         cfg = panels[name]
         if args.x0_points != cfg.x0_points:
             cfg = montecarlo.ScanConfig(**{**asdict(cfg), "x0_points": args.x0_points})
         cells = montecarlo.run_scan(cfg, params, threads=args.threads)
-        _write_csv(run.path(f"panel_{name}.csv"),
-                   ["axis1", "axis2", "measured_len", "analytic_len", "agree"],
-                   [[c.axis1, c.axis2, c.measured_len, c.analytic_len, c.agree]
-                    for c in cells])
+        files.append((f"panel_{name}.csv",
+                      ["axis1", "axis2", "measured_len", "analytic_len", "agree"],
+                      [[c.axis1, c.axis2, c.measured_len, c.analytic_len, c.agree]
+                       for c in cells]))
         agree = sum(c.agree for c in cells)
         print(f"panel {name}: {len(cells)} cells, {agree} with endpoint-level agreement")
-    run.finish()
-    return 0
+    return 0, files
 
 
-def cmd_simulate(args) -> int:
-    params, nu_override, _ = _resolve_params(args)
-    run = _Run(args, params, nu_override)
+def cmd_simulate(args, params: TheoryParams, nu: float) -> tuple[int, list]:
     world = simulate.build_world(args.questions, args.v_target, params, seed=args.seed)
     records = simulate.run_replications(world, params, args.rounds,
                                         args.replications, seed=args.seed)
-    _write_csv(run.path("simulation.csv"),
-               ["replication", "round", "n_accept", "Z_m", "alpha_m_min", "V_realized",
-                "bound", "bound_satisfied"],
-               [[r.replication, r.round_index, r.n_accept, r.z_m, r.alpha_m_min,
-                 r.v_realized, r.bound, "skipped" if r.collapsed else r.bound_satisfied]
-                for r in records])
     live = [r for r in records if not r.collapsed]
     coverage = (sum(r.bound_satisfied for r in live) / len(live)) if live else float("nan")
-    run.finish()
     print(f"{len(records)} rounds recorded; bound coverage {coverage:.4f}")
-    return 0
+    return 0, [("simulation.csv",
+                ["replication", "round", "n_accept", "Z_m", "alpha_m_min", "V_realized",
+                 "bound", "bound_satisfied"],
+                [[r.replication, r.round_index, r.n_accept, r.z_m, r.alpha_m_min,
+                  r.v_realized, r.bound, "skipped" if r.collapsed else r.bound_satisfied]
+                 for r in records])]
 
 
-def cmd_verify(args) -> int:
-    params, nu_override, _ = _resolve_params(args)
-    run = _Run(args, params, nu_override)
+def cmd_verify(args, params: TheoryParams, nu: float) -> tuple[int, list]:
     results = checks.run_checks(fast=args.fast)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "ok " if r.passed else "FAIL"
         print(f"[{status}] {r.name:<{width}}  {r.detail}")
-    run.finish()
     failed = [r for r in results if not r.passed]
     if failed:
         print(f"first failing property: {failed[0].name}", file=sys.stderr)
-        return 1
+        return 1, []
     print(f"all {len(results)} properties hold")
-    return 0
+    return 0, []
+
+
+def _write_outputs(args, params: TheoryParams, nu_override: float | None, files,
+                   start: float) -> None:
+    """Create ``--out``, write each ``(name, header, rows)`` as a CSV file in
+    order, then the manifest: the only place the command line writes."""
+    os.makedirs(args.out, exist_ok=True)
+    outputs = []
+    for name, header, rows in files:
+        outputs.append(os.path.join(args.out, name))
+        with open(outputs[-1], "w", encoding="utf-8", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_fmt(value) for value in row] for row in rows)
+    manifest = {
+        "subcommand": args.command,
+        "parameters": asdict(params),
+        "nu_override": nu_override,
+        "options": {k: v for k, v in vars(args).items()
+                    if k not in ("command", "config") and not k.startswith("_")},
+        "seed": args.seed,
+        "outputs": outputs,
+        "version": __version__,
+        "duration_seconds": time.monotonic() - start,
+    }
+    path = os.path.join(args.out, f"manifest_{args.command}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 _COMMANDS = {
@@ -344,7 +312,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_common(args)
-        return _COMMANDS[args.command](args)
+        params, nu_override, nu = _resolve_params(args)
+        start = time.monotonic()
+        code, files = _COMMANDS[args.command](args, params, nu)
+        _write_outputs(args, params, nu_override, files, start)
+        return code
     except SelfImproveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .params import BOUNDARY_TOL, SIGMA_MAX, TheoryParams
+from .params import SIGMA_MAX, TheoryParams
 
 # Below this margin from the fold the two roots coalesce and downstream
 # monotonicity guarantees degrade; such sigma are reported invalid.
@@ -47,7 +47,7 @@ def effective_sigma(a: float, p: TheoryParams, nu: float) -> float:
     inner = a * (1.0 - p.gamma) - p.c_delta_prime * nu
     if inner <= 0.0:
         raise DomainError(
-            "a*(1-gamma) - c_delta_prime*nu must be positive "
+            "radicand a*(1-gamma) - c_delta_prime*nu must be positive "
             f"(got {inner!r} for a={a!r}, nu={nu!r})"
         )
     try:
@@ -120,9 +120,6 @@ def invariant_interval(a: float, p: TheoryParams, nu: float) -> Interval:
     if nu == 0.0:
         return Interval(0.0, 1.0 - p.gamma, True)
 
-    if a * (1.0 - p.gamma) - p.c_delta_prime * nu <= BOUNDARY_TOL:
-        return Interval(math.nan, math.nan, False,
-                        "radicand a*(1-gamma) - c_delta_prime*nu must be positive")
     try:
         sigma = effective_sigma(a, p, nu)
     except DomainError as exc:

@@ -17,9 +17,6 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ParameterError
 
-# Absolute tolerance for comparisons against domain boundaries.
-BOUNDARY_TOL = 1e-12
-
 # Fold of the conjugated cubic y*(1-y)^2 = sigma^2: two roots in (0, 1) below it.
 SIGMA_MAX = math.sqrt(4.0 / 27.0)
 

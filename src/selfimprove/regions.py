@@ -129,38 +129,36 @@ def _improving(problem: BoundProblem, nu: float, x0: float | None) -> bool:
 # Bisection on monotone predicates
 # ---------------------------------------------------------------------------
 
-def _bisect_boundary(pred_left, lo: float, hi: float) -> float:
-    """Boundary of a monotone predicate: True on [lo, boundary), False after.
+def _boundary(holds, lo: float, start: float, cap: float) -> float | None:
+    """Boundary of a monotone predicate that holds on [lo, boundary) and
+    fails after, or ``None`` when it still holds at every probe up to ``cap``.
 
-    Stops at ``BISECT_TOL`` interval width or when the midpoint can no longer
-    be distinguished from the endpoints in double precision (huge roots).
+    The bracket's upper end is the first failing probe, doubling from
+    ``start``.  Bisection stops at ``BISECT_TOL`` interval width or when the
+    midpoint can no longer be distinguished from the endpoints in double
+    precision (huge roots).
     """
+    hi = start
+    while hi <= cap and holds(hi):
+        hi *= 2.0
+    if hi > cap:
+        return None
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi or hi - lo <= BISECT_TOL:
             return mid
-        lo, hi = (mid, hi) if pred_left(mid) else (lo, mid)
-
-
-def _expand_until(pred, start: float, cap: float = 1e15):
-    """First probe >= start where ``pred`` holds, doubling from ``start``."""
-    x = start
-    while x <= cap:
-        if pred(x):
-            return x
-        x *= 2.0
-    return None
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
 
 
 def _root_in_nu(holds, what: str) -> float:
     """Boundary in nu of a predicate that holds on [0, root) and fails after:
-    checked just above zero, bracketed by geometric expansion, then bisected."""
+    checked just above zero, then bracketed from 1e-9 up to 1e6 and bisected."""
     if not holds(1e-12):
         raise BracketError(f"{what} fails already at nu ~ 0")
-    hi = _expand_until(lambda nu: not holds(nu), 1e-9, cap=1e6)
-    if hi is None:
+    root = _boundary(holds, 0.0, 1e-9, 1e6)
+    if root is None:
         raise BracketError(f"{what} still holds at nu = 1e6")
-    return _bisect_boundary(holds, 0.0, hi)
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +222,13 @@ def improvement_threshold(nu: float, p: TheoryParams) -> float:
     problem = BoundProblem(p)
     # Domain edge of the first curriculum step: a0*x0 = c_delta_prime*nu.
     edge = p.c_delta_prime * nu / problem.coeffs.first
-    start = max(edge * 2.0, edge + 1e-9, 1e-9)
-    probe = _expand_until(lambda x: _improving(problem, nu, x), start)
-    if probe is None:
+    # Not improving on (edge, threshold), improving after.
+    threshold = _boundary(lambda x: not _improving(problem, nu, x), edge,
+                          max(edge * 2.0, edge + 1e-9, 1e-9), 1e15)
+    if threshold is None:
         raise BracketError("no improving initialization: budget parameter at or beyond "
                            f"the collapse budget (nu={nu!r})")
-    # Predicate is False on (edge, threshold), True after; flip it for the
-    # shared boundary helper.
-    return _bisect_boundary(lambda x: not _improving(problem, nu, x), edge, probe)
+    return threshold
 
 
 def collapse_budget(p: TheoryParams) -> float:

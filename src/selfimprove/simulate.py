@@ -38,7 +38,7 @@ _LOW_MIN = 0.02
 _MARGIN = 0.005
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimWorld:
     """Finite question universe with acceptance probabilities.
 
@@ -51,7 +51,11 @@ class SimWorld:
     ``Generator.choice(..., p=weights)`` builds it on every call (8 bytes
     per question), and ``support``, ``True`` when every weight is positive
     and otherwise the mask of positive weights (the ``where=`` of a
-    population minimum).
+    population minimum).  Worlds compare by identity: an array field has no
+    single truth value to compare by.
+
+    A run never changes its world: ``alpha`` is the initial acceptance, and
+    each round returns the next acceptance array as a new array.
     """
 
     weights: np.ndarray   # question distribution, sums to 1
@@ -71,21 +75,6 @@ class SimWorld:
         support = self.weights > 0.0
         object.__setattr__(self, "cdf", cdf)
         object.__setattr__(self, "support", True if support.all() else support)
-
-    def _successor(self, alpha: np.ndarray, updated: np.ndarray) -> SimWorld:
-        """This world with acceptance ``alpha``, which differs only at the
-        indices ``updated``.  Only those entries are checked; the rest were
-        checked when this world was built, and ``weights``, ``cdf`` and
-        ``support`` are shared."""
-        changed = alpha[updated]
-        if not ((changed >= 0.0) & (changed <= 1.0)).all():
-            raise ParameterError("alpha must lie in [0, 1]")
-        world = object.__new__(type(self))
-        object.__setattr__(world, "weights", self.weights)
-        object.__setattr__(world, "alpha", alpha)
-        object.__setattr__(world, "cdf", self.cdf)
-        object.__setattr__(world, "support", self.support)
-        return world
 
     @property
     def expected_reward(self) -> float:
@@ -228,9 +217,13 @@ def _distinct(ascending: np.ndarray) -> np.ndarray:
     return ascending[first]
 
 
-def _one_round(world: SimWorld, p: TheoryParams, rng: np.random.Generator,
-               replication: int, round_index: int) -> tuple[SimWorld, RoundRecord]:
-    accept_m = multi_try_acceptance(world.alpha, p.m)
+def _one_round(world: SimWorld, p: TheoryParams, alpha: np.ndarray,
+               rng: np.random.Generator, replication: int,
+               round_index: int) -> tuple[np.ndarray, RoundRecord]:
+    """One round from acceptance ``alpha`` over ``world``'s questions: the
+    next acceptance array (``alpha`` itself after a collapse, otherwise a
+    new array) and the round's record."""
+    accept_m = multi_try_acceptance(alpha, p.m)
     z_m = float(world.weights @ accept_m)
     alpha_m_min = float(np.min(accept_m, where=world.support, initial=np.inf))
 
@@ -242,8 +235,8 @@ def _one_round(world: SimWorld, p: TheoryParams, rng: np.random.Generator,
 
     if n_accept == 0:
         record = RoundRecord(replication, round_index, 0, z_m, alpha_m_min,
-                             world.expected_reward, math.nan, False, collapsed=True)
-        return world, record
+                             float(world.weights @ alpha), math.nan, False, collapsed=True)
+        return alpha, record
 
     error_budget = math.sqrt(2.0 * math.log(p.pi_size / p.delta) / n_accept)
     bound = p.tau * (1.0 - (z_m / alpha_m_min) * error_budget)
@@ -252,14 +245,15 @@ def _one_round(world: SimWorld, p: TheoryParams, rng: np.random.Generator,
     filtered = world.weights[represented] * accept_m[represented]
     del accept_m  # released before the copy below, to lower the peak
     share = filtered / filtered.sum()
-    new_alpha = world.alpha.copy()
+    # Each updated entry lies in [ALPHA_FLOOR, 1]: the budget is positive and
+    # every share lies in (0, 1].
+    new_alpha = alpha.copy()
     new_alpha[represented] = np.maximum(ALPHA_FLOOR, 1.0 - error_budget * share)
 
-    new_world = world._successor(new_alpha, represented)
-    v_realized = new_world.expected_reward
+    v_realized = float(world.weights @ new_alpha)
     record = RoundRecord(replication, round_index, n_accept, z_m, alpha_m_min,
                          v_realized, bound, v_realized >= bound)
-    return new_world, record
+    return new_alpha, record
 
 
 def run_selfimprove(world: SimWorld, p: TheoryParams, rounds: int, seed,
@@ -267,16 +261,18 @@ def run_selfimprove(world: SimWorld, p: TheoryParams, rounds: int, seed,
     """Run ``rounds`` generate-filter-update rounds; deterministic in seed.
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence`` (the latter is
-    how parallel replications receive spawned substreams).
+    how parallel replications receive spawned substreams).  The run's state
+    is its acceptance array, threaded through the rounds; ``world`` is left
+    as it was.
     """
     if rounds < 1:
         raise ParameterError("rounds must be >= 1")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     records = []
-    current = world
+    alpha = world.alpha
     for t, child in enumerate(ss.spawn(rounds)):
         rng = np.random.Generator(np.random.Philox(child))
-        current, record = _one_round(current, p, rng, replication, t)
+        alpha, record = _one_round(world, p, alpha, rng, replication, t)
         records.append(record)
     return records
 

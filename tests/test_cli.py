@@ -209,6 +209,9 @@ def test_verify_fast_passes(tmp_path, capsys):
     (None, ["thresholds", "--curve", "1000001"]),
     (None, ["thresholds", "--profile", "--beta-grid", "0.01:12:1000001"]),
     (None, ["simulate", "--questions", "100000000000", "--rounds", "1"]),
+    (None, ["thresholds", "--x0", "0.49", "--beta", "40"]),
+    (None, ["scan", "--panel", "a", "--x0-points", "1"]),
+    (None, ["simulate", "--questions", "500", "--rounds", "1", "--v-target", "0.99"]),
 ], ids=["missing-config", "malformed-json", "string-value", "bool-integer",
         "negative-seed", "zero-threads", "nan-nu", "inf-nu", "config-inf-nu",
         "nan-x0", "x0-above-ceiling", "nan-a", "inf-a", "huge-beta-hi",
@@ -220,14 +223,28 @@ def test_verify_fast_passes(tmp_path, capsys):
         "negative-delta-gap-after-csv", "nan-delta-gap-after-csv", "inf-delta-gap",
         "profile-bracket-error-after-csv", "simulate-config-betas", "negative-nu",
         "config-negative-nu", "curve-above-bound", "beta-grid-above-bound",
-        "questions-above-bound"])
+        "questions-above-bound", "thresholds-bracket-error", "scan-one-x0-point",
+        "simulate-infeasible-target"])
 def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, argv):
     if config is not None:
         (tmp_path / "config.json").write_text(config)
-    assert run_in(tmp_path, argv) == 2
+    assert run_in(tmp_path, [*argv, "--out", "new"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "new").exists()
     assert [f.name for f in tmp_path.iterdir()] == ([] if config is None else ["config.json"])
+
+
+def test_failing_verify_exits_1_and_still_writes_its_manifest(tmp_path, capsys,
+                                                              monkeypatch):
+    from selfimprove import checks
+
+    monkeypatch.setattr(checks, "run_checks",
+                        lambda fast: [checks.CheckResult("broken", False, "detail")])
+    assert run_in(tmp_path, ["verify", "--fast", "--out", "new"]) == 1
+    assert capsys.readouterr().err == "first failing property: broken\n"
+    manifest = json.loads((tmp_path / "new" / "manifest_verify.json").read_text())
+    assert manifest["outputs"] == []
 
 
 def test_unexpected_exception_exits_3_with_one_line_error(tmp_path, capsys, monkeypatch):

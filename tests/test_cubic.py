@@ -99,7 +99,7 @@ def test_sigma_grows_as_scale_shrinks():
 
 def test_sigma_rejects_negative_radicand():
     p = TheoryParams()
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="radicand"):
         effective_sigma(0.01, p, 0.1)
 
 
@@ -166,6 +166,18 @@ def test_interval_invalid_and_near_degenerate():
     nu = last_true(lambda nu: effective_sigma(1.0, p, nu) < SIGMA_MAX - 5e-9, 0.0, 0.2)
     near = invariant_interval(1.0, p, nu)
     assert not near.valid and "near-degenerate" in near.reason
+
+
+def test_tiny_positive_radicand_is_a_valid_interval():
+    # a*(1-gamma) - c_delta_prime*nu is about 1e-13: positive, so the regime
+    # holds, and sigma (about 1.6e-13) is far below the fold.
+    p = TheoryParams()
+    a, nu = 1e-13, 1e-20
+    assert 0.0 < a * (1.0 - p.gamma) - p.c_delta_prime * nu < 1e-12
+    assert 0.0 < effective_sigma(a, p, nu) < 1e-12
+    iv = invariant_interval(a, p, nu)
+    assert iv.valid and iv.hi == pytest.approx(1.0 - p.gamma, rel=1e-12)
+    assert iv.lo == pytest.approx(p.c_delta_prime * nu / a, rel=1e-9)
 
 
 def test_overflowing_sigma_is_a_domain_error_and_an_invalid_interval():

@@ -121,6 +121,14 @@ def test_validate_domain_flags_hard_radicand():
     assert report["error_functional"] is not None
 
 
+def test_validate_domain_hard_interval_agrees_with_the_error_functional_at_tiny_budget():
+    # The hardest level's radicand 2^(-40)*(1-gamma) - c_delta_prime*1e-20 is
+    # about 9e-13: positive, so both computations hold.
+    report = validate_domain(TheoryParams(beta_hi=40.0), 1e-20)
+    assert report == {"invariant_interval_baseline": None,
+                      "invariant_interval_hard": None, "error_functional": None}
+
+
 def test_validate_domain_is_the_computations_verdict():
     """On both sides of the baseline interval's near-fold edge (sigma 1e-10
     below the fold) and of the error functional's series breakdown, each

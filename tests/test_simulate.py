@@ -185,14 +185,16 @@ def test_round_records_well_formed():
 def test_update_keeps_alpha_in_range_and_v_consistent():
     p = TheoryParams(n=500)
     world = build_world(2000, 0.5, p, seed=3)
-    current = world
+    alpha = world.alpha
     ss = np.random.SeedSequence(99)
     for t, child in enumerate(ss.spawn(6)):
         rng = np.random.Generator(np.random.Philox(child))
-        current, record = _one_round(current, p, rng, 0, t)
-        assert (current.alpha > 0.0).all() and (current.alpha <= 1.0).all()
+        previous = alpha
+        alpha, record = _one_round(world, p, alpha, rng, 0, t)
+        assert (alpha is previous) == record.collapsed
+        assert (alpha > 0.0).all() and (alpha <= 1.0).all()
         if not record.collapsed:
-            assert record.v_realized == current.expected_reward
+            assert record.v_realized == float(world.weights @ alpha)
 
 
 def test_unrepresented_questions_keep_alpha():
@@ -292,17 +294,22 @@ def test_multi_try_acceptance_is_the_plain_formula_bit_for_bit(m):
                           expected.view(np.int64))
 
 
-def test_successor_checks_the_updated_entries_only():
-    world = small_world(count=10)
-    alpha = world.alpha.copy()
-    alpha[[2, 5]] = [0.25, 1.0]
-    successor = world._successor(alpha, np.array([2, 5]))
-    assert successor.alpha is alpha
-    assert successor.weights is world.weights and successor.cdf is world.cdf
-    for bad in (1.5, -0.1, math.nan):
-        alpha[5] = bad
-        with pytest.raises(ParameterError, match="alpha"):
-            world._successor(alpha, np.array([2, 5]))
+def test_replications_leave_the_world_bit_identical():
+    p = TheoryParams(n=400)
+    world = build_world(2000, 0.5, p, seed=3)
+    alpha, weights, cdf = world.alpha.copy(), world.weights.copy(), world.cdf.copy()
+    records = run_replications(world, p, rounds=4, replications=3, seed=5)
+    assert any(r.v_realized != world.expected_reward for r in records)
+    for now, before in ((world.alpha, alpha), (world.weights, weights), (world.cdf, cdf)):
+        assert np.array_equal(now.view(np.int64), before.view(np.int64))
+
+
+def test_worlds_compare_by_identity():
+    weights, alpha = np.full(4, 0.25), np.full(4, 0.5)
+    world = SimWorld(weights, alpha)
+    assert world == world
+    assert SimWorld(weights, alpha) != SimWorld(weights, alpha)
+    assert len({world, world, SimWorld(weights, alpha)}) == 2
 
 
 def plain_round(world, p, rng):
@@ -331,10 +338,10 @@ def test_round_matches_the_plain_round():
     weights /= weights.sum()
     world = SimWorld(weights=weights, alpha=rng.uniform(0.05, 1.0, 3000))
     p = TheoryParams(n=800)
-    expected_world = world
+    expected_world, alpha = world, world.alpha
     for t in range(4):
-        world, record = _one_round(world, p, philox(t), 0, t)
-        alpha, expected = plain_round(expected_world, p, philox(t))
-        expected_world = SimWorld(weights=weights, alpha=alpha)
-        assert np.array_equal(world.alpha, alpha)
+        alpha, record = _one_round(world, p, alpha, philox(t), 0, t)
+        expected_alpha, expected = plain_round(expected_world, p, philox(t))
+        expected_world = SimWorld(weights=weights, alpha=expected_alpha)
+        assert np.array_equal(alpha, expected_alpha)
         assert (record.n_accept, record.z_m, record.alpha_m_min, record.v_realized) == expected
