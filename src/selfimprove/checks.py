@@ -1,8 +1,10 @@
 """Named property checks backing the ``verify`` command.
 
 Each check re-validates one family of invariants, most against an
-independent oracle (bisection for the cubic roots, finite differences for
-monotonicities, exhaustive summation for the discrete inequalities).
+independent oracle (bisection of the cubic polynomial for its roots, finite
+differences for monotonicities, exhaustive summation for the discrete
+inequalities).  The oracles share ``regions.last_true``: their independence
+lies in the predicate they bisect, not in the bisection.
 ``fast`` shrinks sample counts so the whole table stays under a minute.
 Every check is the single definition of its property: the acceptance suite
 calls the full-size (``fast=False``) version instead of re-implementing it.
@@ -29,22 +31,12 @@ class CheckResult:
     detail: str
 
 
-def last_true(holds, lo: float, hi: float) -> float:
-    """Boundary of a predicate that holds at ``lo`` and fails from some
-    point on: ``hi`` is doubled until the predicate fails there, then the
-    bracket is halved until its midpoint equals an endpoint."""
-    while holds(hi):
-        hi *= 2.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
-    return lo
-
-
-def oracle_cubic_roots(sigma: float) -> tuple[float, float]:
-    """Bisection on y*(1-y)^2 = sigma^2 over (0, 1/3) and (1/3, 1)."""
-    s2 = sigma * sigma
-    return (last_true(lambda y: y * (1.0 - y) ** 2 < s2, 1e-300, 1.0 / 3.0),
-            last_true(lambda y: y * (1.0 - y) ** 2 > s2, 1.0 / 3.0, 1.0 - 1e-16))
+def oracle_cubic_roots(sigma):
+    """Bisection on y*(1-y)^2 = sigma^2 over (0, 1/3) and (1/3, 1), for a
+    float or elementwise for an array of sigma."""
+    s2 = np.asarray(sigma, dtype=float) * sigma
+    return (regions.last_true(lambda y: y * (1.0 - y) ** 2 < s2, 1e-300, 1.0 / 3.0)[0],
+            regions.last_true(lambda y: y * (1.0 - y) ** 2 > s2, 1.0 / 3.0, 1.0 - 1e-16)[0])
 
 
 def _fold_budget(a: float, p: TheoryParams) -> float:
@@ -55,7 +47,7 @@ def _fold_budget(a: float, p: TheoryParams) -> float:
         except DomainError:
             return False
 
-    return last_true(below, 0.0, 1.0)
+    return float(regions.last_true(below, 0.0, 1.0)[0])
 
 
 def _rng() -> np.random.Generator:
@@ -112,11 +104,9 @@ def check_validate_domain_noiseless(fast: bool) -> CheckResult:
 def check_cubic_oracle(fast: bool) -> CheckResult:
     rng = _rng()
     count = 200 if fast else 1000
-    worst = 0.0
-    for sigma in _admissible_sigma(rng, count):
-        ym, yp = cubic.cubic_roots(float(sigma))
-        om, op = oracle_cubic_roots(float(sigma))
-        worst = max(worst, abs(ym - om), abs(yp - op))
+    sigmas = _admissible_sigma(rng, count)
+    roots = np.array([cubic.cubic_roots(float(sigma)) for sigma in sigmas])
+    worst = float(np.abs(roots - np.column_stack(oracle_cubic_roots(sigmas))).max())
     return CheckResult("cubic-trig-vs-bisection", worst < 1e-10,
                        f"max deviation {worst:.3e} over {count} sigma")
 
@@ -294,26 +284,42 @@ def _sample_error_tuple(rng, p: TheoryParams):
     return beta_lo, beta_hi, nu, x0
 
 
+def _problem(p: TheoryParams, beta_lo, beta_hi) -> regions.BoundProblem:
+    return regions.BoundProblem([p.with_betas(lo, hi) for lo, hi in zip(beta_lo, beta_hi)])
+
+
+def _first_defined(rng, p: TheoryParams, count: int, evaluate):
+    """Rejection sampling in batches: the first ``count`` tuples drawn by
+    ``_sample_error_tuple`` at which no array of
+    ``evaluate(beta_lo, beta_hi, nu, x0)`` is NaN, as four arrays, and those
+    arrays there."""
+    kept = []
+    while len(kept) < count:
+        draws = np.array([_sample_error_tuple(rng, p) for _ in range(count - len(kept))])
+        rows = np.column_stack([draws, *evaluate(*draws.T)])
+        kept.extend(rows[~np.isnan(rows).any(axis=1)])
+    kept = np.array(kept).T
+    return kept[:4], kept[4:]
+
+
 def check_error_functional_monotone(fast: bool) -> CheckResult:
     rng = _rng()
     count = 200 if fast else 2000
     step, guard = 1e-6, 1e-9
     p = TheoryParams()
-    done = 0
-    while done < count:
-        beta_lo, beta_hi, nu, x0 = _sample_error_tuple(rng, p)
-        problem, harder, easier = (regions.BoundProblem(p.with_betas(beta_lo, b))
+
+    def differences(beta_lo, beta_hi, nu, x0):
+        problem, harder, easier = (_problem(p, beta_lo, b)
                                    for b in (beta_hi, beta_hi + step, beta_hi - step))
-        try:
-            d_nu = problem.error(nu + step, x0) - problem.error(nu - step, x0)
-            d_x0 = problem.error(nu, x0 + step) - problem.error(nu, x0 - step)
-            d_beta = harder.error(nu, x0) - easier.error(nu, x0)
-        except DomainError:
-            continue
-        if not (d_nu < guard and d_x0 > -guard and d_beta < guard):
-            return CheckResult("error-functional-monotone", False,
-                               f"sign violation at ({beta_lo}, {beta_hi}, {nu}, {x0})")
-        done += 1
+        return (problem.error(nu + step, x0) - problem.error(nu - step, x0),
+                problem.error(nu, x0 + step) - problem.error(nu, x0 - step),
+                harder.error(nu, x0) - easier.error(nu, x0))
+
+    tuples, (d_nu, d_x0, d_beta) = _first_defined(rng, p, count, differences)
+    wrong = ~((d_nu < guard) & (d_x0 > -guard) & (d_beta < guard))
+    if wrong.any():
+        return CheckResult("error-functional-monotone", False,
+                           f"sign violation at {tuple(tuples[:, np.argmax(wrong)])}")
     return CheckResult("error-functional-monotone", True,
                        f"{count} admissible tuples, step {step}")
 
@@ -322,32 +328,24 @@ def check_improvement_equivalence(fast: bool) -> CheckResult:
     rng = _rng()
     p = TheoryParams()
     trials = 20 if fast else 100
-    done = 0
-    while done < trials:
-        beta_lo, beta_hi, nu, _ = _sample_error_tuple(rng, p)
-        nu = min(nu, 0.02)
-        problem = regions.BoundProblem(p.with_betas(beta_lo, beta_hi))
-        try:
-            threshold = regions.improvement_threshold(nu, problem.p)
-        except (regions.BracketError, DomainError):
-            continue
-        if threshold >= 1.0 - p.gamma:
-            continue
-        for x0 in (threshold * 0.9 + 1e-9, threshold * 1.1,
-                   rng.uniform(threshold, 1.0 - p.gamma)):
-            try:
-                margin = problem.margin(nu, x0)
-            except DomainError:
-                if x0 > threshold:
-                    return CheckResult("improvement-equivalence", False,
-                                       f"domain error above threshold at {x0}")
-                continue
-            if (margin < 0.0) != (x0 > threshold):
-                if abs(x0 - threshold) < 1e-9:
-                    continue
-                return CheckResult("improvement-equivalence", False,
-                                   f"margin sign mismatch at x0={x0}, threshold={threshold}")
-        done += 1
+    ceiling = 1.0 - p.gamma
+
+    def threshold_or_nan(beta_lo, beta_hi, nu, _):
+        value = _problem(p, beta_lo, beta_hi).threshold(np.minimum(nu, 0.02))
+        return (np.where(value < ceiling, value, np.nan),)
+
+    (beta_lo, beta_hi, nu, _), (threshold,) = _first_defined(rng, p, trials, threshold_or_nan)
+    nu = np.minimum(nu, 0.02)
+    x0 = np.stack([threshold * 0.9 + 1e-9, threshold * 1.1, rng.uniform(threshold, ceiling)])
+    margin = _problem(p, beta_lo, beta_hi).margin(nu, x0)
+    # Below the threshold the margin may also be NaN (outside the domain).
+    above = x0 > threshold
+    wrong = ((margin < 0.0) != above) & ~(np.isnan(margin) & ~above)
+    wrong &= np.abs(x0 - threshold) >= 1e-9
+    if wrong.any():
+        i, j = np.argwhere(wrong)[0]
+        return CheckResult("improvement-equivalence", False,
+                           f"margin {margin[i, j]} at x0={x0[i, j]}, threshold={threshold[j]}")
     return CheckResult("improvement-equivalence", True,
                        "margin < 0 exactly above the threshold")
 
@@ -375,16 +373,12 @@ def check_critical_budgets(fast: bool) -> CheckResult:
     p = TheoryParams()
     nu_t = regions.baseline_half_error_budget(p)
     betas = np.linspace(0.3, 0.9, 4 if fast else 8)
-    prev = None
-    for beta in betas:
-        pp = p.with_betas(0.1, float(beta))
-        nu_c = regions.collapse_budget(pp)
-        if prev is not None and nu_c >= prev:
-            return CheckResult("critical-budgets", False, "nu_c not decreasing in beta_hi")
-        prev = nu_c
-        star = regions.max_improving_nu(0.5 * (1 - p.gamma), pp)
-        if not star < nu_t:
-            return CheckResult("critical-budgets", False, "max improving nu above nu_T")
+    problem = _problem(p, np.full_like(betas, 0.1), betas)
+    nu_c = problem.max_improving_nu(math.inf)  # x0 = inf: the collapse budgets
+    if not (np.diff(nu_c) < 0.0).all():
+        return CheckResult("critical-budgets", False, "nu_c not decreasing in beta_hi")
+    if not (problem.max_improving_nu(0.5 * (1 - p.gamma)) < nu_t).all():
+        return CheckResult("critical-budgets", False, "max improving nu above nu_T")
     return CheckResult("critical-budgets", True, f"nu_T={nu_t:.5f}")
 
 
@@ -446,17 +440,15 @@ def check_feasibility_length_bounds(fast: bool) -> CheckResult:
 def check_tail_exceeds_baseline(fast: bool) -> CheckResult:
     rng = _rng()
     p = TheoryParams()
-    done = 0
-    while done < (50 if fast else 300):
-        beta_lo, beta_hi, nu, x0 = _sample_error_tuple(rng, p)
-        try:
-            _, t1, _, t3 = regions.BoundProblem(p.with_betas(beta_lo, beta_hi)).terms(nu, x0)
-        except DomainError:
-            continue
-        if not t3 > t1:
-            return CheckResult("tail-exceeds-baseline-term", False,
-                               f"t3 <= t1 at ({beta_lo}, {beta_hi}, {nu}, {x0})")
-        done += 1
+
+    def baseline_and_tail(beta_lo, beta_hi, nu, x0):
+        _, t1, _, t3 = _problem(p, beta_lo, beta_hi).terms(nu, x0)
+        return t1, t3
+
+    tuples, (t1, t3) = _first_defined(rng, p, 50 if fast else 300, baseline_and_tail)
+    if not (t3 > t1).all():
+        return CheckResult("tail-exceeds-baseline-term", False,
+                           f"t3 <= t1 at {tuple(tuples[:, np.argmin(t3 > t1)])}")
     return CheckResult("tail-exceeds-baseline-term", True, "hard-level tail dominates")
 
 
@@ -507,10 +499,7 @@ def check_scan_contains_analytic(fast: bool) -> CheckResult:
                 return CheckResult("scan-contains-analytic", False,
                                    f"feasible point misclassified at nu={nu}")
         impr = montecarlo.classify_improvement(grid, p, nu)
-        try:
-            threshold = regions.improvement_threshold(nu, p)
-        except regions.BracketError:
-            continue
+        threshold = regions.BoundProblem(p).threshold(nu)  # NaN: none improves
         if analytic.valid and threshold < 1.0 - p.gamma:
             lo = max(threshold, analytic.lo)
             hi = min(1.0 - p.gamma, analytic.hi)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, checks, montecarlo, regions, simulate
 from .cubic import invariant_interval
-from .errors import BracketError, ParameterError, SelfImproveError
+from .errors import ParameterError, SelfImproveError
 from .params import TheoryParams, load_config
 
 
@@ -133,12 +133,9 @@ def cmd_intervals(args, params: TheoryParams, nu: float) -> tuple[int, list]:
         rows.append(["I", args.a, nu, iv.lo, iv.hi, iv.valid])
     feas = regions.feasibility_interval(params, nu)
     rows.append(["I_M", params.beta_hi, nu, feas.lo, feas.hi, feas.valid])
-    try:
-        threshold = regions.improvement_threshold(nu, params)
-        ceiling = 1.0 - params.gamma
-        rows.append(["I_N", params.beta_hi, nu, threshold, ceiling, threshold < ceiling])
-    except BracketError:
-        rows.append(["I_N", params.beta_hi, nu, math.nan, math.nan, False])
+    ((_, threshold, defined),) = regions.threshold_curve([nu], params)
+    ceiling = 1.0 - params.gamma if defined else math.nan
+    rows.append(["I_N", params.beta_hi, nu, threshold, ceiling, threshold < ceiling])
     print(f"wrote {len(rows)} interval rows (nu={nu:.6g})")
     return 0, [("intervals.csv", ["kind", "a_or_beta", "nu", "lo", "hi", "valid"], rows)]
 
@@ -298,6 +295,8 @@ _UNUSED_OPTIONS = {
 
 
 def _check_common(args) -> None:
+    if os.path.lexists(args.out) and not os.path.isdir(args.out):
+        raise ParameterError(f"--out {args.out!r} exists and is not a directory")
     if args.seed < 0:
         raise ParameterError("--seed must be a non-negative integer")
     if args.threads < 1:

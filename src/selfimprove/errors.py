@@ -14,4 +14,4 @@ class DomainError(SelfImproveError, ValueError):
 
 
 class BracketError(SelfImproveError, RuntimeError):
-    """Root finding could not bracket a sign change before domain breakdown."""
+    """A root was asked for where no sign change exists on all of [0, inf]."""

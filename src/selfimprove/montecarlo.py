@@ -23,9 +23,9 @@ import numpy as np
 
 from .cubic import Interval
 from .dynamics import curriculum_coefficients, increasing, iterate
-from .errors import BracketError, DomainError, ParameterError
+from .errors import ParameterError
 from .params import TheoryParams
-from .regions import feasibility_interval, improvement_threshold
+from .regions import BoundProblem, feasibility_interval
 
 # Largest grid a caller may ask for: the x0 grid here, and the command
 # line's budget curve and beta grid.
@@ -137,12 +137,10 @@ def measured_interval(grid: np.ndarray, flags: np.ndarray,
     return lo, hi, hi - lo
 
 
-def _analytic_interval(kind: str, p: TheoryParams, nu: float) -> Interval:
+def _analytic_interval(kind: str, p: TheoryParams, nu: float, threshold: float) -> Interval:
     if kind == "feasible":
         return feasibility_interval(p, nu)
-    try:
-        threshold = improvement_threshold(nu, p)
-    except (BracketError, DomainError):
+    if math.isnan(threshold):
         return Interval(math.nan, math.nan, False, "no improving initialization")
     ceiling = 1.0 - p.gamma
     if threshold >= ceiling:
@@ -150,16 +148,14 @@ def _analytic_interval(kind: str, p: TheoryParams, nu: float) -> Interval:
     return Interval(threshold, ceiling, True)
 
 
-def _scan_cell(cfg: ScanConfig, vary_value: float, nu: float, grid: np.ndarray,
-               p: TheoryParams) -> CellResult:
-    beta_lo, beta_hi = cfg.betas(vary_value)
-    pp = p.with_betas(beta_lo, beta_hi)
-    analytic = _analytic_interval(cfg.kind, pp, nu)
+def _scan_cell(cfg: ScanConfig, vary_value: float, pp: TheoryParams, nu: float,
+               threshold: float, grid: np.ndarray) -> CellResult:
+    analytic = _analytic_interval(cfg.kind, pp, nu, threshold)
     classify = classify_feasible if cfg.kind == "feasible" else classify_improvement
     flags = classify(grid, pp, nu)
     lo, hi, length = measured_interval(grid, flags, analytic)
 
-    cell = (1.0 - p.gamma) / cfg.x0_points
+    cell = (1.0 - pp.gamma) / cfg.x0_points
     if analytic.valid:
         agree = (length > 0.0
                  and abs(lo - analytic.lo) <= cell + 1e-12
@@ -178,12 +174,17 @@ def run_scan(cfg: ScanConfig, p: TheoryParams, threads: int = 1) -> tuple[CellRe
     """Run one panel: its cells in grid order (swept exponent major, budget
     minor); deterministic regardless of thread count (cells are pure)."""
     grid = x0_grid(p, cfg.x0_points)
-    tasks = [(v, nu) for v in cfg.vary_values for nu in cfg.nu_values]
+    sets = [p.with_betas(*cfg.betas(v)) for v in cfg.vary_values]
+    nus = np.array(cfg.nu_values)
+    thresholds = (BoundProblem(sets).threshold(nus[:, None]).T if cfg.kind == "improvement"
+                  else np.full((len(sets), len(nus)), math.nan))
+    tasks = [(v, pp, nu, float(t)) for v, pp, row in zip(cfg.vary_values, sets, thresholds)
+             for nu, t in zip(cfg.nu_values, row)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(lambda t: _scan_cell(cfg, t[0], t[1], grid, p), tasks))
+            cells = list(pool.map(lambda t: _scan_cell(cfg, *t, grid), tasks))
     else:
-        cells = [_scan_cell(cfg, v, nu, grid, p) for v, nu in tasks]
+        cells = [_scan_cell(cfg, *t, grid) for t in tasks]
     return tuple(cells)
 
 

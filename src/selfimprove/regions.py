@@ -6,159 +6,190 @@ schedule.  Its sign determines the improvement region; its roots in the
 initialization and in the budget parameter give the improvement threshold,
 the largest improving budget parameter, and the two critical budgets.
 
-All root finding is bisection.  Every target function here is strictly
-monotone in the search variable, and bisection keeps working across points
-where the function is undefined (treated as the diverging side), which a
-derivative- or secant-based solver would not tolerate.
+The functional is array-native and NaN outside its domain.  Every root
+comes from ``last_true``, one bisection on the bit patterns of non-negative
+doubles: each target is monotone, NaN counts as the diverging side, and
+[0, inf] brackets every root, so there is no tolerance and no bracket search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
+
+import numpy as np
 
 from .cubic import Interval, invariant_interval
-from .dynamics import CurriculumCoefficients, curriculum_coefficients
+from .dynamics import curriculum_coefficients
 from .errors import BracketError, DomainError, ParameterError
 from .params import TheoryParams
 
-BISECT_TOL = 1e-12
 _SERIES_GUARD = 1e-10
 
-
-# ---------------------------------------------------------------------------
-# Error functional and improvement margin
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundProblem:
-    """The error functional of one parameter set, built once from ``p``.
-
-    The betas and the confidence radii enter only through ``p``; the
-    curriculum coefficients are computed here, and every method evaluates at
-    a budget ``nu`` and an initialization ``x0`` (``None`` is the
-    large-initialization limit, where the residual term vanishes).  A
-    violated positivity condition raises ``DomainError`` naming it.
-    """
-
-    p: TheoryParams
-    coeffs: CurriculumCoefficients = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", curriculum_coefficients(self.p))
-
-    def baseline(self, nu: float) -> float:
-        """The baseline accumulated-error term alone; strictly increasing in nu."""
-        p, cd = self.p, self.p.c_delta
-        base_inner = 1.0 - p.gamma - p.c_delta_prime * nu
-        if base_inner <= 0.0:
-            raise DomainError("radicand 1 - gamma - c_delta_prime*nu must be positive")
-        q = cd * nu / (2.0 * p.c * base_inner ** 1.5)
-        # Finite geometric sum; identical to (1 - q^(L-1))/(1 - q) but defined at q = 1.
-        return cd * nu / (p.c * math.sqrt(base_inner)) * sum(q ** j for j in range(p.L - 1))
-
-    def terms(self, nu: float, x0: float | None = None) -> tuple[float, float, float, float]:
-        """The final rescale coefficient and the three assembled terms
-        (baseline, hard-level, tail) of the functional."""
-        if nu < 0.0:
-            raise DomainError("nu must be non-negative")
-        p = self.p
-        c, gamma, L, beta_hi = p.c, p.gamma, p.L, p.beta_hi
-        cd, cdp = p.c_delta, p.c_delta_prime
-        hard = 2.0 ** (-beta_hi)
-
-        term_baseline = self.baseline(nu)
-
-        if x0 is None:
-            residual = 0.0
-        else:
-            res_inner = self.coeffs.first * x0 - cdp * nu
-            if res_inner <= 0.0:
-                raise DomainError("radicand a0*x0 - c_delta_prime*nu must be positive")
-            residual = cd * nu / (c * math.sqrt(res_inner))
-
-        ratio_inner = hard * (1.0 - gamma - residual) - cdp * nu
-        if ratio_inner <= 0.0:
-            raise DomainError(
-                "radicand 2^(-beta_hi)*(1-gamma-residual) - c_delta_prime*nu must be positive")
-        ratio = cd * nu / (2.0 * c * ratio_inner ** 1.5)
-
-        hard_inner = hard * (1.0 - gamma) - cdp * nu
-        if hard_inner <= 0.0:
-            raise DomainError(
-                "radicand 2^(-beta_hi)*(1-gamma) - c_delta_prime*nu must be positive")
-
-        common_ratio = ratio * math.exp(-beta_hi / L)
-        if common_ratio >= 1.0 - _SERIES_GUARD:
-            raise DomainError("geometric-series ratio must stay below 1")
-        term_tail = cd * nu / (c * math.sqrt(hard_inner)) / (1.0 - common_ratio)
-
-        term_hard = ratio ** (L - 1) * L ** (-beta_hi) * residual
-        return self.coeffs.final, term_baseline, term_hard, term_tail
-
-    def error(self, nu: float, x0: float | None = None) -> float:
-        """Signed accumulated-error comparison at initialization ``x0``.
-
-        Strictly increasing in ``x0``, strictly decreasing in ``nu`` and in
-        ``beta_hi``; identically zero at nu = 0.
-        """
-        final, t1, t2, t3 = self.terms(nu, x0)
-        return t1 - final * (t3 + t2)
-
-    def margin(self, nu: float, x0: float | None = None) -> float:
-        """Signed improvement condition: negative iff the easy-to-hard final
-        lower bound strictly exceeds the baseline's at horizon L."""
-        return -self.error(nu, x0) - 0.5 * (self.coeffs.final - 1.0) * (1.0 - self.p.gamma)
-
-
-# The solvers evaluate the margin through this module-level name, so that a
-# tracer wrapping module functions (perfbench) sees every evaluation.
-improvement_margin = BoundProblem.margin
-
-
-def _improving(problem: BoundProblem, nu: float, x0: float | None) -> bool:
-    """Whether the improvement margin is negative; a domain breakdown counts
-    as not improving (the margin diverges there)."""
-    try:
-        return improvement_margin(problem, nu, x0) < 0.0
-    except DomainError:
-        return False
+# The error functional's positivity conditions, in test order: array results
+# are NaN where one fails, and a scalar result raises DomainError naming it.
+_CONDITIONS = (
+    "nu must be non-negative",
+    "radicand 1 - gamma - c_delta_prime*nu must be positive",
+    "radicand a0*x0 - c_delta_prime*nu must be positive",
+    "radicand 2^(-beta_hi)*(1-gamma-residual) - c_delta_prime*nu must be positive",
+    "radicand 2^(-beta_hi)*(1-gamma) - c_delta_prime*nu must be positive",
+    "geometric-series ratio must stay below 1",
+)
 
 
 # ---------------------------------------------------------------------------
 # Bisection on monotone predicates
 # ---------------------------------------------------------------------------
 
-def _boundary(holds, lo: float, start: float, cap: float) -> float | None:
-    """Boundary of a monotone predicate that holds on [lo, boundary) and
-    fails after, or ``None`` when it still holds at every probe up to ``cap``.
+def last_true(holds, lo, hi):
+    """Final bracket ``(lo', hi')`` of a predicate that holds up to some
+    boundary in [lo, hi] and fails after it, elementwise.
 
-    The bracket's upper end is the first failing probe, doubling from
-    ``start``.  Bisection stops at ``BISECT_TOL`` interval width or when the
-    midpoint can no longer be distinguished from the endpoints in double
-    precision (huge roots).
+    ``lo`` and ``hi`` are non-negative float64 values or arrays (``hi`` may
+    be +inf); ``holds`` maps an array of points to a boolean array and is
+    never evaluated at ``lo`` or ``hi``.  Non-negative doubles order like
+    their int64 bit patterns, so at most 63 halvings of the pattern interval
+    end at adjacent floats, at any scale: ``lo'`` is the last point found to
+    hold (or ``lo``), ``hi'`` the first found to fail (or ``hi``).
     """
-    hi = start
-    while hi <= cap and holds(hi):
-        hi *= 2.0
-    if hi > cap:
-        return None
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi or hi - lo <= BISECT_TOL:
-            return mid
-        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    # Adding 0.0 turns -0.0, whose bit pattern is negative, into +0.0.
+    lo, hi = ((np.asarray(end, dtype=float) + 0.0).view(np.int64) for end in (lo, hi))
+    while (wide := hi - lo > 1).any():
+        mid = lo + (hi - lo) // 2
+        ok = np.asarray(holds(mid.view(np.float64)), dtype=bool)
+        lo = np.where(wide & ok, mid, lo)
+        hi = np.where(wide & ~ok, mid, hi)
+    return lo.view(np.float64)[()], hi.view(np.float64)[()]
 
 
-def _root_in_nu(holds, what: str) -> float:
-    """Boundary in nu of a predicate that holds on [0, root) and fails after:
-    checked just above zero, then bracketed from 1e-9 up to 1e6 and bisected."""
-    if not holds(1e-12):
-        raise BracketError(f"{what} fails already at nu ~ 0")
-    root = _boundary(holds, 0.0, 1e-9, 1e6)
-    if root is None:
-        raise BracketError(f"{what} still holds at nu = 1e6")
-    return root
+# ---------------------------------------------------------------------------
+# Error functional and improvement margin
+# ---------------------------------------------------------------------------
+
+def _violation(holds) -> str | None:
+    """The first failed condition at a scalar point, or ``None``."""
+    return next((message for message, ok in zip(_CONDITIONS, holds) if not ok), None)
+
+
+def _masked(holds, values) -> list:
+    """``values`` where every condition of ``holds`` is true and NaN
+    elsewhere; at a scalar point a failed condition raises ``DomainError``."""
+    ok = reduce(np.logical_and, holds)
+    if np.ndim(ok) == 0:
+        if not ok:
+            raise DomainError(_violation(holds))
+        return [float(v) for v in values]
+    return [np.where(ok, v, np.nan) for v in values]
+
+
+class BoundProblem:
+    """The error functional of one parameter set, or of a sequence of sets
+    that differ only in their betas, built once.
+
+    ``first`` and ``final`` (the curriculum coefficients) and ``beta_hi``
+    are floats for one set and arrays, one entry per set, for a sequence;
+    every other constant comes from ``p``, the (first) set.  Every
+    method evaluates at budgets ``nu`` and initializations ``x0``,
+    broadcast against the sets along the last axis; ``x0 = inf``, the
+    default, is the large-initialization limit, where the residual term
+    vanishes.  An array result is NaN where a positivity condition fails; a
+    scalar result raises ``DomainError`` naming the first one.
+    """
+
+    def __init__(self, params: TheoryParams | list[TheoryParams]) -> None:
+        one = isinstance(params, TheoryParams)
+        sets = [params] if one else list(params)
+        self.p = sets[0]
+        coeffs = [curriculum_coefficients(q) for q in sets]
+        stack = (lambda values: values[0]) if one else np.array
+        self.first = stack([co.first for co in coeffs])
+        self.final = stack([co.final for co in coeffs])
+        self.beta_hi = stack([q.beta_hi for q in sets])
+
+    def _evaluate(self, nu, x0):
+        """The positivity conditions in ``_CONDITIONS`` order, then the
+        baseline, hard-level and tail terms, the error functional and the
+        margin, all unmasked."""
+        p = self.p
+        c, gamma, L, cd, cdp = p.c, p.gamma, p.L, p.c_delta, p.c_delta_prime
+        nu = np.asarray(nu, dtype=float)
+        hard = 2.0 ** -self.beta_hi
+        with np.errstate(all="ignore"):
+            base_inner = 1.0 - gamma - cdp * nu
+            q = cd * nu / (2.0 * c * base_inner ** 1.5)
+            # Finite geometric sum; identical to (1 - q^(L-1))/(1 - q) but defined at q = 1.
+            baseline = cd * nu / (c * np.sqrt(base_inner)) * sum(q ** j for j in range(L - 1))
+            res_inner = self.first * x0 - cdp * nu
+            residual = cd * nu / (c * np.sqrt(res_inner))
+            ratio_inner = hard * (1.0 - gamma - residual) - cdp * nu
+            ratio = cd * nu / (2.0 * c * ratio_inner ** 1.5)
+            hard_inner = hard * (1.0 - gamma) - cdp * nu
+            common_ratio = ratio * np.exp(-self.beta_hi / L)
+            tail = cd * nu / (c * np.sqrt(hard_inner)) / (1.0 - common_ratio)
+            hard_term = ratio ** (L - 1) * L ** -self.beta_hi * residual
+            error = baseline - self.final * (tail + hard_term)
+            margin = -error - 0.5 * (self.final - 1.0) * (1.0 - gamma)
+            holds = (nu >= 0.0, base_inner > 0.0, res_inner > 0.0, ratio_inner > 0.0,
+                     hard_inner > 0.0, common_ratio < 1.0 - _SERIES_GUARD)
+        return holds, baseline, hard_term, tail, error, margin
+
+    def baseline(self, nu):
+        """The baseline accumulated-error term alone; strictly increasing in nu."""
+        holds, baseline, *_ = self._evaluate(nu, math.inf)
+        return _masked(holds[:2], [baseline])[0]
+
+    def terms(self, nu, x0=math.inf) -> tuple:
+        """The final rescale coefficient and the three assembled terms
+        (baseline, hard-level, tail) of the functional."""
+        holds, *values, _, _ = self._evaluate(nu, x0)
+        return (self.final, *_masked(holds, values))
+
+    def error(self, nu, x0=math.inf):
+        """Signed accumulated-error comparison at initialization ``x0``.
+
+        Strictly increasing in ``x0``, strictly decreasing in ``nu`` and in
+        ``beta_hi``; identically zero at nu = 0.
+        """
+        holds, *_, error, _ = self._evaluate(nu, x0)
+        return _masked(holds, [error])[0]
+
+    def margin(self, nu, x0=math.inf):
+        """Signed improvement condition: negative iff the easy-to-hard final
+        lower bound strictly exceeds the baseline's at horizon L."""
+        holds, *_, margin = self._evaluate(nu, x0)
+        return _masked(holds, [margin])[0]
+
+    def threshold(self, nu):
+        """Improvement threshold at each budget ``nu``: the initializations
+        above it are exactly the improving ones.  NaN where no
+        initialization improves (at or beyond the collapse budget)."""
+        below, _ = last_true(lambda x0: ~(improvement_margin(self, nu, x0) < 0.0), 0.0, math.inf)
+        return np.where(improvement_margin(self, nu, math.inf) < 0.0, below, np.nan)[()]
+
+    def max_improving_nu(self, x0):
+        """Largest budget at which initialization ``x0`` improves (``inf``:
+        the collapse budget), the last nu with a negative margin.  NaN where
+        the margin is not negative even at nu = 0."""
+        last, _ = last_true(lambda nu: improvement_margin(self, nu, x0) < 0.0, 0.0, math.inf)
+        return np.where(improvement_margin(self, 0.0, x0) < 0.0, last, np.nan)[()]
+
+
+def improvement_margin(problem: BoundProblem, nu, x0=math.inf):
+    """``problem.margin`` as the solvers evaluate it: NaN wherever a
+    positivity condition fails, scalar points included, and never raising.
+    The solvers call it by this module-level name, so a tracer wrapping
+    module functions (perfbench) sees every evaluation."""
+    holds, *_, margin = problem._evaluate(nu, x0)
+    return np.where(reduce(np.logical_and, holds), margin, np.nan)
+
+
+def _root(value, message: str) -> float:
+    """A scalar solve's root, or ``BracketError`` where there is no sign change."""
+    if math.isnan(value):
+        raise BracketError(message)
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +203,15 @@ def validate_domain(p: TheoryParams, nu: float) -> dict[str, str | None]:
     Each entry is the computation's own verdict, so the report cannot
     disagree with it: ``invariant_interval_baseline`` and
     ``invariant_interval_hard`` are ``invariant_interval`` at scale 1 and at
-    the hardest level's 2^(-beta_hi), and ``error_functional`` is whether
-    its large-initialization limit (the improvement margin's too) raises
-    ``DomainError``.  Never raises for a regime violation.
+    the hardest level's 2^(-beta_hi), and ``error_functional`` is the
+    condition its large-initialization limit (the improvement margin's too)
+    fails first, the one ``DomainError`` names.  Never raises for a regime
+    violation.
     """
     report = {f"invariant_interval_{name}": invariant_interval(a, p, nu).reason
               for name, a in (("baseline", 1.0), ("hard", 2.0 ** (-p.beta_hi)))}
-    try:
-        BoundProblem(p).terms(nu)
-        report["error_functional"] = None
-    except DomainError as exc:
-        report["error_functional"] = str(exc)
+    holds, *_ = BoundProblem(p)._evaluate(nu, math.inf)
+    report["error_functional"] = _violation(holds)
     return report
 
 
@@ -210,25 +239,15 @@ def improvement_threshold(nu: float, p: TheoryParams) -> float:
 
     The margin is strictly decreasing in the initialization, diverging to
     +inf at the domain edge; initializations above the threshold are exactly
-    the improving ones.  At nu = 0 the threshold is identically zero.
-    Raises ``BracketError`` when no sign change exists (budget at or beyond
-    the collapse budget).
+    the improving ones.  At nu = 0 the threshold is zero.  Raises
+    ``BracketError`` when no sign change exists (budget at or beyond the
+    collapse budget).
     """
-    if nu <= 0.0:
-        if nu == 0.0:
-            return 0.0
-        raise DomainError("nu must be non-negative")
-
-    problem = BoundProblem(p)
-    # Domain edge of the first curriculum step: a0*x0 = c_delta_prime*nu.
-    edge = p.c_delta_prime * nu / problem.coeffs.first
-    # Not improving on (edge, threshold), improving after.
-    threshold = _boundary(lambda x: not _improving(problem, nu, x), edge,
-                          max(edge * 2.0, edge + 1e-9, 1e-9), 1e15)
-    if threshold is None:
-        raise BracketError("no improving initialization: budget parameter at or beyond "
-                           f"the collapse budget (nu={nu!r})")
-    return threshold
+    if nu < 0.0:
+        raise DomainError(_CONDITIONS[0])
+    return _root(BoundProblem(p).threshold(nu),
+                 "no improving initialization: budget parameter at or beyond "
+                 f"the collapse budget (nu={nu!r})")
 
 
 def collapse_budget(p: TheoryParams) -> float:
@@ -238,24 +257,18 @@ def collapse_budget(p: TheoryParams) -> float:
     strictly increasing in nu from a negative value at nu = 0 and diverges
     at the first domain breakdown.
     """
-    problem = BoundProblem(p)
-    return _root_in_nu(lambda nu: _improving(problem, nu, None),
-                       "negative large-initialization improvement margin")
+    return _root(BoundProblem(p).max_improving_nu(math.inf),
+                 "negative large-initialization improvement margin fails already at nu = 0")
 
 
 def baseline_half_error_budget(p: TheoryParams) -> float:
     """Budget parameter at which the baseline error term reaches half the
     attainable ceiling (1 - gamma)/2; unique by strict monotonicity."""
-    target = 0.5 * (1.0 - p.gamma)
-    problem = BoundProblem(p)
-
-    def below(nu: float) -> bool:
-        try:
-            return problem.baseline(nu) < target
-        except DomainError:
-            return False
-
-    return _root_in_nu(below, "baseline error term below (1 - gamma)/2")
+    problem, target = BoundProblem(p), 0.5 * (1.0 - p.gamma)
+    # Outside its domain the unmasked baseline term is NaN or +inf, so the
+    # comparison fails there as it should.
+    return float(last_true(lambda nu: problem._evaluate(nu, math.inf)[1] < target,
+                           0.0, math.inf)[0])
 
 
 def check_initialization(x0: float, p: TheoryParams) -> None:
@@ -272,9 +285,8 @@ def max_improving_nu(x0: float, p: TheoryParams) -> float:
     which the improvement threshold crosses ``x0``.
     """
     check_initialization(x0, p)
-    problem = BoundProblem(p)
-    return _root_in_nu(lambda nu: _improving(problem, nu, x0),
-                       f"negative improvement margin at x0={x0!r}")
+    return _root(BoundProblem(p).max_improving_nu(x0),
+                 f"negative improvement margin at x0={x0!r} fails already at nu = 0")
 
 
 @dataclass(frozen=True)
@@ -296,30 +308,27 @@ def max_improving_nu_profile(delta_gap: float, beta_grid, x0: float,
     the tail slope is fitted on the last 30% of the grid."""
     if not delta_gap > 0.0:
         raise ParameterError(f"delta_gap must be positive, got {delta_gap!r}")
-    points = [(float(bl), max_improving_nu(x0, p.with_betas(bl, bl + delta_gap)))
-              for bl in beta_grid]
-    values = [v for _, v in points]
-    argmax = max(range(len(values)), key=values.__getitem__)
-
-    k = max(2, int(len(points) * 0.3))
-    xs = [b for b, _ in points[-k:]]
-    ys = [math.log(v) for _, v in points[-k:]]
-    xbar, ybar = sum(xs) / k, sum(ys) / k
-    denom = sum((x - xbar) ** 2 for x in xs)
-    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / denom
-    return ProfileResult(points=tuple(points), argmax_index=argmax, tail_slope=slope)
+    betas = [float(bl) for bl in beta_grid]
+    k = max(2, int(len(betas) * 0.3))
+    if len(set(betas[-k:])) < 2:
+        raise ParameterError("beta_grid needs two distinct values in its last 30% (tail slope)")
+    problem = BoundProblem([p.with_betas(bl, bl + delta_gap) for bl in betas])
+    check_initialization(x0, p)
+    values = [_root(v, f"negative improvement margin at x0={x0!r} fails already at "
+                       f"nu = 0 (beta_lo={bl!r})")
+              for bl, v in zip(betas, problem.max_improving_nu(x0))]
+    xs, ys = np.array(betas[-k:]), np.log(values[-k:])
+    slope = float(((xs - xs.mean()) * (ys - ys.mean())).sum() / ((xs - xs.mean()) ** 2).sum())
+    return ProfileResult(points=tuple(zip(betas, values)), argmax_index=int(np.argmax(values)),
+                         tail_slope=slope)
 
 
 def threshold_curve(nu_grid, p: TheoryParams) -> tuple[tuple[float, float, bool], ...]:
     """Improvement threshold along a budget grid, as (nu, threshold, defined)
     samples; undefined samples carry a NaN threshold."""
-    samples = []
-    for nu in nu_grid:
-        try:
-            samples.append((float(nu), float(improvement_threshold(float(nu), p)), True))
-        except (BracketError, DomainError):
-            samples.append((float(nu), math.nan, False))
-    return tuple(samples)
+    nus = np.asarray(nu_grid, dtype=float)
+    thresholds = BoundProblem(p).threshold(nus)
+    return tuple((float(nu), float(x), not math.isnan(x)) for nu, x in zip(nus, thresholds))
 
 
 # ---------------------------------------------------------------------------

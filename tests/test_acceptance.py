@@ -40,12 +40,9 @@ def report(num, description, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def nu_star_grid():
-    values = np.empty((len(BETA_LO_GRID), len(BETA_HI_GRID)))
-    for i, beta_lo in enumerate(BETA_LO_GRID):
-        for j, beta_hi in enumerate(BETA_HI_GRID):
-            values[i, j] = si.max_improving_nu(
-                X0_REFERENCE, P.with_betas(float(beta_lo), float(beta_hi)))
-    return values
+    problem = si.BoundProblem([P.with_betas(float(beta_lo), float(beta_hi))
+                               for beta_lo in BETA_LO_GRID for beta_hi in BETA_HI_GRID])
+    return problem.max_improving_nu(X0_REFERENCE).reshape(len(BETA_LO_GRID), -1)
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +165,7 @@ def _breakdown_budget(beta_lo: float, beta_hi: float, lo: float) -> float:
         except si.DomainError:
             return False
 
-    return checks.last_true(defined, lo, 2.0 * lo)
+    return float(si.regions.last_true(defined, lo, math.inf)[0])
 
 
 def test_c10_profile_unimodality_and_tail():

@@ -1,9 +1,12 @@
 import json
+import math
 import os
 
 import pytest
 
+from selfimprove import BoundProblem, TheoryParams, curriculum_coefficients
 from selfimprove.cli import main
+from selfimprove.regions import improvement_margin
 
 
 def run_in(tmp_path, argv):
@@ -183,6 +186,7 @@ def test_verify_fast_passes(tmp_path, capsys):
     (None, ["thresholds", "--nu-c", "--curve", "-1"]),
     (None, ["thresholds", "--nu-c", "--profile", "--beta-grid", "0.01:12:0"]),
     (None, ["thresholds", "--profile", "--beta-grid", "0.5:12:1"]),
+    (None, ["thresholds", "--profile", "--beta-grid", "1:1:5"]),
     (None, ["thresholds", "--nu-c", "--profile", "--beta-grid", "a:b"]),
     (None, ["verify", "--fast", "--beta", "5"]),
     (None, ["verify", "--fast", "--beta-lo", "0.2"]),
@@ -201,7 +205,9 @@ def test_verify_fast_passes(tmp_path, capsys):
     (None, ["thresholds", "--nu-c", "--profile", "--delta-gap", "-1"]),
     (None, ["thresholds", "--nu-c", "--profile", "--delta-gap", "nan"]),
     (None, ["thresholds", "--profile", "--delta-gap", "inf"]),
-    (None, ["thresholds", "--nu-c", "--x0", "0.49", "--profile", "--delta-gap", "20"]),
+    # At beta_lo = 1e-17 the final coefficient rounds to 1, so the margin is
+    # exactly 0 at nu = 0 and positive after: no sign change exists.
+    (None, ["thresholds", "--nu-c", "--x0", "0.49", "--profile", "--beta-grid", "1e-17:1:5"]),
     ('{"beta_lo": 0.2, "beta_hi": 0.9}',
      ["simulate", "--questions", "500", "--rounds", "1", "--config", "config.json"]),
     (None, ["intervals", "--nu", "-0.1"]),
@@ -209,13 +215,13 @@ def test_verify_fast_passes(tmp_path, capsys):
     (None, ["thresholds", "--curve", "1000001"]),
     (None, ["thresholds", "--profile", "--beta-grid", "0.01:12:1000001"]),
     (None, ["simulate", "--questions", "100000000000", "--rounds", "1"]),
-    (None, ["thresholds", "--x0", "0.49", "--beta", "40"]),
+    (None, ["thresholds", "--x0", "0.49", "--beta-lo", "1e-17"]),
     (None, ["scan", "--panel", "a", "--x0-points", "1"]),
     (None, ["simulate", "--questions", "500", "--rounds", "1", "--v-target", "0.99"]),
 ], ids=["missing-config", "malformed-json", "string-value", "bool-integer",
         "negative-seed", "zero-threads", "nan-nu", "inf-nu", "config-inf-nu",
         "nan-x0", "x0-above-ceiling", "nan-a", "inf-a", "huge-beta-hi",
-        "config-inf-beta-hi", "negative-curve", "empty-grid", "one-point-grid",
+        "config-inf-beta-hi", "negative-curve", "empty-grid", "one-point-grid", "constant-grid",
         "bad-grid-after-csv", "verify-beta", "verify-beta-lo", "verify-nu",
         "verify-config", "scan-nu", "scan-config-nu", "scan-x0-points-above-bound",
         "thresholds-nu", "thresholds-config-nu", "simulate-nu", "simulate-beta",
@@ -233,6 +239,39 @@ def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, a
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "new").exists()
     assert [f.name for f in tmp_path.iterdir()] == ([] if config is None else ["config.json"])
+
+
+def test_out_naming_a_file_exits_2_before_computing(tmp_path, capsys):
+    (tmp_path / "afile").write_text("kept\n")
+    assert run_in(tmp_path, ["intervals", "--out", "afile"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --out")
+    assert (tmp_path / "afile").read_text() == "kept\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["afile"]
+
+
+def test_tiny_budget_threshold_follows_the_zero_budget_slope(tmp_path):
+    assert run_in(tmp_path, ["intervals", "--nu", "1e-20"]) == 0
+    row = next(r for r in read_rows(tmp_path / "intervals.csv") if r["kind"] == "I_N")
+    p = TheoryParams()
+    slope = p.c_delta_prime / curriculum_coefficients(p).first
+    assert float(row["lo"]) == pytest.approx(slope * 1e-20, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("argv, x0, near", [
+    (["--x0", "0.49", "--beta", "40"], 0.49, 1.01e-15),
+    (["--nu-c", "--beta-lo", "1e-13"], math.inf, 4.3e-14),
+    (["--nu-c", "--beta", "12"], math.inf, 1.289e-5),
+], ids=["nu-star-beta-40", "nu-c-beta-lo-1e-13", "nu-c-beta-12"])
+def test_thresholds_root_is_a_sign_change_at_adjacent_floats(tmp_path, argv, x0, near):
+    assert run_in(tmp_path, ["thresholds", *argv]) == 0
+    (row,) = read_rows(tmp_path / "thresholds.csv")
+    root = float(row["value"])
+    assert root == pytest.approx(near, rel=1e-3)
+    problem = BoundProblem(TheoryParams(beta_lo=float(row["beta_lo"]),
+                                        beta_hi=float(row["beta_hi"])))
+    assert improvement_margin(problem, root, x0) < 0.0
+    assert not improvement_margin(problem, math.nextafter(root, math.inf), x0) < 0.0
 
 
 def test_failing_verify_exits_1_and_still_writes_its_manifest(tmp_path, capsys,

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from selfimprove import (DomainError, TheoryParams, cubic_roots, effective_sigma,
                          exact_root_gap, gap_lower_bound, invariant_interval)
-from selfimprove.checks import last_true, oracle_cubic_roots
+from selfimprove.checks import oracle_cubic_roots
 from selfimprove.dynamics import step
 from selfimprove.params import SIGMA_MAX
+from selfimprove.regions import last_true
 
 # Frozen from high-precision evaluation of the closed forms.
 Y_MINUS_AT_TWO_27 = 0.0893163974770409      # 2/3 - 1/sqrt(3)
@@ -163,7 +164,7 @@ def test_interval_invalid_and_near_degenerate():
     assert not broken.valid and "radicand" in broken.reason
 
     # Tune nu so sigma lands inside the near-degenerate guard band.
-    nu = last_true(lambda nu: effective_sigma(1.0, p, nu) < SIGMA_MAX - 5e-9, 0.0, 0.2)
+    nu, _ = last_true(lambda nu: effective_sigma(1.0, p, nu) < SIGMA_MAX - 5e-9, 0.0, 0.2)
     near = invariant_interval(1.0, p, nu)
     assert not near.valid and "near-degenerate" in near.reason
 

@@ -7,9 +7,9 @@ import pytest
 from selfimprove import (BoundProblem, DomainError, ParameterError, TheoryParams,
                          effective_sigma, invariant_interval, load_config,
                          validate_domain)
-from selfimprove.checks import last_true
 from selfimprove.cli import _resolve_params, build_parser
 from selfimprove.params import SIGMA_MAX
+from selfimprove.regions import last_true
 
 # sqrt(2*ln(20000)) at high precision
 C_DELTA_DEFAULT = 4.450502792390120
@@ -150,7 +150,7 @@ def test_validate_domain_is_the_computations_verdict():
         return True
 
     for holds in (sigma_below, functional_defined):
-        edge = last_true(holds, 0.0, 1.0)
+        edge, _ = last_true(holds, 0.0, 1.0)
         for nu in (edge, math.nextafter(edge, 1.0)):
             report = validate_domain(p, nu)
             for name, a in (("baseline", 1.0), ("hard", 2.0 ** -p.beta_hi)):
