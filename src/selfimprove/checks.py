@@ -251,7 +251,7 @@ def check_trajectory_classification(fast: bool) -> CheckResult:
     # first step goes down, or the sequence leaves the domain.
     in_closed = (interval.lo - 1e-12 <= inside) & (inside <= interval.hi + 1e-12)
     inside_ok = dynamics.increasing(inside) & in_closed.all(axis=0)
-    outside_ok = (outside[1] < outside[0] - dynamics.PLATEAU_TOL) | np.isnan(outside[-1])
+    outside_ok = ~dynamics.rises(outside[0], outside[1]) | np.isnan(outside[-1])
     for (x_in, x_out), ok_in, ok_out in zip(starts, inside_ok, outside_ok):
         if not ok_in:
             return CheckResult("trajectory-classification", False,
@@ -285,7 +285,7 @@ def _sample_error_tuple(rng, p: TheoryParams):
 
 
 def _problem(p: TheoryParams, beta_lo, beta_hi) -> regions.BoundProblem:
-    return regions.BoundProblem([p.with_betas(lo, hi) for lo, hi in zip(beta_lo, beta_hi)])
+    return regions.BoundProblem(p.with_betas(lo, hi) for lo, hi in zip(beta_lo, beta_hi))
 
 
 def _first_defined(rng, p: TheoryParams, count: int, evaluate):
@@ -360,8 +360,8 @@ def check_threshold_curve(fast: bool) -> CheckResult:
         return CheckResult("threshold-curve", False, "threshold undefined below nu_c")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         return CheckResult("threshold-curve", False, "not strictly increasing")
-    slope = (regions.improvement_threshold(1.5e-6, p)
-             - regions.improvement_threshold(0.5e-6, p)) / 1e-6
+    low, high = regions.BoundProblem(p).threshold(np.array([0.5e-6, 1.5e-6]))
+    slope = float(high - low) / 1e-6
     first = dynamics.curriculum_coefficients(p).first
     expected = p.c_delta_prime / first
     ok = abs(slope - expected) <= 0.01 * expected
@@ -490,16 +490,18 @@ def check_scan_contains_analytic(fast: bool) -> CheckResult:
     points = 500 if fast else 2000
     grid = montecarlo.x0_grid(p, points)
     cell = (1.0 - p.gamma) / points
-    for nu in (0.005, 0.012, 0.02):
-        feas = montecarlo.classify_feasible(grid, p, nu)
+    nus = (0.005, 0.012, 0.02)
+    thresholds = regions.BoundProblem(p).threshold(np.array(nus))  # NaN: none improves
+    for nu, threshold in zip(nus, thresholds):
+        baseline = montecarlo.baseline_run(grid, p, nu)
+        feas = montecarlo.classify_feasible(grid, p, nu, baseline)
         analytic = regions.feasibility_interval(p, nu)
         if analytic.valid:
             inside = (grid > analytic.lo + cell) & (grid < analytic.hi - cell)
             if not feas[inside].all():
                 return CheckResult("scan-contains-analytic", False,
                                    f"feasible point misclassified at nu={nu}")
-        impr = montecarlo.classify_improvement(grid, p, nu)
-        threshold = regions.BoundProblem(p).threshold(nu)  # NaN: none improves
+        impr = montecarlo.classify_improvement(grid, p, nu, baseline)
         if analytic.valid and threshold < 1.0 - p.gamma:
             lo = max(threshold, analytic.lo)
             hi = min(1.0 - p.gamma, analytic.hi)

@@ -7,10 +7,13 @@ schedule uses the mixture coefficient for its first step and the adjacent
 difficulty ratios afterwards, followed by an optional final rescale.
 
 ``step`` is the one place the map is evaluated.  It works on floats and
-arrays alike and marks a left domain with NaN, which ``iterate`` carries
-forward and ``increasing`` rejects, so whole grids of start points are
-iterated and classified without per-point bookkeeping.  The radii come
-from ``TheoryParams`` and the budget ``nu`` is a plain float argument.
+arrays alike and marks a left domain with NaN, which ``iterate`` and
+``run_schedule`` carry forward and ``rises`` rejects, so whole grids of
+start points are iterated and classified without per-point bookkeeping.
+``rises`` is the one test of a step going up; ``increasing`` applies it to
+stored trajectories and ``run_schedule`` to a run it does not store.  The
+radii come from ``TheoryParams``; the budget ``nu`` is a float, or an array
+giving each point its own budget.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ def curriculum_coefficients(p: TheoryParams) -> CurriculumCoefficients:
     return CurriculumCoefficients(first=first, final=final, mid=mid)
 
 
-def step(x, a: float, p: TheoryParams, nu: float):
-    """The scale-``a`` map at ``x`` (a float or an array).
+def step(x, a: float, p: TheoryParams, nu):
+    """The scale-``a`` map at ``x`` (a float or an array; ``nu`` too).
 
     NaN where ``x`` is NaN or a*x <= c_delta_prime*nu, outside the natural
     domain.  The value is below 1 - gamma, with equality exactly at nu = 0.
@@ -64,7 +67,7 @@ def step(x, a: float, p: TheoryParams, nu: float):
     return np.where(radicand > 0.0, value, np.nan)[()]
 
 
-def iterate(x0, schedule, p: TheoryParams, nu: float) -> np.ndarray:
+def iterate(x0, schedule, p: TheoryParams, nu) -> np.ndarray:
     """``x0`` and its images under the maps with the scale coefficients of
     ``schedule``, one row each: ``(1.0,) * L`` gives the baseline,
     ``curriculum_coefficients(p).schedule`` the easy-to-hard run before its
@@ -77,10 +80,28 @@ def iterate(x0, schedule, p: TheoryParams, nu: float) -> np.ndarray:
     return values
 
 
+def rises(before, after):
+    """Per element: the step from ``before`` to ``after`` rises or stays
+    within ``PLATEAU_TOL``.  A NaN on either side fails."""
+    change = after - before
+    return (change > 0.0) | (np.abs(change) <= PLATEAU_TOL)
+
+
 def increasing(values) -> np.ndarray:
-    """Per column of ``values`` (rows are steps): every step rises or stays
-    within ``PLATEAU_TOL``, and no value is NaN."""
+    """Per column of ``values`` (rows are steps): every step ``rises``, and
+    no value is NaN."""
     values = np.asarray(values, dtype=float)
-    change = np.diff(values, axis=0)
-    rises = (change > 0.0) | (np.abs(change) <= PLATEAU_TOL)
-    return rises.all(axis=0) & ~np.isnan(values).any(axis=0)
+    return rises(values[:-1], values[1:]).all(axis=0) & ~np.isnan(values[0])
+
+
+def run_schedule(x0, schedule, p: TheoryParams, nu):
+    """``iterate``'s last row and ``increasing`` of its rows, without
+    storing them: the final images of ``x0`` under ``schedule``, and per
+    point whether it is not NaN and every step ``rises``."""
+    x = np.asarray(x0, dtype=float)
+    rising = ~np.isnan(x)
+    for a in schedule:
+        image = step(x, a, p, nu)
+        rising &= rises(x, image)
+        x = image
+    return x, rising

@@ -5,11 +5,14 @@ cell, every start point on a fixed initialization grid is classified by
 directly running the bound recursions (feasibility: both sequences strictly
 increasing and in-domain; improvement: easy-to-hard final value strictly
 above the baseline final value), and the measured interval is compared with
-the analytic one.  The analytic conditions are sufficient, so the measured
-region may strictly contain the analytic region; the testable guarantee is
-containment.  For improvement it holds for the threshold region intersected
-with the feasibility interval, since starts below the baseline's lower fixed
-point leave the recursion's domain and are not counted as improving.  The
+the analytic one.  A panel runs the baseline recursion, which the betas do
+not enter, once for all its budgets, and classifies a row (one swept value
+with all its budgets) in one run, each point carrying its own budget.  The
+analytic conditions are sufficient, so the measured region may strictly
+contain the analytic region; the testable guarantee is containment.  For
+improvement it holds for the threshold region intersected with the
+feasibility interval, since starts below the baseline's lower fixed point
+leave the recursion's domain and are not counted as improving.  The
 per-cell ``agree`` flag records the stronger endpoint-level agreement.
 """
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubic import Interval
-from .dynamics import curriculum_coefficients, increasing, iterate
+from .dynamics import curriculum_coefficients, run_schedule, step
 from .errors import ParameterError
 from .params import TheoryParams
 from .regions import BoundProblem, feasibility_interval
@@ -96,23 +99,36 @@ def x0_grid(p: TheoryParams, points: int) -> np.ndarray:
     return (np.arange(points) + 0.5) * cell
 
 
-def classify_feasible(grid: np.ndarray, p: TheoryParams, nu: float) -> np.ndarray:
+def baseline_run(x0, p: TheoryParams, nu):
+    """``dynamics.run_schedule`` of the baseline (scale 1 at every step),
+    which does not depend on the betas: callers classifying several beta
+    pairs at the same points compute it once and pass it on."""
+    return run_schedule(x0, (1.0,) * p.L, p, nu)
+
+
+def classify_feasible(x0, p: TheoryParams, nu, baseline=None) -> np.ndarray:
     """Start points whose baseline and easy-to-hard sequences are strictly
     increasing (plateau-tolerant) and in-domain at every step.
 
-    The easy-to-hard monotonicity is monitored from the first image on,
-    matching the sequence the guarantee is stated for.
+    ``nu`` is a float or one budget per point; ``baseline`` is
+    ``baseline_run(x0, p, nu)`` if the caller has it.  The easy-to-hard
+    monotonicity is monitored from the first image on, matching the
+    sequence the guarantee is stated for.
     """
-    return (increasing(iterate(grid, (1.0,) * p.L, p, nu))
-            & increasing(iterate(grid, curriculum_coefficients(p).schedule, p, nu)[1:]))
+    _, baseline_rising = baseline_run(x0, p, nu) if baseline is None else baseline
+    schedule = curriculum_coefficients(p).schedule
+    _, rising = run_schedule(step(x0, schedule[0], p, nu), schedule[1:], p, nu)
+    return baseline_rising & rising
 
 
-def classify_improvement(grid: np.ndarray, p: TheoryParams, nu: float) -> np.ndarray:
+def classify_improvement(x0, p: TheoryParams, nu, baseline=None) -> np.ndarray:
     """Start points where the easy-to-hard final value (with the final
-    rescale) strictly exceeds the baseline final value, both in-domain."""
+    rescale) strictly exceeds the baseline final value, both in-domain.
+    ``nu`` and ``baseline`` as for ``classify_feasible``."""
+    baseline_final, _ = baseline_run(x0, p, nu) if baseline is None else baseline
     coeffs = curriculum_coefficients(p)
-    curriculum = coeffs.final * iterate(grid, coeffs.schedule, p, nu)[-1]
-    return curriculum > iterate(grid, (1.0,) * p.L, p, nu)[-1]
+    final, _ = run_schedule(x0, coeffs.schedule, p, nu)
+    return coeffs.final * final > baseline_final
 
 
 def measured_interval(grid: np.ndarray, flags: np.ndarray,
@@ -149,10 +165,8 @@ def _analytic_interval(kind: str, p: TheoryParams, nu: float, threshold: float) 
 
 
 def _scan_cell(cfg: ScanConfig, vary_value: float, pp: TheoryParams, nu: float,
-               threshold: float, grid: np.ndarray) -> CellResult:
+               threshold: float, grid: np.ndarray, flags: np.ndarray) -> CellResult:
     analytic = _analytic_interval(cfg.kind, pp, nu, threshold)
-    classify = classify_feasible if cfg.kind == "feasible" else classify_improvement
-    flags = classify(grid, pp, nu)
     lo, hi, length = measured_interval(grid, flags, analytic)
 
     cell = (1.0 - pp.gamma) / cfg.x0_points
@@ -172,20 +186,29 @@ def _scan_cell(cfg: ScanConfig, vary_value: float, pp: TheoryParams, nu: float,
 
 def run_scan(cfg: ScanConfig, p: TheoryParams, threads: int = 1) -> tuple[CellResult, ...]:
     """Run one panel: its cells in grid order (swept exponent major, budget
-    minor); deterministic regardless of thread count (cells are pure)."""
+    minor); deterministic regardless of thread count (rows are pure)."""
     grid = x0_grid(p, cfg.x0_points)
     sets = [p.with_betas(*cfg.betas(v)) for v in cfg.vary_values]
     nus = np.array(cfg.nu_values)
     thresholds = (BoundProblem(sets).threshold(nus[:, None]).T if cfg.kind == "improvement"
                   else np.full((len(sets), len(nus)), math.nan))
-    tasks = [(v, pp, nu, float(t)) for v, pp, row in zip(cfg.vary_values, sets, thresholds)
-             for nu, t in zip(cfg.nu_values, row)]
+    # A row's points: the grid once per budget, each point with its budget.
+    x0, nu = np.tile(grid, len(nus)), np.repeat(nus, len(grid))
+    baseline = baseline_run(x0, p, nu)
+    classify = classify_feasible if cfg.kind == "feasible" else classify_improvement
+
+    def scan_row(v: float, pp: TheoryParams, row: np.ndarray) -> list[CellResult]:
+        flags = classify(x0, pp, nu, baseline).reshape(len(nus), len(grid))
+        return [_scan_cell(cfg, v, pp, n, float(t), grid, f)
+                for n, t, f in zip(cfg.nu_values, row, flags)]
+
+    per_row = (cfg.vary_values, sets, thresholds)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(lambda t: _scan_cell(cfg, *t, grid), tasks))
+            rows = list(pool.map(scan_row, *per_row))
     else:
-        cells = [_scan_cell(cfg, *t, grid) for t in tasks]
-    return tuple(cells)
+        rows = list(map(scan_row, *per_row))
+    return tuple(cell for row in rows for cell in row)
 
 
 def default_panels(p: TheoryParams) -> dict[str, ScanConfig]:

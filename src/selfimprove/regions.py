@@ -15,8 +15,10 @@ doubles: each target is monotone, NaN counts as the diverging side, and
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -85,11 +87,11 @@ def _masked(holds, values) -> list:
 
 
 class BoundProblem:
-    """The error functional of one parameter set, or of a sequence of sets
+    """The error functional of one parameter set, or of an iterable of sets
     that differ only in their betas, built once.
 
     ``first`` and ``final`` (the curriculum coefficients) and ``beta_hi``
-    are floats for one set and arrays, one entry per set, for a sequence;
+    are floats for one set and arrays, one entry per set, for several;
     every other constant comes from ``p``, the (first) set.  Every
     method evaluates at budgets ``nu`` and initializations ``x0``,
     broadcast against the sets along the last axis; ``x0 = inf``, the
@@ -98,15 +100,20 @@ class BoundProblem:
     scalar result raises ``DomainError`` naming the first one.
     """
 
-    def __init__(self, params: TheoryParams | list[TheoryParams]) -> None:
+    def __init__(self, params: TheoryParams | Iterable[TheoryParams]) -> None:
         one = isinstance(params, TheoryParams)
-        sets = [params] if one else list(params)
-        self.p = sets[0]
-        coeffs = [curriculum_coefficients(q) for q in sets]
+        sets = iter([params] if one else params)
+        self.p = next(sets)
+        first, final, beta_hi = [], [], []
+        # Only three floats per set are kept, so ``params`` may be a
+        # generator that never holds all the sets at once.
+        for q in chain([self.p], sets):
+            coeffs = curriculum_coefficients(q)
+            first.append(coeffs.first)
+            final.append(coeffs.final)
+            beta_hi.append(q.beta_hi)
         stack = (lambda values: values[0]) if one else np.array
-        self.first = stack([co.first for co in coeffs])
-        self.final = stack([co.final for co in coeffs])
-        self.beta_hi = stack([q.beta_hi for q in sets])
+        self.first, self.final, self.beta_hi = (stack(v) for v in (first, final, beta_hi))
 
     def _evaluate(self, nu, x0):
         """The positivity conditions in ``_CONDITIONS`` order, then the

@@ -100,7 +100,7 @@ def test_c07_threshold_asymptotics():
     result = checks.check_threshold_curve(False)
     nu_c = si.collapse_budget(P)
     gaps = np.geomspace(0.001, 0.1, 12) * nu_c
-    log_x = [math.log(si.improvement_threshold(float(nu_c - g), P)) for g in gaps]
+    log_x = [math.log(x) for x in si.BoundProblem(P).threshold(nu_c - gaps)]
     blowup_slope = float(np.polyfit(np.log(gaps), log_x, 1)[0])
     blowup_ok = abs(blowup_slope + 2.0) <= 0.15
     report(7, "threshold increasing, slope within 1% at zero budget; blow-up "

@@ -32,9 +32,9 @@ def test_roots_satisfy_cubic():
 
 def test_roots_against_bisection_oracle():
     rng = np.random.default_rng(5)
-    for sigma in rng.uniform(1e-4, SIGMA_MAX - 1e-4, size=200):
+    sigmas = rng.uniform(1e-4, SIGMA_MAX - 1e-4, size=200)
+    for sigma, o_minus, o_plus in zip(sigmas, *oracle_cubic_roots(sigmas)):
         y_minus, y_plus = cubic_roots(float(sigma))
-        o_minus, o_plus = oracle_cubic_roots(float(sigma))
         assert abs(y_minus - o_minus) < 1e-10
         assert abs(y_plus - o_plus) < 1e-10
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from selfimprove import (TheoryParams, curriculum_coefficients, improvement_threshold,
                          invariant_interval)
-from selfimprove.dynamics import PLATEAU_TOL, increasing, iterate, step
+from selfimprove.dynamics import PLATEAU_TOL, increasing, iterate, run_schedule, step
 
 # Frozen from high-precision summation: sum_{i=1..5} i^(-0.1) = 4.550881937194478
 FIRST_COEFF_L5 = 1.0986881375969936   # 5 / 4.550881937194478
@@ -191,6 +191,20 @@ def test_iterate_rows_match_per_start_iteration():
         assert np.array_equal(rows[:, j], iterate(float(x0), schedule, P, nu), equal_nan=True)
     assert np.array_equal(increasing(rows),
                           [increasing(rows[:, j]) for j in range(starts.size)])
+
+
+def test_run_schedule_is_the_last_row_and_increasing_of_iterate():
+    """Bit for bit, with one budget per point, starts outside the domain, a
+    NaN start, and an empty schedule."""
+    starts = np.append(np.linspace(0.0, 1.0 - P.gamma, 40), math.nan)
+    nus = np.resize([0.0, 0.012, 0.04, 0.2], starts.size)
+    for schedule in ((1.0,) * P.L, curriculum_coefficients(P).schedule, ()):
+        rows = iterate(starts, schedule, P, nus)
+        final, rising = run_schedule(starts, schedule, P, nus)
+        assert final.tobytes() == rows[-1].tobytes()
+        assert np.array_equal(rising, increasing(rows))
+        assert np.array_equal(rows.T, [iterate(x0, schedule, P, nu)
+                                       for x0, nu in zip(starts, nus)], equal_nan=True)
 
 
 def test_curriculum_noiseless():

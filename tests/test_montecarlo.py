@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from selfimprove import (ParameterError, ScanConfig, TheoryParams, curriculum_coefficients,
-                         feasibility_interval, improvement_threshold, run_scan, x0_grid)
+from selfimprove import (BoundProblem, ParameterError, ScanConfig, TheoryParams,
+                         curriculum_coefficients, feasibility_interval, improvement_threshold,
+                         run_scan, x0_grid)
 from selfimprove.cubic import Interval
-from selfimprove.dynamics import PLATEAU_TOL
-from selfimprove.montecarlo import (classify_feasible, classify_improvement,
+from selfimprove.dynamics import PLATEAU_TOL, iterate
+from selfimprove.montecarlo import (_scan_cell, classify_feasible, classify_improvement,
                                     measured_interval)
 
 P = TheoryParams()
@@ -283,3 +284,72 @@ def test_gap_fixed_measured_length_rises_then_falls():
     assert max(lengths) > 0.9
     assert lengths[-1] == 0.0
     assert quasiconcave_within(lengths, cell + 1e-12)
+
+
+def diff_increasing(values):
+    """``dynamics.increasing`` written independently: every ``np.diff`` step
+    rises or stays within ``PLATEAU_TOL``, and no value is NaN."""
+    change = np.diff(values, axis=0)
+    rises = (change > 0.0) | (np.abs(change) <= PLATEAU_TOL)
+    return rises.all(axis=0) & ~np.isnan(values).any(axis=0)
+
+
+def per_cell_scan(cfg, p):
+    """Reference scan: every cell classified on its own from full
+    ``iterate`` trajectories.  The thresholds come from one solve over the
+    panel, as in ``run_scan``: a solve over an array of betas can differ in
+    the last bit from a solve for one set."""
+    grid = x0_grid(p, cfg.x0_points)
+    sets = [p.with_betas(*cfg.betas(v)) for v in cfg.vary_values]
+    thresholds = BoundProblem(sets).threshold(np.array(cfg.nu_values)[:, None]).T
+    cells = []
+    for v, pp, row in zip(cfg.vary_values, sets, thresholds):
+        co = curriculum_coefficients(pp)
+        for nu, threshold in zip(cfg.nu_values, row):
+            baseline = iterate(grid, (1.0,) * pp.L, pp, nu)
+            curriculum = iterate(grid, co.schedule, pp, nu)
+            if cfg.kind == "feasible":
+                flags = diff_increasing(baseline) & diff_increasing(curriculum[1:])
+                threshold = math.nan
+            else:
+                flags = co.final * curriculum[-1] > baseline[-1]
+            cells.append(_scan_cell(cfg, v, pp, nu, float(threshold), grid, flags))
+    return tuple(cells)
+
+
+@st.composite
+def scan_configs(draw):
+    """Small panels of both kinds and every sweep, budgets from 0 to past
+    the fold and the collapse (runs that leave the domain)."""
+    kind = draw(st.sampled_from(("feasible", "improvement")))
+    sweep = draw(st.sampled_from(("beta_hi", "beta_lo", "gap")))
+    fixed = draw(st.floats(min_value=0.02, max_value=1.5))
+    # beta_hi must exceed beta_lo: sweep beta_hi above a fixed beta_lo, beta_lo
+    # below a fixed beta_hi, or beta_lo anywhere at a fixed gap.
+    low, high = {"beta_hi": (fixed + 0.01, fixed + 2.0), "beta_lo": (0.01, 0.99 * fixed),
+                 "gap": (0.01, 2.0)}[sweep]
+    values = draw(st.lists(st.floats(min_value=low, max_value=high), min_size=1, max_size=3,
+                           unique=True))
+    nus = draw(st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.1)),
+                        min_size=1, max_size=3, unique=True))
+    return ScanConfig(kind=kind, vary="beta_hi" if sweep == "beta_hi" else "beta_lo",
+                      vary_values=sorted(values), fixed_value=fixed, nu_values=sorted(nus),
+                      x0_points=draw(st.integers(min_value=2, max_value=100)),
+                      fixed_kind="gap" if sweep == "gap" else "exponent")
+
+
+@given(cfg=scan_configs(), levels=st.integers(min_value=2, max_value=8))
+@example(cfg=ScanConfig(kind="feasible", vary="beta_hi", vary_values=(0.3, 0.75),
+                        fixed_value=0.1, nu_values=(0.0, 0.02, 0.09), x0_points=100),
+         levels=5)                                           # nu = 0, past the fold
+@example(cfg=ScanConfig(kind="improvement", vary="beta_lo", vary_values=(0.05, 0.3),
+                        fixed_value=0.4, nu_values=(0.0, 0.01, 0.05), x0_points=100),
+         levels=5)                                           # past the collapse
+@example(cfg=ScanConfig(kind="improvement", vary="beta_lo", vary_values=(0.2,),
+                        fixed_value=0.1, nu_values=(0.012,), x0_points=50,
+                        fixed_kind="gap"), levels=3)         # one budget, fixed gap
+@settings(max_examples=40, deadline=None)
+def test_scan_matches_cells_classified_one_by_one(cfg, levels):
+    p = TheoryParams(L=levels)
+    # repr tells -0.0 from 0.0 and writes every float exactly: bit for bit.
+    assert repr(run_scan(cfg, p)) == repr(per_cell_scan(cfg, p))

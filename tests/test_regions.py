@@ -113,6 +113,15 @@ def test_solvers_build_the_problem_once(monkeypatch):
         assert counts["margins"] > 10
 
 
+def test_problem_from_a_generator_keeps_three_floats_per_set():
+    sets = [P.with_betas(lo, lo + 0.3) for lo in (0.05, 0.1, 0.4)]
+    listed, streamed = BoundProblem(sets), BoundProblem(iter(sets))
+    for name in ("first", "final", "beta_hi"):
+        assert getattr(streamed, name).tobytes() == getattr(listed, name).tobytes()
+    assert streamed.p is sets[0]
+    assert set(vars(streamed)) == {"p", "first", "final", "beta_hi"}
+
+
 def test_feasibility_interval_noiseless():
     region = feasibility_interval(P, 0.0)
     first = curriculum_coefficients(P).first

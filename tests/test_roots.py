@@ -46,6 +46,19 @@ def test_last_true_halves_at_most_63_times():
     assert len(calls) <= 63
 
 
+def test_batched_thresholds_equal_scalar_solves_bit_for_bit():
+    """``last_true`` bisects each element on its own, so one solve over the
+    budgets of ``check_threshold_curve``'s slope pair,
+    ``check_scan_contains_analytic`` and criterion 7 (near the collapse)
+    gives the bits of a scalar solve at each.  Numpy's scalar and array
+    ``**`` can differ in the last bit, so this holds for these budgets, not
+    for every input."""
+    gaps = np.geomspace(0.001, 0.1, 12) * collapse_budget(P)
+    nus = np.concatenate([[0.5e-6, 1.5e-6, 0.005, 0.012, 0.02], collapse_budget(P) - gaps])
+    scalar = np.array([improvement_threshold(float(nu), P) for nu in nus])
+    assert BoundProblem(P).threshold(nus).tobytes() == scalar.tobytes()
+
+
 @given(st.floats(min_value=1e-300, max_value=1e-8))
 @settings(deadline=None)
 def test_threshold_over_nu_tends_to_the_zero_budget_slope(nu):
