@@ -20,6 +20,9 @@ from .errors import ParameterError
 # Fold of the conjugated cubic y*(1-y)^2 = sigma^2: two roots in (0, 1) below it.
 SIGMA_MAX = math.sqrt(4.0 / 27.0)
 
+# Most difficulty levels: every map, margin and schedule costs work linear in L.
+MAX_LEVELS = 1000
+
 _CONFIG_EXTRA_KEYS = frozenset({"nu"})
 
 
@@ -60,7 +63,8 @@ class TheoryParams:
             (0.0 < self.tau <= 1.0, "tau must lie in (0, 1]"),
             (isinstance(self.n, int) and self.n >= 1, "n must be an integer >= 1"),
             (isinstance(self.m, int) and self.m >= 1, "m must be an integer >= 1"),
-            (isinstance(self.L, int) and self.L >= 2, "L must be an integer >= 2"),
+            (isinstance(self.L, int) and 2 <= self.L <= MAX_LEVELS,
+             f"L must be an integer in [2, {MAX_LEVELS}]"),
             (self.beta_lo > 0.0, "beta_lo must be positive"),
             (self.beta_hi > self.beta_lo,
              "beta_hi must exceed beta_lo (0 < beta_lo < beta_hi)"),

@@ -90,14 +90,17 @@ class BoundProblem:
     """The error functional of one parameter set, or of an iterable of sets
     that differ only in their betas, built once.
 
-    ``first`` and ``final`` (the curriculum coefficients) and ``beta_hi``
-    are floats for one set and arrays, one entry per set, for several;
-    every other constant comes from ``p``, the (first) set.  Every
+    Per set it keeps ``first`` and ``final`` (the curriculum coefficients)
+    and the factors 2^(-beta_hi), exp(-beta_hi/L) and L^(-beta_hi), built
+    once by ufuncs: floats for one set and arrays, one entry per set, for
+    several; every other constant comes from ``p``, the (first) set.  Every
     method evaluates at budgets ``nu`` and initializations ``x0``,
     broadcast against the sets along the last axis; ``x0 = inf``, the
     default, is the large-initialization limit, where the residual term
     vanishes.  An array result is NaN where a positivity condition fails; a
-    scalar result raises ``DomainError`` naming the first one.
+    scalar result raises ``DomainError`` naming the first one.  Every power
+    is a ufunc, whose array loop runs on scalars too, so a solve for one set
+    has the bits of the same solve in a batch.
     """
 
     def __init__(self, params: TheoryParams | Iterable[TheoryParams]) -> None:
@@ -105,15 +108,18 @@ class BoundProblem:
         sets = iter([params] if one else params)
         self.p = next(sets)
         first, final, beta_hi = [], [], []
-        # Only three floats per set are kept, so ``params`` may be a
+        # Only five floats per set are kept, so ``params`` may be a
         # generator that never holds all the sets at once.
         for q in chain([self.p], sets):
             coeffs = curriculum_coefficients(q)
             first.append(coeffs.first)
             final.append(coeffs.final)
             beta_hi.append(q.beta_hi)
+        exponent, L = -np.array(beta_hi), float(self.p.L)
+        factors = np.power(2.0, exponent), np.exp(exponent / L), np.power(L, exponent)
         stack = (lambda values: values[0]) if one else np.array
-        self.first, self.final, self.beta_hi = (stack(v) for v in (first, final, beta_hi))
+        self.first, self.final, self.hard, self.decay, self.hard_weight = (
+            stack(v) for v in (first, final, *factors))
 
     def _evaluate(self, nu, x0):
         """The positivity conditions in ``_CONDITIONS`` order, then the
@@ -122,20 +128,20 @@ class BoundProblem:
         p = self.p
         c, gamma, L, cd, cdp = p.c, p.gamma, p.L, p.c_delta, p.c_delta_prime
         nu = np.asarray(nu, dtype=float)
-        hard = 2.0 ** -self.beta_hi
         with np.errstate(all="ignore"):
             base_inner = 1.0 - gamma - cdp * nu
-            q = cd * nu / (2.0 * c * base_inner ** 1.5)
+            q = cd * nu / (2.0 * c * np.power(base_inner, 1.5))
             # Finite geometric sum; identical to (1 - q^(L-1))/(1 - q) but defined at q = 1.
-            baseline = cd * nu / (c * np.sqrt(base_inner)) * sum(q ** j for j in range(L - 1))
+            series = sum(np.power(q, j) for j in range(L - 1))
+            baseline = cd * nu / (c * np.sqrt(base_inner)) * series
             res_inner = self.first * x0 - cdp * nu
             residual = cd * nu / (c * np.sqrt(res_inner))
-            ratio_inner = hard * (1.0 - gamma - residual) - cdp * nu
-            ratio = cd * nu / (2.0 * c * ratio_inner ** 1.5)
-            hard_inner = hard * (1.0 - gamma) - cdp * nu
-            common_ratio = ratio * np.exp(-self.beta_hi / L)
+            ratio_inner = self.hard * (1.0 - gamma - residual) - cdp * nu
+            ratio = cd * nu / (2.0 * c * np.power(ratio_inner, 1.5))
+            hard_inner = self.hard * (1.0 - gamma) - cdp * nu
+            common_ratio = ratio * self.decay
             tail = cd * nu / (c * np.sqrt(hard_inner)) / (1.0 - common_ratio)
-            hard_term = ratio ** (L - 1) * L ** -self.beta_hi * residual
+            hard_term = np.power(ratio, L - 1) * self.hard_weight * residual
             error = baseline - self.final * (tail + hard_term)
             margin = -error - 0.5 * (self.final - 1.0) * (1.0 - gamma)
             holds = (nu >= 0.0, base_inner > 0.0, res_inner > 0.0, ratio_inner > 0.0,

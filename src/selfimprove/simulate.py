@@ -32,6 +32,11 @@ ALPHA_FLOOR = 1e-4
 # round's temporaries: about 0.5 GB at this bound.
 MAX_QUESTIONS = 10**7
 
+# Largest per-round sample ``n`` a run draws.  A round peaks at about 32
+# bytes per draw (the uniforms, their order, the questions and the acceptance
+# mask): about 0.3 GB at this bound.
+MAX_SAMPLES = 10**7
+
 # Construction margins for the synthetic world: the low group sits in
 # [LOW_MIN, c*V - margin), the high group in [c*V + margin, hi].
 _LOW_MIN = 0.02
@@ -267,6 +272,8 @@ def run_selfimprove(world: SimWorld, p: TheoryParams, rounds: int, seed,
     """
     if rounds < 1:
         raise ParameterError("rounds must be >= 1")
+    if p.n > MAX_SAMPLES:
+        raise ParameterError(f"n must be at most {MAX_SAMPLES}, got {p.n}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     records = []
     alpha = world.alpha

@@ -218,6 +218,9 @@ def test_verify_fast_passes(tmp_path, capsys):
     (None, ["thresholds", "--x0", "0.49", "--beta-lo", "1e-17"]),
     (None, ["scan", "--panel", "a", "--x0-points", "1"]),
     (None, ["simulate", "--questions", "500", "--rounds", "1", "--v-target", "0.99"]),
+    ('{"L": 1001}', ["intervals", "--config", "config.json"]),
+    ('{"n": 10000001}',
+     ["simulate", "--questions", "500", "--rounds", "1", "--config", "config.json"]),
 ], ids=["missing-config", "malformed-json", "string-value", "bool-integer",
         "negative-seed", "zero-threads", "nan-nu", "inf-nu", "config-inf-nu",
         "nan-x0", "x0-above-ceiling", "nan-a", "inf-a", "huge-beta-hi",
@@ -230,7 +233,8 @@ def test_verify_fast_passes(tmp_path, capsys):
         "profile-bracket-error-after-csv", "simulate-config-betas", "negative-nu",
         "config-negative-nu", "curve-above-bound", "beta-grid-above-bound",
         "questions-above-bound", "thresholds-bracket-error", "scan-one-x0-point",
-        "simulate-infeasible-target"])
+        "simulate-infeasible-target", "config-levels-above-bound",
+        "simulate-samples-above-bound"])
 def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, argv):
     if config is not None:
         (tmp_path / "config.json").write_text(config)

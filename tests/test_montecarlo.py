@@ -296,16 +296,13 @@ def diff_increasing(values):
 
 def per_cell_scan(cfg, p):
     """Reference scan: every cell classified on its own from full
-    ``iterate`` trajectories.  The thresholds come from one solve over the
-    panel, as in ``run_scan``: a solve over an array of betas can differ in
-    the last bit from a solve for one set."""
+    ``iterate`` trajectories, with its threshold from its own solve."""
     grid = x0_grid(p, cfg.x0_points)
-    sets = [p.with_betas(*cfg.betas(v)) for v in cfg.vary_values]
-    thresholds = BoundProblem(sets).threshold(np.array(cfg.nu_values)[:, None]).T
     cells = []
-    for v, pp, row in zip(cfg.vary_values, sets, thresholds):
+    for v in cfg.vary_values:
+        pp = p.with_betas(*cfg.betas(v))
         co = curriculum_coefficients(pp)
-        for nu, threshold in zip(cfg.nu_values, row):
+        for nu in cfg.nu_values:
             baseline = iterate(grid, (1.0,) * pp.L, pp, nu)
             curriculum = iterate(grid, co.schedule, pp, nu)
             if cfg.kind == "feasible":
@@ -313,6 +310,7 @@ def per_cell_scan(cfg, p):
                 threshold = math.nan
             else:
                 flags = co.final * curriculum[-1] > baseline[-1]
+                threshold = BoundProblem(pp).threshold(nu)
             cells.append(_scan_cell(cfg, v, pp, nu, float(threshold), grid, flags))
     return tuple(cells)
 
@@ -348,6 +346,9 @@ def scan_configs(draw):
 @example(cfg=ScanConfig(kind="improvement", vary="beta_lo", vary_values=(0.2,),
                         fixed_value=0.1, nu_values=(0.012,), x0_points=50,
                         fixed_kind="gap"), levels=3)         # one budget, fixed gap
+@example(cfg=ScanConfig(kind="improvement", vary="beta_lo", vary_values=(1.3579828982301416,),
+                        fixed_value=2.25, nu_values=(0.015625,), x0_points=50),
+         levels=2)                                           # batched bits once differed
 @settings(max_examples=40, deadline=None)
 def test_scan_matches_cells_classified_one_by_one(cfg, levels):
     p = TheoryParams(L=levels)

@@ -8,7 +8,7 @@ from selfimprove import (BoundProblem, DomainError, ParameterError, TheoryParams
                          effective_sigma, invariant_interval, load_config,
                          validate_domain)
 from selfimprove.cli import _resolve_params, build_parser
-from selfimprove.params import SIGMA_MAX
+from selfimprove.params import MAX_LEVELS, SIGMA_MAX
 from selfimprove.regions import last_true
 
 # sqrt(2*ln(20000)) at high precision
@@ -93,6 +93,7 @@ def test_equal_params_stay_equal_and_hash_alike():
     (dict(beta_lo=0.0), "beta_lo"),
     (dict(beta_lo=0.5, beta_hi=0.5), "beta_hi"),
     (dict(beta_hi=1e308), "underflows"),
+    (dict(L=MAX_LEVELS + 1), "L must"),
 ])
 def test_invalid_parameters_name_the_invariant(kwargs, fragment):
     with pytest.raises(ParameterError, match=fragment):

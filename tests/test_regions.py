@@ -113,13 +113,19 @@ def test_solvers_build_the_problem_once(monkeypatch):
         assert counts["margins"] > 10
 
 
-def test_problem_from_a_generator_keeps_three_floats_per_set():
+def test_problem_from_a_generator_keeps_five_floats_per_set():
     sets = [P.with_betas(lo, lo + 0.3) for lo in (0.05, 0.1, 0.4)]
     listed, streamed = BoundProblem(sets), BoundProblem(iter(sets))
-    for name in ("first", "final", "beta_hi"):
+    state = ("first", "final", "hard", "decay", "hard_weight")
+    for name in state:
         assert getattr(streamed, name).tobytes() == getattr(listed, name).tobytes()
     assert streamed.p is sets[0]
-    assert set(vars(streamed)) == {"p", "first", "final", "beta_hi"}
+    assert set(vars(streamed)) == {"p", *state}
+    # The hardest level's factors, each built once per set.
+    for i, pp in enumerate(sets):
+        assert streamed.hard[i] == pytest.approx(2.0 ** -pp.beta_hi, rel=1e-15)
+        assert streamed.decay[i] == pytest.approx(math.exp(-pp.beta_hi / P.L), rel=1e-15)
+        assert streamed.hard_weight[i] == pytest.approx(P.L ** -pp.beta_hi, rel=1e-15)
 
 
 def test_feasibility_interval_noiseless():

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selfimprove import (BoundProblem, TheoryParams, baseline_half_error_budget,
@@ -46,17 +46,34 @@ def test_last_true_halves_at_most_63_times():
     assert len(calls) <= 63
 
 
-def test_batched_thresholds_equal_scalar_solves_bit_for_bit():
-    """``last_true`` bisects each element on its own, so one solve over the
-    budgets of ``check_threshold_curve``'s slope pair,
-    ``check_scan_contains_analytic`` and criterion 7 (near the collapse)
-    gives the bits of a scalar solve at each.  Numpy's scalar and array
-    ``**`` can differ in the last bit, so this holds for these budgets, not
-    for every input."""
-    gaps = np.geomspace(0.001, 0.1, 12) * collapse_budget(P)
-    nus = np.concatenate([[0.5e-6, 1.5e-6, 0.005, 0.012, 0.02], collapse_budget(P) - gaps])
-    scalar = np.array([improvement_threshold(float(nu), P) for nu in nus])
-    assert BoundProblem(P).threshold(nus).tobytes() == scalar.tobytes()
+@given(levels=st.integers(min_value=2, max_value=12),
+       pairs=st.lists(st.tuples(st.floats(min_value=0.001, max_value=3.0),
+                                st.floats(min_value=0.001, max_value=5.0)),
+                      min_size=1, max_size=3),
+       fractions=st.lists(st.floats(min_value=0.0, max_value=1.5), min_size=1, max_size=3),
+       budgets=st.lists(st.floats(min_value=0.0, max_value=0.1), max_size=2),
+       x0s=st.lists(st.one_of(st.just(math.inf), st.floats(min_value=0.01, max_value=0.97)),
+                    min_size=1, max_size=2))
+@example(levels=2, pairs=[(1.3579828982301416, 2.25 - 1.3579828982301416)], fractions=[1.0],
+         budgets=[0.015625], x0s=[math.inf])                 # batched bits once differed
+@settings(max_examples=40, deadline=None)
+def test_batched_thresholds_equal_scalar_solves_bit_for_bit(levels, pairs, fractions, budgets,
+                                                            x0s):
+    """``last_true`` bisects each element on its own and every power in the
+    margin is a ufunc, whose array loop runs on scalars too, so one solve
+    over several sets, budgets and initializations has the bits of the
+    one-set scalar solve at each.  The budgets are fractions of each set's
+    collapse budget, up to past it, and plain budgets shared by the sets."""
+    sets = [TheoryParams(L=levels).with_betas(lo, lo + gap) for lo, gap in pairs]
+    problem, alone = BoundProblem(sets), [BoundProblem(pp) for pp in sets]
+    batched = problem.max_improving_nu(np.array(x0s)[:, None])
+    scalar = [[one.max_improving_nu(x0) for one in alone] for x0 in x0s]
+    assert batched.tobytes() == np.array(scalar).tobytes()
+    nus = np.concatenate([np.array(fractions)[:, None] * problem.max_improving_nu(math.inf),
+                          np.repeat(np.array(budgets)[:, None], len(sets), axis=1)])
+    batched = problem.threshold(nus)
+    scalar = [[one.threshold(nu) for one, nu in zip(alone, row)] for row in nus]
+    assert batched.tobytes() == np.array(scalar).tobytes()
 
 
 @given(st.floats(min_value=1e-300, max_value=1e-8))

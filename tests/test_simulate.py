@@ -7,7 +7,7 @@ from selfimprove import (DomainError, ParameterError, SimWorld, TheoryParams,
                          acceptance_gain_ratio, build_world,
                          mean_to_min_acceptance_ratio, multi_try_acceptance,
                          run_replications, run_selfimprove, satisfies_coupling)
-from selfimprove.simulate import MAX_QUESTIONS, _distinct, _draw_sorted, _one_round
+from selfimprove.simulate import MAX_QUESTIONS, MAX_SAMPLES, _distinct, _draw_sorted, _one_round
 
 P = TheoryParams()
 
@@ -56,6 +56,11 @@ def test_build_world_infeasible_target():
 def test_build_world_bounds_question_count_before_allocating():
     with pytest.raises(ParameterError, match="at most"):
         build_world(MAX_QUESTIONS + 1, 0.5, P, seed=0)
+
+
+def test_run_bounds_the_sample_count_before_the_first_round():
+    with pytest.raises(ParameterError, match="at most"):
+        run_selfimprove(small_world(), TheoryParams(n=MAX_SAMPLES + 1), 1, seed=0)
 
 
 def test_world_validation():
