@@ -129,7 +129,9 @@ def invariant_interval(a: float, p: TheoryParams, nu: float) -> Interval:
                   if sigma < SIGMA_MAX else "sigma at or beyond sqrt(4/27)")
         return Interval(math.nan, math.nan, False, reason)
 
-    y_minus, y_plus = cubic_roots(sigma)
+    # A budget so small that sigma underflows to 0 has the roots of the
+    # nu -> 0 limit, y = 0 and y = 1, to double precision.
+    y_minus, y_plus = cubic_roots(sigma) if sigma > 0.0 else (0.0, 1.0)
     offset = p.c_delta_prime * nu / a
     scale = 1.0 - p.gamma - offset
     return Interval(offset + scale * y_minus, offset + scale * y_plus, True)

@@ -55,16 +55,29 @@ def curriculum_coefficients(p: TheoryParams) -> CurriculumCoefficients:
     return CurriculumCoefficients(first=first, final=final, mid=mid)
 
 
-def step(x, a: float, p: TheoryParams, nu):
+def step(x, a: float, p: TheoryParams, nu, out=None):
     """The scale-``a`` map at ``x`` (a float or an array; ``nu`` too).
 
     NaN where ``x`` is NaN or a*x <= c_delta_prime*nu, outside the natural
     domain.  The value is below 1 - gamma, with equality exactly at nu = 0.
+    On arrays every intermediate is written into one array: ``out`` (of
+    the result's shape) if given, else a new one; ``x`` and ``nu`` are
+    never written.  On floats the same operations rebind numpy scalars, so
+    both give the bits of the plain expression.
     """
-    radicand = a * np.asarray(x, dtype=float) - p.c_delta_prime * nu
+    value = np.multiply(a, np.asarray(x, dtype=float), out=out)
+    value -= p.c_delta_prime * nu                # the radicand
+    inside = value > 0.0
+    buffer = value if isinstance(value, np.ndarray) else None
     with np.errstate(invalid="ignore", divide="ignore"):
-        value = 1.0 - p.gamma - p.c_delta * nu / (p.c * np.sqrt(radicand))
-    return np.where(radicand > 0.0, value, np.nan)[()]
+        value = np.sqrt(value, out=buffer)
+        value *= p.c
+        value = np.divide(p.c_delta * nu, value, out=buffer)
+        value = np.subtract(1.0 - p.gamma, value, out=buffer)
+    if buffer is None:
+        return value if inside else np.float64(np.nan)
+    value[~inside] = np.nan
+    return value
 
 
 def iterate(x0, schedule, p: TheoryParams, nu) -> np.ndarray:
@@ -83,8 +96,7 @@ def iterate(x0, schedule, p: TheoryParams, nu) -> np.ndarray:
 def rises(before, after):
     """Per element: the step from ``before`` to ``after`` rises or stays
     within ``PLATEAU_TOL``.  A NaN on either side fails."""
-    change = after - before
-    return (change > 0.0) | (np.abs(change) <= PLATEAU_TOL)
+    return after - before >= -PLATEAU_TOL
 
 
 def increasing(values) -> np.ndarray:
@@ -97,11 +109,13 @@ def increasing(values) -> np.ndarray:
 def run_schedule(x0, schedule, p: TheoryParams, nu):
     """``iterate``'s last row and ``increasing`` of its rows, without
     storing them: the final images of ``x0`` under ``schedule``, and per
-    point whether it is not NaN and every step ``rises``."""
+    point whether it is not NaN and every step ``rises``.  On arrays a run
+    writes its images into two buffers of its own, never into ``x0``."""
     x = np.asarray(x0, dtype=float)
     rising = ~np.isnan(x)
-    for a in schedule:
-        image = step(x, a, p, nu)
+    spare = None                                 # never the caller's x0
+    for t, a in enumerate(schedule):
+        image = step(x, a, p, nu, out=spare)
         rising &= rises(x, image)
-        x = image
+        x, spare = image, (x if t and isinstance(x, np.ndarray) else None)
     return x, rising

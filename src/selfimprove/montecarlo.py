@@ -135,8 +135,13 @@ def measured_interval(grid: np.ndarray, flags: np.ndarray,
                       analytic: Interval | None) -> tuple[float, float, float]:
     """(lo, hi, length) of the maximal run (the first on ties), preferring
     the run containing the analytic midpoint when one exists."""
-    # Flag changes alternate between run starts and one past run ends.
-    changes = np.flatnonzero(np.diff(np.asarray(flags, dtype=bool), prepend=False, append=False))
+    # Flag changes, with False beyond both ends, alternate between run
+    # starts and one past run ends.
+    flags = np.asarray(flags, dtype=bool)
+    edges = np.empty(flags.size + 1, dtype=bool)
+    edges[0], edges[-1] = flags[0], flags[-1]
+    np.not_equal(flags[1:], flags[:-1], out=edges[1:-1])
+    changes = np.flatnonzero(edges)
     if changes.size == 0:
         return math.nan, math.nan, 0.0
     starts, ends = changes[::2], changes[1::2] - 1

@@ -129,18 +129,19 @@ class BoundProblem:
         c, gamma, L, cd, cdp = p.c, p.gamma, p.L, p.c_delta, p.c_delta_prime
         nu = np.asarray(nu, dtype=float)
         with np.errstate(all="ignore"):
-            base_inner = 1.0 - gamma - cdp * nu
-            q = cd * nu / (2.0 * c * np.power(base_inner, 1.5))
+            cd_nu, cdp_nu = cd * nu, cdp * nu
+            base_inner = 1.0 - gamma - cdp_nu
+            q = cd_nu / (2.0 * c * np.power(base_inner, 1.5))
             # Finite geometric sum; identical to (1 - q^(L-1))/(1 - q) but defined at q = 1.
             series = sum(np.power(q, j) for j in range(L - 1))
-            baseline = cd * nu / (c * np.sqrt(base_inner)) * series
-            res_inner = self.first * x0 - cdp * nu
-            residual = cd * nu / (c * np.sqrt(res_inner))
-            ratio_inner = self.hard * (1.0 - gamma - residual) - cdp * nu
-            ratio = cd * nu / (2.0 * c * np.power(ratio_inner, 1.5))
-            hard_inner = self.hard * (1.0 - gamma) - cdp * nu
+            baseline = cd_nu / (c * np.sqrt(base_inner)) * series
+            res_inner = self.first * x0 - cdp_nu
+            residual = cd_nu / (c * np.sqrt(res_inner))
+            ratio_inner = self.hard * (1.0 - gamma - residual) - cdp_nu
+            ratio = cd_nu / (2.0 * c * np.power(ratio_inner, 1.5))
+            hard_inner = self.hard * (1.0 - gamma) - cdp_nu
             common_ratio = ratio * self.decay
-            tail = cd * nu / (c * np.sqrt(hard_inner)) / (1.0 - common_ratio)
+            tail = cd_nu / (c * np.sqrt(hard_inner)) / (1.0 - common_ratio)
             hard_term = np.power(ratio, L - 1) * self.hard_weight * residual
             error = baseline - self.final * (tail + hard_term)
             margin = -error - 0.5 * (self.final - 1.0) * (1.0 - gamma)

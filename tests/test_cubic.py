@@ -181,6 +181,17 @@ def test_tiny_positive_radicand_is_a_valid_interval():
     assert iv.lo == pytest.approx(p.c_delta_prime * nu / a, rel=1e-9)
 
 
+def test_underflowing_sigma_is_the_zero_budget_limit():
+    # At a subnormal budget and a hard level's scale, sigma underflows to 0:
+    # the interval is the nu -> 0 one, valid, and no DomainError escapes.
+    p = TheoryParams(L=2, beta_lo=2.0, beta_hi=3.5)
+    a, nu = 2.0 ** -3.5, 5e-324
+    assert effective_sigma(a, p, nu) == 0.0
+    iv = invariant_interval(a, p, nu)
+    assert iv.valid and iv.hi == 1.0 - p.gamma
+    assert iv.lo == p.c_delta_prime * nu / a
+
+
 def test_overflowing_sigma_is_a_domain_error_and_an_invalid_interval():
     # A huge budget overflows a*c_delta*nu on the regular path, and
     # (a/inner)*c_delta*nu on the path taken when inner^(3/2) overflows.

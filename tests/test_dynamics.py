@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selfimprove import (TheoryParams, curriculum_coefficients, improvement_threshold,
                          invariant_interval)
-from selfimprove.dynamics import PLATEAU_TOL, increasing, iterate, run_schedule, step
+from selfimprove.dynamics import PLATEAU_TOL, increasing, iterate, rises, run_schedule, step
 
 # Frozen from high-precision summation: sum_{i=1..5} i^(-0.1) = 4.550881937194478
 FIRST_COEFF_L5 = 1.0986881375969936   # 5 / 4.550881937194478
@@ -92,6 +92,69 @@ def test_step_on_arrays_matches_scalar_calls():
     values = step(xs, 0.8, P, nu)
     assert values.shape == xs.shape
     assert np.array_equal(values, [step(float(x), 0.8, P, nu) for x in xs], equal_nan=True)
+
+
+def expression_step(x, a, p, nu):
+    """Reference for ``step``: the map as one expression, masked by ``np.where``."""
+    r = a * np.asarray(x, dtype=float) - p.c_delta_prime * nu
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(r > 0, 1 - p.gamma - p.c_delta * nu / (p.c * np.sqrt(r)), np.nan)[()]
+
+
+MAP_STARTS = st.one_of(st.floats(min_value=-1e300, max_value=1e300),
+                       st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0]))
+
+
+@given(starts=st.lists(MAP_STARTS, min_size=1, max_size=8),
+       a=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(min_value=0.05, max_value=2.0)),
+       budgets=st.lists(st.floats(min_value=0.0, max_value=0.5), min_size=1, max_size=8),
+       budget_kind=st.sampled_from(["zero", "scalar", "per point"]),
+       on_edge=st.lists(st.booleans(), min_size=1, max_size=8),
+       as_array=st.booleans())
+@example(starts=[0.5, math.nan, 0.0, -0.0, 0.3], a=1.0, budgets=[0.05] * 5,
+         budget_kind="per point", on_edge=[True, False, False, False, False], as_array=True)
+@example(starts=[0.4], a=2.0, budgets=[0.02], budget_kind="scalar", on_edge=[True],
+         as_array=False)                                     # radicand exactly 0 at a float
+@settings(max_examples=300, deadline=None)
+def test_step_has_the_bits_and_type_of_the_expression(starts, a, budgets, budget_kind,
+                                                       on_edge, as_array):
+    """With and without ``out``, on floats and arrays, at NaN, signed zeros
+    and the domain edge a*x = c_delta_prime*nu (radicand exactly 0 at a
+    power-of-two scale), and without writing into ``x`` or ``nu``."""
+    n = len(starts) if as_array else len(budgets)
+    nu = {"zero": 0.0, "scalar": budgets[0],
+          "per point": np.resize(np.array(budgets), n)}[budget_kind]
+    edge = P.c_delta_prime * np.broadcast_to(nu, (n,)) / a
+    if as_array:
+        x, moved = np.array(starts), np.resize(on_edge, n)
+        x[moved] = edge[moved]
+    else:
+        x = float(edge[0]) if on_edge[0] else starts[0]
+    before = (np.asarray(x).tobytes(), np.asarray(nu).tobytes())
+    want = expression_step(x, a, P, nu)
+    got = step(x, a, P, nu)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert got.tobytes() == want.tobytes()
+    if isinstance(want, np.ndarray):
+        out = np.full_like(want, 7.0)
+        assert step(x, a, P, nu, out=out) is out
+        assert out.tobytes() == want.tobytes()
+    assert (np.asarray(x).tobytes(), np.asarray(nu).tobytes()) == before
+
+
+def test_rises_is_the_two_clause_test():
+    """``after - before >= -PLATEAU_TOL`` has the truth table of "rises, or
+    moves by at most ``PLATEAU_TOL``" at the tolerance, its neighbours,
+    signed zeros, infinities and NaN."""
+    tol = PLATEAU_TOL
+    changes = np.array([tol, np.nextafter(tol, 1.0), np.nextafter(tol, 0.0),
+                        -tol, np.nextafter(-tol, -1.0), np.nextafter(-tol, 0.0),
+                        0.0, -0.0, math.inf, -math.inf, math.nan])
+    expected = [True, True, True, True, False, True, True, True, True, False, False]
+    got = rises(np.zeros_like(changes), changes)
+    assert got.tolist() == expected
+    assert got.tolist() == ((changes > 0.0) | (np.abs(changes) <= tol)).tolist()
+    assert not rises(math.nan, 0.0) and not rises(0.0, math.nan)
 
 
 @given(x=st.floats(min_value=0.15, max_value=0.97),

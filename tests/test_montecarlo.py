@@ -9,9 +9,9 @@ from selfimprove import (BoundProblem, ParameterError, ScanConfig, TheoryParams,
                          curriculum_coefficients, feasibility_interval, improvement_threshold,
                          run_scan, x0_grid)
 from selfimprove.cubic import Interval
-from selfimprove.dynamics import PLATEAU_TOL, iterate
-from selfimprove.montecarlo import (_scan_cell, classify_feasible, classify_improvement,
-                                    measured_interval)
+from selfimprove.dynamics import PLATEAU_TOL, iterate, run_schedule
+from selfimprove.montecarlo import (_scan_cell, baseline_run, classify_feasible,
+                                    classify_improvement, measured_interval)
 
 P = TheoryParams()
 
@@ -166,6 +166,8 @@ def loop_measured_interval(grid, flags, analytic):
 @given(flags=st.lists(st.booleans(), min_size=1, max_size=60),
        mid=st.one_of(st.none(), st.floats(min_value=-0.2, max_value=1.2)),
        valid=st.booleans())
+@example(flags=[True], mid=None, valid=True)                         # one point, in a run
+@example(flags=[False], mid=0.5, valid=True)                         # one point, no run
 @example(flags=[False] * 7, mid=0.5, valid=True)                     # all False
 @example(flags=[True] * 7, mid=None, valid=True)                     # all True
 @example(flags=[True, True, False, True, False, True, True], mid=None,
@@ -225,6 +227,23 @@ def test_classifiers_match_plain_loop(beta_lo, gap, nu, levels):
         improving.append(alive and co.final * cur[-1] > base[-1])
     assert classify_feasible(grid, p, nu).tolist() == feasible
     assert classify_improvement(grid, p, nu).tolist() == improving
+
+
+def test_runs_and_classifiers_never_write_their_inputs():
+    """The run kernels write into buffers of their own: ``x0``, the
+    per-point budgets and a shared baseline keep their bytes."""
+    grid = x0_grid(P, 50)
+    x0 = np.append(np.tile(grid, 3), math.nan)
+    nu = np.append(np.repeat([0.0, 0.012, 0.2], grid.size), 0.01)
+    before = x0.tobytes(), nu.tobytes()
+    run_schedule(x0, curriculum_coefficients(P).schedule, P, nu)
+    baseline = baseline_run(x0, P, nu)
+    shared = [a.tobytes() for a in baseline]
+    for classify in (classify_feasible, classify_improvement):
+        classify(x0, P, nu, baseline)
+        classify(x0, P, nu)
+    assert (x0.tobytes(), nu.tobytes()) == before
+    assert [a.tobytes() for a in baseline] == shared
 
 
 def test_grid_refinement_first_order():
@@ -349,6 +368,9 @@ def scan_configs(draw):
 @example(cfg=ScanConfig(kind="improvement", vary="beta_lo", vary_values=(1.3579828982301416,),
                         fixed_value=2.25, nu_values=(0.015625,), x0_points=50),
          levels=2)                                           # batched bits once differed
+@example(cfg=ScanConfig(kind="feasible", vary="beta_lo", vary_values=(2.0,), fixed_value=1.5,
+                        nu_values=(5e-324,), x0_points=2, fixed_kind="gap"),
+         levels=2)                                           # sigma underflows to 0
 @settings(max_examples=40, deadline=None)
 def test_scan_matches_cells_classified_one_by_one(cfg, levels):
     p = TheoryParams(L=levels)
