@@ -25,7 +25,7 @@ import numpy as np
 from .cubic import Interval, invariant_interval
 from .dynamics import curriculum_coefficients
 from .errors import BracketError, DomainError, ParameterError
-from .params import TheoryParams
+from .params import MAX_LEVELS, TheoryParams
 
 _SERIES_GUARD = 1e-10
 
@@ -349,53 +349,55 @@ def threshold_curve(nu_grid, p: TheoryParams) -> tuple[tuple[float, float, bool]
 # Coefficient growth ratio and its conditional-mean lemma
 # ---------------------------------------------------------------------------
 
-def _log_weight_distribution(num_levels: int, beta_lo: float):
-    """Support log(L/i) with weights i^(-beta_lo), i = 1..L."""
-    support = [math.log(num_levels / i) for i in range(1, num_levels + 1)]
-    weights = [i ** (-beta_lo) for i in range(1, num_levels + 1)]
-    return support, weights
+def _log_weight_variable(num_levels: int, beta_lo):
+    """The support log(L/i), i = 1..L, of the log-weight variable, and
+    ``beta_lo`` as a float array; ``ParameterError`` unless L is an integer
+    in [2, MAX_LEVELS], as in ``TheoryParams``, and every entry of
+    ``beta_lo`` is positive and finite (negated comparisons, so NaN fails
+    them too)."""
+    if not (isinstance(num_levels, (int, np.integer)) and 2 <= num_levels <= MAX_LEVELS):
+        raise ParameterError(f"num_levels must be an integer in [2, {MAX_LEVELS}]")
+    beta_lo = np.asarray(beta_lo, dtype=float)
+    if not ((beta_lo > 0.0) & (beta_lo < math.inf)).all():
+        raise ParameterError("beta_lo must be positive and finite")
+    return np.log(num_levels / np.arange(1.0, num_levels + 1.0)), beta_lo
 
 
-def coefficient_growth_ratio(beta_lo: float, num_levels: int) -> float:
-    """Self-normalized growth ratio of the final rescale coefficient.
+def coefficient_growth_ratio(beta_lo, num_levels: int):
+    """Self-normalized growth ratio of the final rescale coefficient, per ``beta_lo``.
 
     Computed from the exact derivative identity: the coefficient's log
     derivative is the mean of the log-weight variable, so the ratio reduces
     to (coefficient - 1) / mean.  Strictly increasing in ``beta_lo`` with
-    limits 0 and +inf.
+    limits 0 and +inf.  ``DomainError`` where the coefficient overflows.
     """
-    if beta_lo <= 0.0:
-        raise ParameterError("beta_lo must be positive")
-    if num_levels < 2:
-        raise ParameterError("num_levels must be >= 2")
-    support, _ = _log_weight_distribution(num_levels, beta_lo)
-    boosted = [math.exp(beta_lo * x) for x in support]
-    total = sum(boosted)
-    final = total / num_levels
-    mean = sum(x * w for x, w in zip(support, boosted)) / total
-    return (final - 1.0) / mean
+    support, beta_lo = _log_weight_variable(num_levels, beta_lo)
+    with np.errstate(over="ignore"):
+        boosted = np.exp(beta_lo[..., None] * support)
+        total, weighted = boosted.sum(axis=-1), (support * boosted).sum(axis=-1)
+    if not (np.maximum(total, weighted) < math.inf).all():
+        raise DomainError("the final rescale coefficient overflows")
+    return ((total / num_levels - 1.0) / (weighted / total))[()]
 
 
-def conditional_mean_check(num_levels: int, beta_lo: float, t: float) -> tuple[float, float]:
-    """Both sides of the tail conditional-mean inequality, computed exactly.
+def _mean_excess(support: np.ndarray, beta_lo: np.ndarray, t):
+    """E[X - t | X > t] for the log-weight variable X, per ``beta_lo`` and
+    ``t`` (whose last axis broadcasts against the levels); the event holds at
+    i = 1 for every t < log L.  The weights i^(-beta_lo) are exp(beta_lo *
+    (X - log L)), whose bits, unlike a power's, do not depend on the call's shape."""
+    tail = np.where(support > t, np.exp(beta_lo[..., None] * (support - support[0])), 0.0)
+    return (((support - t) * tail).sum(axis=-1) / tail.sum(axis=-1))[()]
+
+
+def conditional_mean_check(num_levels: int, beta_lo, t):
+    """Both sides of the tail conditional-mean inequality, exact, per ``beta_lo`` and ``t``.
 
     Returns (mean excess above ``t`` given the log-weight variable exceeds
     ``t``, mean given it is positive); the first never exceeds the second
     for t in [0, log L).
     """
-    if num_levels < 2:
-        raise ParameterError("num_levels must be >= 2")
-    if not 0.0 <= t < math.log(num_levels):
+    support, beta_lo = _log_weight_variable(num_levels, beta_lo)
+    t = np.asarray(t, dtype=float)
+    if not ((t >= 0.0) & (t < math.log(num_levels))).all():
         raise ParameterError("t must lie in [0, log(num_levels))")
-    support, weights = _log_weight_distribution(num_levels, beta_lo)
-
-    tail = [(x, w) for x, w in zip(support, weights) if x > t]
-    if not tail:
-        raise BracketError("empty conditioning event")  # unreachable for valid t
-    tail_mass = sum(w for _, w in tail)
-    lhs = sum((x - t) * w for x, w in tail) / tail_mass
-
-    positive = [(x, w) for x, w in zip(support, weights) if x > 0.0]
-    pos_mass = sum(w for _, w in positive)
-    rhs = sum(x * w for x, w in positive) / pos_mass
-    return lhs, rhs
+    return _mean_excess(support, beta_lo, t[..., None]), _mean_excess(support, beta_lo, 0.0)

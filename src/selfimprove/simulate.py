@@ -42,13 +42,15 @@ MAX_SAMPLES = 10**7
 _LOW_MIN = 0.02
 _MARGIN = 0.005
 
+_DEGENERATE = "degenerate world: minimum m-try acceptance probability is 0"
+
 
 @dataclass(frozen=True, eq=False)
 class SimWorld:
     """Finite question universe with acceptance probabilities.
 
-    Acceptance values of exactly zero are representable (the ratio
-    operations report them as degenerate) but never produced by
+    Acceptance values of exactly zero are representable (the ratio and a
+    round reject a zero m-try minimum as degenerate) but never produced by
     ``build_world`` or the update rule.
 
     Two plain attributes, not fields, are set once on construction:
@@ -159,32 +161,41 @@ def multi_try_acceptance(alpha: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def mean_to_min_acceptance_ratio(world: SimWorld, m: int) -> float:
-    """Population mean over minimum of the m-try acceptance probability.
+def _tries(m) -> np.ndarray:
+    """``m`` as a float array, or ``ParameterError`` unless every entry is a
+    whole number >= 1 (negated comparisons, so NaN fails them too)."""
+    m = np.asarray(m, dtype=float)
+    if not ((m >= 1.0) & (m < math.inf) & (np.trunc(m) == m)).all():
+        raise ParameterError("m must be a whole number >= 1")
+    return m
+
+
+def mean_to_min_acceptance_ratio(world: SimWorld, m):
+    """Population mean over minimum of the m-try acceptance, per entry of ``m``.
 
     Always >= 1; non-increasing in m with limit 1 when every question has
     positive acceptance.
     """
-    if m < 1:
-        raise ParameterError("m must be >= 1")
-    if float(np.min(world.alpha, where=world.support, initial=np.inf)) <= 0.0:
-        raise DomainError("degenerate world: minimum acceptance probability is 0")
-    accepted = multi_try_acceptance(world.alpha, m)
-    mean = float(world.weights @ accepted)
-    worst = float(np.min(accepted, where=world.support, initial=np.inf))
-    return mean / worst
+    # One contiguous row per m: numpy squares a stride-0 exponent of 2 and
+    # calls pow otherwise, so a broadcast m would tie the bits to the shape.
+    rows = np.broadcast_arrays(world.alpha, _tries(m)[..., None])
+    accepted = multi_try_acceptance(*map(np.ascontiguousarray, rows))
+    worst = np.min(accepted, axis=-1, where=world.support, initial=np.inf)
+    if not (worst > 0.0).all():
+        raise DomainError(_DEGENERATE)
+    return ((accepted * world.weights).sum(axis=-1) / worst)[()]
 
 
-def acceptance_gain_ratio(y: float, m: int) -> float:
-    """(1 - y^(m+1)) / (1 - y^m) for failure probability y in [0, 1).
+def acceptance_gain_ratio(y, m):
+    """(1 - y^(m+1)) / (1 - y^m) for failure probability y in [0, 1), per ``y`` and ``m``.
 
-    Increasing in y; equals 1 + y at m = 1.
+    Increasing in y; equals 1 + y at m = 1.  ``float_power`` is C's pow on
+    every element, whatever the shape of the call: the bits of Python's ``**``.
     """
-    if m < 1:
-        raise ParameterError("m must be >= 1")
-    if not 0.0 <= y < 1.0:
+    y, m = np.asarray(y, dtype=float), _tries(m)
+    if not ((y >= 0.0) & (y < 1.0)).all():
         raise DomainError("y must lie in [0, 1)")
-    return (1.0 - y ** (m + 1)) / (1.0 - y ** m)
+    return ((1.0 - np.float_power(y, m + 1.0)) / (1.0 - np.float_power(y, m)))[()]
 
 
 @dataclass(frozen=True)
@@ -231,6 +242,8 @@ def _one_round(world: SimWorld, p: TheoryParams, alpha: np.ndarray,
     accept_m = multi_try_acceptance(alpha, p.m)
     z_m = float(world.weights @ accept_m)
     alpha_m_min = float(np.min(accept_m, where=world.support, initial=np.inf))
+    if not alpha_m_min > 0.0:
+        raise DomainError(_DEGENERATE)
 
     # Draw i of the sample is accepted when try i of the second stream is
     # below its m-try acceptance; both are taken in ascending question order.

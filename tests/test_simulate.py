@@ -129,6 +129,13 @@ def test_ratio_degenerate_error():
         mean_to_min_acceptance_ratio(world, 4)
 
 
+@pytest.mark.parametrize("low", [0.0, 1e-300])
+def test_round_of_a_zero_m_try_minimum_is_a_domain_error(low):
+    world = SimWorld(weights=np.full(4, 0.25), alpha=np.array([low, 0.5, 0.6, 0.7]))
+    with pytest.raises(DomainError):
+        run_selfimprove(world, P, rounds=1, seed=0)
+
+
 def test_gain_ratio_identities():
     for y in np.linspace(0.0, 0.99, 12):
         assert acceptance_gain_ratio(float(y), 1) == pytest.approx(1.0 + y, rel=1e-12)
