@@ -14,8 +14,9 @@ from .montecarlo import CellResult, ScanConfig, default_panels, run_scan, x0_gri
 from .params import TheoryParams, load_config
 from .regions import (BoundProblem, ProfileResult, baseline_half_error_budget,
                       coefficient_growth_ratio, collapse_budget, conditional_mean_check,
-                      feasibility_interval, improvement_threshold, max_improving_nu,
-                      max_improving_nu_profile, threshold_curve, validate_domain)
+                      critical_budgets, feasibility_interval, improvement_threshold,
+                      max_improving_nu, max_improving_nu_profile, threshold_curve,
+                      validate_domain)
 from .simulate import (RoundRecord, SimWorld, acceptance_gain_ratio, build_world,
                        mean_to_min_acceptance_ratio, multi_try_acceptance,
                        run_replications, run_selfimprove, satisfies_coupling)
@@ -27,7 +28,8 @@ __all__ = [
     "Interval", "ParameterError", "ProfileResult", "RoundRecord", "ScanConfig",
     "SelfImproveError", "SimWorld", "TheoryParams", "acceptance_gain_ratio",
     "baseline_half_error_budget", "build_world", "coefficient_growth_ratio",
-    "collapse_budget", "conditional_mean_check", "cubic_roots", "curriculum_coefficients",
+    "collapse_budget", "conditional_mean_check", "critical_budgets", "cubic_roots",
+    "curriculum_coefficients",
     "default_panels", "effective_sigma", "exact_root_gap", "feasibility_interval",
     "gap_lower_bound", "improvement_threshold", "invariant_interval", "load_config",
     "max_improving_nu", "max_improving_nu_profile", "mean_to_min_acceptance_ratio",

@@ -155,26 +155,28 @@ def _parse_grid(spec: str) -> np.ndarray:
 def cmd_thresholds(args, params: TheoryParams, nu: float) -> tuple[int, list]:
     if args.curve is not None and not 1 <= args.curve <= montecarlo.MAX_GRID_POINTS:
         raise ParameterError("--curve must lie in [1, 10^6]")
-    beta_grid = _parse_grid(args.beta_grid) if args.profile else None
+    x0_profile = args.x0 if args.x0 is not None else 0.5 * (1.0 - params.gamma)
+    # One bisection solves every budget asked for; the curve's grid needs nu_c.
+    budgets = regions.critical_budgets(
+        params, nu_c=args.nu_c or args.curve is not None, nu_t=args.nu_t, x0=args.x0,
+        profile=(args.delta_gap, _parse_grid(args.beta_grid), x0_profile) if args.profile else None)
     betas = [params.beta_lo, params.beta_hi]
     rows = []
-    nu_c = regions.collapse_budget(params) if args.nu_c or args.curve else None
     if args.nu_c:
-        rows.append(["nu_c", *betas, "", nu_c])
+        rows.append(["nu_c", *betas, "", budgets["nu_c"]])
     if args.nu_t:
-        rows.append(["nu_T", *betas, "", regions.baseline_half_error_budget(params)])
+        rows.append(["nu_T", *betas, "", budgets["nu_t"]])
     if args.x0 is not None:
-        rows.append(["nu_star", *betas, args.x0, regions.max_improving_nu(args.x0, params)])
+        rows.append(["nu_star", *betas, args.x0, budgets["nu_star"]])
     files = []
     if rows:
         files.append(("thresholds.csv", ["name", "beta_lo", "beta_hi", "x0", "value"], rows))
     if args.curve:
-        grid = np.linspace(0.02, 0.995, args.curve) * nu_c
+        grid = np.linspace(0.02, 0.995, args.curve) * budgets["nu_c"]
         files.append(("threshold_curve.csv", ["nu", "x_threshold", "domain_flag"],
                       regions.threshold_curve(grid, params)))
     if args.profile:
-        x0 = args.x0 if args.x0 is not None else 0.5 * (1.0 - params.gamma)
-        profile = regions.max_improving_nu_profile(args.delta_gap, beta_grid, x0, params)
+        profile = budgets["profile"]
         files.append(("profile.csv", ["beta_lo", "nu_star", "is_argmax"],
                       [[bl, v, i == profile.argmax_index]
                        for i, (bl, v) in enumerate(profile.points)]))

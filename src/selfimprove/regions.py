@@ -182,21 +182,30 @@ class BoundProblem:
         below, _ = last_true(lambda x0: ~(improvement_margin(self, nu, x0) < 0.0), 0.0, math.inf)
         return np.where(improvement_margin(self, nu, math.inf) < 0.0, below, np.nan)[()]
 
-    def max_improving_nu(self, x0):
+    def max_improving_nu(self, x0, half_error=False):
         """Largest budget at which initialization ``x0`` improves (``inf``:
         the collapse budget), the last nu with a negative margin.  NaN where
-        the margin is not negative even at nu = 0."""
-        last, _ = last_true(lambda nu: improvement_margin(self, nu, x0) < 0.0, 0.0, math.inf)
-        return np.where(improvement_margin(self, 0.0, x0) < 0.0, last, np.nan)[()]
+        the margin is not negative even at nu = 0.  Where ``half_error`` is
+        true, the baseline half-error budget, from the same evaluations."""
+        last, _ = last_true(lambda nu: improvement_margin(self, nu, x0, half_error) < 0.0,
+                            0.0, math.inf)
+        return np.where(improvement_margin(self, 0.0, x0, half_error) < 0.0, last, np.nan)[()]
 
 
-def improvement_margin(problem: BoundProblem, nu, x0=math.inf):
+def improvement_margin(problem: BoundProblem, nu, x0=math.inf, half_error=False):
     """``problem.margin`` as the solvers evaluate it: NaN wherever a
     positivity condition fails, scalar points included, and never raising.
-    The solvers call it by this module-level name, so a tracer wrapping
-    module functions (perfbench) sees every evaluation."""
-    holds, *_, margin = problem._evaluate(nu, x0)
-    return np.where(reduce(np.logical_and, holds), margin, np.nan)
+    Where ``half_error`` is true, the unmasked baseline term less (1 -
+    gamma)/2 instead, negative exactly below the half-error budget.  The
+    solvers call it by this module-level name, so a tracer wrapping module
+    functions (perfbench) sees every evaluation."""
+    holds, baseline, *_, margin = problem._evaluate(nu, x0)
+    margin = np.where(reduce(np.logical_and, holds), margin, np.nan)
+    if half_error is False:
+        return margin
+    # A difference of doubles has the sign of their comparison, and NaN or
+    # +inf outside the term's domain is not negative.
+    return np.where(half_error, baseline - 0.5 * (1.0 - problem.p.gamma), margin)
 
 
 def _root(value, message: str) -> float:
@@ -271,18 +280,13 @@ def collapse_budget(p: TheoryParams) -> float:
     strictly increasing in nu from a negative value at nu = 0 and diverges
     at the first domain breakdown.
     """
-    return _root(BoundProblem(p).max_improving_nu(math.inf),
-                 "negative large-initialization improvement margin fails already at nu = 0")
+    return critical_budgets(p, nu_c=True)["nu_c"]
 
 
 def baseline_half_error_budget(p: TheoryParams) -> float:
     """Budget parameter at which the baseline error term reaches half the
     attainable ceiling (1 - gamma)/2; unique by strict monotonicity."""
-    problem, target = BoundProblem(p), 0.5 * (1.0 - p.gamma)
-    # Outside its domain the unmasked baseline term is NaN or +inf, so the
-    # comparison fails there as it should.
-    return float(last_true(lambda nu: problem._evaluate(nu, math.inf)[1] < target,
-                           0.0, math.inf)[0])
+    return critical_budgets(p, nu_t=True)["nu_t"]
 
 
 def check_initialization(x0: float, p: TheoryParams) -> None:
@@ -298,9 +302,7 @@ def max_improving_nu(x0: float, p: TheoryParams) -> float:
     margin is strictly increasing in nu), and equivalently the budget at
     which the improvement threshold crosses ``x0``.
     """
-    check_initialization(x0, p)
-    return _root(BoundProblem(p).max_improving_nu(x0),
-                 f"negative improvement margin at x0={x0!r} fails already at nu = 0")
+    return critical_budgets(p, x0=x0)["nu_star"]
 
 
 @dataclass(frozen=True)
@@ -320,21 +322,52 @@ def max_improving_nu_profile(delta_gap: float, beta_grid, x0: float,
                              p: TheoryParams) -> ProfileResult:
     """Evaluate the largest improving budget along ``beta_lo`` at fixed gap;
     the tail slope is fitted on the last 30% of the grid."""
-    if not delta_gap > 0.0:
-        raise ParameterError(f"delta_gap must be positive, got {delta_gap!r}")
-    betas = [float(bl) for bl in beta_grid]
-    k = max(2, int(len(betas) * 0.3))
-    if len(set(betas[-k:])) < 2:
-        raise ParameterError("beta_grid needs two distinct values in its last 30% (tail slope)")
-    problem = BoundProblem([p.with_betas(bl, bl + delta_gap) for bl in betas])
-    check_initialization(x0, p)
-    values = [_root(v, f"negative improvement margin at x0={x0!r} fails already at "
-                       f"nu = 0 (beta_lo={bl!r})")
-              for bl, v in zip(betas, problem.max_improving_nu(x0))]
-    xs, ys = np.array(betas[-k:]), np.log(values[-k:])
-    slope = float(((xs - xs.mean()) * (ys - ys.mean())).sum() / ((xs - xs.mean()) ** 2).sum())
-    return ProfileResult(points=tuple(zip(betas, values)), argmax_index=int(np.argmax(values)),
-                         tail_slope=slope)
+    return critical_budgets(p, profile=(delta_gap, beta_grid, x0))["profile"]
+
+
+def critical_budgets(p: TheoryParams, *, nu_c=False, nu_t=False, x0=None, profile=None) -> dict:
+    """The requested budgets of ``p`` from one bisection, by name: ``nu_c``
+    (``collapse_budget``), ``nu_t`` (``baseline_half_error_budget``),
+    ``nu_star`` at ``x0`` (``max_improving_nu``) and, for ``profile =
+    (delta_gap, beta_grid, x0)``, ``profile`` (``max_improving_nu_profile``).
+    Each is a column of one ``BoundProblem`` over ``p`` (once per budget) and
+    the profile's sets, with the bits of its solve alone.  The inputs are
+    checked first, then the roots in the order above."""
+    fails = "fails already at nu = 0"
+    # The half-error budget needs no message: negative at nu = 0, it is never NaN.
+    scalars = ([("nu_c", math.inf, f"negative large-initialization improvement margin {fails}")]
+               * nu_c + [("nu_t", math.inf, "")] * nu_t)
+    if x0 is not None:
+        check_initialization(x0, p)
+        scalars.append(("nu_star", x0, f"negative improvement margin at x0={x0!r} {fails}"))
+    sets, x0s = [p] * len(scalars), [start for _, start, _ in scalars]
+    if profile is not None:
+        delta_gap, beta_grid, x0_profile = profile
+        if not delta_gap > 0.0:
+            raise ParameterError(f"delta_gap must be positive, got {delta_gap!r}")
+        betas = [float(bl) for bl in beta_grid]
+        k = max(2, int(len(betas) * 0.3))
+        if len(set(betas[-k:])) < 2:
+            raise ParameterError("beta_grid needs two distinct values in its last 30% (tail slope)")
+        check_initialization(x0_profile, p)
+        sets += [p.with_betas(bl, bl + delta_gap) for bl in betas]
+        x0s += [x0_profile] * len(betas)
+    if not sets:
+        return {}
+    # A lone column solves on floats, which is faster and has the same bits.
+    problem, x0s = ((BoundProblem(p), x0s[0]) if len(sets) == 1
+                    else (BoundProblem(sets), np.array(x0s)))
+    half = np.arange(len(sets)) == int(nu_c) if nu_t else False
+    solved = np.atleast_1d(problem.max_improving_nu(x0s, half))
+    found = {name: _root(v, message) for (name, _, message), v in zip(scalars, solved)}
+    if profile is not None:
+        nus = [_root(v, f"negative improvement margin at x0={x0_profile!r} {fails} "
+                        f"(beta_lo={bl!r})") for bl, v in zip(betas, solved[len(scalars):])]
+        xs, ys = np.array(betas[-k:]), np.log(nus[-k:])
+        slope = float(((xs - xs.mean()) * (ys - ys.mean())).sum() / ((xs - xs.mean()) ** 2).sum())
+        found["profile"] = ProfileResult(points=tuple(zip(betas, nus)),
+                                         argmax_index=int(np.argmax(nus)), tail_slope=slope)
+    return found
 
 
 def threshold_curve(nu_grid, p: TheoryParams) -> tuple[tuple[float, float, bool], ...]:

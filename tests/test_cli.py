@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from selfimprove import BoundProblem, TheoryParams, curriculum_coefficients
+from selfimprove import (BoundProblem, TheoryParams, baseline_half_error_budget,
+                         curriculum_coefficients)
 from selfimprove.cli import main
 from selfimprove.regions import improvement_margin
 
@@ -243,6 +244,53 @@ def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, a
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "new").exists()
     assert [f.name for f in tmp_path.iterdir()] == ([] if config is None else ["config.json"])
+
+
+# The flag sets of ``thresholds`` that choose which budgets one solve holds,
+# the last one the budget_sweep benchmark's argv.
+THRESHOLD_FLAGS = {
+    "nu-c": ["--nu-c"], "nu-t": ["--nu-t"], "x0": ["--x0", "0.49"], "curve": ["--curve", "5"],
+    "profile": ["--profile"],
+    "budget-sweep": ["--nu-c", "--nu-t", "--x0", "0.49", "--curve", "200", "--profile",
+                     "--beta-grid", "0.01:12:121"],
+}
+COLLAPSE = "error: negative large-initialization improvement margin fails already at nu = 0"
+NO_STAR = "error: negative improvement margin at x0=0.49 fails already at nu = 0"
+BAD_X0 = "error: x0 must lie strictly between 0 and 1 - gamma"
+BAD_GAP = "error: delta_gap must be positive, got -1.0"
+FLAT_TAIL = "error: beta_grid needs two distinct values in its last 30% (tail slope)"
+# One fault each, and the error line per flag set ("": the flags do not
+# read what the fault touches, and the run succeeds).  At beta_lo = 1e-17
+# the final coefficient rounds to 1, so the margin has no sign change, but
+# the half-error budget, a root of the baseline term alone, exists.
+THRESHOLD_FAULTS = {
+    "beta-lo-1e-17": (["--beta-lo", "1e-17"],
+                      {"nu-c": COLLAPSE, "nu-t": "", "x0": NO_STAR, "curve": COLLAPSE,
+                       "profile": "", "budget-sweep": COLLAPSE}),
+    "zero-x0": (["--x0", "0.0"], dict.fromkeys(THRESHOLD_FLAGS, BAD_X0)),
+    "negative-delta-gap": (["--delta-gap", "-1"], {**dict.fromkeys(THRESHOLD_FLAGS, ""),
+                                                   "profile": BAD_GAP, "budget-sweep": BAD_GAP}),
+    "constant-grid-tail": (["--beta-grid", "1:1:5"],
+                           {**dict.fromkeys(THRESHOLD_FLAGS, ""),
+                            "profile": FLAT_TAIL, "budget-sweep": FLAT_TAIL}),
+}
+
+
+@pytest.mark.parametrize("fault", THRESHOLD_FAULTS)
+@pytest.mark.parametrize("flags", THRESHOLD_FLAGS)
+def test_thresholds_fault_prints_the_error_line_of_its_flags(tmp_path, capsys, flags, fault):
+    extra, errors = THRESHOLD_FAULTS[fault]
+    code = run_in(tmp_path, ["thresholds", *THRESHOLD_FLAGS[flags], *extra, "--out", "new"])
+    assert (code, capsys.readouterr().err) == ((2, errors[flags] + "\n") if errors[flags]
+                                               else (0, ""))
+    assert (tmp_path / "new").exists() == (code == 0)
+
+
+def test_half_error_budget_is_written_where_the_margin_has_no_sign_change(tmp_path):
+    assert run_in(tmp_path, ["thresholds", "--nu-t", "--beta-lo", "1e-17"]) == 0
+    (row,) = read_rows(tmp_path / "thresholds.csv")
+    assert row["name"] == "nu_T"
+    assert float(row["value"]) == baseline_half_error_budget(TheoryParams(beta_lo=1e-17)) > 0.0
 
 
 def test_out_naming_a_file_exits_2_before_computing(tmp_path, capsys):

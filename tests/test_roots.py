@@ -10,8 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selfimprove import (BoundProblem, TheoryParams, baseline_half_error_budget,
-                         collapse_budget, curriculum_coefficients, improvement_threshold,
-                         max_improving_nu, threshold_curve)
+                         collapse_budget, critical_budgets, curriculum_coefficients,
+                         improvement_threshold, max_improving_nu, threshold_curve)
 from selfimprove.regions import improvement_margin, last_true
 
 P = TheoryParams()
@@ -74,6 +74,59 @@ def test_batched_thresholds_equal_scalar_solves_bit_for_bit(levels, pairs, fract
     batched = problem.threshold(nus)
     scalar = [[one.threshold(nu) for one, nu in zip(alone, row)] for row in nus]
     assert batched.tobytes() == np.array(scalar).tobytes()
+
+
+def _solved_alone(p: TheoryParams, x0: float) -> float:
+    """The largest improving budget of ``p`` at ``x0`` as a one-set solve of
+    its own: a bisection of the margin alone."""
+    problem = BoundProblem(p)
+    last, _ = last_true(lambda nu: improvement_margin(problem, nu, x0) < 0.0, 0.0, math.inf)
+    return np.where(improvement_margin(problem, 0.0, x0) < 0.0, last, np.nan)[()]
+
+
+def _half_error_alone(p: TheoryParams) -> float:
+    """The half-error budget of ``p`` as a bisection of the baseline term alone."""
+    problem, target = BoundProblem(p), 0.5 * (1.0 - p.gamma)
+    return last_true(lambda nu: problem._evaluate(nu, math.inf)[1] < target, 0.0, math.inf)[0]
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@given(levels=st.integers(min_value=2, max_value=8),
+       beta_lo=st.floats(min_value=0.001, max_value=3.0),
+       gap=st.floats(min_value=0.001, max_value=5.0),
+       x0=st.floats(min_value=0.001, max_value=0.979),
+       delta_gap=st.floats(min_value=0.001, max_value=5.0),
+       grid=st.lists(st.floats(min_value=0.001, max_value=12.0), min_size=2, max_size=2,
+                     unique=True),
+       asked=st.sets(st.sampled_from(["nu_c", "nu_t", "nu_star", "profile"]), min_size=1))
+@example(levels=5, beta_lo=0.1, gap=0.3, x0=0.49, delta_gap=0.1, grid=[0.01, 12.0],
+         asked={"nu_c", "nu_t", "nu_star", "profile"})           # every column, as W3 asks
+@example(levels=5, beta_lo=0.1, gap=5.0, x0=0.49, delta_gap=0.1, grid=[0.01, 12.0],
+         asked={"nu_t"})              # a lone half-error column, beyond the margin's domain
+@settings(max_examples=20, deadline=None)
+def test_fused_budgets_equal_their_solves_alone_bit_for_bit(levels, beta_lo, gap, x0,
+                                                            delta_gap, grid, asked):
+    """Whatever subset of budgets one ``critical_budgets`` call solves, each
+    has the bits of its own solve: the margin's root at ``x0 = inf`` and at
+    ``x0`` for the set, the baseline term's for the half-error budget, and
+    the margin's root at ``x0`` for each profile set."""
+    p = TheoryParams(L=levels).with_betas(beta_lo, beta_lo + gap)
+    found = critical_budgets(p, nu_c="nu_c" in asked, nu_t="nu_t" in asked,
+                             x0=x0 if "nu_star" in asked else None,
+                             profile=(delta_gap, grid, x0) if "profile" in asked else None)
+    assert set(found) == asked
+    alone = {"nu_c": lambda: _solved_alone(p, math.inf), "nu_t": lambda: _half_error_alone(p),
+             "nu_star": lambda: _solved_alone(p, x0)}
+    for name in asked - {"profile"}:
+        assert _bits(found[name]) == _bits(alone[name]())
+    if "profile" in asked:
+        betas, values = zip(*found["profile"].points)
+        assert betas == tuple(grid)
+        assert _bits(values) == _bits([_solved_alone(p.with_betas(bl, bl + delta_gap), x0)
+                                       for bl in grid])
 
 
 @given(st.floats(min_value=1e-300, max_value=1e-8))
