@@ -288,10 +288,6 @@ def _sample_error_tuple(rng, p: TheoryParams):
     return beta_lo, beta_hi, nu, x0
 
 
-def _problem(p: TheoryParams, beta_lo, beta_hi) -> regions.BoundProblem:
-    return regions.BoundProblem(p.with_betas(lo, hi) for lo, hi in zip(beta_lo, beta_hi))
-
-
 def _first_defined(rng, p: TheoryParams, count: int, evaluate):
     """Rejection sampling in batches: the first ``count`` tuples drawn by
     ``_sample_error_tuple`` at which no array of
@@ -313,7 +309,7 @@ def check_error_functional_monotone(fast: bool) -> CheckResult:
     p = TheoryParams()
 
     def differences(beta_lo, beta_hi, nu, x0):
-        problem, harder, easier = (_problem(p, beta_lo, b)
+        problem, harder, easier = (regions.BoundProblem(p, beta_lo, b)
                                    for b in (beta_hi, beta_hi + step, beta_hi - step))
         return (problem.error(nu + step, x0) - problem.error(nu - step, x0),
                 problem.error(nu, x0 + step) - problem.error(nu, x0 - step),
@@ -335,13 +331,13 @@ def check_improvement_equivalence(fast: bool) -> CheckResult:
     ceiling = 1.0 - p.gamma
 
     def threshold_or_nan(beta_lo, beta_hi, nu, _):
-        value = _problem(p, beta_lo, beta_hi).threshold(np.minimum(nu, 0.02))
+        value = regions.BoundProblem(p, beta_lo, beta_hi).threshold(np.minimum(nu, 0.02))
         return (np.where(value < ceiling, value, np.nan),)
 
     (beta_lo, beta_hi, nu, _), (threshold,) = _first_defined(rng, p, trials, threshold_or_nan)
     nu = np.minimum(nu, 0.02)
     x0 = np.stack([threshold * 0.9 + 1e-9, threshold * 1.1, rng.uniform(threshold, ceiling)])
-    margin = _problem(p, beta_lo, beta_hi).margin(nu, x0)
+    margin = regions.BoundProblem(p, beta_lo, beta_hi).margin(nu, x0)
     # Below the threshold the margin may also be NaN (outside the domain).
     above = x0 > threshold
     wrong = ((margin < 0.0) != above) & ~(np.isnan(margin) & ~above)
@@ -377,7 +373,7 @@ def check_critical_budgets(fast: bool) -> CheckResult:
     p = TheoryParams()
     nu_t = regions.baseline_half_error_budget(p)
     betas = np.linspace(0.3, 0.9, 4 if fast else 8)
-    problem = _problem(p, np.full_like(betas, 0.1), betas)
+    problem = regions.BoundProblem(p, 0.1, betas)
     nu_c = problem.max_improving_nu(math.inf)  # x0 = inf: the collapse budgets
     if not (np.diff(nu_c) < 0.0).all():
         return CheckResult("critical-budgets", False, "nu_c not decreasing in beta_hi")
@@ -444,7 +440,7 @@ def check_tail_exceeds_baseline(fast: bool) -> CheckResult:
     p = TheoryParams()
 
     def baseline_and_tail(beta_lo, beta_hi, nu, x0):
-        _, t1, _, t3 = _problem(p, beta_lo, beta_hi).terms(nu, x0)
+        _, t1, _, t3 = regions.BoundProblem(p, beta_lo, beta_hi).terms(nu, x0)
         return t1, t3
 
     tuples, (t1, t3) = _first_defined(rng, p, 50 if fast else 300, baseline_and_tail)
@@ -457,7 +453,7 @@ def check_tail_exceeds_baseline(fast: bool) -> CheckResult:
 def check_coefficients_increasing(fast: bool) -> CheckResult:
     grid = np.linspace(0.01, 5.0, 30 if fast else 100)
     p = TheoryParams()
-    problem = regions.BoundProblem(p.with_betas(float(beta_lo), 6.0) for beta_lo in grid)
+    problem = regions.BoundProblem(p, grid, 6.0)
     ok = bool(all((values[1:] > values[:-1]).all() for values in (problem.first, problem.final)))
     return CheckResult("coefficients-increasing", ok,
                        "first and final coefficients increase in beta_lo")

@@ -35,24 +35,48 @@ class CurriculumCoefficients:
 
     ``first`` reweights the uniform mixture to the easiest level, ``final``
     reweights the hardest level back to the mixture, and ``mid[t-1]`` is the
-    difficulty ratio between levels t and t+1.
+    difficulty ratio between levels t and t+1, computed when asked for.
+    Floats for one pair of betas, arrays, one entry per pair, for several.
     """
 
     first: float   # L / sum_i i^(-beta_lo)
     final: float   # sum_i i^(-beta_lo) / L^(1-beta_lo)
-    mid: tuple[float, ...]  # (1 + 1/t)^(-beta_hi), t = 1..L-1
+    L: int
+    beta_hi: float
 
     @property
-    def schedule(self) -> tuple[float, ...]:
+    def mid(self) -> tuple:
+        """(1 + 1/t)^(-beta_hi), t = 1..L-1."""
+        neg = -np.asarray(self.beta_hi, dtype=float)
+        t = np.arange(1.0, self.L).reshape((-1,) + (1,) * neg.ndim)
+        ratio = np.float_power(t + 1.0, neg) / np.float_power(t, neg)
+        return tuple(ratio.tolist() if neg.ndim == 0 else ratio)
+
+    @property
+    def schedule(self) -> tuple:
         return (self.first,) + self.mid
 
 
-def curriculum_coefficients(p: TheoryParams) -> CurriculumCoefficients:
-    weight_sum = sum(i ** (-p.beta_lo) for i in range(1, p.L + 1))
+def _plain(value):
+    """A 0-d result as a Python float, whose repr the CSVs print; arrays as they are."""
+    return value if isinstance(value, np.ndarray) else float(value)
+
+
+def curriculum_coefficients(p: TheoryParams, beta_lo=None, beta_hi=None) -> CurriculumCoefficients:
+    """The coefficients of ``p``, or of ``p``'s ``L`` with the betas given
+    (floats or arrays, unchecked).  Each power is ``np.float_power``, the C
+    ``pow`` of Python's ``**``, and the level sum runs left to right, so an
+    array call has, pair for pair, the bits of the one-pair calls."""
+    if beta_lo is None:
+        beta_lo, beta_hi = p.beta_lo, p.beta_hi
+    neg = -np.asarray(beta_lo, dtype=float)
+    weight_sum = 0.0
+    for i in range(1, p.L + 1):
+        weight_sum = weight_sum + np.float_power(float(i), neg)
     first = p.L / weight_sum
-    final = weight_sum / p.L ** (1.0 - p.beta_lo)
-    mid = tuple((t + 1) ** (-p.beta_hi) / t ** (-p.beta_hi) for t in range(1, p.L))
-    return CurriculumCoefficients(first=first, final=final, mid=mid)
+    final = weight_sum / np.float_power(float(p.L), 1.0 + neg)
+    return CurriculumCoefficients(first=_plain(first), final=_plain(final), L=p.L,
+                                  beta_hi=_plain(np.asarray(beta_hi, dtype=float)))
 
 
 def step(x, a: float, p: TheoryParams, nu, out=None):

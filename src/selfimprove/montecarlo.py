@@ -131,10 +131,27 @@ def classify_improvement(x0, p: TheoryParams, nu, baseline=None) -> np.ndarray:
     return coeffs.final * final > baseline_final
 
 
+def _nearest_index(grid: np.ndarray, value: float) -> int:
+    """``np.argmin(np.abs(grid - value))`` on an ascending uniform grid: the
+    index the spacing gives, or a neighbour of it, whichever is nearest, the
+    first on ties.  Equal to the argmin wherever distances to adjacent grid
+    points do not round together, as for a value in [-1, 2] and the grids of
+    ``x0_grid`` (every analytic midpoint lies in (0, 1))."""
+    last = grid.size - 1
+    if last == 0:
+        return 0
+    lo, hi = grid.item(0), grid.item(last)
+    guess = round(min(max((value - lo) / (hi - lo) * last, 0.0), last))
+    start = max(guess - 1, 0)
+    distances = [abs(x - value) for x in grid[start:start + 3].tolist()]
+    return start + distances.index(min(distances))
+
+
 def measured_interval(grid: np.ndarray, flags: np.ndarray,
                       analytic: Interval | None) -> tuple[float, float, float]:
     """(lo, hi, length) of the maximal run (the first on ties), preferring
-    the run containing the analytic midpoint when one exists."""
+    the run containing the analytic midpoint when one exists; ``grid`` is
+    ascending and uniform, as ``x0_grid`` makes it."""
     # Flag changes, with False beyond both ends, alternate between run
     # starts and one past run ends.
     flags = np.asarray(flags, dtype=bool)
@@ -149,7 +166,7 @@ def measured_interval(grid: np.ndarray, flags: np.ndarray,
     chosen = None
     if analytic is not None and analytic.valid:
         mid = 0.5 * (analytic.lo + analytic.hi)
-        j = int(np.argmin(np.abs(grid - mid)))
+        j = _nearest_index(grid, mid)
         if flags[j]:
             chosen = int(np.searchsorted(starts, j, side="right")) - 1
     if chosen is None:
@@ -195,7 +212,8 @@ def run_scan(cfg: ScanConfig, p: TheoryParams, threads: int = 1) -> tuple[CellRe
     grid = x0_grid(p, cfg.x0_points)
     sets = [p.with_betas(*cfg.betas(v)) for v in cfg.vary_values]
     nus = np.array(cfg.nu_values)
-    thresholds = (BoundProblem(sets).threshold(nus[:, None]).T if cfg.kind == "improvement"
+    betas = np.array([cfg.betas(v) for v in cfg.vary_values]).T
+    thresholds = (BoundProblem(p, *betas).threshold(nus[:, None]).T if cfg.kind == "improvement"
                   else np.full((len(sets), len(nus)), math.nan))
     # A row's points: the grid once per budget, each point with its budget.
     x0, nu = np.tile(grid, len(nus)), np.repeat(nus, len(grid))

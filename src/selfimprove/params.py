@@ -15,6 +15,8 @@ import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .errors import ParameterError
 
 # Fold of the conjugated cubic y*(1-y)^2 = sigma^2: two roots in (0, 1) below it.
@@ -24,6 +26,29 @@ SIGMA_MAX = math.sqrt(4.0 / 27.0)
 MAX_LEVELS = 1000
 
 _CONFIG_EXTRA_KEYS = frozenset({"nu"})
+
+# The rules on a pair of difficulty exponents, in test order.
+_BETA_RULES = (
+    "beta_lo must be positive",
+    "beta_hi must exceed beta_lo (0 < beta_lo < beta_hi)",
+    "beta_hi too large: L^(-beta_hi) underflows to zero",
+)
+
+
+def check_betas(L: int, beta_lo, beta_hi) -> None:
+    """Validate one pair of betas (numbers), or float arrays of pairs
+    broadcast together: ``ParameterError`` with the first rule of
+    ``_BETA_RULES`` that the first failing pair, in order, breaks; a NaN
+    compares false, so it fails them.  The curriculum divides by
+    t^(-beta_hi), t < L, which must not underflow; where the first two
+    rules hold, beta_hi > 0, so L^(-|beta_hi|) is that power, and it
+    cannot overflow where they fail."""
+    holds = (beta_lo > 0.0, beta_hi > beta_lo, np.float_power(L, -abs(beta_hi)) > 0.0)
+    ok = holds[0] & holds[1] & holds[2]
+    if not ok.all():
+        pair = np.argmin(ok)
+        raise ParameterError(next(message for rule, message in zip(holds, _BETA_RULES)
+                                  if not np.broadcast_to(rule, ok.shape).flat[pair]))
 
 
 @dataclass(frozen=True)
@@ -65,16 +90,11 @@ class TheoryParams:
             (isinstance(self.m, int) and self.m >= 1, "m must be an integer >= 1"),
             (isinstance(self.L, int) and 2 <= self.L <= MAX_LEVELS,
              f"L must be an integer in [2, {MAX_LEVELS}]"),
-            (self.beta_lo > 0.0, "beta_lo must be positive"),
-            (self.beta_hi > self.beta_lo,
-             "beta_hi must exceed beta_lo (0 < beta_lo < beta_hi)"),
         ]
         for ok, message in checks:
             if not ok:
                 raise ParameterError(message)
-        # The curriculum divides by t^(-beta_hi), t < L, which must not underflow.
-        if not self.L ** -self.beta_hi > 0.0:
-            raise ParameterError("beta_hi too large: L^(-beta_hi) underflows to zero")
+        check_betas(self.L, self.beta_lo, self.beta_hi)
         object.__setattr__(self, "c_delta", math.sqrt(2.0 * math.log(self.pi_size / self.delta)))
         object.__setattr__(self, "c_delta_prime",
                            math.sqrt(math.log(1.0 / self.delta_prime) / 2.0))

@@ -15,17 +15,17 @@ doubles: each target is monotone, NaN counts as the diverging side, and
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+import operator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from .cubic import Interval, invariant_interval
 from .dynamics import curriculum_coefficients
 from .errors import BracketError, DomainError, ParameterError
-from .params import MAX_LEVELS, TheoryParams
+from .params import MAX_LEVELS, TheoryParams, check_betas
 
 _SERIES_GUARD = 1e-10
 
@@ -78,7 +78,7 @@ def _violation(holds) -> str | None:
 def _masked(holds, values) -> list:
     """``values`` where every condition of ``holds`` is true and NaN
     elsewhere; at a scalar point a failed condition raises ``DomainError``."""
-    ok = reduce(np.logical_and, holds)
+    ok = reduce(operator.and_, holds)
     if np.ndim(ok) == 0:
         if not ok:
             raise DomainError(_violation(holds))
@@ -86,73 +86,96 @@ def _masked(holds, values) -> list:
     return [np.where(ok, v, np.nan) for v in values]
 
 
-class BoundProblem:
-    """The error functional of one parameter set, or of an iterable of sets
-    that differ only in their betas, built once.
+class BudgetStage(NamedTuple):
+    """The terms of the error functional that depend on the budgets ``nu``
+    and the sets alone, with the conditions on them."""
 
+    cd_nu: object
+    cdp_nu: object
+    baseline: object        # the baseline term, unmasked
+    tail_numerator: object  # c_delta*nu / (c*sqrt(hard_inner))
+    holds: tuple            # nu >= 0, base_inner > 0, hard_inner > 0
+
+
+class BoundProblem:
+    """The error functional of one parameter set ``p``, or of ``p`` with
+    arrays of betas, one pair per set, built once.
+
+    ``beta_lo`` and ``beta_hi`` broadcast together and are checked by the
+    rules ``TheoryParams`` applies; ``p`` supplies every other constant.
     Per set it keeps ``first`` and ``final`` (the curriculum coefficients)
-    and the factors 2^(-beta_hi), exp(-beta_hi/L) and L^(-beta_hi), built
-    once by ufuncs: floats for one set and arrays, one entry per set, for
-    several; every other constant comes from ``p``, the (first) set.  Every
-    method evaluates at budgets ``nu`` and initializations ``x0``,
-    broadcast against the sets along the last axis; ``x0 = inf``, the
-    default, is the large-initialization limit, where the residual term
-    vanishes.  An array result is NaN where a positivity condition fails; a
-    scalar result raises ``DomainError`` naming the first one.  Every power
-    is a ufunc, whose array loop runs on scalars too, so a solve for one set
-    has the bits of the same solve in a batch.
+    and the factors 2^(-beta_hi), exp(-beta_hi/L) and L^(-beta_hi): floats
+    for ``p``'s own betas, arrays for several.  Every method evaluates at
+    budgets ``nu`` and initializations ``x0``, broadcast against the sets
+    along their axes; ``x0 = inf``, the default, is the
+    large-initialization limit, where the residual term vanishes.  An array
+    result is NaN where a positivity condition fails; a scalar result
+    raises ``DomainError`` naming the first one.  Every power is a ufunc,
+    whose array loop runs on scalars too, so a solve for one set has the
+    bits of the same solve in a batch.
+
+    An evaluation has two stages: ``budget_stage(nu)``, the terms that do
+    not depend on ``x0``, then the rest.  Every method that takes ``x0``
+    also takes a ``BudgetStage`` for ``nu``, so a solve in ``x0`` computes
+    the first stage once.
     """
 
-    def __init__(self, params: TheoryParams | Iterable[TheoryParams]) -> None:
-        one = isinstance(params, TheoryParams)
-        sets = iter([params] if one else params)
-        self.p = next(sets)
-        first, final, beta_hi = [], [], []
-        # Only five floats per set are kept, so ``params`` may be a
-        # generator that never holds all the sets at once.
-        for q in chain([self.p], sets):
-            coeffs = curriculum_coefficients(q)
-            first.append(coeffs.first)
-            final.append(coeffs.final)
-            beta_hi.append(q.beta_hi)
-        exponent, L = -np.array(beta_hi), float(self.p.L)
-        factors = np.power(2.0, exponent), np.exp(exponent / L), np.power(L, exponent)
-        stack = (lambda values: values[0]) if one else np.array
-        self.first, self.final, self.hard, self.decay, self.hard_weight = (
-            stack(v) for v in (first, final, *factors))
+    def __init__(self, p: TheoryParams, beta_lo=None, beta_hi=None) -> None:
+        self.p = p
+        if beta_lo is None:
+            beta_lo, beta_hi = p.beta_lo, p.beta_hi
+        else:
+            beta_lo, beta_hi = np.broadcast_arrays(np.asarray(beta_lo, dtype=float),
+                                                   np.asarray(beta_hi, dtype=float))
+            check_betas(p.L, beta_lo, beta_hi)
+        coeffs = curriculum_coefficients(p, beta_lo, beta_hi)
+        exponent, L = -np.asarray(beta_hi, dtype=float), float(p.L)
+        self.first, self.final = coeffs.first, coeffs.final
+        self.hard, self.decay, self.hard_weight = (
+            np.power(2.0, exponent), np.exp(exponent / L), np.power(L, exponent))
 
-    def _evaluate(self, nu, x0):
-        """The positivity conditions in ``_CONDITIONS`` order, then the
-        baseline, hard-level and tail terms, the error functional and the
-        margin, all unmasked."""
+    def budget_stage(self, nu) -> BudgetStage:
+        """The first stage of an evaluation at budgets ``nu``."""
         p = self.p
-        c, gamma, L, cd, cdp = p.c, p.gamma, p.L, p.c_delta, p.c_delta_prime
-        nu = np.asarray(nu, dtype=float)
+        c, gamma, L = p.c, p.gamma, p.L
+        # A float stays one: its products are a ufunc's bits, without the dispatch.
+        nu = nu if isinstance(nu, float) else np.asarray(nu, dtype=float)
         with np.errstate(all="ignore"):
-            cd_nu, cdp_nu = cd * nu, cdp * nu
+            cd_nu, cdp_nu = p.c_delta * nu, p.c_delta_prime * nu
             base_inner = 1.0 - gamma - cdp_nu
             q = cd_nu / (2.0 * c * np.power(base_inner, 1.5))
             # Finite geometric sum; identical to (1 - q^(L-1))/(1 - q) but defined at q = 1.
             series = sum(np.power(q, j) for j in range(L - 1))
             baseline = cd_nu / (c * np.sqrt(base_inner)) * series
-            res_inner = self.first * x0 - cdp_nu
-            residual = cd_nu / (c * np.sqrt(res_inner))
-            ratio_inner = self.hard * (1.0 - gamma - residual) - cdp_nu
-            ratio = cd_nu / (2.0 * c * np.power(ratio_inner, 1.5))
             hard_inner = self.hard * (1.0 - gamma) - cdp_nu
+            return BudgetStage(cd_nu, cdp_nu, baseline, cd_nu / (c * np.sqrt(hard_inner)),
+                               (nu >= 0.0, base_inner > 0.0, hard_inner > 0.0))
+
+    def _evaluate(self, nu, x0):
+        """The positivity conditions in ``_CONDITIONS`` order, then the
+        baseline, hard-level and tail terms, the error functional and the
+        margin, all unmasked; ``nu`` is budgets or their ``BudgetStage``."""
+        c, gamma = self.p.c, self.p.gamma
+        b = nu if isinstance(nu, BudgetStage) else self.budget_stage(nu)
+        with np.errstate(all="ignore"):
+            res_inner = self.first * x0 - b.cdp_nu
+            residual = b.cd_nu / (c * np.sqrt(res_inner))
+            ratio_inner = self.hard * (1.0 - gamma - residual) - b.cdp_nu
+            ratio = b.cd_nu / (2.0 * c * np.power(ratio_inner, 1.5))
             common_ratio = ratio * self.decay
-            tail = cd_nu / (c * np.sqrt(hard_inner)) / (1.0 - common_ratio)
-            hard_term = np.power(ratio, L - 1) * self.hard_weight * residual
-            error = baseline - self.final * (tail + hard_term)
+            tail = b.tail_numerator / (1.0 - common_ratio)
+            hard_term = np.power(ratio, self.p.L - 1) * self.hard_weight * residual
+            error = b.baseline - self.final * (tail + hard_term)
             margin = -error - 0.5 * (self.final - 1.0) * (1.0 - gamma)
-            holds = (nu >= 0.0, base_inner > 0.0, res_inner > 0.0, ratio_inner > 0.0,
-                     hard_inner > 0.0, common_ratio < 1.0 - _SERIES_GUARD)
-        return holds, baseline, hard_term, tail, error, margin
+            nonnegative, base_ok, hard_ok = b.holds
+            holds = (nonnegative, base_ok, res_inner > 0.0, ratio_inner > 0.0, hard_ok,
+                     common_ratio < 1.0 - _SERIES_GUARD)
+        return holds, b.baseline, hard_term, tail, error, margin
 
     def baseline(self, nu):
         """The baseline accumulated-error term alone; strictly increasing in nu."""
-        holds, baseline, *_ = self._evaluate(nu, math.inf)
-        return _masked(holds[:2], [baseline])[0]
+        stage = self.budget_stage(nu)
+        return _masked(stage.holds[:2], [stage.baseline])[0]
 
     def terms(self, nu, x0=math.inf) -> tuple:
         """The final rescale coefficient and the three assembled terms
@@ -178,9 +201,12 @@ class BoundProblem:
     def threshold(self, nu):
         """Improvement threshold at each budget ``nu``: the initializations
         above it are exactly the improving ones.  NaN where no
-        initialization improves (at or beyond the collapse budget)."""
-        below, _ = last_true(lambda x0: ~(improvement_margin(self, nu, x0) < 0.0), 0.0, math.inf)
-        return np.where(improvement_margin(self, nu, math.inf) < 0.0, below, np.nan)[()]
+        initialization improves (at or beyond the collapse budget).  The
+        budget stage is computed once for the whole bisection in ``x0``."""
+        stage = self.budget_stage(nu)
+        below, _ = last_true(lambda x0: ~(improvement_margin(self, stage, x0) < 0.0),
+                             0.0, math.inf)
+        return np.where(improvement_margin(self, stage, math.inf) < 0.0, below, np.nan)[()]
 
     def max_improving_nu(self, x0, half_error=False):
         """Largest budget at which initialization ``x0`` improves (``inf``:
@@ -194,13 +220,14 @@ class BoundProblem:
 
 def improvement_margin(problem: BoundProblem, nu, x0=math.inf, half_error=False):
     """``problem.margin`` as the solvers evaluate it: NaN wherever a
-    positivity condition fails, scalar points included, and never raising.
+    positivity condition fails, scalar points included, and never raising;
+    ``nu`` is budgets or their ``BudgetStage``.
     Where ``half_error`` is true, the unmasked baseline term less (1 -
     gamma)/2 instead, negative exactly below the half-error budget.  The
     solvers call it by this module-level name, so a tracer wrapping module
     functions (perfbench) sees every evaluation."""
     holds, baseline, *_, margin = problem._evaluate(nu, x0)
-    margin = np.where(reduce(np.logical_and, holds), margin, np.nan)
+    margin = np.where(reduce(operator.and_, holds), margin, np.nan)
     if half_error is False:
         return margin
     # A difference of doubles has the sign of their comparison, and NaN or
@@ -330,8 +357,8 @@ def critical_budgets(p: TheoryParams, *, nu_c=False, nu_t=False, x0=None, profil
     (``collapse_budget``), ``nu_t`` (``baseline_half_error_budget``),
     ``nu_star`` at ``x0`` (``max_improving_nu``) and, for ``profile =
     (delta_gap, beta_grid, x0)``, ``profile`` (``max_improving_nu_profile``).
-    Each is a column of one ``BoundProblem`` over ``p`` (once per budget) and
-    the profile's sets, with the bits of its solve alone.  The inputs are
+    Each is a column of one ``BoundProblem`` over ``p``'s betas (once per
+    budget) and the profile's beta pairs, with the bits of its solve alone.  The inputs are
     checked first, then the roots in the order above."""
     fails = "fails already at nu = 0"
     # The half-error budget needs no message: negative at nu = 0, it is never NaN.
@@ -340,7 +367,8 @@ def critical_budgets(p: TheoryParams, *, nu_c=False, nu_t=False, x0=None, profil
     if x0 is not None:
         check_initialization(x0, p)
         scalars.append(("nu_star", x0, f"negative improvement margin at x0={x0!r} {fails}"))
-    sets, x0s = [p] * len(scalars), [start for _, start, _ in scalars]
+    beta_lo, beta_hi = [p.beta_lo] * len(scalars), [p.beta_hi] * len(scalars)
+    x0s = [start for _, start, _ in scalars]
     if profile is not None:
         delta_gap, beta_grid, x0_profile = profile
         if not delta_gap > 0.0:
@@ -350,14 +378,15 @@ def critical_budgets(p: TheoryParams, *, nu_c=False, nu_t=False, x0=None, profil
         if len(set(betas[-k:])) < 2:
             raise ParameterError("beta_grid needs two distinct values in its last 30% (tail slope)")
         check_initialization(x0_profile, p)
-        sets += [p.with_betas(bl, bl + delta_gap) for bl in betas]
+        beta_lo += betas
+        beta_hi += [bl + delta_gap for bl in betas]
         x0s += [x0_profile] * len(betas)
-    if not sets:
+    if not x0s:
         return {}
     # A lone column solves on floats, which is faster and has the same bits.
-    problem, x0s = ((BoundProblem(p), x0s[0]) if len(sets) == 1
-                    else (BoundProblem(sets), np.array(x0s)))
-    half = np.arange(len(sets)) == int(nu_c) if nu_t else False
+    problem, x0s = ((BoundProblem(p), x0s[0]) if len(x0s) == 1
+                    else (BoundProblem(p, beta_lo, beta_hi), np.array(x0s)))
+    half = np.arange(len(beta_lo)) == int(nu_c) if nu_t else False
     solved = np.atleast_1d(problem.max_improving_nu(x0s, half))
     found = {name: _root(v, message) for (name, _, message), v in zip(scalars, solved)}
     if profile is not None:

@@ -40,9 +40,8 @@ def report(num, description, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def nu_star_grid():
-    problem = si.BoundProblem([P.with_betas(float(beta_lo), float(beta_hi))
-                               for beta_lo in BETA_LO_GRID for beta_hi in BETA_HI_GRID])
-    return problem.max_improving_nu(X0_REFERENCE).reshape(len(BETA_LO_GRID), -1)
+    problem = si.BoundProblem(P, BETA_LO_GRID[:, None], BETA_HI_GRID)
+    return problem.max_improving_nu(X0_REFERENCE)
 
 
 @pytest.fixture(scope="module")

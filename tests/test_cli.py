@@ -286,6 +286,20 @@ def test_thresholds_fault_prints_the_error_line_of_its_flags(tmp_path, capsys, f
     assert (tmp_path / "new").exists() == (code == 0)
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--beta-grid", "0:1:5"], "beta_lo must be positive"),
+    (["--beta-grid", "0.01:500:3"], "beta_hi too large: L^(-beta_hi) underflows to zero"),
+    (["--delta-gap", "0"], "delta_gap must be positive, got 0.0"),
+], ids=["zero-beta-lo", "underflowing-beta-hi", "zero-delta-gap"])
+def test_profile_beta_faults_exit_2_with_the_error_line_of_theory_params(tmp_path, capsys,
+                                                                         argv, error):
+    """The profile's beta pairs are checked as arrays, by the rules and
+    messages of ``TheoryParams``, before any output is written."""
+    assert run_in(tmp_path, ["thresholds", "--profile", *argv, "--out", "new"]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "new").exists()
+
+
 def test_half_error_budget_is_written_where_the_margin_has_no_sign_change(tmp_path):
     assert run_in(tmp_path, ["thresholds", "--nu-t", "--beta-lo", "1e-17"]) == 0
     (row,) = read_rows(tmp_path / "thresholds.csv")

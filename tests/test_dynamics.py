@@ -51,6 +51,44 @@ def test_coefficients_at_least_one():
         assert co.first > 1.0 and co.final > 1.0
 
 
+def _plain_coefficients(L, beta_lo, beta_hi):
+    """The coefficients in Python floats: ``**`` and a left-to-right sum."""
+    weight_sum = sum(i ** (-beta_lo) for i in range(1, L + 1))
+    mid = tuple((t + 1) ** (-beta_hi) / t ** (-beta_hi) for t in range(1, L))
+    return L / weight_sum, weight_sum / L ** (1.0 - beta_lo), mid
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("levels", [2, 5, 1000])
+def test_broadcast_coefficients_equal_the_one_pair_calls_bit_for_bit(levels):
+    rng = np.random.default_rng(levels)
+    count = 40 if levels == 1000 else 300
+    beta_lo = rng.uniform(0.001, 12.0, count)
+    beta_hi = beta_lo + rng.uniform(0.001, 5.0, count)
+    p = TheoryParams(L=levels)
+    together = curriculum_coefficients(p, beta_lo, beta_hi)
+    alone = [curriculum_coefficients(p.with_betas(lo, hi))
+             for lo, hi in zip(beta_lo.tolist(), beta_hi.tolist())]
+    plain = [_plain_coefficients(levels, lo, hi)
+             for lo, hi in zip(beta_lo.tolist(), beta_hi.tolist())]
+    for name, index in (("first", 0), ("final", 1)):
+        assert _bits(getattr(together, name)) == _bits([getattr(co, name) for co in alone])
+        assert _bits(getattr(together, name)) == _bits([values[index] for values in plain])
+    assert _bits(np.transpose(together.mid)) == _bits([co.mid for co in alone])
+    assert _bits([co.mid for co in alone]) == _bits([values[2] for values in plain])
+
+
+def test_a_one_pair_call_gives_python_floats():
+    """The CSVs print ``repr`` of these values, which a numpy scalar changes."""
+    co = curriculum_coefficients(P)
+    assert type(co.first) is float and type(co.final) is float
+    assert all(type(value) is float for value in co.schedule)
+    assert (co.first, co.final, co.mid) == _plain_coefficients(P.L, P.beta_lo, P.beta_hi)
+
+
 def test_eval_map_noiseless():
     nu = 0.0
     for x in (1e-9, 0.3, 0.97):

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selfimprove import (BoundProblem, ParameterError, ScanConfig, TheoryParams,
-                         curriculum_coefficients, feasibility_interval, improvement_threshold,
-                         run_scan, x0_grid)
+                         curriculum_coefficients, default_panels, feasibility_interval,
+                         improvement_threshold, run_scan, x0_grid)
+from selfimprove import montecarlo
 from selfimprove.cubic import Interval
 from selfimprove.dynamics import PLATEAU_TOL, iterate, run_schedule
 from selfimprove.montecarlo import (_scan_cell, baseline_run, classify_feasible,
@@ -188,6 +189,42 @@ def test_measured_interval_matches_plain_loop(flags, mid, valid):
     got = measured_interval(grid, flags, analytic)
     want = loop_measured_interval(grid, flags, analytic)
     assert np.array_equal(got, want, equal_nan=True)
+
+
+def _argmin_nearest(grid, value):
+    return int(np.argmin(np.abs(grid - value)))
+
+
+def test_nearest_index_is_argmin_at_every_cell_of_the_default_panels(monkeypatch):
+    """Every analytic midpoint the command-line scan looks up, on its own grid."""
+    nearest, seen = montecarlo._nearest_index, []
+
+    def checked(grid, value):
+        seen.append((nearest(grid, value), _argmin_nearest(grid, value)))
+        return seen[-1][0]
+
+    monkeypatch.setattr(montecarlo, "_nearest_index", checked)
+    for cfg in default_panels(P).values():
+        run_scan(cfg, P)
+    assert len(seen) > 300
+    assert [got for got, _ in seen] == [want for _, want in seen]
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 10, 600, 2000, 10**5])
+def test_nearest_index_is_argmin_at_random_points_and_ties(points):
+    rng = np.random.default_rng(points)
+    for gamma in (0.0, 0.02, 0.3):
+        grid = x0_grid(TheoryParams(gamma=gamma), points)
+        k = rng.integers(0, points, 200)
+        halfway = 0.5 * (grid[k] + grid[np.minimum(k + 1, points - 1)])
+        values = np.concatenate([rng.uniform(-0.2, 1.2, 200), grid[k], halfway,
+                                 np.nextafter(halfway, -1.0), np.nextafter(halfway, 2.0),
+                                 [-1.0, 0.0, 1.0, 2.0]])
+        got = [montecarlo._nearest_index(grid, float(v)) for v in values]
+        assert got == [_argmin_nearest(grid, v) for v in values]
+    # Exact ties: both neighbours at the same computed distance, so the first wins.
+    grid = np.arange(8) + 0.5
+    assert [montecarlo._nearest_index(grid, v) for v in (1.0, 2.0, 7.0)] == [0, 1, 6]
 
 
 def loop_run(x0, schedule, p, nu):

@@ -113,19 +113,47 @@ def test_solvers_build_the_problem_once(monkeypatch):
         assert counts["margins"] > 10
 
 
-def test_problem_from_a_generator_keeps_five_floats_per_set():
-    sets = [P.with_betas(lo, lo + 0.3) for lo in (0.05, 0.1, 0.4)]
-    listed, streamed = BoundProblem(sets), BoundProblem(iter(sets))
+def test_problem_from_beta_arrays_keeps_five_floats_per_set():
+    beta_lo = np.array([0.05, 0.1, 0.4])
+    problem = BoundProblem(P, beta_lo, beta_lo + 0.3)
     state = ("first", "final", "hard", "decay", "hard_weight")
-    for name in state:
-        assert getattr(streamed, name).tobytes() == getattr(listed, name).tobytes()
-    assert streamed.p is sets[0]
-    assert set(vars(streamed)) == {"p", *state}
-    # The hardest level's factors, each built once per set.
-    for i, pp in enumerate(sets):
-        assert streamed.hard[i] == pytest.approx(2.0 ** -pp.beta_hi, rel=1e-15)
-        assert streamed.decay[i] == pytest.approx(math.exp(-pp.beta_hi / P.L), rel=1e-15)
-        assert streamed.hard_weight[i] == pytest.approx(P.L ** -pp.beta_hi, rel=1e-15)
+    assert set(vars(problem)) == {"p", *state}
+    assert problem.p is P
+    for i, lo in enumerate(beta_lo):
+        alone = BoundProblem(P.with_betas(lo, lo + 0.3))
+        for name in state:
+            assert getattr(problem, name)[i].tobytes() == np.float64(getattr(alone, name)).tobytes()
+        # The hardest level's factors, each built once per set.
+        assert problem.hard[i] == pytest.approx(2.0 ** -(lo + 0.3), rel=1e-15)
+        assert problem.decay[i] == pytest.approx(math.exp(-(lo + 0.3) / P.L), rel=1e-15)
+        assert problem.hard_weight[i] == pytest.approx(P.L ** -(lo + 0.3), rel=1e-15)
+
+
+@pytest.mark.parametrize("beta_lo, beta_hi, fragment", [
+    ([0.1, 0.0, -1.0], 0.5, "beta_lo must be positive"),
+    ([0.1, 0.3, 0.2], [0.4, 0.3, 0.1], "beta_hi must exceed beta_lo"),
+    ([0.1, 0.2], [0.4, 1e308], "underflows to zero"),
+    ([0.1, math.nan], 0.5, "beta_lo must be positive"),
+    ([0.1, 0.2], [0.4, math.nan], "beta_hi must exceed beta_lo"),
+    ([0.1, 0.4, -1.0], [0.4, 1e308, 0.5], "underflows to zero"),   # the first failing pair
+])
+def test_problem_from_beta_arrays_validates_as_theory_params(beta_lo, beta_hi, fragment):
+    """Each pair obeys the rules and messages of ``TheoryParams``; the first
+    failing pair, in order, names its first failed rule."""
+    with pytest.raises(ParameterError, match=fragment):
+        BoundProblem(P, beta_lo, beta_hi)
+    lo, hi = np.broadcast_arrays(beta_lo, beta_hi)
+    first_failing = next(pair for pair in zip(lo, hi) if not _valid(*pair))
+    with pytest.raises(ParameterError, match=fragment):
+        P.with_betas(*first_failing)
+
+
+def _valid(beta_lo, beta_hi) -> bool:
+    try:
+        P.with_betas(beta_lo, beta_hi)
+    except ParameterError:
+        return False
+    return True
 
 
 def test_feasibility_interval_noiseless():

@@ -64,8 +64,12 @@ def test_batched_thresholds_equal_scalar_solves_bit_for_bit(levels, pairs, fract
     over several sets, budgets and initializations has the bits of the
     one-set scalar solve at each.  The budgets are fractions of each set's
     collapse budget, up to past it, and plain budgets shared by the sets."""
-    sets = [TheoryParams(L=levels).with_betas(lo, lo + gap) for lo, gap in pairs]
-    problem, alone = BoundProblem(sets), [BoundProblem(pp) for pp in sets]
+    p = TheoryParams(L=levels)
+    beta_lo = np.array([lo for lo, _ in pairs])
+    beta_hi = np.array([lo + gap for lo, gap in pairs])
+    problem = BoundProblem(p, beta_lo, beta_hi)
+    sets = [p.with_betas(lo, hi) for lo, hi in zip(beta_lo.tolist(), beta_hi.tolist())]
+    alone = [BoundProblem(pp) for pp in sets]
     batched = problem.max_improving_nu(np.array(x0s)[:, None])
     scalar = [[one.max_improving_nu(x0) for one in alone] for x0 in x0s]
     assert batched.tobytes() == np.array(scalar).tobytes()
@@ -74,6 +78,64 @@ def test_batched_thresholds_equal_scalar_solves_bit_for_bit(levels, pairs, fract
     batched = problem.threshold(nus)
     scalar = [[one.threshold(nu) for one, nu in zip(alone, row)] for row in nus]
     assert batched.tobytes() == np.array(scalar).tobytes()
+
+
+def _one_shot_margin(problem: BoundProblem, nu, x0, half_error):
+    """The positivity conditions and the margin (or the half-error
+    difference) in one evaluation, every term in the order the functional
+    defines it: the reference for the two-stage evaluation."""
+    p = problem.p
+    c, gamma, L, cd, cdp = p.c, p.gamma, p.L, p.c_delta, p.c_delta_prime
+    nu = np.asarray(nu, dtype=float)
+    with np.errstate(all="ignore"):
+        cd_nu, cdp_nu = cd * nu, cdp * nu
+        base_inner = 1.0 - gamma - cdp_nu
+        q = cd_nu / (2.0 * c * np.power(base_inner, 1.5))
+        series = sum(np.power(q, j) for j in range(L - 1))
+        baseline = cd_nu / (c * np.sqrt(base_inner)) * series
+        res_inner = problem.first * x0 - cdp_nu
+        residual = cd_nu / (c * np.sqrt(res_inner))
+        ratio_inner = problem.hard * (1.0 - gamma - residual) - cdp_nu
+        ratio = cd_nu / (2.0 * c * np.power(ratio_inner, 1.5))
+        hard_inner = problem.hard * (1.0 - gamma) - cdp_nu
+        common_ratio = ratio * problem.decay
+        tail = cd_nu / (c * np.sqrt(hard_inner)) / (1.0 - common_ratio)
+        hard_term = np.power(ratio, L - 1) * problem.hard_weight * residual
+        error = baseline - problem.final * (tail + hard_term)
+        margin = -error - 0.5 * (problem.final - 1.0) * (1.0 - gamma)
+        holds = (nu >= 0.0, base_inner > 0.0, res_inner > 0.0, ratio_inner > 0.0,
+                 hard_inner > 0.0, common_ratio < 1.0 - 1e-10)
+    margin = np.where(np.logical_and.reduce(np.broadcast_arrays(*holds)), margin, np.nan)
+    return holds, np.where(half_error, baseline - 0.5 * (1.0 - gamma), margin)
+
+
+@pytest.mark.parametrize("levels", [2, 5, 40])
+def test_two_stage_margin_equals_one_shot_evaluation_bit_for_bit(levels):
+    """The margin from a precomputed budget stage, and from budgets, has the
+    bits of the one-shot evaluation, NaN outside the domain and the
+    half-error difference included."""
+    rng = np.random.default_rng(levels)
+    beta_lo = rng.uniform(0.01, 3.0, 30)
+    problem = BoundProblem(TheoryParams(L=levels), beta_lo, beta_lo + rng.uniform(0.01, 3.0, 30))
+    nu = np.concatenate([[-1e-3, 0.0, 5e-324, 1e-20], rng.uniform(0.0, 0.1, 26)])[:, None, None]
+    x0 = np.concatenate([[math.inf, 0.0, 1e-9], rng.uniform(0.0, 0.98, 7)])[:, None]
+    half = rng.random((len(x0), 30)) < 0.3
+    stage = problem.budget_stage(nu)
+    for half_error in (False, half):
+        holds, want = _one_shot_margin(problem, nu, x0, half_error)
+        assert np.isnan(want).any() and (want < 0.0).any()
+        for budgets in (stage, nu):
+            got = improvement_margin(problem, budgets, x0, half_error)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # Each condition, in order: the scalar DomainError names the first that fails.
+    for got, condition in zip(problem._evaluate(stage, x0)[0], holds, strict=True):
+        assert np.array_equal(*np.broadcast_arrays(got, condition))
+    assert not all(np.all(condition) for condition in holds)
+    one = BoundProblem(TheoryParams(L=levels))
+    for nu0, x00 in ((0.01, 0.5), (0.01, math.inf), (0.5, 0.5), (-1.0, 0.5)):
+        _, want = _one_shot_margin(one, nu0, x00, False)
+        assert _bits(improvement_margin(one, one.budget_stage(nu0), x00)) == _bits(want)
+        assert _bits(improvement_margin(one, nu0, x00)) == _bits(want)
 
 
 def _solved_alone(p: TheoryParams, x0: float) -> float:
