@@ -201,12 +201,14 @@ def cmd_regions(args, params: TheoryParams, nu: float) -> tuple[int, list]:
 def cmd_scan(args, params: TheoryParams, nu: float) -> tuple[int, list]:
     panels = montecarlo.default_panels(params)
     names = ["a", "b", "c", "d"] if args.panel == "all" else [args.panel]
-    files = []
+    cfgs = []
     for name in names:
         cfg = panels[name]
         if args.x0_points != cfg.x0_points:
             cfg = montecarlo.ScanConfig(**{**asdict(cfg), "x0_points": args.x0_points})
-        cells = montecarlo.run_scan(cfg, params, threads=args.threads)
+        cfgs.append(cfg)
+    files = []
+    for name, cells in zip(names, montecarlo.run_scans(cfgs, params, threads=args.threads)):
         files.append((f"panel_{name}.csv",
                       ["axis1", "axis2", "measured_len", "analytic_len", "agree"],
                       [[c.axis1, c.axis2, c.measured_len, c.analytic_len, c.agree]

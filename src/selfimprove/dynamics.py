@@ -13,12 +13,14 @@ start points are iterated and classified without per-point bookkeeping.
 ``rises`` is the one test of a step going up; ``increasing`` applies it to
 stored trajectories and ``run_schedule`` to a run it does not store.  The
 radii come from ``TheoryParams``; the budget ``nu`` is a float, or an array
-giving each point its own budget.
+giving each point its own budget, or its ``MapBudget``: the products with
+the radii that every step at those budgets uses, formed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +81,24 @@ def curriculum_coefficients(p: TheoryParams, beta_lo=None, beta_hi=None) -> Curr
                                   beta_hi=_plain(np.asarray(beta_hi, dtype=float)))
 
 
+class MapBudget(NamedTuple):
+    """The map's budget terms at budgets ``nu``, from ``map_budget``."""
+
+    nu: object
+    cd_nu: object      # c_delta * nu
+    cdp_nu: object     # c_delta_prime * nu
+
+
+def map_budget(p: TheoryParams, nu) -> MapBudget:
+    """The terms of ``p``'s map at budgets ``nu`` (a float or an array):
+    every step at these budgets may take them for ``nu``, so a run forms
+    the products once instead of once per step, with the same bits."""
+    return MapBudget(nu, p.c_delta * nu, p.c_delta_prime * nu)
+
+
 def step(x, a: float, p: TheoryParams, nu, out=None):
-    """The scale-``a`` map at ``x`` (a float or an array; ``nu`` too).
+    """The scale-``a`` map at ``x`` (a float or an array; ``nu`` too, or
+    its ``MapBudget``).
 
     NaN where ``x`` is NaN or a*x <= c_delta_prime*nu, outside the natural
     domain.  The value is below 1 - gamma, with equality exactly at nu = 0.
@@ -89,14 +107,15 @@ def step(x, a: float, p: TheoryParams, nu, out=None):
     never written.  On floats the same operations rebind numpy scalars, so
     both give the bits of the plain expression.
     """
+    budget = nu if isinstance(nu, MapBudget) else map_budget(p, nu)
     value = np.multiply(a, np.asarray(x, dtype=float), out=out)
-    value -= p.c_delta_prime * nu                # the radicand
+    value -= budget.cdp_nu                       # the radicand
     inside = value > 0.0
     buffer = value if isinstance(value, np.ndarray) else None
     with np.errstate(invalid="ignore", divide="ignore"):
         value = np.sqrt(value, out=buffer)
         value *= p.c
-        value = np.divide(p.c_delta * nu, value, out=buffer)
+        value = np.divide(budget.cd_nu, value, out=buffer)
         value = np.subtract(1.0 - p.gamma, value, out=buffer)
     if buffer is None:
         return value if inside else np.float64(np.nan)
@@ -117,10 +136,11 @@ def iterate(x0, schedule, p: TheoryParams, nu) -> np.ndarray:
     return values
 
 
-def rises(before, after):
+def rises(before, after, out=None):
     """Per element: the step from ``before`` to ``after`` rises or stays
-    within ``PLATEAU_TOL``.  A NaN on either side fails."""
-    return after - before >= -PLATEAU_TOL
+    within ``PLATEAU_TOL``.  A NaN on either side fails.  The difference
+    goes into ``out`` if given (it may be ``before``)."""
+    return np.subtract(after, before, out=out) >= -PLATEAU_TOL
 
 
 def increasing(values) -> np.ndarray:
@@ -130,16 +150,26 @@ def increasing(values) -> np.ndarray:
     return rises(values[:-1], values[1:]).all(axis=0) & ~np.isnan(values[0])
 
 
-def run_schedule(x0, schedule, p: TheoryParams, nu):
+def run_schedule(x0, schedule, p: TheoryParams, nu, buffers=None):
     """``iterate``'s last row and ``increasing`` of its rows, without
     storing them: the final images of ``x0`` under ``schedule``, and per
-    point whether it is not NaN and every step ``rises``.  On arrays a run
-    writes its images into two buffers of its own, never into ``x0``."""
+    point whether it is not NaN and every step ``rises``.
+
+    On arrays, which ``nu`` broadcasts to, a run writes into two arrays of
+    ``x0``'s shape: ``buffers`` if given, else two of its own.  Step t writes its image into
+    ``buffers[t % 2]`` and the difference ``rises`` tests into the other,
+    so the final images are in one of them.  ``x0`` is never written,
+    unless a caller passes it as ``buffers[1]`` to run on from an image it
+    holds there.
+    """
     x = np.asarray(x0, dtype=float)
     rising = ~np.isnan(x)
-    spare = None                                 # never the caller's x0
+    if x.ndim == 0:
+        buffers = (None, None)                   # floats rebind numpy scalars
+    elif buffers is None:
+        buffers = (np.empty_like(x), np.empty_like(x))
     for t, a in enumerate(schedule):
-        image = step(x, a, p, nu, out=spare)
-        rising &= rises(x, image)
-        x, spare = image, (x if t and isinstance(x, np.ndarray) else None)
+        image = step(x, a, p, nu, out=buffers[t % 2])
+        rising &= rises(x, image, out=buffers[1 - t % 2])
+        x = image
     return x, rising

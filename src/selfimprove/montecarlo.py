@@ -5,9 +5,11 @@ cell, every start point on a fixed initialization grid is classified by
 directly running the bound recursions (feasibility: both sequences strictly
 increasing and in-domain; improvement: easy-to-hard final value strictly
 above the baseline final value), and the measured interval is compared with
-the analytic one.  A panel runs the baseline recursion, which the betas do
-not enter, once for all its budgets, and classifies a row (one swept value
-with all its budgets) in one run, each point carrying its own budget.  The
+the analytic one.  The baseline recursion, which the betas do not enter, runs
+once for all the budgets of the panels that share them and their grid, and
+a row (one swept value with all its budgets) is classified in one run, each
+point carrying its own budget: the map's budget terms are formed once, and
+each worker thread runs its rows in one reused pair of buffers.  The
 analytic conditions are sufficient, so the measured region may strictly
 contain the analytic region; the testable guarantee is containment.  For
 improvement it holds for the threshold region intersected with the
@@ -19,16 +21,17 @@ per-cell ``agree`` flag records the stronger endpoint-level agreement.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cubic import Interval
-from .dynamics import curriculum_coefficients, run_schedule, step
+from .dynamics import curriculum_coefficients, map_budget, run_schedule, step
 from .errors import ParameterError
 from .params import TheoryParams
-from .regions import BoundProblem, feasibility_interval
+from .regions import BoundProblem, feasibility_intervals
 
 # Largest grid a caller may ask for: the x0 grid here, and the command
 # line's budget curve and beta grid.
@@ -106,29 +109,35 @@ def baseline_run(x0, p: TheoryParams, nu):
     return run_schedule(x0, (1.0,) * p.L, p, nu)
 
 
-def classify_feasible(x0, p: TheoryParams, nu, baseline=None) -> np.ndarray:
+def classify_feasible(x0, p: TheoryParams, nu, baseline=None, buffers=None) -> np.ndarray:
     """Start points whose baseline and easy-to-hard sequences are strictly
     increasing (plateau-tolerant) and in-domain at every step.
 
-    ``nu`` is a float or one budget per point; ``baseline`` is
-    ``baseline_run(x0, p, nu)`` if the caller has it.  The easy-to-hard
-    monotonicity is monitored from the first image on, matching the
-    sequence the guarantee is stated for.
+    ``nu`` is a float, one budget per point, or their ``MapBudget``;
+    ``baseline`` is ``baseline_run(x0, p, nu)`` if the caller has it, and
+    ``buffers`` two arrays of ``x0``'s shape the runs may write (see
+    ``run_schedule``).  The easy-to-hard monotonicity is monitored from the
+    first image on, matching the sequence the guarantee is stated for.
     """
     _, baseline_rising = baseline_run(x0, p, nu) if baseline is None else baseline
     schedule = curriculum_coefficients(p).schedule
-    _, rising = run_schedule(step(x0, schedule[0], p, nu), schedule[1:], p, nu)
+    # The first image may go into ``buffers[1]``, which the run then overwrites.
+    first = step(x0, schedule[0], p, nu, out=None if buffers is None else buffers[1])
+    _, rising = run_schedule(first, schedule[1:], p, nu, buffers)
     return baseline_rising & rising
 
 
-def classify_improvement(x0, p: TheoryParams, nu, baseline=None) -> np.ndarray:
+def classify_improvement(x0, p: TheoryParams, nu, baseline=None, buffers=None) -> np.ndarray:
     """Start points where the easy-to-hard final value (with the final
     rescale) strictly exceeds the baseline final value, both in-domain.
-    ``nu`` and ``baseline`` as for ``classify_feasible``."""
+    ``nu``, ``baseline`` and ``buffers`` as for ``classify_feasible``."""
     baseline_final, _ = baseline_run(x0, p, nu) if baseline is None else baseline
     coeffs = curriculum_coefficients(p)
-    final, _ = run_schedule(x0, coeffs.schedule, p, nu)
-    return coeffs.final * final > baseline_final
+    final, _ = run_schedule(x0, coeffs.schedule, p, nu, buffers)
+    # The schedule is never empty, so an array ``final`` is the run's own.
+    final = np.multiply(coeffs.final, final,
+                        out=final if isinstance(final, np.ndarray) else None)
+    return final > baseline_final
 
 
 def _nearest_index(grid: np.ndarray, value: float) -> int:
@@ -175,9 +184,7 @@ def measured_interval(grid: np.ndarray, flags: np.ndarray,
     return lo, hi, hi - lo
 
 
-def _analytic_interval(kind: str, p: TheoryParams, nu: float, threshold: float) -> Interval:
-    if kind == "feasible":
-        return feasibility_interval(p, nu)
+def _improvement_interval(p: TheoryParams, threshold: float) -> Interval:
     if math.isnan(threshold):
         return Interval(math.nan, math.nan, False, "no improving initialization")
     ceiling = 1.0 - p.gamma
@@ -187,8 +194,7 @@ def _analytic_interval(kind: str, p: TheoryParams, nu: float, threshold: float) 
 
 
 def _scan_cell(cfg: ScanConfig, vary_value: float, pp: TheoryParams, nu: float,
-               threshold: float, grid: np.ndarray, flags: np.ndarray) -> CellResult:
-    analytic = _analytic_interval(cfg.kind, pp, nu, threshold)
+               analytic: Interval, grid: np.ndarray, flags: np.ndarray) -> CellResult:
     lo, hi, length = measured_interval(grid, flags, analytic)
 
     cell = (1.0 - pp.gamma) / cfg.x0_points
@@ -208,24 +214,69 @@ def _scan_cell(cfg: ScanConfig, vary_value: float, pp: TheoryParams, nu: float,
 
 def run_scan(cfg: ScanConfig, p: TheoryParams, threads: int = 1) -> tuple[CellResult, ...]:
     """Run one panel: its cells in grid order (swept exponent major, budget
-    minor); deterministic regardless of thread count (rows are pure)."""
-    grid = x0_grid(p, cfg.x0_points)
-    sets = [p.with_betas(*cfg.betas(v)) for v in cfg.vary_values]
-    nus = np.array(cfg.nu_values)
-    betas = np.array([cfg.betas(v) for v in cfg.vary_values]).T
-    thresholds = (BoundProblem(p, *betas).threshold(nus[:, None]).T if cfg.kind == "improvement"
-                  else np.full((len(sets), len(nus)), math.nan))
+    minor); deterministic regardless of thread count (a row reads the
+    panel's shared arrays and writes only its worker's buffers)."""
+    return run_scans([cfg], p, threads)[0]
+
+
+def run_scans(cfgs, p: TheoryParams, threads: int = 1) -> list[tuple[CellResult, ...]]:
+    """``run_scan`` of each panel of ``cfgs``, in order, with the same bits.
+
+    Panels with the same budgets and grid form a group: it runs the
+    baseline once for all of them and solves their thresholds in one
+    bisection, one column per beta pair.  One group's arrays are freed
+    before the next group's are built.
+    """
+    groups: dict = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault((cfg.nu_values, cfg.x0_points), []).append(i)
+    results = [()] * len(cfgs)
+    for members in groups.values():
+        for i, cells in zip(members, _scan_group([cfgs[i] for i in members], p, threads)):
+            results[i] = cells
+    return results
+
+
+def _scan_group(cfgs, p: TheoryParams, threads: int) -> list[tuple[CellResult, ...]]:
+    """The panels of one group, which share ``nu_values`` and ``x0_points``."""
+    grid = x0_grid(p, cfgs[0].x0_points)
+    nus = np.array(cfgs[0].nu_values)
+    improving = [cfg for cfg in cfgs if cfg.kind == "improvement"]
+    thresholds = iter(())
+    if improving:
+        betas = np.array([cfg.betas(v) for cfg in improving for v in cfg.vary_values]).T
+        solved = BoundProblem(p, *betas).threshold(nus[:, None]).T
+        ends = np.cumsum([len(cfg.vary_values) for cfg in improving])
+        thresholds = iter(np.split(solved, ends[:-1]))
     # A row's points: the grid once per budget, each point with its budget.
-    x0, nu = np.tile(grid, len(nus)), np.repeat(nus, len(grid))
-    baseline = baseline_run(x0, p, nu)
+    x0 = np.tile(grid, len(nus))
+    budget = map_budget(p, np.repeat(nus, len(grid)))
+    baseline = baseline_run(x0, p, budget)
+    for shared in (x0, *budget, *baseline):
+        shared.flags.writeable = False
+    return [_scan_panel(cfg, p, grid, x0, budget, baseline,
+                        next(thresholds) if cfg.kind == "improvement" else None, threads)
+            for cfg in cfgs]
+
+
+def _scan_panel(cfg: ScanConfig, p: TheoryParams, grid, x0, budget, baseline, thresholds,
+                threads: int) -> tuple[CellResult, ...]:
+    """One panel's cells from its group's arrays and, for improvement, its
+    thresholds (one row per swept value)."""
+    sets = [p.with_betas(*cfg.betas(v)) for v in cfg.vary_values]
     classify = classify_feasible if cfg.kind == "feasible" else classify_improvement
+    worker = threading.local()
 
-    def scan_row(v: float, pp: TheoryParams, row: np.ndarray) -> list[CellResult]:
-        flags = classify(x0, pp, nu, baseline).reshape(len(nus), len(grid))
-        return [_scan_cell(cfg, v, pp, n, float(t), grid, f)
-                for n, t, f in zip(cfg.nu_values, row, flags)]
+    def scan_row(v: float, pp: TheoryParams, row) -> list[CellResult]:
+        if not hasattr(worker, "buffers"):
+            worker.buffers = (np.empty_like(x0), np.empty_like(x0))
+        flags = classify(x0, pp, budget, baseline, worker.buffers).reshape(-1, len(grid))
+        analytic = (feasibility_intervals(pp, cfg.nu_values) if row is None
+                    else [_improvement_interval(pp, t) for t in row.tolist()])
+        return [_scan_cell(cfg, v, pp, n, a, grid, f)
+                for n, a, f in zip(cfg.nu_values, analytic, flags)]
 
-    per_row = (cfg.vary_values, sets, thresholds)
+    per_row = (cfg.vary_values, sets, [None] * len(sets) if thresholds is None else thresholds)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(scan_row, *per_row))

@@ -269,19 +269,32 @@ def validate_domain(p: TheoryParams, nu: float) -> dict[str, str | None]:
 # Regions and thresholds
 # ---------------------------------------------------------------------------
 
+def feasibility_intervals(p: TheoryParams, nus) -> list[Interval]:
+    """``feasibility_interval`` at each budget of ``nus``, in order: one
+    scalar cubic per budget, and one ``curriculum_coefficients`` call for
+    all of them (none when every interval is invalid)."""
+    hard = 2.0 ** (-p.beta_hi)
+    inners = [invariant_interval(hard, p, nu) for nu in nus]
+    if not any(inner.valid for inner in inners):
+        return inners
+    first = curriculum_coefficients(p).first
+    intervals = []
+    for inner in inners:
+        if inner.valid:
+            lo, hi = inner.lo, hard / first * inner.hi
+            inner = (Interval(lo, hi, False, "empty: pulled-back upper endpoint at or below "
+                                             "lower endpoint") if hi <= lo
+                     else Interval(lo, hi, True))
+        intervals.append(inner)
+    return intervals
+
+
 def feasibility_interval(p: TheoryParams, nu: float) -> Interval:
     """Initialization interval on which both bound sequences are guaranteed
     monotone: the hardest-level invariant interval with its upper endpoint
-    pulled back through the first curriculum step."""
-    hard = 2.0 ** (-p.beta_hi)
-    inner = invariant_interval(hard, p, nu)
-    if not inner.valid:
-        return inner
-    first = curriculum_coefficients(p).first
-    lo, hi = inner.lo, hard / first * inner.hi
-    if hi <= lo:
-        return Interval(lo, hi, False, "empty: pulled-back upper endpoint at or below lower endpoint")
-    return Interval(lo, hi, True)
+    pulled back through the first curriculum step.  The one-budget view of
+    ``feasibility_intervals``."""
+    return feasibility_intervals(p, (nu,))[0]
 
 
 def improvement_threshold(nu: float, p: TheoryParams) -> float:

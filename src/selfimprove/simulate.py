@@ -12,7 +12,10 @@ simplification; a shared model would also move them).
 
 Randomness comes from counter-based Philox streams keyed by spawned seed
 sequences, one per (replication, round), so replications are reproducible
-bit for bit and safe to run in parallel.
+bit for bit at one BLAS thread count, and safe to run in parallel.  The
+weighted means (``weights @ ...``) are BLAS dot products, whose summation
+order in a threaded BLAS depends on its thread count: at 10^6 questions
+their last bits do.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from selfimprove import (TheoryParams, curriculum_coefficients, improvement_threshold,
                          invariant_interval)
-from selfimprove.dynamics import PLATEAU_TOL, increasing, iterate, rises, run_schedule, step
+from selfimprove.dynamics import (PLATEAU_TOL, increasing, iterate, map_budget, rises,
+                                  run_schedule, step)
 
 # Frozen from high-precision summation: sum_{i=1..5} i^(-0.1) = 4.550881937194478
 FIRST_COEFF_L5 = 1.0986881375969936   # 5 / 4.550881937194478
@@ -178,6 +179,36 @@ def test_step_has_the_bits_and_type_of_the_expression(starts, a, budgets, budget
         assert step(x, a, P, nu, out=out) is out
         assert out.tobytes() == want.tobytes()
     assert (np.asarray(x).tobytes(), np.asarray(nu).tobytes()) == before
+
+
+@given(starts=st.lists(MAP_STARTS, min_size=1, max_size=8),
+       a=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(min_value=0.05, max_value=2.0)),
+       budgets=st.lists(st.floats(min_value=0.0, max_value=0.5), min_size=1, max_size=8),
+       budget_kind=st.sampled_from(["zero", "scalar", "per point"]),
+       as_array=st.booleans())
+@example(starts=[0.4, math.nan, -math.nan, 0.0], a=2.0, budgets=[0.02], budget_kind="scalar",
+         as_array=True)
+@settings(max_examples=200, deadline=None)
+def test_step_on_the_map_budget_has_the_bits_of_step_on_nu(starts, a, budgets, budget_kind,
+                                                           as_array):
+    """``map_budget(p, nu)`` in place of ``nu``: the type and bytes of
+    ``step`` on ``nu`` and of the plain expression, NaN bytes included, on
+    floats and arrays, with and without ``out``, and the budget terms keep
+    their bytes."""
+    n = len(starts) if as_array else 1
+    nu = {"zero": 0.0, "scalar": budgets[0],
+          "per point": np.resize(np.array(budgets), n)}[budget_kind]
+    x = np.array(starts) if as_array else starts[0]
+    budget = map_budget(P, nu)
+    terms = [np.asarray(term).tobytes() for term in budget]
+    want, got = expression_step(x, a, P, nu), step(x, a, P, budget)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert got.tobytes() == want.tobytes() == step(x, a, P, nu).tobytes()
+    if isinstance(want, np.ndarray):
+        out = np.full_like(want, 7.0)
+        assert step(x, a, P, budget, out=out) is out
+        assert out.tobytes() == want.tobytes()
+    assert [np.asarray(term).tobytes() for term in budget] == terms
 
 
 def test_rises_is_the_two_clause_test():

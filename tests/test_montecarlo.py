@@ -1,4 +1,6 @@
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ from selfimprove import (BoundProblem, ParameterError, ScanConfig, TheoryParams,
 from selfimprove import montecarlo
 from selfimprove.cubic import Interval
 from selfimprove.dynamics import PLATEAU_TOL, iterate, run_schedule
-from selfimprove.montecarlo import (_scan_cell, baseline_run, classify_feasible,
-                                    classify_improvement, measured_interval)
+from selfimprove.montecarlo import (_improvement_interval, _scan_cell, baseline_run,
+                                    classify_feasible, classify_improvement, measured_interval,
+                                    run_scans)
 
 P = TheoryParams()
 
@@ -283,6 +286,62 @@ def test_runs_and_classifiers_never_write_their_inputs():
     assert [a.tobytes() for a in baseline] == shared
 
 
+@pytest.mark.parametrize("name", ["a", "c"])
+def test_rows_on_one_worker_buffers_do_not_depend_on_order(name, monkeypatch):
+    """A panel's rows read its x0, budget terms and baseline and write only
+    their worker's buffers: on those buffers, the rows in reverse order and
+    one row twice give the flags of the panel's own run, and after the panel
+    the shared arrays keep their bytes."""
+    cfg = replace(default_panels(P)[name], x0_points=300)
+    kind = "classify_feasible" if cfg.kind == "feasible" else "classify_improvement"
+    classify, rows, before = getattr(montecarlo, kind), [], []
+
+    def recorded(x0, pp, nu, baseline, buffers):
+        if not rows:
+            before.extend(a.tobytes() for a in (x0, *nu, *baseline))
+        flags = classify(x0, pp, nu, baseline, buffers)
+        rows.append(((x0, pp, nu, baseline, buffers), flags.tobytes()))
+        return flags
+
+    monkeypatch.setattr(montecarlo, kind, recorded)
+    run_scan(cfg, P)
+    assert len(rows) == len(cfg.vary_values)
+    x0, _, nu, baseline, buffers = rows[0][0]
+    shared = (x0, *nu, *baseline)
+    assert [a.tobytes() for a in shared] == before
+    assert all(args[-1] is buffers for args, _ in rows)        # one set, reused
+    for args, flags in rows[::-1] + rows[:1] * 2:
+        assert classify(*args).tobytes() == flags
+    assert [a.tobytes() for a in shared] == before
+
+
+def test_panels_scanned_in_groups_equal_each_panel_alone():
+    """Panels with the same budgets and grid share one baseline run and one
+    threshold solve: the cells of each panel run alone, bit for bit, in the
+    order given, a repeated panel and a lone grid size included."""
+    panels = {name: replace(cfg, x0_points=300) for name, cfg in default_panels(P).items()}
+    cfgs = [panels["c"], replace(panels["a"], x0_points=500), panels["d"], panels["b"],
+            panels["a"], panels["d"]]
+    # repr tells -0.0 from 0.0 and NaN fields apart, bit for bit; compared as
+    # one flag, since a diff of the long strings would take minutes.
+    same = repr(run_scans(cfgs, P)) == repr([run_scan(cfg, P) for cfg in cfgs])
+    assert same
+
+
+def test_threaded_rows_match_serial_under_fast_switching():
+    """More worker threads than cores, switching often: each worker's
+    buffers stay its own, so every default panel is the serial one."""
+    serial = [run_scan(cfg, P) for cfg in default_panels(P).values()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        threaded = [run_scan(cfg, P, threads=8) for cfg in default_panels(P).values()]
+    finally:
+        sys.setswitchinterval(interval)
+    same = repr(threaded) == repr(serial)
+    assert same
+
+
 def test_grid_refinement_first_order():
     nu = 0.012
 
@@ -352,7 +411,8 @@ def diff_increasing(values):
 
 def per_cell_scan(cfg, p):
     """Reference scan: every cell classified on its own from full
-    ``iterate`` trajectories, with its threshold from its own solve."""
+    ``iterate`` trajectories, with its analytic interval from its own
+    solve: ``feasibility_interval`` or the threshold's."""
     grid = x0_grid(p, cfg.x0_points)
     cells = []
     for v in cfg.vary_values:
@@ -363,11 +423,11 @@ def per_cell_scan(cfg, p):
             curriculum = iterate(grid, co.schedule, pp, nu)
             if cfg.kind == "feasible":
                 flags = diff_increasing(baseline) & diff_increasing(curriculum[1:])
-                threshold = math.nan
+                analytic = feasibility_interval(pp, nu)
             else:
                 flags = co.final * curriculum[-1] > baseline[-1]
-                threshold = BoundProblem(pp).threshold(nu)
-            cells.append(_scan_cell(cfg, v, pp, nu, float(threshold), grid, flags))
+                analytic = _improvement_interval(pp, float(BoundProblem(pp).threshold(nu)))
+            cells.append(_scan_cell(cfg, v, pp, nu, analytic, grid, flags))
     return tuple(cells)
 
 

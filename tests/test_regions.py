@@ -10,6 +10,7 @@ from selfimprove import (BoundProblem, BracketError, DomainError, ParameterError
                          feasibility_interval, improvement_threshold, invariant_interval,
                          max_improving_nu, max_improving_nu_profile, threshold_curve)
 from selfimprove import regions
+from selfimprove.cubic import Interval
 
 P = TheoryParams()
 PROBLEM = BoundProblem(P)
@@ -188,6 +189,46 @@ def test_feasibility_length_decreasing_in_budget_parameter():
     lengths = [feasibility_interval(P, nu).length
                for nu in np.linspace(0.0, 0.04, 15)]
     assert all(b < a for a, b in zip(lengths, lengths[1:]))
+
+
+def one_budget_feasibility_interval(p, nu):
+    """Reference: the feasibility interval solved for one budget on its own,
+    with its own coefficient call."""
+    hard = 2.0 ** (-p.beta_hi)
+    inner = invariant_interval(hard, p, nu)
+    if not inner.valid:
+        return inner
+    lo, hi = inner.lo, hard / curriculum_coefficients(p).first * inner.hi
+    if hi <= lo:
+        return Interval(lo, hi, False,
+                        "empty: pulled-back upper endpoint at or below lower endpoint")
+    return Interval(lo, hi, True)
+
+
+@pytest.mark.parametrize("p", [P, TheoryParams(L=2, beta_lo=0.7, beta_hi=1.3)])
+def test_feasibility_intervals_equal_the_one_budget_solves(p, monkeypatch):
+    """Field for field, ``reason`` included, in the order given: nu = 0, the
+    smallest subnormal, the last budget before the fold (its pulled-back
+    interval is empty) and the first at it, beyond the fold and beyond the
+    radicand; one coefficient call for a row with a valid interval, none
+    for a row without."""
+    hard = 2.0 ** (-p.beta_hi)
+    below, at = regions.last_true(lambda nu: invariant_interval(hard, p, float(nu)).valid,
+                                  0.0, 1.0)
+    nus = [0.02, 0.0, 5e-324, float(below), float(at), 2.0 * float(at), 50.0, 0.004]
+    want = [one_budget_feasibility_interval(p, nu) for nu in nus]
+    reasons = [(interval.reason or "valid").split(":")[0].split(" ")[0] for interval in want]
+    assert reasons == ["valid"] * 3 + ["empty", "near-degenerate", "sigma", "radicand", "valid"]
+    calls = []
+    coefficients = regions.curriculum_coefficients
+    monkeypatch.setattr(regions, "curriculum_coefficients",
+                        lambda *args: calls.append(args) or coefficients(*args))
+    # repr writes every float exactly and tells NaN fields apart from missing ones.
+    assert repr(regions.feasibility_intervals(p, nus)) == repr(want)
+    assert len(calls) == 1
+    assert repr(regions.feasibility_intervals(p, nus[4:7])) == repr(want[4:7])
+    assert len(calls) == 1
+    assert repr([feasibility_interval(p, nu) for nu in nus]) == repr(want)
 
 
 def test_feasibility_propagates_invalidity():
