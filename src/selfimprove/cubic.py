@@ -5,7 +5,12 @@ affinely conjugate to g(y) = 1 - sigma/sqrt(y) on (0, 1), whose fixed points
 solve y*(1-y)^2 = sigma^2.  That cubic is solved in closed form with the
 trigonometric method, which keeps the two real roots in (0,1) separated and
 accurate even near the fold at sigma = sqrt(4/27).  The radii come from
-``TheoryParams``; the budget ``nu`` is a plain float argument.
+``TheoryParams``.  Every function broadcasts over the scale ``a`` and the
+budget ``nu`` (or ``sigma``), follows the domain convention of ``errors``,
+and returns Python floats on scalars.  Each operation has libm's bits, so
+an array call equals its scalar calls: ``np.float_power`` is C ``pow``, as
+``**``, numpy's ``sqrt``, ``cos`` and ``sin`` are libm's, and ``acos`` is
+``math.acos``.
 """
 
 from __future__ import annotations
@@ -13,17 +18,36 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+import numpy as np
+
+from .errors import masked, verdicts
 from .params import SIGMA_MAX, TheoryParams
 
 # Below this margin from the fold the two roots coalesce and downstream
 # monotonicity guarantees degrade; such sigma are reported invalid.
 NEAR_DEGENERATE_MARGIN = 1e-8
 
+# The scale-``a`` regime in test order (``effective_sigma`` checks the first
+# three conditions, ``invariant_interval`` all five), then the roots' domain.
+_CONDITIONS = (
+    "scale coefficient a must be positive",
+    "radicand a*(1-gamma) - c_delta_prime*nu must be positive "
+    "(got {inner!r} for a={a!r}, nu={nu!r})",
+    "sigma overflows for a={a!r}, nu={nu!r}",
+    "sigma at or beyond sqrt(4/27)",
+    "near-degenerate: sigma within 1e-8 of sqrt(4/27)",
+)
+_ROOTS_DOMAIN = "sigma must lie in (0, sqrt(4/27)); got {sigma!r}"
+
+# numpy's arccos is not libm's acos: it differs in the last bit on about 6%
+# of the arguments here, which would move the roots and every interval.
+_ACOS = np.frompyfunc(math.acos, 1, 1)
+
 
 @dataclass(frozen=True)
 class Interval:
-    """Open interval with a validity flag; ``reason`` explains invalidity."""
+    """Open interval with a validity flag; ``reason`` explains invalidity.
+    The fields of many are arrays; ``length`` is for one."""
 
     lo: float
     hi: float
@@ -35,103 +59,98 @@ class Interval:
         return self.hi - self.lo if self.valid else 0.0
 
 
-def effective_sigma(a: float, p: TheoryParams, nu: float) -> float:
+def _sigma(a, p: TheoryParams, nu):
+    """``a`` and ``nu`` as numpy floats (which divide by zero without
+    raising), the radicand, sigma and the first three conditions, unmasked;
+    negated comparisons, so NaN input fails the last, as NaN sigma does."""
+    a, nu = np.asarray(a, dtype=float)[()], np.asarray(nu, dtype=float)[()]
+    inner = a * (1.0 - p.gamma) - p.c_delta_prime * nu
+    power = np.float_power(inner, 1.5)
+    # Where inner^(3/2) overflows (inf, where ``**`` raises OverflowError),
+    # a is huge and sigma ~ nu/sqrt(a) tiny: divide a by inner before scaling.
+    sigma = np.where(np.isinf(power), (a / inner) * p.c_delta * nu / (p.c * np.sqrt(inner)),
+                     a * p.c_delta * nu / (p.c * power))
+    return a, nu, inner, sigma, (~(a <= 0.0), ~(inner <= 0.0), np.isfinite(sigma))
+
+
+def effective_sigma(a, p: TheoryParams, nu):
     """Noise parameter of the conjugated map for scale coefficient ``a``.
 
     Requires a*(1-gamma) > c_delta_prime*nu so the conjugating affine change
     of variables is orientation preserving, and a finite result.
     """
-    if a <= 0.0:
-        raise DomainError("scale coefficient a must be positive")
-    nu = float(nu)
-    inner = a * (1.0 - p.gamma) - p.c_delta_prime * nu
-    if inner <= 0.0:
-        raise DomainError(
-            "radicand a*(1-gamma) - c_delta_prime*nu must be positive "
-            f"(got {inner!r} for a={a!r}, nu={nu!r})"
-        )
-    try:
-        sigma = a * p.c_delta * nu / (p.c * inner ** 1.5)
-    except OverflowError:
-        # inner ** 1.5 overflows for a huge scale, yet sigma ~ nu/sqrt(a) is
-        # then tiny: divide a by inner before scaling.
-        sigma = (a / inner) * p.c_delta * nu / (p.c * math.sqrt(inner))
-    if not math.isfinite(sigma):
-        raise DomainError(f"sigma overflows for a={a!r}, nu={nu!r}")
-    return sigma
+    with np.errstate(all="ignore"):
+        a, nu, inner, sigma, holds = _sigma(a, p, nu)
+    return masked(_CONDITIONS[:3], holds, sigma, a=a, nu=nu, inner=inner)
 
 
-def _check_sigma(sigma: float) -> None:
-    if not 0.0 < sigma < SIGMA_MAX:
-        raise DomainError(f"sigma must lie in (0, sqrt(4/27)); got {sigma!r}")
+def _roots(sigma):
+    """The half angle u = arccos(-1 + 27/2 sigma^2)/3 in (0, pi/3) and the two
+    roots in (0, 1) of y*(1-y)^2 = sigma^2, smaller first, unmasked; the
+    clamp absorbs float drift at the fold boundary."""
+    arg = np.minimum(np.maximum(-1.0 + 13.5 * sigma * sigma, -1.0), 1.0)
+    u = np.asarray(_ACOS(arg), dtype=float) / 3.0
+    return u, (2.0 / 3.0 + (2.0 / 3.0) * np.cos(u - 4.0 * math.pi / 3.0),
+               2.0 / 3.0 + (2.0 / 3.0) * np.cos(u - 2.0 * math.pi / 3.0))
 
 
-def _half_angle(sigma: float) -> float:
-    # u = arccos(-1 + 27/2 sigma^2)/3 in (0, pi/3); clamp absorbs float drift
-    # at the fold boundary.
-    arg = -1.0 + 13.5 * sigma * sigma
-    arg = min(1.0, max(-1.0, arg))
-    return math.acos(arg) / 3.0
-
-
-def cubic_roots(sigma: float) -> tuple[float, float]:
+def cubic_roots(sigma) -> tuple:
     """Two roots in (0,1) of y*(1-y)^2 = sigma^2, smaller first.
 
     Trigonometric solution of the depressed cubic obtained by y = z + 2/3:
     the branch at 2*pi/3 gives the root in (1/3, 1), the branch at 4*pi/3
     the root in (0, 1/3); the remaining branch exceeds 1.
     """
-    _check_sigma(sigma)
-    u = _half_angle(sigma)
-    y_plus = 2.0 / 3.0 + (2.0 / 3.0) * math.cos(u - 2.0 * math.pi / 3.0)
-    y_minus = 2.0 / 3.0 + (2.0 / 3.0) * math.cos(u - 4.0 * math.pi / 3.0)
-    return y_minus, y_plus
+    with np.errstate(all="ignore"):
+        _, roots = _roots(sigma)
+    holds = (np.asarray(0.0 < sigma) & (sigma < SIGMA_MAX),)
+    return tuple(masked((_ROOTS_DOMAIN,), holds, y, sigma=sigma) for y in roots)
 
 
-def exact_root_gap(sigma: float) -> float:
+def exact_root_gap(sigma):
     """Exact distance between the two roots: (2/sqrt(3))*sin(u)."""
-    _check_sigma(sigma)
-    return 2.0 / math.sqrt(3.0) * math.sin(_half_angle(sigma))
+    with np.errstate(all="ignore"):
+        u, _ = _roots(sigma)
+        gap = 2.0 / math.sqrt(3.0) * np.sin(u)
+    holds = (np.asarray(0.0 < sigma) & (sigma < SIGMA_MAX),)
+    return masked((_ROOTS_DOMAIN,), holds, gap, sigma=sigma)
 
 
-def gap_lower_bound(sigma: float) -> float:
+def gap_lower_bound(sigma):
     """Closed-form lower bound 1 - (3*sqrt(3)/2)*sigma on the root gap.
 
     Accepts the fold boundary itself, where both the bound and the exact gap
     vanish.
     """
-    if not 0.0 < sigma <= SIGMA_MAX:
-        raise DomainError(f"sigma must lie in (0, sqrt(4/27)]; got {sigma!r}")
-    return 1.0 - (3.0 * math.sqrt(3.0) / 2.0) * sigma
+    holds = (np.asarray(0.0 < sigma) & (sigma <= SIGMA_MAX),)
+    return masked(("sigma must lie in (0, sqrt(4/27)]; got {sigma!r}",), holds,
+                  1.0 - (3.0 * math.sqrt(3.0) / 2.0) * sigma, sigma=sigma)
 
 
-def invariant_interval(a: float, p: TheoryParams, nu: float) -> Interval:
+def invariant_interval(a, p: TheoryParams, nu) -> Interval:
     """Open interval between the two fixed points of the scale-``a`` map.
 
     Iterates started inside increase strictly and stay inside.  Returns an
     invalid ``Interval`` (never raises) when the regime fails: non-positive
     radicand, sigma overflowing, at or beyond the fold, or within the
     near-degenerate margin of it.  At nu = 0 the interval is exactly
-    (0, 1-gamma).
+    (0, 1-gamma).  On arrays, an ``Interval`` of arrays, NaN where invalid.
     """
-    if a <= 0.0:
-        return Interval(math.nan, math.nan, False, "scale coefficient a must be positive")
-    nu = float(nu)
-    if nu == 0.0:
-        return Interval(0.0, 1.0 - p.gamma, True)
-
-    try:
-        sigma = effective_sigma(a, p, nu)
-    except DomainError as exc:
-        return Interval(math.nan, math.nan, False, str(exc))
-    if sigma >= SIGMA_MAX - NEAR_DEGENERATE_MARGIN:
-        reason = ("near-degenerate: sigma within 1e-8 of sqrt(4/27)"
-                  if sigma < SIGMA_MAX else "sigma at or beyond sqrt(4/27)")
-        return Interval(math.nan, math.nan, False, reason)
-
-    # A budget so small that sigma underflows to 0 has the roots of the
-    # nu -> 0 limit, y = 0 and y = 1, to double precision.
-    y_minus, y_plus = cubic_roots(sigma) if sigma > 0.0 else (0.0, 1.0)
-    offset = p.c_delta_prime * nu / a
-    scale = 1.0 - p.gamma - offset
-    return Interval(offset + scale * y_minus, offset + scale * y_plus, True)
+    with np.errstate(all="ignore"):
+        a, nu, inner, sigma, holds = _sigma(a, p, nu)
+        zero = np.asarray(nu == 0.0)
+        holds = (holds[0], *(held | zero for held in (
+            *holds[1:], sigma < SIGMA_MAX, sigma < SIGMA_MAX - NEAR_DEGENERATE_MARGIN)))
+        # A budget so small that sigma underflows to 0 has the roots of the
+        # nu -> 0 limit, y = 0 and y = 1, to double precision.
+        _, (y_minus, y_plus) = _roots(sigma)
+        positive = sigma > 0.0
+        offset = p.c_delta_prime * nu / a
+        scale = 1.0 - p.gamma - offset
+        lo = np.where(zero, 0.0, offset + scale * np.where(positive, y_minus, 0.0))
+        hi = np.where(zero, 1.0 - p.gamma, offset + scale * np.where(positive, y_plus, 1.0))
+    valid, reason = verdicts(_CONDITIONS, holds, a=a, nu=nu, inner=inner)
+    if valid.ndim == 0:
+        return (Interval(float(lo), float(hi), True) if valid
+                else Interval(math.nan, math.nan, False, reason))
+    return Interval(np.where(valid, lo, np.nan), np.where(valid, hi, np.nan), valid, reason)

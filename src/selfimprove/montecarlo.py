@@ -31,7 +31,7 @@ from .cubic import Interval
 from .dynamics import curriculum_coefficients, map_budget, run_schedule, step
 from .errors import ParameterError
 from .params import TheoryParams
-from .regions import BoundProblem, feasibility_intervals
+from .regions import BoundProblem, feasibility_interval
 
 # Largest grid a caller may ask for: the x0 grid here, and the command
 # line's budget curve and beta grid.
@@ -223,9 +223,9 @@ def run_scans(cfgs, p: TheoryParams, threads: int = 1) -> list[tuple[CellResult,
     """``run_scan`` of each panel of ``cfgs``, in order, with the same bits.
 
     Panels with the same budgets and grid form a group: it runs the
-    baseline once for all of them and solves their thresholds in one
-    bisection, one column per beta pair.  One group's arrays are freed
-    before the next group's are built.
+    baseline once for all of them, solves their thresholds in one bisection
+    and their feasibility intervals in one cubic call, over all their beta
+    pairs.  One group's arrays are freed before the next group's are built.
     """
     groups: dict = {}
     for i, cfg in enumerate(cfgs):
@@ -241,28 +241,36 @@ def _scan_group(cfgs, p: TheoryParams, threads: int) -> list[tuple[CellResult, .
     """The panels of one group, which share ``nu_values`` and ``x0_points``."""
     grid = x0_grid(p, cfgs[0].x0_points)
     nus = np.array(cfgs[0].nu_values)
-    improving = [cfg for cfg in cfgs if cfg.kind == "improvement"]
-    thresholds = iter(())
-    if improving:
-        betas = np.array([cfg.betas(v) for cfg in improving for v in cfg.vary_values]).T
-        solved = BoundProblem(p, *betas).threshold(nus[:, None]).T
-        ends = np.cumsum([len(cfg.vary_values) for cfg in improving])
-        thresholds = iter(np.split(solved, ends[:-1]))
+    # Each panel's analytic intervals, one list per swept value.
+    analytic = [None] * len(cfgs)
+    for kind in ("improvement", "feasible"):
+        members = [i for i, cfg in enumerate(cfgs) if cfg.kind == kind]
+        if not members:
+            continue
+        betas = np.array([cfgs[i].betas(v) for i in members for v in cfgs[i].vary_values]).T
+        if kind == "improvement":
+            solved = BoundProblem(p, *betas).threshold(nus[:, None]).T.tolist()
+            rows = [[_improvement_interval(p, t) for t in row] for row in solved]
+        else:
+            solved = feasibility_interval(p, nus, *betas[:, :, None])
+            rows = [list(map(Interval, *row)) for row in zip(*(
+                field.tolist() for field in (solved.lo, solved.hi, solved.valid, solved.reason)))]
+        for i in members:
+            analytic[i], rows = rows[:len(cfgs[i].vary_values)], rows[len(cfgs[i].vary_values):]
     # A row's points: the grid once per budget, each point with its budget.
     x0 = np.tile(grid, len(nus))
     budget = map_budget(p, np.repeat(nus, len(grid)))
     baseline = baseline_run(x0, p, budget)
     for shared in (x0, *budget, *baseline):
         shared.flags.writeable = False
-    return [_scan_panel(cfg, p, grid, x0, budget, baseline,
-                        next(thresholds) if cfg.kind == "improvement" else None, threads)
-            for cfg in cfgs]
+    return [_scan_panel(cfg, p, grid, x0, budget, baseline, rows, threads)
+            for cfg, rows in zip(cfgs, analytic)]
 
 
-def _scan_panel(cfg: ScanConfig, p: TheoryParams, grid, x0, budget, baseline, thresholds,
+def _scan_panel(cfg: ScanConfig, p: TheoryParams, grid, x0, budget, baseline, analytic,
                 threads: int) -> tuple[CellResult, ...]:
-    """One panel's cells from its group's arrays and, for improvement, its
-    thresholds (one row per swept value)."""
+    """One panel's cells from its group's arrays and its analytic intervals
+    (one row per swept value)."""
     sets = [p.with_betas(*cfg.betas(v)) for v in cfg.vary_values]
     classify = classify_feasible if cfg.kind == "feasible" else classify_improvement
     worker = threading.local()
@@ -271,12 +279,10 @@ def _scan_panel(cfg: ScanConfig, p: TheoryParams, grid, x0, budget, baseline, th
         if not hasattr(worker, "buffers"):
             worker.buffers = (np.empty_like(x0), np.empty_like(x0))
         flags = classify(x0, pp, budget, baseline, worker.buffers).reshape(-1, len(grid))
-        analytic = (feasibility_intervals(pp, cfg.nu_values) if row is None
-                    else [_improvement_interval(pp, t) for t in row.tolist()])
         return [_scan_cell(cfg, v, pp, n, a, grid, f)
-                for n, a, f in zip(cfg.nu_values, analytic, flags)]
+                for n, a, f in zip(cfg.nu_values, row, flags)]
 
-    per_row = (cfg.vary_values, sets, [None] * len(sets) if thresholds is None else thresholds)
+    per_row = (cfg.vary_values, sets, analytic)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(scan_row, *per_row))

@@ -3,8 +3,8 @@
 ``TheoryParams`` holds the primitive scalars and the two confidence radii
 derived from them.  It is a frozen value object, safe to share across
 workers.  The budget parameter ``nu`` is not part of it: every function that
-needs one takes it as a plain float, with ``TheoryParams.default_nu`` the
-paper's sqrt(1/n).
+needs one takes it as a float or an array, with ``TheoryParams.default_nu``
+the paper's sqrt(1/n).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, verdicts
 
 # Fold of the conjugated cubic y*(1-y)^2 = sigma^2: two roots in (0, 1) below it.
 SIGMA_MAX = math.sqrt(4.0 / 27.0)
@@ -44,11 +44,9 @@ def check_betas(L: int, beta_lo, beta_hi) -> None:
     rules hold, beta_hi > 0, so L^(-|beta_hi|) is that power, and it
     cannot overflow where they fail."""
     holds = (beta_lo > 0.0, beta_hi > beta_lo, np.float_power(L, -abs(beta_hi)) > 0.0)
-    ok = holds[0] & holds[1] & holds[2]
+    ok, reasons = verdicts(_BETA_RULES, holds)
     if not ok.all():
-        pair = np.argmin(ok)
-        raise ParameterError(next(message for rule, message in zip(holds, _BETA_RULES)
-                                  if not np.broadcast_to(rule, ok.shape).flat[pair]))
+        raise ParameterError(str(np.ravel(reasons)[np.argmin(ok)]))
 
 
 @dataclass(frozen=True)

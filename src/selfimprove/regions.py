@@ -24,13 +24,13 @@ import numpy as np
 
 from .cubic import Interval, invariant_interval
 from .dynamics import curriculum_coefficients
-from .errors import BracketError, DomainError, ParameterError
+from .errors import BracketError, DomainError, ParameterError, masked, verdicts
 from .params import MAX_LEVELS, TheoryParams, check_betas
 
 _SERIES_GUARD = 1e-10
 
-# The error functional's positivity conditions, in test order: array results
-# are NaN where one fails, and a scalar result raises DomainError naming it.
+# The error functional's positivity conditions, in test order, under the
+# domain convention of ``errors``.
 _CONDITIONS = (
     "nu must be non-negative",
     "radicand 1 - gamma - c_delta_prime*nu must be positive",
@@ -69,22 +69,6 @@ def last_true(holds, lo, hi):
 # ---------------------------------------------------------------------------
 # Error functional and improvement margin
 # ---------------------------------------------------------------------------
-
-def _violation(holds) -> str | None:
-    """The first failed condition at a scalar point, or ``None``."""
-    return next((message for message, ok in zip(_CONDITIONS, holds) if not ok), None)
-
-
-def _masked(holds, values) -> list:
-    """``values`` where every condition of ``holds`` is true and NaN
-    elsewhere; at a scalar point a failed condition raises ``DomainError``."""
-    ok = reduce(operator.and_, holds)
-    if np.ndim(ok) == 0:
-        if not ok:
-            raise DomainError(_violation(holds))
-        return [float(v) for v in values]
-    return [np.where(ok, v, np.nan) for v in values]
-
 
 class BudgetStage(NamedTuple):
     """The terms of the error functional that depend on the budgets ``nu``
@@ -175,13 +159,13 @@ class BoundProblem:
     def baseline(self, nu):
         """The baseline accumulated-error term alone; strictly increasing in nu."""
         stage = self.budget_stage(nu)
-        return _masked(stage.holds[:2], [stage.baseline])[0]
+        return masked(_CONDITIONS, stage.holds[:2], stage.baseline)
 
     def terms(self, nu, x0=math.inf) -> tuple:
         """The final rescale coefficient and the three assembled terms
         (baseline, hard-level, tail) of the functional."""
         holds, *values, _, _ = self._evaluate(nu, x0)
-        return (self.final, *_masked(holds, values))
+        return (self.final, *(masked(_CONDITIONS, holds, value) for value in values))
 
     def error(self, nu, x0=math.inf):
         """Signed accumulated-error comparison at initialization ``x0``.
@@ -190,13 +174,13 @@ class BoundProblem:
         ``beta_hi``; identically zero at nu = 0.
         """
         holds, *_, error, _ = self._evaluate(nu, x0)
-        return _masked(holds, [error])[0]
+        return masked(_CONDITIONS, holds, error)
 
     def margin(self, nu, x0=math.inf):
         """Signed improvement condition: negative iff the easy-to-hard final
         lower bound strictly exceeds the baseline's at horizon L."""
         holds, *_, margin = self._evaluate(nu, x0)
-        return _masked(holds, [margin])[0]
+        return masked(_CONDITIONS, holds, margin)
 
     def threshold(self, nu):
         """Improvement threshold at each budget ``nu``: the initializations
@@ -248,53 +232,46 @@ def _root(value, message: str) -> float:
 
 def validate_domain(p: TheoryParams, nu: float) -> dict[str, str | None]:
     """Per downstream computation, the first violation of its regime, or
-    ``None`` where it holds.
-
-    Each entry is the computation's own verdict, so the report cannot
-    disagree with it: ``invariant_interval_baseline`` and
-    ``invariant_interval_hard`` are ``invariant_interval`` at scale 1 and at
-    the hardest level's 2^(-beta_hi), and ``error_functional`` is the
-    condition its large-initialization limit (the improvement margin's too)
-    fails first, the one ``DomainError`` names.  Never raises for a regime
-    violation.
-    """
-    report = {f"invariant_interval_{name}": invariant_interval(a, p, nu).reason
-              for name, a in (("baseline", 1.0), ("hard", 2.0 ** (-p.beta_hi)))}
+    ``None`` where it holds: each computation's own verdict, from its one
+    table of conditions, so the report cannot disagree with it.
+    ``invariant_interval_baseline`` and ``invariant_interval_hard`` are one
+    ``invariant_interval`` call at scales 1 and 2^(-beta_hi), and
+    ``error_functional`` is the condition its large-initialization limit
+    (the improvement margin's too) fails first, the one ``DomainError``
+    names.  Never raises for a regime violation."""
+    baseline, hard = invariant_interval(np.array([1.0, 2.0 ** (-p.beta_hi)]), p, nu).reason
     holds, *_ = BoundProblem(p)._evaluate(nu, math.inf)
-    report["error_functional"] = _violation(holds)
-    return report
+    return {"invariant_interval_baseline": baseline, "invariant_interval_hard": hard,
+            "error_functional": verdicts(_CONDITIONS, holds)[1]}
 
 
 # ---------------------------------------------------------------------------
 # Regions and thresholds
 # ---------------------------------------------------------------------------
 
-def feasibility_intervals(p: TheoryParams, nus) -> list[Interval]:
-    """``feasibility_interval`` at each budget of ``nus``, in order: one
-    scalar cubic per budget, and one ``curriculum_coefficients`` call for
-    all of them (none when every interval is invalid)."""
-    hard = 2.0 ** (-p.beta_hi)
-    inners = [invariant_interval(hard, p, nu) for nu in nus]
-    if not any(inner.valid for inner in inners):
-        return inners
-    first = curriculum_coefficients(p).first
-    intervals = []
-    for inner in inners:
-        if inner.valid:
-            lo, hi = inner.lo, hard / first * inner.hi
-            inner = (Interval(lo, hi, False, "empty: pulled-back upper endpoint at or below "
-                                             "lower endpoint") if hi <= lo
-                     else Interval(lo, hi, True))
-        intervals.append(inner)
-    return intervals
-
-
-def feasibility_interval(p: TheoryParams, nu: float) -> Interval:
+def feasibility_interval(p: TheoryParams, nu, beta_lo=None, beta_hi=None) -> Interval:
     """Initialization interval on which both bound sequences are guaranteed
     monotone: the hardest-level invariant interval with its upper endpoint
-    pulled back through the first curriculum step.  The one-budget view of
-    ``feasibility_intervals``."""
-    return feasibility_intervals(p, (nu,))[0]
+    pulled back through the first curriculum step.  Broadcasts as
+    ``invariant_interval`` over ``nu`` and any beta arrays (checked as in
+    ``BoundProblem``): one cubic call, and one ``curriculum_coefficients``
+    call unless every interval is invalid.  2^(-beta_hi) is
+    ``np.float_power``, the bits of ``**``."""
+    if beta_lo is None:
+        beta_lo, beta_hi = p.beta_lo, p.beta_hi
+    else:
+        check_betas(p.L, beta_lo, beta_hi)
+    hard = np.float_power(2.0, -np.asarray(beta_hi, dtype=float))
+    inner = invariant_interval(hard, p, np.atleast_1d(nu))
+    lo, hi, valid, reason = inner.lo, inner.hi, inner.valid, inner.reason
+    if valid.any():
+        hi = np.where(valid, hard / curriculum_coefficients(p, beta_lo, beta_hi).first * hi, hi)
+        empty = valid & (hi <= lo)
+        valid &= ~empty
+        reason[empty] = "empty: pulled-back upper endpoint at or below lower endpoint"
+    if np.ndim(nu) == hard.ndim == 0:
+        return Interval(float(lo[0]), float(hi[0]), bool(valid[0]), reason[0])
+    return Interval(lo, hi, valid, reason)
 
 
 def improvement_threshold(nu: float, p: TheoryParams) -> float:

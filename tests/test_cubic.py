@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfimprove import (DomainError, TheoryParams, cubic_roots, effective_sigma,
+from selfimprove import (DomainError, Interval, TheoryParams, cubic_roots, effective_sigma,
                          exact_root_gap, gap_lower_bound, invariant_interval)
 from selfimprove.checks import oracle_cubic_roots
 from selfimprove.dynamics import step
@@ -223,3 +223,98 @@ def test_fixed_point_stability_classification():
         y_minus, y_plus = cubic_roots(float(sigma))
         assert (1 - y_minus) / (2 * y_minus) > 1.0
         assert (1 - y_plus) / (2 * y_plus) < 1.0
+
+
+def scalar_or_nan(f, *args):
+    """``f`` at one point, NaN where it raises ``DomainError``."""
+    try:
+        return f(*args)
+    except DomainError:
+        return (math.nan, math.nan) if f is cubic_roots else math.nan
+
+
+def math_half_angle(sigma):
+    return math.acos(min(1.0, max(-1.0, -1.0 + 13.5 * sigma * sigma))) / 3.0
+
+
+def math_roots(sigma):
+    u = math_half_angle(sigma)
+    return (2.0 / 3.0 + (2.0 / 3.0) * math.cos(u - 4.0 * math.pi / 3.0),
+            2.0 / 3.0 + (2.0 / 3.0) * math.cos(u - 2.0 * math.pi / 3.0))
+
+
+def math_interval(a, p, nu):
+    """Reference: (lo, hi, valid) of the invariant interval at one point,
+    with ``math`` and Python floats, ``**`` raising ``OverflowError``."""
+    if a <= 0.0:
+        return math.nan, math.nan, False
+    if nu == 0.0:
+        return 0.0, 1.0 - p.gamma, True
+    inner = a * (1.0 - p.gamma) - p.c_delta_prime * nu
+    if inner <= 0.0:
+        return math.nan, math.nan, False
+    try:
+        sigma = a * p.c_delta * nu / (p.c * inner ** 1.5)
+    except OverflowError:
+        sigma = (a / inner) * p.c_delta * nu / (p.c * math.sqrt(inner))
+    if not sigma < SIGMA_MAX - 1e-8:  # NaN, overflow, the fold and its band
+        return math.nan, math.nan, False
+    y_minus, y_plus = math_roots(sigma) if sigma > 0.0 else (0.0, 1.0)
+    offset = p.c_delta_prime * nu / a
+    scale = 1.0 - p.gamma - offset
+    return offset + scale * y_minus, offset + scale * y_plus, True
+
+
+def listed(interval):
+    """An ``Interval`` of arrays as a flat list of ``Interval``s, in C order."""
+    fields = (interval.lo, interval.hi, interval.valid, interval.reason)
+    return list(map(Interval, *(np.ravel(field).tolist() for field in fields)))
+
+
+def test_array_calls_equal_their_scalar_calls_bit_for_bit():
+    """Every cubic function broadcasts with the bits of its scalar calls,
+    NaN where they raise, and ``invariant_interval`` with their reasons:
+    valid points, both sides of the near-degenerate band and of the fold, a
+    failing radicand, a <= 0, NaN and infinite a, nu = 0 and nu < 0, sigma
+    underflowing to 0 (nu = 5e-324) and sigma overflowing inner^(3/2)
+    (a = 1e300) or everything (a = 1e308).
+    Both equal the closed form evaluated with ``math`` (libm's bits), and
+    scalar calls give Python floats."""
+    p = TheoryParams()
+    band, fold = (last_true(lambda nu: effective_sigma(1.0, p, nu) < edge, 0.0, 1.0)
+                  for edge in (SIGMA_MAX - 1e-8, SIGMA_MAX))
+    nus = [-0.01, 0.0, 5e-324, 0.01, 0.03, *map(float, (*band, *fold)), 0.05, 8e307]
+    scales = [-1.0, 0.0, 0.02, 2.0 ** -3.5, 0.7, 1.0, 1.7, 1e201, 1e300, 1e308, math.inf,
+              math.nan]
+    rng = np.random.default_rng(0)
+    points = [(x, nu) for x in scales for nu in nus] + list(zip(
+        rng.uniform(0.3, 3.0, 300).tolist(), rng.uniform(0.0, 0.05, 300).tolist()))
+    a, nu = (np.array(column) for column in zip(*points))
+    want = [invariant_interval(x, p, y) for x, y in points]
+    assert repr(listed(invariant_interval(a, p, nu))) == repr(want)
+    grid = invariant_interval(np.array(scales)[:, None], p, np.array(nus))
+    assert repr(listed(grid)) == repr(want[:len(scales) * len(nus)])
+    assert repr([(iv.lo, iv.hi, iv.valid) for iv in want]) == repr(
+        [math_interval(x, p, y) for x, y in points])
+    kinds = {(iv.reason or "valid").split(" ")[0] for iv in want}
+    assert kinds == {"valid", "scale", "radicand", "sigma", "near-degenerate:"}
+    assert repr(effective_sigma(a, p, nu).tolist()) == repr(
+        [scalar_or_nan(effective_sigma, x, p, y) for x, y in points])
+
+    sigmas = np.array([-1.0, 0.0, 5e-324, 1e-8, *rng.uniform(0.0, SIGMA_MAX, 300),
+                       *(SIGMA_MAX - d for d in (2e-8, 1e-8, 1e-9)),
+                       math.nextafter(SIGMA_MAX, 0.0), SIGMA_MAX, 0.5, math.nan])
+    assert repr(np.column_stack(cubic_roots(sigmas)).tolist()) == repr(
+        [list(scalar_or_nan(cubic_roots, s)) for s in sigmas.tolist()])
+    for f in (exact_root_gap, gap_lower_bound):
+        assert repr(f(sigmas).tolist()) == repr([scalar_or_nan(f, s) for s in sigmas.tolist()])
+    inside = [s for s in sigmas.tolist() if 0.0 < s < SIGMA_MAX]
+    assert repr(np.column_stack(cubic_roots(np.array(inside))).tolist()) == repr(
+        [list(math_roots(s)) for s in inside])
+    assert repr(exact_root_gap(np.array(inside)).tolist()) == repr(
+        [2.0 / math.sqrt(3.0) * math.sin(math_half_angle(s)) for s in inside])
+
+    iv = invariant_interval(1.0, p, 0.02)
+    assert (type(iv.lo), type(iv.hi), type(iv.valid)) == (float, float, bool)
+    assert {type(v) for v in (effective_sigma(1.0, p, 0.02), *cubic_roots(0.2),
+                              exact_root_gap(0.2), gap_lower_bound(0.2))} == {float}

@@ -205,6 +205,12 @@ def one_budget_feasibility_interval(p, nu):
     return Interval(lo, hi, True)
 
 
+def intervals_of(interval):
+    """An ``Interval`` of arrays as a list of ``Interval``s, in order."""
+    fields = (interval.lo, interval.hi, interval.valid, interval.reason)
+    return [Interval(*point) for point in zip(*(field.tolist() for field in fields))]
+
+
 @pytest.mark.parametrize("p", [P, TheoryParams(L=2, beta_lo=0.7, beta_hi=1.3)])
 def test_feasibility_intervals_equal_the_one_budget_solves(p, monkeypatch):
     """Field for field, ``reason`` included, in the order given: nu = 0, the
@@ -224,9 +230,9 @@ def test_feasibility_intervals_equal_the_one_budget_solves(p, monkeypatch):
     monkeypatch.setattr(regions, "curriculum_coefficients",
                         lambda *args: calls.append(args) or coefficients(*args))
     # repr writes every float exactly and tells NaN fields apart from missing ones.
-    assert repr(regions.feasibility_intervals(p, nus)) == repr(want)
+    assert repr(intervals_of(feasibility_interval(p, np.array(nus)))) == repr(want)
     assert len(calls) == 1
-    assert repr(regions.feasibility_intervals(p, nus[4:7])) == repr(want[4:7])
+    assert repr(intervals_of(feasibility_interval(p, np.array(nus[4:7])))) == repr(want[4:7])
     assert len(calls) == 1
     assert repr([feasibility_interval(p, nu) for nu in nus]) == repr(want)
 
