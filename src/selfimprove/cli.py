@@ -146,6 +146,9 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ParameterError(f"bad grid spec {spec!r}; expected start:stop:count") from exc
+    # NaN or infinite ends, or ends so far apart that their span overflows.
+    if not math.isfinite(stop - start):
+        raise ParameterError(f"grid spec {spec!r} needs finite ends a finite distance apart")
     if not 2 <= count <= montecarlo.MAX_GRID_POINTS:
         raise ParameterError(f"grid spec {spec!r} needs 2 to 10^6 points "
                              "(two for the tail slope)")
@@ -199,16 +202,14 @@ def cmd_regions(args, params: TheoryParams, nu: float) -> tuple[int, list]:
 
 
 def cmd_scan(args, params: TheoryParams, nu: float) -> tuple[int, list]:
-    panels = montecarlo.default_panels(params)
-    names = ["a", "b", "c", "d"] if args.panel == "all" else [args.panel]
+    panels = montecarlo.default_panels(params, "abcd" if args.panel == "all" else args.panel)
     cfgs = []
-    for name in names:
-        cfg = panels[name]
+    for cfg in panels.values():
         if args.x0_points != cfg.x0_points:
             cfg = montecarlo.ScanConfig(**{**asdict(cfg), "x0_points": args.x0_points})
         cfgs.append(cfg)
     files = []
-    for name, cells in zip(names, montecarlo.run_scans(cfgs, params, threads=args.threads)):
+    for name, cells in zip(panels, montecarlo.run_scans(cfgs, params, threads=args.threads)):
         files.append((f"panel_{name}.csv",
                       ["axis1", "axis2", "measured_len", "analytic_len", "agree"],
                       [[c.axis1, c.axis2, c.measured_len, c.analytic_len, c.agree]

@@ -291,25 +291,34 @@ def _scan_panel(cfg: ScanConfig, p: TheoryParams, grid, x0, budget, baseline, an
     return tuple(cell for row in rows for cell in row)
 
 
-def default_panels(p: TheoryParams) -> dict[str, ScanConfig]:
-    """Panel grids used by the command-line scan.
+def default_panels(p: TheoryParams, names="abcd") -> dict[str, ScanConfig]:
+    """Panel grids used by the command-line scan, for the panels ``names``.
 
     Artifact choices: the budget axes span from the mild-shrinkage regime up
     to (feasibility) near the fold of the hardest-level interval and
     (improvement) past the collapse budget of the central cell, so both the
-    monotone shrinkage and the collapse are visible.
+    monotone shrinkage and the collapse are visible.  Only the panels named
+    are built, so an axis that ``p`` leaves empty blocks only its own panels:
+    its error names the command-line flag that bounds it.
     """
-    beta_axis = tuple(np.round(np.linspace(p.beta_lo + 0.05, 0.75, 13), 10))
-    beta_lo_axis = tuple(np.round(np.linspace(0.02, p.beta_hi - 0.02, 13), 10))
+    axes = {  # swept exponent: its first and last value, and how to widen it
+        "beta_hi": (p.beta_lo + 0.05, 0.75, "lower --beta-lo"),
+        "beta_lo": (0.02, p.beta_hi - 0.02, "raise --beta"),
+    }
     nu_feas = tuple(np.round(np.linspace(0.004, 0.044, 11), 10))
     nu_impr = tuple(np.round(np.linspace(0.002, 0.026, 13), 10))
-    return {
-        "a": ScanConfig(kind="feasible", vary="beta_hi", vary_values=beta_axis,
-                        fixed_value=p.beta_lo, nu_values=nu_feas),
-        "b": ScanConfig(kind="feasible", vary="beta_lo", vary_values=beta_lo_axis,
-                        fixed_value=p.beta_hi, nu_values=nu_feas),
-        "c": ScanConfig(kind="improvement", vary="beta_hi", vary_values=beta_axis,
-                        fixed_value=p.beta_lo, nu_values=nu_impr),
-        "d": ScanConfig(kind="improvement", vary="beta_lo", vary_values=beta_lo_axis,
-                        fixed_value=p.beta_hi, nu_values=nu_impr),
-    }
+    layout = {"a": ("feasible", "beta_hi"), "b": ("feasible", "beta_lo"),
+              "c": ("improvement", "beta_hi"), "d": ("improvement", "beta_lo")}
+    panels = {}
+    for name in names:
+        kind, vary = layout[name]
+        first, last, remedy = axes[vary]
+        axis = np.round(np.linspace(first, last, 13), 10)
+        if not (axis[1:] > axis[:-1]).all():
+            raise ParameterError(f"panel {name} sweeps {vary} over an empty axis, "
+                                 f"from {first:.6g} to {last:.6g}: {remedy}")
+        panels[name] = ScanConfig(
+            kind=kind, vary=vary, vary_values=tuple(axis),
+            fixed_value=p.beta_hi if vary == "beta_lo" else p.beta_lo,
+            nu_values=nu_feas if kind == "feasible" else nu_impr)
+    return panels

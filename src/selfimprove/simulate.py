@@ -10,6 +10,10 @@ sample, proportionally to the filtered question marginal.  Questions never
 represented keep their acceptance probability (a documented modeling
 simplification; a shared model would also move them).
 
+A run owns its state: one copy of the world's acceptance array and one
+m-try buffer, which every round writes in place.  The world is never
+written, and each round has the bits of a round that returns a new array.
+
 Randomness comes from counter-based Philox streams keyed by spawned seed
 sequences, one per (replication, round), so replications are reproducible
 bit for bit at one BLAS thread count, and safe to run in parallel.  The
@@ -30,9 +34,11 @@ from .params import TheoryParams
 
 ALPHA_FLOOR = 1e-4
 
-# Largest world ``build_world`` constructs.  A run holds 32 bytes per
-# question (weights, sampling CDF, initial and current alpha) plus 16 in each
-# round's temporaries: about 0.5 GB at this bound.
+# Largest world ``build_world`` constructs.  A run holds 40 bytes per
+# question: the world's 24 (weights, sampling CDF, initial alpha) and its own
+# 16 (current alpha, m-try buffer), with no per-question temporary in a
+# round; about 0.4 GB at this bound.  tracemalloc reads 40.9 bytes per
+# question at 10^6 questions and n = 2000, and 32.4 at build_world's peak.
 MAX_QUESTIONS = 10**7
 
 # Largest per-round sample ``n`` a run draws.  A round peaks at about 32
@@ -64,8 +70,8 @@ class SimWorld:
     population minimum).  Worlds compare by identity: an array field has no
     single truth value to compare by.
 
-    A run never changes its world: ``alpha`` is the initial acceptance, and
-    each round returns the next acceptance array as a new array.
+    A run never changes its world: ``alpha`` is the initial acceptance, which
+    a run copies once into the acceptance array its rounds update in place.
     """
 
     weights: np.ndarray   # question distribution, sums to 1
@@ -74,11 +80,13 @@ class SimWorld:
     def __post_init__(self) -> None:
         if self.weights.ndim != 1 or self.weights.shape != self.alpha.shape:
             raise ParameterError("weights and alpha must be 1-D arrays of equal length")
-        # Negated comparisons, so that NaN entries fail them too.
-        if (not (self.weights >= 0.0).all()
-                or not abs(float(self.weights.sum()) - 1.0) <= 1e-9):
+        # Negated comparisons, so that NaN entries (which ``min`` and ``max``
+        # propagate) fail them too.  Reductions, not masks: a per-question
+        # temporary would stay resident in the heap through the run.
+        if (not abs(float(self.weights.sum()) - 1.0) <= 1e-9
+                or not self.weights.min() >= 0.0):
             raise ParameterError("weights must be a finite probability vector")
-        if not ((self.alpha >= 0.0) & (self.alpha <= 1.0)).all():
+        if not (self.alpha.min() >= 0.0 and self.alpha.max() <= 1.0):
             raise ParameterError("alpha must lie in [0, 1]")
         cdf = np.cumsum(self.weights, dtype=np.float64)
         cdf /= cdf[-1]
@@ -153,12 +161,13 @@ def build_world(question_count: int, v_target: float, p: TheoryParams,
     return world
 
 
-def multi_try_acceptance(alpha: np.ndarray, m: int) -> np.ndarray:
+def multi_try_acceptance(alpha: np.ndarray, m: int, out=None) -> np.ndarray:
     """Probability that at least one of m tries is accepted.
 
-    ``1 - (1 - alpha)**m`` in one buffer: the same ufuncs, so the same bits.
+    ``1 - (1 - alpha)**m`` in one buffer, ``out`` if given (it may be
+    ``alpha``): the same ufuncs, so the same bits.
     """
-    out = np.subtract(1.0, alpha)
+    out = np.subtract(1.0, alpha, out=out)
     np.power(out, m, out=out)
     np.subtract(1.0, out, out=out)
     return out
@@ -237,12 +246,19 @@ def _distinct(ascending: np.ndarray) -> np.ndarray:
 
 
 def _one_round(world: SimWorld, p: TheoryParams, alpha: np.ndarray,
-               rng: np.random.Generator, replication: int,
-               round_index: int) -> tuple[np.ndarray, RoundRecord]:
+               rng: np.random.Generator, replication: int, round_index: int,
+               out=None, tries=None) -> tuple[np.ndarray, RoundRecord]:
     """One round from acceptance ``alpha`` over ``world``'s questions: the
-    next acceptance array (``alpha`` itself after a collapse, otherwise a
-    new array) and the round's record."""
-    accept_m = multi_try_acceptance(alpha, p.m)
+    next acceptance array and the round's record.
+
+    numpy's ``out`` idiom: the m-try acceptance goes into ``tries`` and the
+    next acceptance into ``out``, each if given.  ``out`` may be ``alpha``,
+    which the round then updates in place, or ``tries``, which it writes
+    only after its last read of the acceptance.  Without ``out`` the next
+    acceptance is a new array (``alpha`` itself after a collapse), and
+    ``alpha`` is not written.
+    """
+    accept_m = multi_try_acceptance(alpha, p.m, out=tries)
     z_m = float(world.weights @ accept_m)
     alpha_m_min = float(np.min(accept_m, where=world.support, initial=np.inf))
     if not alpha_m_min > 0.0:
@@ -254,27 +270,28 @@ def _one_round(world: SimWorld, p: TheoryParams, alpha: np.ndarray,
     accepted_mask = rng.random(p.n)[order] < accept_m[questions]
     n_accept = int(accepted_mask.sum())
 
-    if n_accept == 0:
-        record = RoundRecord(replication, round_index, 0, z_m, alpha_m_min,
-                             float(world.weights @ alpha), math.nan, False, collapsed=True)
-        return alpha, record
+    bound = math.nan  # a collapsed round (no accepted draw) skips the update
+    if n_accept:
+        error_budget = math.sqrt(2.0 * math.log(p.pi_size / p.delta) / n_accept)
+        bound = p.tau * (1.0 - (z_m / alpha_m_min) * error_budget)
+        represented = _distinct(questions[accepted_mask])
+        filtered = world.weights[represented] * accept_m[represented]
+        share = filtered / filtered.sum()
+    del accept_m  # a new m-try array is released before a new ``out`` is allocated
 
-    error_budget = math.sqrt(2.0 * math.log(p.pi_size / p.delta) / n_accept)
-    bound = p.tau * (1.0 - (z_m / alpha_m_min) * error_budget)
+    if out is None:
+        out = alpha.copy() if n_accept else alpha
+    elif out is not alpha:
+        np.copyto(out, alpha)
+    if n_accept:
+        # Each updated entry lies in [ALPHA_FLOOR, 1]: the budget is positive
+        # and every share lies in (0, 1].
+        out[represented] = np.maximum(ALPHA_FLOOR, 1.0 - error_budget * share)
 
-    represented = _distinct(questions[accepted_mask])
-    filtered = world.weights[represented] * accept_m[represented]
-    del accept_m  # released before the copy below, to lower the peak
-    share = filtered / filtered.sum()
-    # Each updated entry lies in [ALPHA_FLOOR, 1]: the budget is positive and
-    # every share lies in (0, 1].
-    new_alpha = alpha.copy()
-    new_alpha[represented] = np.maximum(ALPHA_FLOOR, 1.0 - error_budget * share)
-
-    v_realized = float(world.weights @ new_alpha)
+    v_realized = float(world.weights @ out)
     record = RoundRecord(replication, round_index, n_accept, z_m, alpha_m_min,
-                         v_realized, bound, v_realized >= bound)
-    return new_alpha, record
+                         v_realized, bound, v_realized >= bound, collapsed=not n_accept)
+    return out, record
 
 
 def run_selfimprove(world: SimWorld, p: TheoryParams, rounds: int, seed,
@@ -282,9 +299,9 @@ def run_selfimprove(world: SimWorld, p: TheoryParams, rounds: int, seed,
     """Run ``rounds`` generate-filter-update rounds; deterministic in seed.
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence`` (the latter is
-    how parallel replications receive spawned substreams).  The run's state
-    is its acceptance array, threaded through the rounds; ``world`` is left
-    as it was.
+    how parallel replications receive spawned substreams).  The run owns its
+    state: one copy of ``world.alpha`` and one m-try buffer, which every
+    round writes in place; ``world`` is left as it was.
     """
     if rounds < 1:
         raise ParameterError("rounds must be >= 1")
@@ -292,10 +309,11 @@ def run_selfimprove(world: SimWorld, p: TheoryParams, rounds: int, seed,
         raise ParameterError(f"n must be at most {MAX_SAMPLES}, got {p.n}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     records = []
-    alpha = world.alpha
+    tries = np.empty_like(world.alpha)
+    alpha = world.alpha.copy()
     for t, child in enumerate(ss.spawn(rounds)):
         rng = np.random.Generator(np.random.Philox(child))
-        alpha, record = _one_round(world, p, alpha, rng, replication, t)
+        _, record = _one_round(world, p, alpha, rng, replication, t, out=alpha, tries=tries)
         records.append(record)
     return records
 

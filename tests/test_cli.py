@@ -300,6 +300,37 @@ def test_profile_beta_faults_exit_2_with_the_error_line_of_theory_params(tmp_pat
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["thresholds", "--profile", "--beta-grid", "0.01:inf:5"],
+     "grid spec '0.01:inf:5' needs finite ends a finite distance apart"),
+    (["thresholds", "--profile", "--beta-grid", "nan:1:5"],
+     "grid spec 'nan:1:5' needs finite ends a finite distance apart"),
+    (["thresholds", "--profile", "--beta-grid=1e308:-1e308:5"],
+     "grid spec '1e308:-1e308:5' needs finite ends a finite distance apart"),
+    (["scan", "--panel", "d", "--beta", "0.01", "--beta-lo", "0.005"],
+     "panel d sweeps beta_lo over an empty axis, from 0.02 to -0.01: raise --beta"),
+    (["scan", "--panel", "a", "--beta-lo", "0.72", "--beta", "0.9"],
+     "panel a sweeps beta_hi over an empty axis, from 0.77 to 0.75: lower --beta-lo"),
+], ids=["infinite-grid-stop", "nan-grid-start", "overflowing-grid-span", "scan-d-empty-axis",
+        "scan-a-empty-axis"])
+def test_grid_and_axis_faults_exit_2_naming_the_option_at_fault(tmp_path, capsys, argv, error):
+    """A grid whose ends or span are not finite is rejected before
+    ``linspace`` runs, and an empty scan axis names the flag that bounds it."""
+    assert run_in(tmp_path, [*argv, "--out", "new"]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--panel", "a", "--beta", "0.03", "--beta-lo", "0.005"],
+    ["--panel", "b", "--beta-lo", "0.72", "--beta", "0.9"],
+], ids=["a-under-an-empty-b-axis", "b-under-an-empty-a-axis"])
+def test_a_panel_is_not_blocked_by_the_axis_of_a_panel_not_asked_for(tmp_path, argv):
+    assert run_in(tmp_path, ["scan", *argv]) == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["manifest_scan.json",
+                                                          f"panel_{argv[1]}.csv"]
+
+
 def test_half_error_budget_is_written_where_the_margin_has_no_sign_change(tmp_path):
     assert run_in(tmp_path, ["thresholds", "--nu-t", "--beta-lo", "1e-17"]) == 0
     (row,) = read_rows(tmp_path / "thresholds.csv")

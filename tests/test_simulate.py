@@ -297,13 +297,29 @@ def test_distinct_is_unique():
         assert np.array_equal(_distinct(values), np.unique(values))
 
 
+def edge_alphas(seed):
+    return np.concatenate([np.random.default_rng(seed).uniform(0.0, 1.0, 10_000),
+                           [0.0, 1e-300, 1.0 - 1e-16, 1.0]])
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 64, 1024])
 def test_multi_try_acceptance_is_the_plain_formula_bit_for_bit(m):
-    alpha = np.concatenate([np.random.default_rng(m).uniform(0.0, 1.0, 10_000),
-                            [0.0, 1e-300, 1.0 - 1e-16, 1.0]])
+    alpha = edge_alphas(m)
     expected = 1.0 - (1.0 - alpha) ** m
     assert np.array_equal(multi_try_acceptance(alpha, m).view(np.int64),
                           expected.view(np.int64))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 1024])
+def test_multi_try_acceptance_into_out_has_the_bits_of_a_new_array(m):
+    alpha = edge_alphas(m)
+    expected = multi_try_acceptance(alpha, m).view(np.int64)
+    buffer = np.full_like(alpha, np.nan)
+    assert multi_try_acceptance(alpha, m, out=buffer) is buffer
+    assert np.array_equal(buffer.view(np.int64), expected)
+    # In place: ``alpha`` itself becomes its m-try acceptance.
+    assert multi_try_acceptance(alpha, m, out=alpha) is alpha
+    assert np.array_equal(alpha.view(np.int64), expected)
 
 
 def test_replications_leave_the_world_bit_identical():
@@ -342,18 +358,98 @@ def plain_round(world, p, rng):
     return alpha, (n_accept, z_m, alpha_m_min, float(world.weights @ alpha))
 
 
-def test_round_matches_the_plain_round():
-    # Dirichlet weights with zero-weight questions exercise the support mask.
-    rng = np.random.default_rng(8)
-    weights = rng.dirichlet(np.ones(3000))
+def dirichlet_world(count=3000, seed=8):
+    """Dirichlet weights with zero-weight questions (the ``support`` mask)."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(count))
     weights[::7] = 0.0
     weights /= weights.sum()
-    world = SimWorld(weights=weights, alpha=rng.uniform(0.05, 1.0, 3000))
+    return SimWorld(weights=weights, alpha=rng.uniform(0.05, 1.0, count))
+
+
+def test_round_matches_the_plain_round():
+    world = dirichlet_world()
     p = TheoryParams(n=800)
     expected_world, alpha = world, world.alpha
     for t in range(4):
         alpha, record = _one_round(world, p, alpha, philox(t), 0, t)
         expected_alpha, expected = plain_round(expected_world, p, philox(t))
-        expected_world = SimWorld(weights=weights, alpha=expected_alpha)
+        expected_world = SimWorld(weights=world.weights, alpha=expected_alpha)
         assert np.array_equal(alpha, expected_alpha)
         assert (record.n_accept, record.z_m, record.alpha_m_min, record.v_realized) == expected
+
+
+# ---------------------------------------------------------------------------
+# the run writes its state in place, with the bits of a new array per round
+# ---------------------------------------------------------------------------
+
+def chained_rounds(world, p, rounds, seed, replication=0):
+    """``run_selfimprove`` as a chain of bare ``_one_round`` calls, each of
+    which returns a new acceptance array and writes none."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    alpha, records = world.alpha, []
+    for t, child in enumerate(ss.spawn(rounds)):
+        alpha, record = _one_round(world, p, alpha, np.random.Generator(np.random.Philox(child)),
+                                   replication, t)
+        records.append(record)
+    return records
+
+
+def chained_replications(world, p, rounds, replications, seed):
+    return [r for rep, child in enumerate(np.random.SeedSequence(seed).spawn(replications))
+            for r in chained_rounds(world, p, rounds, child, rep)]
+
+
+# A record's repr shows each float's exact value (and a NaN bound as nan).
+def bits(records):
+    return [repr(r) for r in records]
+
+
+# Three draws at m = 1 from acceptance about 0.3 leave a round without an
+# accepted draw about a third of the time: runs that mix collapsed rounds
+# with updated ones.
+COLLAPSING = TheoryParams(n=3, m=1)
+
+
+def collapsing_world():
+    return SimWorld(weights=np.full(40, 1 / 40),
+                    alpha=np.random.default_rng(1).uniform(0.2, 0.4, 40))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 7919])
+@pytest.mark.parametrize("world, p", [
+    (dirichlet_world(), TheoryParams(n=800)),
+    (build_world(2000, 0.5, P, seed=3), TheoryParams(n=500, m=2)),
+    (collapsing_world(), COLLAPSING),
+], ids=["dirichlet", "built", "collapsing"])
+def test_run_is_the_chain_of_bare_rounds_bit_for_bit(seed, world, p):
+    alpha = world.alpha.copy()
+    assert bits(run_selfimprove(world, p, 8, seed, replication=2)) == \
+        bits(chained_rounds(world, p, 8, seed, replication=2))
+    assert bits(run_replications(world, p, 3, 3, seed)) == \
+        bits(chained_replications(world, p, 3, 3, seed))
+    assert np.array_equal(world.alpha.view(np.int64), alpha.view(np.int64))
+
+
+def test_the_collapsing_setting_mixes_collapsed_and_updated_rounds():
+    records = chained_replications(collapsing_world(), COLLAPSING, 8, 3, seed=0)
+    assert {r.collapsed for r in records} == {True, False}
+
+
+@pytest.mark.parametrize("target", ["alpha", "tries", "other"])
+@pytest.mark.parametrize("world, p, kinds", [
+    (dirichlet_world(), TheoryParams(n=800), {False}),
+    (collapsing_world(), COLLAPSING, {True, False}),
+], ids=["dirichlet", "collapsing"])
+def test_round_into_buffers_is_the_bare_round(world, p, kinds, target):
+    collapsed = set()
+    for seed in range(6):
+        expected_alpha, expected = _one_round(world, p, world.alpha, philox(seed), 0, seed)
+        alpha, tries = world.alpha.copy(), np.full_like(world.alpha, np.nan)
+        out = {"alpha": alpha, "tries": tries, "other": np.full_like(alpha, np.nan)}[target]
+        result, record = _one_round(world, p, alpha, philox(seed), 0, seed, out=out, tries=tries)
+        assert result is out
+        assert np.array_equal(out.view(np.int64), expected_alpha.view(np.int64))
+        assert repr(record) == repr(expected)
+        collapsed.add(record.collapsed)
+    assert collapsed == kinds
