@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfimprove import (DomainError, ParameterError, SimWorld, TheoryParams,
                          acceptance_gain_ratio, build_world,
                          mean_to_min_acceptance_ratio, multi_try_acceptance,
                          run_replications, run_selfimprove, satisfies_coupling)
-from selfimprove.simulate import MAX_QUESTIONS, MAX_SAMPLES, _distinct, _draw_sorted, _one_round
+from selfimprove.simulate import MAX_QUESTIONS, MAX_SAMPLES, _distinct, _draw, _one_round
 
 P = TheoryParams()
 
@@ -275,19 +277,69 @@ def philox(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def zero_weights(count):
+    """Positive weights with interior runs of zeros and a zero tail."""
+    weights = np.random.default_rng(count).random(count)
+    weights[count // 10:count // 5] = 0.0
+    weights[count // 2::7] = 0.0
+    weights[-count // 20:] = 0.0
+    return weights / weights.sum()
+
+
 @pytest.mark.parametrize("count", [1_000, 100_000])
-@pytest.mark.parametrize("kind", ["uniform", "dirichlet"])
+@pytest.mark.parametrize("kind", ["uniform", "dirichlet", "zeros"])
 def test_sorted_draw_is_the_choice_draw_and_keeps_the_stream(count, kind):
-    weights = (np.full(count, 1.0 / count) if kind == "uniform"
-               else np.random.default_rng(count).dirichlet(np.ones(count)))
+    weights = {"uniform": np.full(count, 1.0 / count),
+               "dirichlet": np.random.default_rng(count).dirichlet(np.ones(count)),
+               "zeros": zero_weights(count)}[kind]
     world = SimWorld(weights=weights, alpha=np.full(count, 0.5))
     for seed in range(3):
-        plain, sorted_ = philox(seed), philox(seed)
+        plain, drawing = philox(seed), philox(seed)
         drawn = plain.choice(count, size=2000, p=weights)
-        questions, order = _draw_sorted(world, 2000, sorted_)
-        assert np.array_equal(drawn[order], questions)
-        assert np.array_equal(np.sort(drawn), questions)
-        assert np.array_equal(plain.random(50), sorted_.random(50))
+        assert np.array_equal(_draw(world, 2000, drawing), drawn)
+        assert np.array_equal(plain.random(50), drawing.random(50))
+
+
+class Uniforms:
+    """A generator stub that returns the given uniforms."""
+
+    def __init__(self, *values):
+        self.values = np.array(values)
+
+    def random(self, n):
+        assert n == self.values.size
+        return self.values.copy()
+
+
+def test_the_top_uniform_draws_the_last_question():
+    world = SimWorld(weights=np.full(3, 1.0 / 3), alpha=np.full(3, 0.5))
+    assert np.array_equal(_draw(world, 2, Uniforms(*[np.nextafter(1.0, 0.0)] * 2)), [2, 2])
+    # The guess floor(u*Q) needs no clamp: for the largest uniform, u*Q
+    # rounds below Q at every world size build_world allows.
+    for start in range(1, MAX_QUESTIONS + 1, 10**6):
+        counts = np.arange(start, min(start + 10**6, MAX_QUESTIONS + 1), dtype=float)
+        assert (np.floor(np.nextafter(1.0, 0.0) * counts) < counts).all()
+
+
+def test_a_uniform_on_a_cdf_step_draws_the_next_positive_weight():
+    # cdf = [0, 0.25, 0.5, 0.5, 1]: a uniform equal to a step belongs to the
+    # next question of positive weight, never to one of zero weight.
+    world = SimWorld(weights=np.array([0.0, 0.25, 0.25, 0.0, 0.5]), alpha=np.full(5, 0.5))
+    uniforms = Uniforms(0.0, 0.25, 0.5, 0.75, 0.3)
+    expected = world.cdf.searchsorted(uniforms.values, side="right")
+    assert np.array_equal(expected, [1, 2, 4, 4, 2])
+    assert np.array_equal(_draw(world, 5, uniforms), expected)
+
+
+@given(weights=st.lists(st.floats(0.0, 1.0) | st.just(0.0), min_size=2, max_size=40),
+       spike=st.integers(0, 39), height=st.floats(1.0, 1e6), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_draw_is_the_search_on_weights_with_zeros_and_a_spike(weights, spike, height, seed):
+    weights = np.array(weights)
+    weights[spike % weights.size] += height
+    world = SimWorld(weights=weights / weights.sum(), alpha=np.full(weights.size, 0.5))
+    drawn = _draw(world, 300, philox(seed))
+    assert np.array_equal(drawn, world.cdf.searchsorted(philox(seed).random(300), side="right"))
 
 
 def test_distinct_is_unique():
