@@ -10,12 +10,10 @@ from .cubic import (Interval, cubic_roots, effective_sigma, exact_root_gap,
                     gap_lower_bound, invariant_interval)
 from .dynamics import CurriculumCoefficients, curriculum_coefficients
 from .errors import BracketError, DomainError, ParameterError, SelfImproveError
-from .montecarlo import CellResult, ScanConfig, default_panels, run_scan, x0_grid
+from .montecarlo import CellResult, ScanConfig, default_panels, x0_grid
 from .params import TheoryParams, load_config
-from .regions import (BoundProblem, ProfileResult, baseline_half_error_budget,
-                      coefficient_growth_ratio, collapse_budget, conditional_mean_check,
-                      critical_budgets, feasibility_interval, improvement_threshold,
-                      max_improving_nu, max_improving_nu_profile, threshold_curve,
+from .regions import (BoundProblem, ProfileResult, coefficient_growth_ratio,
+                      conditional_mean_check, critical_budgets, feasibility_interval,
                       validate_domain)
 from .simulate import (RoundRecord, SimWorld, acceptance_gain_ratio, build_world,
                        mean_to_min_acceptance_ratio, multi_try_acceptance,
@@ -26,13 +24,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundProblem", "BracketError", "CellResult", "CurriculumCoefficients", "DomainError",
     "Interval", "ParameterError", "ProfileResult", "RoundRecord", "ScanConfig",
-    "SelfImproveError", "SimWorld", "TheoryParams", "acceptance_gain_ratio",
-    "baseline_half_error_budget", "build_world", "coefficient_growth_ratio",
-    "collapse_budget", "conditional_mean_check", "critical_budgets", "cubic_roots",
-    "curriculum_coefficients",
-    "default_panels", "effective_sigma", "exact_root_gap", "feasibility_interval",
-    "gap_lower_bound", "improvement_threshold", "invariant_interval", "load_config",
-    "max_improving_nu", "max_improving_nu_profile", "mean_to_min_acceptance_ratio",
-    "multi_try_acceptance", "run_replications", "run_scan", "run_selfimprove",
-    "satisfies_coupling", "threshold_curve", "validate_domain", "x0_grid",
+    "SelfImproveError", "SimWorld", "TheoryParams", "acceptance_gain_ratio", "build_world",
+    "coefficient_growth_ratio", "conditional_mean_check", "critical_budgets", "cubic_roots",
+    "curriculum_coefficients", "default_panels", "effective_sigma", "exact_root_gap",
+    "feasibility_interval", "gap_lower_bound", "invariant_interval", "load_config",
+    "mean_to_min_acceptance_ratio", "multi_try_acceptance", "run_replications",
+    "run_selfimprove", "satisfies_coupling", "validate_domain", "x0_grid",
 ]

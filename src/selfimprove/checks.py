@@ -344,13 +344,12 @@ def check_improvement_equivalence(fast: bool) -> CheckResult:
 
 def check_threshold_curve(fast: bool) -> CheckResult:
     p = TheoryParams()
-    nu_c = regions.collapse_budget(p)
+    nu_c = regions.critical_budgets(p, nu_c=True)["nu_c"]
     grid = np.linspace(0.05, 0.95, 10 if fast else 25) * nu_c
-    samples = regions.threshold_curve(grid, p)
-    xs = [x for _, x, ok in samples if ok]
-    if len(xs) != len(grid):
+    xs = regions.BoundProblem(p).threshold(grid)
+    if np.isnan(xs).any():
         return CheckResult("threshold-curve", False, "threshold undefined below nu_c")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
+    if not (np.diff(xs) > 0.0).all():
         return CheckResult("threshold-curve", False, "not strictly increasing")
     low, high = regions.BoundProblem(p).threshold(np.array([0.5e-6, 1.5e-6]))
     slope = float(high - low) / 1e-6
@@ -363,7 +362,7 @@ def check_threshold_curve(fast: bool) -> CheckResult:
 
 def check_critical_budgets(fast: bool) -> CheckResult:
     p = TheoryParams()
-    nu_t = regions.baseline_half_error_budget(p)
+    nu_t = regions.critical_budgets(p, nu_t=True)["nu_t"]
     betas = np.linspace(0.3, 0.9, 4 if fast else 8)
     problem = regions.BoundProblem(p, 0.1, betas)
     nu_c = problem.max_improving_nu(math.inf)  # x0 = inf: the collapse budgets
@@ -464,8 +463,8 @@ def _small_panel(kind: str) -> montecarlo.ScanConfig:
 def check_scan_determinism(fast: bool) -> CheckResult:
     p = TheoryParams()
     cfg = _small_panel("feasible")
-    first = montecarlo.run_scan(cfg, p)
-    again = montecarlo.run_scan(cfg, p, threads=2)
+    first = montecarlo.run_scans([cfg], p)[0]
+    again = montecarlo.run_scans([cfg], p, threads=2)[0]
     ok = first == again
     return CheckResult("scan-determinism", ok, "single- vs multi-thread identical")
 

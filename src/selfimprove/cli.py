@@ -133,8 +133,8 @@ def cmd_intervals(args, params: TheoryParams, nu: float) -> tuple[int, list]:
         rows.append(["I", args.a, nu, iv.lo, iv.hi, iv.valid])
     feas = regions.feasibility_interval(params, nu)
     rows.append(["I_M", params.beta_hi, nu, feas.lo, feas.hi, feas.valid])
-    ((_, threshold, defined),) = regions.threshold_curve([nu], params)
-    ceiling = 1.0 - params.gamma if defined else math.nan
+    threshold = float(regions.BoundProblem(params).threshold(nu))  # NaN: none improves
+    ceiling = math.nan if math.isnan(threshold) else 1.0 - params.gamma
     rows.append(["I_N", params.beta_hi, nu, threshold, ceiling, threshold < ceiling])
     print(f"wrote {len(rows)} interval rows (nu={nu:.6g})")
     return 0, [("intervals.csv", ["kind", "a_or_beta", "nu", "lo", "hi", "valid"], rows)]
@@ -176,8 +176,9 @@ def cmd_thresholds(args, params: TheoryParams, nu: float) -> tuple[int, list]:
         files.append(("thresholds.csv", ["name", "beta_lo", "beta_hi", "x0", "value"], rows))
     if args.curve:
         grid = np.linspace(0.02, 0.995, args.curve) * budgets["nu_c"]
+        curve = regions.BoundProblem(params).threshold(grid).tolist()
         files.append(("threshold_curve.csv", ["nu", "x_threshold", "domain_flag"],
-                      regions.threshold_curve(grid, params)))
+                      [[nu, x, not math.isnan(x)] for nu, x in zip(grid.tolist(), curve)]))
     if args.profile:
         profile = budgets["profile"]
         files.append(("profile.csv", ["beta_lo", "nu_star", "is_argmax"],

@@ -28,8 +28,9 @@ from .params import SIGMA_MAX, TheoryParams
 NEAR_DEGENERATE_MARGIN = 1e-8
 
 # The scale-``a`` regime in test order (``effective_sigma`` checks the first
-# three conditions, ``invariant_interval`` all five), then the roots' domain.
+# four conditions, ``invariant_interval`` all six), then the roots' domain.
 _CONDITIONS = (
+    "nu must be non-negative",
     "scale coefficient a must be positive",
     "radicand a*(1-gamma) - c_delta_prime*nu must be positive "
     "(got {inner!r} for a={a!r}, nu={nu!r})",
@@ -61,8 +62,9 @@ class Interval:
 
 def _sigma(a, p: TheoryParams, nu):
     """``a`` and ``nu`` as numpy floats (which divide by zero without
-    raising), the radicand, sigma and the first three conditions, unmasked;
-    negated comparisons, so NaN input fails the last, as NaN sigma does."""
+    raising), the radicand, sigma and the first four conditions, unmasked;
+    a NaN budget fails the first, and a NaN scale (negated comparisons) the
+    last, as NaN sigma does."""
     a, nu = np.asarray(a, dtype=float)[()], np.asarray(nu, dtype=float)[()]
     inner = a * (1.0 - p.gamma) - p.c_delta_prime * nu
     power = np.float_power(inner, 1.5)
@@ -70,18 +72,18 @@ def _sigma(a, p: TheoryParams, nu):
     # a is huge and sigma ~ nu/sqrt(a) tiny: divide a by inner before scaling.
     sigma = np.where(np.isinf(power), (a / inner) * p.c_delta * nu / (p.c * np.sqrt(inner)),
                      a * p.c_delta * nu / (p.c * power))
-    return a, nu, inner, sigma, (~(a <= 0.0), ~(inner <= 0.0), np.isfinite(sigma))
+    return a, nu, inner, sigma, (nu >= 0.0, ~(a <= 0.0), ~(inner <= 0.0), np.isfinite(sigma))
 
 
 def effective_sigma(a, p: TheoryParams, nu):
     """Noise parameter of the conjugated map for scale coefficient ``a``.
 
-    Requires a*(1-gamma) > c_delta_prime*nu so the conjugating affine change
-    of variables is orientation preserving, and a finite result.
+    Requires nu >= 0 and a*(1-gamma) > c_delta_prime*nu so the conjugating
+    affine change of variables is orientation preserving, and a finite result.
     """
     with np.errstate(all="ignore"):
         a, nu, inner, sigma, holds = _sigma(a, p, nu)
-    return masked(_CONDITIONS[:3], holds, sigma, a=a, nu=nu, inner=inner)
+    return masked(_CONDITIONS[:4], holds, sigma, a=a, nu=nu, inner=inner)
 
 
 def _roots(sigma):
@@ -131,16 +133,16 @@ def invariant_interval(a, p: TheoryParams, nu) -> Interval:
     """Open interval between the two fixed points of the scale-``a`` map.
 
     Iterates started inside increase strictly and stay inside.  Returns an
-    invalid ``Interval`` (never raises) when the regime fails: non-positive
-    radicand, sigma overflowing, at or beyond the fold, or within the
-    near-degenerate margin of it.  At nu = 0 the interval is exactly
+    invalid ``Interval`` (never raises) when the regime fails: negative or
+    NaN budget, non-positive scale or radicand, sigma overflowing, at or
+    beyond the fold, or within the near-degenerate margin of it.  At nu = 0 the interval is exactly
     (0, 1-gamma).  On arrays, an ``Interval`` of arrays, NaN where invalid.
     """
     with np.errstate(all="ignore"):
         a, nu, inner, sigma, holds = _sigma(a, p, nu)
         zero = np.asarray(nu == 0.0)
-        holds = (holds[0], *(held | zero for held in (
-            *holds[1:], sigma < SIGMA_MAX, sigma < SIGMA_MAX - NEAR_DEGENERATE_MARGIN)))
+        holds = (*holds[:2], *(held | zero for held in (
+            *holds[2:], sigma < SIGMA_MAX, sigma < SIGMA_MAX - NEAR_DEGENERATE_MARGIN)))
         # A budget so small that sigma underflows to 0 has the roots of the
         # nu -> 0 limit, y = 0 and y = 1, to double precision.
         _, (y_minus, y_plus) = _roots(sigma)

@@ -212,15 +212,11 @@ def _scan_cell(cfg: ScanConfig, vary_value: float, pp: TheoryParams, nu: float,
                       analytic_len=a_len, agree=agree)
 
 
-def run_scan(cfg: ScanConfig, p: TheoryParams, threads: int = 1) -> tuple[CellResult, ...]:
-    """Run one panel: its cells in grid order (swept exponent major, budget
-    minor); deterministic regardless of thread count (a row reads the
-    panel's shared arrays and writes only its worker's buffers)."""
-    return run_scans([cfg], p, threads)[0]
-
-
 def run_scans(cfgs, p: TheoryParams, threads: int = 1) -> list[tuple[CellResult, ...]]:
-    """``run_scan`` of each panel of ``cfgs``, in order, with the same bits.
+    """The cells of each panel of ``cfgs``, in order, each in grid order
+    (swept exponent major, budget minor), with the bits of the panel run
+    alone at any thread count (a row reads the panel's shared arrays and
+    writes only its worker's buffers).
 
     Panels with the same budgets and grid form a group: it runs the
     baseline once for all of them, solves their thresholds in one bisection

@@ -274,52 +274,10 @@ def feasibility_interval(p: TheoryParams, nu, beta_lo=None, beta_hi=None) -> Int
     return Interval(lo, hi, valid, reason)
 
 
-def improvement_threshold(nu: float, p: TheoryParams) -> float:
-    """Unique initialization at which the improvement margin changes sign.
-
-    The margin is strictly decreasing in the initialization, diverging to
-    +inf at the domain edge; initializations above the threshold are exactly
-    the improving ones.  At nu = 0 the threshold is zero.  Raises
-    ``BracketError`` when no sign change exists (budget at or beyond the
-    collapse budget).
-    """
-    if nu < 0.0:
-        raise DomainError(_CONDITIONS[0])
-    return _root(BoundProblem(p).threshold(nu),
-                 "no improving initialization: budget parameter at or beyond "
-                 f"the collapse budget (nu={nu!r})")
-
-
-def collapse_budget(p: TheoryParams) -> float:
-    """Critical budget parameter where the improvement region collapses.
-
-    Unique root of the large-initialization improvement margin, which is
-    strictly increasing in nu from a negative value at nu = 0 and diverges
-    at the first domain breakdown.
-    """
-    return critical_budgets(p, nu_c=True)["nu_c"]
-
-
-def baseline_half_error_budget(p: TheoryParams) -> float:
-    """Budget parameter at which the baseline error term reaches half the
-    attainable ceiling (1 - gamma)/2; unique by strict monotonicity."""
-    return critical_budgets(p, nu_t=True)["nu_t"]
-
-
 def check_initialization(x0: float, p: TheoryParams) -> None:
     """Reject an initialization outside (0, 1 - gamma), NaN included."""
     if not 0.0 < x0 < 1.0 - p.gamma:
         raise ParameterError("x0 must lie strictly between 0 and 1 - gamma")
-
-
-def max_improving_nu(x0: float, p: TheoryParams) -> float:
-    """Largest budget parameter for which initialization ``x0`` improves.
-
-    Equals the unique root in nu of the improvement margin at ``x0`` (the
-    margin is strictly increasing in nu), and equivalently the budget at
-    which the improvement threshold crosses ``x0``.
-    """
-    return critical_budgets(p, x0=x0)["nu_star"]
 
 
 @dataclass(frozen=True)
@@ -335,21 +293,16 @@ class ProfileResult:
         return self.points[self.argmax_index][0]
 
 
-def max_improving_nu_profile(delta_gap: float, beta_grid, x0: float,
-                             p: TheoryParams) -> ProfileResult:
-    """Evaluate the largest improving budget along ``beta_lo`` at fixed gap;
-    the tail slope is fitted on the last 30% of the grid."""
-    return critical_budgets(p, profile=(delta_gap, beta_grid, x0))["profile"]
-
-
 def critical_budgets(p: TheoryParams, *, nu_c=False, nu_t=False, x0=None, profile=None) -> dict:
-    """The requested budgets of ``p`` from one bisection, by name: ``nu_c``
-    (``collapse_budget``), ``nu_t`` (``baseline_half_error_budget``),
-    ``nu_star`` at ``x0`` (``max_improving_nu``) and, for ``profile =
-    (delta_gap, beta_grid, x0)``, ``profile`` (``max_improving_nu_profile``).
+    """The requested budgets of ``p`` from one bisection, by name: ``nu_c``,
+    the collapse budget, beyond which no initialization improves; ``nu_t``,
+    where the baseline error term reaches half the ceiling (1 - gamma)/2;
+    ``nu_star``, the largest budget at which ``x0`` improves; and, for
+    ``profile = (delta_gap, beta_grid, x0)``, ``profile``: ``nu_star`` along
+    ``beta_lo`` at a fixed gap, its tail slope fitted on the last 30%.
     Each is a column of one ``BoundProblem`` over ``p``'s betas (once per
-    budget) and the profile's beta pairs, with the bits of its solve alone.  The inputs are
-    checked first, then the roots in the order above."""
+    budget) and the profile's beta pairs, with the bits of its solve alone.
+    The inputs are checked first, then the roots in the order above."""
     fails = "fails already at nu = 0"
     # The half-error budget needs no message: negative at nu = 0, it is never NaN.
     scalars = ([("nu_c", math.inf, f"negative large-initialization improvement margin {fails}")]
@@ -387,14 +340,6 @@ def critical_budgets(p: TheoryParams, *, nu_c=False, nu_t=False, x0=None, profil
         found["profile"] = ProfileResult(points=tuple(zip(betas, nus)),
                                          argmax_index=int(np.argmax(nus)), tail_slope=slope)
     return found
-
-
-def threshold_curve(nu_grid, p: TheoryParams) -> tuple[tuple[float, float, bool], ...]:
-    """Improvement threshold along a budget grid, as (nu, threshold, defined)
-    samples; undefined samples carry a NaN threshold."""
-    nus = np.asarray(nu_grid, dtype=float)
-    thresholds = BoundProblem(p).threshold(nus)
-    return tuple((float(nu), float(x), not math.isnan(x)) for nu, x in zip(nus, thresholds))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import pytest
 
 import selfimprove as si
 from selfimprove import checks
-from selfimprove.montecarlo import (classify_improvement, measured_interval,
+from selfimprove.montecarlo import (classify_improvement, measured_interval, run_scans,
                                     x0_grid)
 
 P = si.TheoryParams()
@@ -48,7 +48,8 @@ def nu_star_grid():
 def panels():
     start = time.perf_counter()
     configs = si.default_panels(P)
-    results = {name: (cfg, si.run_scan(cfg, P, threads=8)) for name, cfg in configs.items()}
+    results = {name: (cfg, run_scans([cfg], P, threads=8)[0])
+               for name, cfg in configs.items()}
     return results, time.perf_counter() - start
 
 
@@ -97,7 +98,7 @@ def test_c06_error_functional_monotonicities():
 
 def test_c07_threshold_asymptotics():
     result = checks.check_threshold_curve(False)
-    nu_c = si.collapse_budget(P)
+    nu_c = si.critical_budgets(P, nu_c=True)["nu_c"]
     gaps = np.geomspace(0.001, 0.1, 12) * nu_c
     log_x = [math.log(x) for x in si.BoundProblem(P).threshold(nu_c - gaps)]
     blowup_slope = float(np.polyfit(np.log(gaps), log_x, 1)[0])
@@ -136,7 +137,8 @@ def test_c09_small_exponent_coefficient():
     for gap in (0.05, 0.1, 0.2):
         coeff = (P.c * (1 - P.gamma) ** 1.5 * log_factor
                  / (2 * P.c_delta * (2 ** (gap / 2) - 1)))
-        coarse, fine = (si.max_improving_nu(X0_REFERENCE, P.with_betas(b, b + gap)) / b
+        coarse, fine = (si.critical_budgets(P.with_betas(b, b + gap),
+                                            x0=X0_REFERENCE)["nu_star"] / b
                         for b in (1e-3, 1e-4))
         limit = (10.0 * fine - coarse) / 9.0
         limit_rel = (limit - coeff) / coeff
@@ -183,8 +185,8 @@ def test_c10_profile_unimodality_and_tail():
     Measured: nu_star/nu_break rises from 0.949 to 0.992; the fitted tail
     slope is -1.170 log2 units against -1.211.
     """
-    profile = si.max_improving_nu_profile(0.1, np.linspace(0.01, 12.0, 121),
-                                          X0_REFERENCE, P)
+    profile = si.critical_budgets(
+        P, profile=(0.1, np.linspace(0.01, 12.0, 121), X0_REFERENCE))["profile"]
     values = [v for _, v in profile.points]
     peaks = [i for i in range(1, len(values) - 1)
              if values[i] > values[i - 1] and values[i] > values[i + 1]]
@@ -193,7 +195,7 @@ def test_c10_profile_unimodality_and_tail():
     fractions, envelope = [], []
     for b in np.linspace(8.0, 12.0, 9):
         b = float(b)
-        nu_star = si.max_improving_nu(X0_REFERENCE, P.with_betas(b, b + 0.1))
+        nu_star = si.critical_budgets(P.with_betas(b, b + 0.1), x0=X0_REFERENCE)["nu_star"]
         fractions.append(nu_star / _breakdown_budget(b, b + 0.1, nu_star))
         envelope.append(nu_star * 2 ** (b / 2))
     pinned_ok = (0.9 <= fractions[0] and fractions[-1] < 1.0
@@ -213,7 +215,7 @@ def test_c10_profile_unimodality_and_tail():
 
 
 def test_c11_max_improving_below_half_error_budget(nu_star_grid):
-    nu_t = si.baseline_half_error_budget(P)
+    nu_t = si.critical_budgets(P, nu_t=True)["nu_t"]
     worst = float(nu_star_grid.max())
     report(11, "largest improving budget below the half-error budget at every "
                "grid point", worst < nu_t, f"max {worst:.5f} < nu_T {nu_t:.5f}")
@@ -303,7 +305,7 @@ def test_c17_phase_transition():
     """The analytic improvement region collapses near the collapse budget;
     the measured one does not.
 
-    collapse_budget is the root of the large-initialization analytic
+    nu_c is the root of the large-initialization analytic
     margin, so the collapse belongs to the sufficient condition: the length
     1 - gamma - threshold (0 once the threshold reaches the ceiling, at
     0.9375 nu_c, or has no bracket) falls 137.7x faster around 0.95 nu_c
@@ -311,15 +313,13 @@ def test_c17_phase_transition():
     smoothly instead (slope ratio 2.0) and still spans 0.936 at nu_c and
     0.849 at 2 nu_c.
     """
-    nu_c = si.collapse_budget(P)
+    nu_c = si.critical_budgets(P, nu_c=True)["nu_c"]
     ceiling = 1.0 - P.gamma
+    problem = si.BoundProblem(P)
 
     def analytic_length(nu: float) -> float:
-        try:
-            threshold = si.improvement_threshold(nu, P)
-        except si.BracketError:
-            return 0.0
-        return max(ceiling - threshold, 0.0)
+        threshold = problem.threshold(nu)  # NaN: no initialization improves
+        return 0.0 if math.isnan(threshold) else max(ceiling - threshold, 0.0)
 
     def slope_at(fraction: float) -> float:
         nus = (fraction + np.linspace(-0.02, 0.02, 5)) * nu_c
@@ -380,7 +380,7 @@ def test_refuted_expectations_survive_50_digit_arithmetic():
     for beta_lo, gap in ((1e-3, 0.05), (1e-4, 0.05), (8.0, 0.1), (12.0, 0.1)):
         beta_hi = beta_lo + gap
         pp = P.with_betas(beta_lo, beta_hi)
-        nu_star = si.max_improving_nu(X0_REFERENCE, pp)
+        nu_star = si.critical_budgets(pp, x0=X0_REFERENCE)["nu_star"]
         half, _ = _margin_50_digits(mpmath, beta_lo, beta_hi, 0.5 * nu_star, X0_REFERENCE)
         reference = si.BoundProblem(pp).margin(0.5 * nu_star, X0_REFERENCE)
         assert abs(float(half) - reference) <= 1e-9 * abs(reference)

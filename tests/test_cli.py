@@ -4,8 +4,7 @@ import os
 
 import pytest
 
-from selfimprove import (BoundProblem, TheoryParams, baseline_half_error_budget,
-                         curriculum_coefficients)
+from selfimprove import BoundProblem, TheoryParams, critical_budgets, curriculum_coefficients
 from selfimprove.cli import main
 from selfimprove.regions import improvement_margin
 
@@ -335,7 +334,8 @@ def test_half_error_budget_is_written_where_the_margin_has_no_sign_change(tmp_pa
     assert run_in(tmp_path, ["thresholds", "--nu-t", "--beta-lo", "1e-17"]) == 0
     (row,) = read_rows(tmp_path / "thresholds.csv")
     assert row["name"] == "nu_T"
-    assert float(row["value"]) == baseline_half_error_budget(TheoryParams(beta_lo=1e-17)) > 0.0
+    nu_t = critical_budgets(TheoryParams(beta_lo=1e-17), nu_t=True)["nu_t"]
+    assert float(row["value"]) == nu_t > 0.0
 
 
 def test_out_naming_a_file_exits_2_before_computing(tmp_path, capsys):
@@ -353,6 +353,17 @@ def test_tiny_budget_threshold_follows_the_zero_budget_slope(tmp_path):
     p = TheoryParams()
     slope = p.c_delta_prime / curriculum_coefficients(p).first
     assert float(row["lo"]) == pytest.approx(slope * 1e-20, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("argv, row", [
+    ([], "I_N,0.4,0.022360679774997897,2.500331968767485,0.98,false"),
+    (["--nu", "0.05"], "I_N,0.4,0.05,nan,nan,false"),
+], ids=["default-nu-threshold-above-ceiling", "beyond-nu-c"])
+def test_improvement_row_past_the_ceiling_or_the_collapse_is_invalid(tmp_path, argv, row):
+    # The default budget's threshold lies above 1 - gamma; nu = 0.05 is beyond
+    # nu_c = 0.0233, where no initialization improves.
+    assert run_in(tmp_path, ["intervals", *argv]) == 0
+    assert (tmp_path / "intervals.csv").read_text().splitlines()[-1] == row
 
 
 @pytest.mark.parametrize("argv, x0, near", [

@@ -98,6 +98,19 @@ def test_sigma_grows_as_scale_shrinks():
     assert sigmas[0] < sigmas[1] < sigmas[2]
 
 
+@pytest.mark.parametrize("nu", [-0.01, -5e-324, -math.inf, math.nan])
+def test_negative_or_nan_budget_fails_the_budget_rule_first(nu):
+    p = TheoryParams()
+    with pytest.raises(DomainError, match="^nu must be non-negative$"):
+        effective_sigma(1.0, p, nu)
+    iv = invariant_interval(1.0, p, nu)
+    assert (iv.valid, iv.reason) == (False, "nu must be non-negative")
+    assert math.isnan(iv.lo) and math.isnan(iv.hi)
+    many = invariant_interval(np.array([1.0, 0.5]), p, np.array([nu, 0.01]))
+    assert many.valid.tolist() == [False, True]
+    assert many.reason.tolist() == ["nu must be non-negative", None]
+
+
 def test_sigma_rejects_negative_radicand():
     p = TheoryParams()
     with pytest.raises(DomainError, match="radicand"):
@@ -246,7 +259,7 @@ def math_roots(sigma):
 def math_interval(a, p, nu):
     """Reference: (lo, hi, valid) of the invariant interval at one point,
     with ``math`` and Python floats, ``**`` raising ``OverflowError``."""
-    if a <= 0.0:
+    if not nu >= 0.0 or a <= 0.0:
         return math.nan, math.nan, False
     if nu == 0.0:
         return 0.0, 1.0 - p.gamma, True
@@ -297,7 +310,7 @@ def test_array_calls_equal_their_scalar_calls_bit_for_bit():
     assert repr([(iv.lo, iv.hi, iv.valid) for iv in want]) == repr(
         [math_interval(x, p, y) for x, y in points])
     kinds = {(iv.reason or "valid").split(" ")[0] for iv in want}
-    assert kinds == {"valid", "scale", "radicand", "sigma", "near-degenerate:"}
+    assert kinds == {"valid", "nu", "scale", "radicand", "sigma", "near-degenerate:"}
     assert repr(effective_sigma(a, p, nu).tolist()) == repr(
         [scalar_or_nan(effective_sigma, x, p, y) for x, y in points])
 

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from selfimprove import (TheoryParams, curriculum_coefficients, improvement_threshold,
-                         invariant_interval)
+from selfimprove import BoundProblem, TheoryParams, curriculum_coefficients, invariant_interval
 from selfimprove.dynamics import (PLATEAU_TOL, increasing, iterate, map_budget, rises,
                                   run_schedule, step)
 
@@ -378,7 +377,7 @@ def test_curriculum_prefix_counts_interior_steps():
 def test_curriculum_beats_baseline_inside_improvement_region():
     nu = 0.01
     co = curriculum_coefficients(P)
-    threshold = improvement_threshold(nu, P)
+    threshold = BoundProblem(P).threshold(nu)
     starts = np.linspace(threshold + 1e-3, 1.0 - P.gamma - 1e-3, 25)
     curriculum = iterate(starts, co.schedule, P, nu)
     baseline = iterate(starts, (1.0,) * P.L, P, nu)

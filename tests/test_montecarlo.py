@@ -8,8 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selfimprove import (BoundProblem, ParameterError, ScanConfig, TheoryParams,
-                         curriculum_coefficients, default_panels, feasibility_interval,
-                         improvement_threshold, run_scan, x0_grid)
+                         curriculum_coefficients, default_panels, feasibility_interval, x0_grid)
 from selfimprove import montecarlo
 from selfimprove.cubic import Interval
 from selfimprove.dynamics import PLATEAU_TOL, iterate, run_schedule
@@ -55,7 +54,7 @@ def test_grid_spacing_matches_cell():
 
 
 def test_scan_deterministic_across_threads():
-    assert run_scan(SMALL, P, threads=1) == run_scan(SMALL, P, threads=4)
+    assert run_scans([SMALL], P, threads=1) == run_scans([SMALL], P, threads=4)
 
 
 def test_noiseless_column_spans_feasibility_interval():
@@ -95,7 +94,7 @@ def test_measured_contains_improvement_region():
     grid = x0_grid(P, points)
     cell = (1 - P.gamma) / points
     for nu in (0.004, 0.01, 0.018):
-        threshold = improvement_threshold(nu, P)
+        threshold = BoundProblem(P).threshold(nu)
         feas = feasibility_interval(P, nu)
         flags = classify_improvement(grid, P, nu)
         lo = max(threshold, feas.lo)
@@ -115,13 +114,14 @@ def test_improvement_small_budget_spans_nearly_everything():
 
 
 def test_measured_lengths_decrease_in_budget_parameter():
-    result = by_axes(run_scan(SMALL, P))
+    result = by_axes(run_scans([SMALL], P)[0])
     for beta in SMALL.vary_values:
         lengths = [result[beta, nu].measured_len for nu in SMALL.nu_values]
         assert all(b < a for a, b in zip(lengths, lengths[1:]))
-    improvement = by_axes(run_scan(ScanConfig(kind="improvement", vary="beta_hi",
-                                              vary_values=(0.3, 0.45), fixed_value=0.1,
-                                              nu_values=(0.006, 0.014), x0_points=600), P))
+    improvement = by_axes(run_scans([ScanConfig(kind="improvement", vary="beta_hi",
+                                                vary_values=(0.3, 0.45), fixed_value=0.1,
+                                                nu_values=(0.006, 0.014), x0_points=600)],
+                                    P)[0])
     for beta in (0.3, 0.45):
         lengths = [improvement[beta, nu].measured_len for nu in (0.006, 0.014)]
         assert lengths[1] < lengths[0]
@@ -207,8 +207,7 @@ def test_nearest_index_is_argmin_at_every_cell_of_the_default_panels(monkeypatch
         return seen[-1][0]
 
     monkeypatch.setattr(montecarlo, "_nearest_index", checked)
-    for cfg in default_panels(P).values():
-        run_scan(cfg, P)
+    run_scans(list(default_panels(P).values()), P)
     assert len(seen) > 300
     assert [got for got, _ in seen] == [want for _, want in seen]
 
@@ -304,7 +303,7 @@ def test_rows_on_one_worker_buffers_do_not_depend_on_order(name, monkeypatch):
         return flags
 
     monkeypatch.setattr(montecarlo, kind, recorded)
-    run_scan(cfg, P)
+    run_scans([cfg], P)
     assert len(rows) == len(cfg.vary_values)
     x0, _, nu, baseline, buffers = rows[0][0]
     shared = (x0, *nu, *baseline)
@@ -324,18 +323,18 @@ def test_panels_scanned_in_groups_equal_each_panel_alone():
             panels["a"], panels["d"]]
     # repr tells -0.0 from 0.0 and NaN fields apart, bit for bit; compared as
     # one flag, since a diff of the long strings would take minutes.
-    same = repr(run_scans(cfgs, P)) == repr([run_scan(cfg, P) for cfg in cfgs])
+    same = repr(run_scans(cfgs, P)) == repr([run_scans([cfg], P)[0] for cfg in cfgs])
     assert same
 
 
 def test_threaded_rows_match_serial_under_fast_switching():
     """More worker threads than cores, switching often: each worker's
     buffers stay its own, so every default panel is the serial one."""
-    serial = [run_scan(cfg, P) for cfg in default_panels(P).values()]
+    serial = [run_scans([cfg], P)[0] for cfg in default_panels(P).values()]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)
     try:
-        threaded = [run_scan(cfg, P, threads=8) for cfg in default_panels(P).values()]
+        threaded = [run_scans([cfg], P, threads=8)[0] for cfg in default_panels(P).values()]
     finally:
         sys.setswitchinterval(interval)
     same = repr(threaded) == repr(serial)
@@ -359,7 +358,7 @@ def test_grid_refinement_first_order():
 def test_infeasible_cells_recorded_with_zero_length():
     cfg = ScanConfig(kind="improvement", vary="beta_hi", vary_values=(0.4,),
                      fixed_value=0.1, nu_values=(0.05,), x0_points=300)
-    cell, = run_scan(cfg, P)
+    (cell,), = run_scans([cfg], P)
     assert cell.analytic_len == 0.0
 
 
@@ -392,7 +391,7 @@ def test_gap_fixed_measured_length_rises_then_falls():
                      vary_values=tuple(np.geomspace(2e-4, 8.0, 30)),
                      fixed_value=0.1, nu_values=(0.01,), x0_points=800,
                      fixed_kind="gap")
-    result = by_axes(run_scan(cfg, P))
+    result = by_axes(run_scans([cfg], P)[0])
     lengths = [result[v, 0.01].measured_len for v in cfg.vary_values]
     cell = (1 - P.gamma) / cfg.x0_points
     assert lengths[0] == 0.0
@@ -472,4 +471,4 @@ def scan_configs(draw):
 def test_scan_matches_cells_classified_one_by_one(cfg, levels):
     p = TheoryParams(L=levels)
     # repr tells -0.0 from 0.0 and writes every float exactly: bit for bit.
-    assert repr(run_scan(cfg, p)) == repr(per_cell_scan(cfg, p))
+    assert repr(run_scans([cfg], p)[0]) == repr(per_cell_scan(cfg, p))

@@ -160,6 +160,13 @@ def test_validate_domain_is_the_computations_verdict():
             assert (report["error_functional"] is None) == functional_defined(nu)
 
 
+@pytest.mark.parametrize("nu", [-1.0, -0.01, math.nan])
+def test_validate_domain_reports_the_budget_rule_everywhere(nu):
+    report = validate_domain(TheoryParams(), nu)
+    assert report == dict.fromkeys(("invariant_interval_baseline", "invariant_interval_hard",
+                                    "error_functional"), "nu must be non-negative")
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"c": 0.8, "beta_lo": 0.2, "beta_hi": 0.9, "n": 500}))

@@ -3,12 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from selfimprove import (BoundProblem, BracketError, DomainError, ParameterError,
-                         TheoryParams, baseline_half_error_budget,
-                         coefficient_growth_ratio, collapse_budget,
-                         conditional_mean_check, curriculum_coefficients,
-                         feasibility_interval, improvement_threshold, invariant_interval,
-                         max_improving_nu, max_improving_nu_profile, threshold_curve)
+from selfimprove import (BoundProblem, DomainError, ParameterError, TheoryParams,
+                         coefficient_growth_ratio, conditional_mean_check, critical_budgets,
+                         curriculum_coefficients, feasibility_interval, invariant_interval)
 from selfimprove import regions
 from selfimprove.cubic import Interval
 
@@ -106,8 +103,8 @@ def test_solvers_build_the_problem_once(monkeypatch):
                         counting("coeffs", curriculum_coefficients))
     monkeypatch.setattr(regions, "improvement_margin",
                         counting("margins", regions.improvement_margin))
-    for solve in (lambda: improvement_threshold(0.01, P), lambda: collapse_budget(P),
-                  lambda: max_improving_nu(0.49, P)):
+    for solve in (lambda: BoundProblem(P).threshold(0.01),
+                  lambda: critical_budgets(P, nu_c=True), lambda: critical_budgets(P, x0=0.49)):
         counts.update(params=0, coeffs=0, margins=0)
         solve()
         assert counts["params"] == 0 and counts["coeffs"] <= 1
@@ -237,32 +234,39 @@ def test_feasibility_intervals_equal_the_one_budget_solves(p, monkeypatch):
     assert repr([feasibility_interval(p, nu) for nu in nus]) == repr(want)
 
 
+@pytest.mark.parametrize("nu", [-0.01, math.nan])
+def test_feasibility_rejects_a_negative_or_nan_budget(nu):
+    region = feasibility_interval(P, nu)
+    assert (region.valid, region.reason) == (False, "nu must be non-negative")
+    many = feasibility_interval(P, np.array([nu, 0.01]))
+    assert many.valid.tolist() == [False, True]
+    assert many.reason[0] == "nu must be non-negative"
+
+
 def test_feasibility_propagates_invalidity():
     region = feasibility_interval(P, 0.2)
     assert not region.valid
 
 
 def test_threshold_strictly_increasing():
-    nu_c = collapse_budget(P)
-    values = [improvement_threshold(float(nu), P)
-              for nu in np.linspace(0.05, 0.95, 16) * nu_c]
+    nu_c = critical_budgets(P, nu_c=True)["nu_c"]
+    values = [PROBLEM.threshold(float(nu)) for nu in np.linspace(0.05, 0.95, 16) * nu_c]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_threshold_zero_at_zero_budget():
-    assert improvement_threshold(0.0, P) == 0.0
+    assert PROBLEM.threshold(0.0) == 0.0
 
 
 def test_threshold_no_root_beyond_collapse():
-    nu_c = collapse_budget(P)
-    with pytest.raises(BracketError, match="collapse"):
-        improvement_threshold(1.05 * nu_c, P)
+    nu_c = critical_budgets(P, nu_c=True)["nu_c"]
+    assert math.isnan(PROBLEM.threshold(1.05 * nu_c))
 
 
 def test_threshold_sign_equivalence():
     # margin < 0 exactly for initializations above the threshold
     for nu in (0.005, 0.012, 0.02):
-        x_t = improvement_threshold(nu, P)
+        x_t = PROBLEM.threshold(nu)
         for x0 in (x_t * 1.001, x_t * 1.5, 0.97):
             assert PROBLEM.margin(nu, x0) < 0.0
         for x0 in (x_t * 0.999, x_t * 0.7):
@@ -273,20 +277,21 @@ def test_threshold_sign_equivalence():
 
 
 def test_threshold_blowup_toward_collapse():
-    nu_c = collapse_budget(P)
-    close = improvement_threshold(0.999 * nu_c, P)
-    far = improvement_threshold(0.9 * nu_c, P)
+    nu_c = critical_budgets(P, nu_c=True)["nu_c"]
+    close = PROBLEM.threshold(0.999 * nu_c)
+    far = PROBLEM.threshold(0.9 * nu_c)
     assert close > 50 * far
 
 
 def test_collapse_budget_sign_change():
-    nu_c = collapse_budget(P)
+    nu_c = critical_budgets(P, nu_c=True)["nu_c"]
     assert PROBLEM.margin(nu_c * 0.999) < 0.0
     assert PROBLEM.margin(nu_c * 1.001) > 0.0
 
 
 def test_collapse_budget_decreasing_in_difficulty_span():
-    values = [collapse_budget(P.with_betas(0.1, beta)) for beta in (0.3, 0.5, 0.8, 1.2)]
+    values = [critical_budgets(P.with_betas(0.1, beta), nu_c=True)["nu_c"]
+              for beta in (0.3, 0.5, 0.8, 1.2)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -298,7 +303,7 @@ def test_error_limit_matches_large_initialization():
 
 
 def test_half_error_budget():
-    nu_t = baseline_half_error_budget(P)
+    nu_t = critical_budgets(P, nu_t=True)["nu_t"]
     target = 0.5 * (1 - P.gamma)
     assert PROBLEM.baseline(nu_t) == pytest.approx(target, abs=1e-9)
     assert PROBLEM.baseline(0.0) == 0.0
@@ -318,33 +323,35 @@ def test_baseline_term_geometric_forms_agree():
 
 def test_max_improving_nu_roundtrip():
     for x0 in (0.2, 0.49, 0.8):
-        star = max_improving_nu(x0, P)
+        star = critical_budgets(P, x0=x0)["nu_star"]
         # the threshold at the root budget equals the initialization
-        assert improvement_threshold(star, P) == pytest.approx(x0, rel=1e-6)
+        assert PROBLEM.threshold(star) == pytest.approx(x0, rel=1e-6)
         assert PROBLEM.margin(star * 0.999, x0) < 0.0
         assert PROBLEM.margin(star * 1.001, x0) > 0.0
 
 
 def test_max_improving_nu_rejects_bad_initialization():
     with pytest.raises(ParameterError):
-        max_improving_nu(0.0, P)
+        critical_budgets(P, x0=0.0)
     with pytest.raises(ParameterError):
-        max_improving_nu(1.0 - P.gamma, P)
+        critical_budgets(P, x0=1.0 - P.gamma)
 
 
 def test_max_improving_nu_monotonicities_small_grid():
     x0 = 0.5 * (1 - P.gamma)
-    along_hi = [max_improving_nu(x0, P.with_betas(0.1, beta)) for beta in (0.3, 0.6, 0.9)]
+    along_hi = [critical_budgets(P.with_betas(0.1, beta), x0=x0)["nu_star"]
+                for beta in (0.3, 0.6, 0.9)]
     assert all(b < a for a, b in zip(along_hi, along_hi[1:]))
-    along_lo = [max_improving_nu(x0, P.with_betas(bl, 1.0)) for bl in (0.05, 0.3, 0.6)]
+    along_lo = [critical_budgets(P.with_betas(bl, 1.0), x0=x0)["nu_star"]
+                for bl in (0.05, 0.3, 0.6)]
     assert all(b > a for a, b in zip(along_lo, along_lo[1:]))
 
 
 def test_max_improving_nu_below_half_error_budget():
-    nu_t = baseline_half_error_budget(P)
+    nu_t = critical_budgets(P, nu_t=True)["nu_t"]
     x0 = 0.5 * (1 - P.gamma)
     for beta_lo, beta_hi in ((0.05, 0.3), (0.2, 0.9), (1.0, 1.4)):
-        assert max_improving_nu(x0, P.with_betas(beta_lo, beta_hi)) < nu_t
+        assert critical_budgets(P.with_betas(beta_lo, beta_hi), x0=x0)["nu_star"] < nu_t
 
 
 def test_small_exponent_linear_coefficient():
@@ -354,13 +361,14 @@ def test_small_exponent_linear_coefficient():
     coeff = (P.c * (1 - P.gamma) ** 1.5 * log_factor
              / (2 * P.c_delta * (2 ** (gap / 2) - 1)))
     beta_lo = 1e-3
-    star = max_improving_nu(0.5 * (1 - P.gamma), P.with_betas(beta_lo, beta_lo + gap))
+    star = critical_budgets(P.with_betas(beta_lo, beta_lo + gap),
+                            x0=0.5 * (1 - P.gamma))["nu_star"]
     assert star / beta_lo == pytest.approx(coeff, rel=0.05)
 
 
 def test_profile_unimodal_small_grid():
-    profile = max_improving_nu_profile(0.1, np.linspace(0.05, 6.0, 40),
-                                       0.5 * (1 - P.gamma), P)
+    profile = critical_budgets(
+        P, profile=(0.1, np.linspace(0.05, 6.0, 40), 0.5 * (1 - P.gamma)))["profile"]
     values = [v for _, v in profile.points]
     peaks = [i for i in range(1, len(values) - 1)
              if values[i] > values[i - 1] and values[i] > values[i + 1]]
@@ -370,15 +378,14 @@ def test_profile_unimodal_small_grid():
 
 
 def test_threshold_curve_samples():
-    nu_c = collapse_budget(P)
+    nu_c = critical_budgets(P, nu_c=True)["nu_c"]
     grid = list(np.linspace(0.1, 0.9, 9) * nu_c) + [1.1 * nu_c]
-    samples = threshold_curve(grid, P)
-    assert [nu for nu, _, _ in samples] == grid
-    defined = [(nu, x) for nu, x, ok in samples if ok]
-    assert len(defined) == 9
-    xs = [x for _, x in defined]
+    thresholds = PROBLEM.threshold(np.array(grid))
+    assert thresholds.shape == (len(grid),)
+    xs = thresholds[~np.isnan(thresholds)].tolist()
+    assert len(xs) == 9
     assert all(b > a for a, b in zip(xs, xs[1:]))
-    assert samples[-1][2] is False and math.isnan(samples[-1][1])
+    assert math.isnan(thresholds[-1])
 
 
 def test_growth_ratio_against_numeric_derivative():

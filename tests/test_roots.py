@@ -9,9 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from selfimprove import (BoundProblem, TheoryParams, baseline_half_error_budget,
-                         collapse_budget, critical_budgets, curriculum_coefficients,
-                         improvement_threshold, max_improving_nu, threshold_curve)
+from selfimprove import BoundProblem, TheoryParams, critical_budgets, curriculum_coefficients
 from selfimprove.regions import improvement_margin, last_true
 
 P = TheoryParams()
@@ -195,7 +193,7 @@ def test_fused_budgets_equal_their_solves_alone_bit_for_bit(levels, beta_lo, gap
 @settings(deadline=None)
 def test_threshold_over_nu_tends_to_the_zero_budget_slope(nu):
     slope = P.c_delta_prime / curriculum_coefficients(P).first
-    assert improvement_threshold(nu, P) / nu == pytest.approx(slope, rel=1e-12 + 25.0 * nu)
+    assert BoundProblem(P).threshold(nu) / nu == pytest.approx(slope, rel=1e-12 + 25.0 * nu)
 
 
 @given(beta_hi=st.floats(min_value=0.02, max_value=50.0),
@@ -205,7 +203,7 @@ def test_threshold_over_nu_tends_to_the_zero_budget_slope(nu):
 def test_max_improving_nu_is_a_sign_change_or_a_domain_edge(beta_hi, fraction, x0):
     pp = P.with_betas(fraction * beta_hi, beta_hi)
     problem = BoundProblem(pp)
-    star = max_improving_nu(x0, pp)
+    star = critical_budgets(pp, x0=x0)["nu_star"]
     assert improvement_margin(problem, star, x0) < 0.0
     after = improvement_margin(problem, math.nextafter(star, math.inf), x0)
     assert after >= 0.0 or math.isnan(after)
@@ -281,14 +279,16 @@ def test_roots_match_a_50_digit_bisection_of_the_same_margin():
     def baseline_below_half(nu):
         return _margin_50_digits(mpmath, P, nu, math.inf)[1] < (1 - mpmath.mpf(P.gamma)) / 2
 
-    nu_c = collapse_budget(P)
+    budgets = critical_budgets(P, nu_c=True, nu_t=True, x0=X0)
+    nu_c = budgets["nu_c"]
     cases = [(nu_c, improving_in_nu(P, math.inf)),
-             (baseline_half_error_budget(P), baseline_below_half),
-             (max_improving_nu(X0, P), improving_in_nu(P, X0))]
+             (budgets["nu_t"], baseline_below_half),
+             (budgets["nu_star"], improving_in_nu(P, X0))]
     for beta_hi in (12.0, 40.0):
         pp = P.with_betas(P.beta_lo, beta_hi)
-        cases.append((collapse_budget(pp), improving_in_nu(pp, math.inf)))
-    for nu, threshold, _ in threshold_curve(np.array([0.02, 0.3, 0.6, 0.9, 0.995]) * nu_c, P):
+        cases.append((critical_budgets(pp, nu_c=True)["nu_c"], improving_in_nu(pp, math.inf)))
+    nus = np.array([0.02, 0.3, 0.6, 0.9, 0.995]) * nu_c
+    for nu, threshold in zip(nus.tolist(), BoundProblem(P).threshold(nus).tolist()):
         cases.append((threshold, not_improving_in_x0(nu)))
     with mpmath.workdps(50):
         for root, holds in cases:
