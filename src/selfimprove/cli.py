@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, checks, montecarlo, regions, simulate
 from .cubic import invariant_interval
-from .errors import ParameterError, SelfImproveError
+from .errors import ParameterError, SelfImproveError, require
 from .params import TheoryParams, load_config
 
 
@@ -99,19 +99,15 @@ def _resolve_params(args) -> tuple[TheoryParams, float | None, float]:
     budget parameter in effect: the override, else ``params.default_nu``."""
     params, nu_override, keys = (load_config(args.config) if args.config
                                  else (TheoryParams(), None, frozenset()))
-    for key in sorted(keys & _UNUSED_OPTIONS.get(args.command, {}).keys()):
-        raise ParameterError(f'{args.command} does not use a config "{key}"')
-    overrides = {}
-    if args.beta_lo is not None:
-        overrides["beta_lo"] = args.beta_lo
-    if args.beta_hi is not None:
-        overrides["beta_hi"] = args.beta_hi
+    overrides = {key: getattr(args, key) for key in ("beta_lo", "beta_hi")
+                 if getattr(args, key) is not None}
     if overrides:
         params = TheoryParams(**{**asdict(params), **overrides})
-    if args.nu is not None:
-        nu_override = args.nu
-    if nu_override is not None and not 0.0 <= nu_override < math.inf:
-        raise ParameterError(f"nu must be non-negative and finite, got {nu_override!r}")
+    nu_override = nu_override if args.nu is None else args.nu
+    require(*((key not in keys, f'{args.command} does not use a config "{key}"')
+              for key in sorted(_UNUSED_OPTIONS.get(args.command, {}))),
+            (nu_override is None or 0.0 <= nu_override < math.inf,
+             f"nu must be non-negative and finite, got {nu_override!r}"))
     return params, nu_override, params.default_nu if nu_override is None else nu_override
 
 
@@ -125,17 +121,15 @@ def _fmt(value) -> str:
 
 
 def cmd_intervals(args, params: TheoryParams, nu: float) -> tuple[int, list]:
-    if args.a is not None and not math.isfinite(args.a):
-        raise ParameterError(f"--a must be finite, got {args.a!r}")
     rows = []
     if args.a is not None:
         iv = invariant_interval(args.a, params, nu)
         rows.append(["I", args.a, nu, iv.lo, iv.hi, iv.valid])
     feas = regions.feasibility_interval(params, nu)
     rows.append(["I_M", params.beta_hi, nu, feas.lo, feas.hi, feas.valid])
-    threshold = float(regions.BoundProblem(params).threshold(nu))  # NaN: none improves
-    ceiling = math.nan if math.isnan(threshold) else 1.0 - params.gamma
-    rows.append(["I_N", params.beta_hi, nu, threshold, ceiling, threshold < ceiling])
+    improving = regions._improvement_interval(
+        params, float(regions.BoundProblem(params).threshold(nu)))
+    rows.append(["I_N", params.beta_hi, nu, improving.lo, improving.hi, improving.valid])
     print(f"wrote {len(rows)} interval rows (nu={nu:.6g})")
     return 0, [("intervals.csv", ["kind", "a_or_beta", "nu", "lo", "hi", "valid"], rows)]
 
@@ -147,17 +141,14 @@ def _parse_grid(spec: str) -> np.ndarray:
     except ValueError as exc:
         raise ParameterError(f"bad grid spec {spec!r}; expected start:stop:count") from exc
     # NaN or infinite ends, or ends so far apart that their span overflows.
-    if not math.isfinite(stop - start):
-        raise ParameterError(f"grid spec {spec!r} needs finite ends a finite distance apart")
-    if not 2 <= count <= montecarlo.MAX_GRID_POINTS:
-        raise ParameterError(f"grid spec {spec!r} needs 2 to 10^6 points "
-                             "(two for the tail slope)")
+    require((math.isfinite(stop - start),
+             f"grid spec {spec!r} needs finite ends a finite distance apart"),
+            (2 <= count <= montecarlo.MAX_GRID_POINTS,
+             f"grid spec {spec!r} needs 2 to 10^6 points (two for the tail slope)"))
     return np.linspace(start, stop, count)
 
 
 def cmd_thresholds(args, params: TheoryParams, nu: float) -> tuple[int, list]:
-    if args.curve is not None and not 1 <= args.curve <= montecarlo.MAX_GRID_POINTS:
-        raise ParameterError("--curve must lie in [1, 10^6]")
     x0_profile = args.x0 if args.x0 is not None else 0.5 * (1.0 - params.gamma)
     # One bisection solves every budget asked for; the curve's grid needs nu_c.
     budgets = regions.critical_budgets(
@@ -301,15 +292,17 @@ _UNUSED_OPTIONS = {
 
 
 def _check_common(args) -> None:
-    if os.path.lexists(args.out) and not os.path.isdir(args.out):
-        raise ParameterError(f"--out {args.out!r} exists and is not a directory")
-    if args.seed < 0:
-        raise ParameterError("--seed must be a non-negative integer")
-    if args.threads < 1:
-        raise ParameterError("--threads must be a positive integer")
-    for dest, flag in _UNUSED_OPTIONS.get(args.command, {}).items():
-        if getattr(args, dest) is not None:
-            raise ParameterError(f"{args.command} does not use {flag}")
+    """The rules on the flags, of every subcommand, in test order."""
+    a, curve = getattr(args, "a", None), getattr(args, "curve", None)
+    require((os.path.isdir(args.out) or not os.path.lexists(args.out),
+             f"--out {args.out!r} exists and is not a directory"),
+            (args.seed >= 0, "--seed must be a non-negative integer"),
+            (args.threads >= 1, "--threads must be a positive integer"),
+            (a is None or math.isfinite(a), f"--a must be finite, got {a!r}"),
+            (curve is None or 1 <= curve <= montecarlo.MAX_GRID_POINTS,
+             "--curve must lie in [1, 10^6]"),
+            *((getattr(args, dest) is None, f"{args.command} does not use {flag}")
+              for dest, flag in _UNUSED_OPTIONS.get(args.command, {}).items()))
 
 
 def main(argv=None) -> int:

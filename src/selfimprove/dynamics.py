@@ -112,7 +112,8 @@ def step(x, a: float, p: TheoryParams, nu, out=None):
     value -= budget.cdp_nu                       # the radicand
     inside = value > 0.0
     buffer = value if isinstance(value, np.ndarray) else None
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # An overflowing quotient gives -inf, which the next step's radicand test makes NaN.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         value = np.sqrt(value, out=buffer)
         value *= p.c
         value = np.divide(budget.cd_nu, value, out=buffer)

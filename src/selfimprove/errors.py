@@ -1,6 +1,7 @@
-"""Exception hierarchy shared by all modules, and their one domain
-convention: an array result is NaN where a condition of the function's
-table fails, and a scalar caller is told the first that does."""
+"""Exception hierarchy shared by all modules, and their two ways to reject
+input: an entry point's scalar rules, in one ``require`` call in test order,
+and the domain convention of arrays: NaN where a condition of the function's
+table fails, and a scalar caller told the first that does."""
 
 import operator
 from functools import reduce
@@ -22,6 +23,15 @@ class DomainError(SelfImproveError, ValueError):
 
 class BracketError(SelfImproveError, RuntimeError):
     """A root was asked for where no sign change exists on all of [0, inf]."""
+
+
+def require(*rules) -> None:
+    """``ParameterError`` with the message of the first ``(holds, message)``
+    rule that fails.  Rules are evaluated before the call: one that needs an
+    earlier one to hold (a type check, a parse) goes in a later call."""
+    for holds, message in rules:
+        if not holds:
+            raise ParameterError(message)
 
 
 def verdicts(conditions, holds, **fields):

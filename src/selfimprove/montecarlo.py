@@ -29,9 +29,9 @@ import numpy as np
 
 from .cubic import Interval
 from .dynamics import curriculum_coefficients, map_budget, run_schedule, step
-from .errors import ParameterError
+from .errors import require
 from .params import TheoryParams
-from .regions import BoundProblem, feasibility_interval
+from .regions import BoundProblem, _improvement_interval, feasibility_interval
 
 # Largest grid a caller may ask for: the x0 grid here, and the command
 # line's budget curve and beta grid.
@@ -59,21 +59,22 @@ class ScanConfig:
         object.__setattr__(self, "vary_values", tuple(float(v) for v in self.vary_values))
         object.__setattr__(self, "nu_values", tuple(float(v) for v in self.nu_values))
         object.__setattr__(self, "fixed_value", float(self.fixed_value))
-        if self.kind not in ("feasible", "improvement"):
-            raise ParameterError("kind must be 'feasible' or 'improvement'")
-        if self.vary not in ("beta_hi", "beta_lo"):
-            raise ParameterError("vary must be 'beta_hi' or 'beta_lo'")
-        if self.fixed_kind not in ("exponent", "gap"):
-            raise ParameterError("fixed_kind must be 'exponent' or 'gap'")
-        if self.fixed_kind == "gap" and self.vary != "beta_lo":
-            raise ParameterError("a fixed gap requires sweeping beta_lo")
-        for grid, label in ((self.vary_values, "vary_values"), (self.nu_values, "nu_values")):
-            if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ParameterError(f"{label} must be non-empty and strictly increasing")
-        if not all(0.0 <= nu < math.inf for nu in self.nu_values):
-            raise ParameterError("nu_values must be non-negative and finite")
-        if not 2 <= self.x0_points <= MAX_GRID_POINTS:
-            raise ParameterError("x0_points must lie in [2, 10^6]")
+        # Each rule states what must hold, so a NaN value fails it.
+        require(
+            (self.kind in ("feasible", "improvement"), "kind must be 'feasible' or 'improvement'"),
+            (self.vary in ("beta_hi", "beta_lo"), "vary must be 'beta_hi' or 'beta_lo'"),
+            (self.fixed_kind in ("exponent", "gap"), "fixed_kind must be 'exponent' or 'gap'"),
+            (self.fixed_kind != "gap" or self.vary == "beta_lo",
+             "a fixed gap requires sweeping beta_lo"),
+            *((len(grid) > 0 and all(b > a for a, b in zip(grid, grid[1:])),
+               f"{label} must be non-empty and strictly increasing")
+              for grid, label in ((self.vary_values, "vary_values"), (self.nu_values, "nu_values"))),
+            (all(map(math.isfinite, (*self.vary_values, self.fixed_value))),
+             "vary_values and fixed_value must be finite"),
+            (all(0.0 <= nu < math.inf for nu in self.nu_values),
+             "nu_values must be non-negative and finite"),
+            (2 <= self.x0_points <= MAX_GRID_POINTS, "x0_points must lie in [2, 10^6]"),
+        )
 
     def betas(self, value: float) -> tuple[float, float]:
         if self.vary == "beta_hi":
@@ -182,15 +183,6 @@ def measured_interval(grid: np.ndarray, flags: np.ndarray,
         chosen = int(np.argmax(ends - starts))
     lo, hi = float(grid[starts[chosen]]), float(grid[ends[chosen]])
     return lo, hi, hi - lo
-
-
-def _improvement_interval(p: TheoryParams, threshold: float) -> Interval:
-    if math.isnan(threshold):
-        return Interval(math.nan, math.nan, False, "no improving initialization")
-    ceiling = 1.0 - p.gamma
-    if threshold >= ceiling:
-        return Interval(threshold, ceiling, False, "empty: threshold at or above ceiling")
-    return Interval(threshold, ceiling, True)
 
 
 def _scan_cell(cfg: ScanConfig, vary_value: float, pp: TheoryParams, nu: float,
@@ -310,9 +302,8 @@ def default_panels(p: TheoryParams, names="abcd") -> dict[str, ScanConfig]:
         kind, vary = layout[name]
         first, last, remedy = axes[vary]
         axis = np.round(np.linspace(first, last, 13), 10)
-        if not (axis[1:] > axis[:-1]).all():
-            raise ParameterError(f"panel {name} sweeps {vary} over an empty axis, "
-                                 f"from {first:.6g} to {last:.6g}: {remedy}")
+        require(((axis[1:] > axis[:-1]).all(), f"panel {name} sweeps {vary} over an empty "
+                 f"axis, from {first:.6g} to {last:.6g}: {remedy}"))
         panels[name] = ScanConfig(
             kind=kind, vary=vary, vary_values=tuple(axis),
             fixed_value=p.beta_hi if vary == "beta_lo" else p.beta_lo,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ParameterError, verdicts
+from .errors import ParameterError, require, verdicts
 
 # Fold of the conjugated cubic y*(1-y)^2 = sigma^2: two roots in (0, 1) below it.
 SIGMA_MAX = math.sqrt(4.0 / 27.0)
@@ -76,7 +76,7 @@ class TheoryParams:
     beta_hi: float = 0.4
 
     def __post_init__(self) -> None:
-        checks = [
+        require(
             (0.0 < self.c < 1.0, "c must lie in (0, 1)"),
             (0.0 <= self.gamma < 1.0, "gamma must lie in [0, 1)"),
             (0.0 < self.delta < 1.0, "delta must lie in (0, 1)"),
@@ -88,10 +88,7 @@ class TheoryParams:
             (isinstance(self.m, int) and self.m >= 1, "m must be an integer >= 1"),
             (isinstance(self.L, int) and 2 <= self.L <= MAX_LEVELS,
              f"L must be an integer in [2, {MAX_LEVELS}]"),
-        ]
-        for ok, message in checks:
-            if not ok:
-                raise ParameterError(message)
+        )
         check_betas(self.L, self.beta_lo, self.beta_hi)
         object.__setattr__(self, "c_delta", math.sqrt(2.0 * math.log(self.pi_size / self.delta)))
         object.__setattr__(self, "c_delta_prime",
@@ -113,8 +110,8 @@ def load_config(path: str) -> tuple[TheoryParams, float | None, frozenset[str]]:
     the set of keys the file sets.  An optional ``nu`` key overrides the
     budget parameter; when both ``n`` and ``nu`` appear, ``nu`` wins and a
     warning is emitted.  Unknown keys, non-numeric or non-finite values
-    (JSON ``NaN``, ``Infinity``), an unreadable file and malformed JSON
-    raise ``ParameterError``.
+    (JSON ``null``, ``true``, ``NaN``, ``Infinity``), an unreadable file and
+    malformed JSON raise ``ParameterError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -123,31 +120,23 @@ def load_config(path: str) -> tuple[TheoryParams, float | None, frozenset[str]]:
         raise ParameterError(f"cannot read config {path!r}: {exc.strerror}") from exc
     except ValueError as exc:  # malformed JSON or text encoding
         raise ParameterError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ParameterError("config must be a JSON object")
-
-    known = {f.name for f in fields(TheoryParams)}
-    unknown = set(raw) - known - _CONFIG_EXTRA_KEYS
-    if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+    # Two calls: the unknown-key rule needs an object.
+    require((isinstance(raw, dict), "config must be a JSON object"))
+    unknown = set(raw) - {f.name for f in fields(TheoryParams)} - _CONFIG_EXTRA_KEYS
+    require((not unknown, f"unknown config keys: {sorted(unknown)}"))
 
     keys = frozenset(raw)
+    for key, value in raw.items():
+        # bool is an int subclass: a JSON true must not become 1.  The finite
+        # rule also rejects an integer beyond the float range, which cannot
+        # convert.
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        require((number, f"{key} must be a number, got {value!r}"),
+                (number and abs(value) <= sys.float_info.max, f"{key} must be a finite number"))
     nu_override = raw.pop("nu", None)
-    numbers = raw if nu_override is None else {**raw, "nu": nu_override}
-    for key, value in numbers.items():
-        # bool is an int subclass: a JSON true must not become 1.
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParameterError(f"{key} must be a number, got {value!r}")
-        # Also rejects an integer beyond the float range, which cannot convert.
-        if not abs(value) <= sys.float_info.max:
-            raise ParameterError(f"{key} must be a finite number")
     if nu_override is not None and "n" in raw:
         warnings.warn("config sets both n and nu; nu wins", stacklevel=2)
-    for key in ("pi_size", "n", "m", "L"):
-        if key in raw:
-            value = raw[key]
-            if isinstance(value, float) and not value.is_integer():
-                raise ParameterError(f"{key} must be an integer")
-            raw[key] = int(value)
-    params = TheoryParams(**raw)
-    return params, (float(nu_override) if nu_override is not None else None), keys
+    integers = [key for key in ("pi_size", "n", "m", "L") if key in raw]
+    require(*((float(raw[key]).is_integer(), f"{key} must be an integer") for key in integers))
+    raw.update({key: int(raw[key]) for key in integers})
+    return TheoryParams(**raw), (None if nu_override is None else float(nu_override)), keys

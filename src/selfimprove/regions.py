@@ -24,7 +24,7 @@ import numpy as np
 
 from .cubic import Interval, invariant_interval
 from .dynamics import curriculum_coefficients
-from .errors import BracketError, DomainError, ParameterError, masked, verdicts
+from .errors import BracketError, DomainError, masked, require, verdicts
 from .params import MAX_LEVELS, TheoryParams, check_betas
 
 _SERIES_GUARD = 1e-10
@@ -274,10 +274,20 @@ def feasibility_interval(p: TheoryParams, nu, beta_lo=None, beta_hi=None) -> Int
     return Interval(lo, hi, valid, reason)
 
 
+def _improvement_interval(p: TheoryParams, threshold: float) -> Interval:
+    """The improving initializations (threshold, 1 - gamma): invalid where
+    the threshold is NaN (none improves) or at or above the ceiling."""
+    if math.isnan(threshold):
+        return Interval(math.nan, math.nan, False, "no improving initialization")
+    ceiling = 1.0 - p.gamma
+    if threshold >= ceiling:
+        return Interval(threshold, ceiling, False, "empty: threshold at or above ceiling")
+    return Interval(threshold, ceiling, True)
+
+
 def check_initialization(x0: float, p: TheoryParams) -> None:
     """Reject an initialization outside (0, 1 - gamma), NaN included."""
-    if not 0.0 < x0 < 1.0 - p.gamma:
-        raise ParameterError("x0 must lie strictly between 0 and 1 - gamma")
+    require((0.0 < x0 < 1.0 - p.gamma, "x0 must lie strictly between 0 and 1 - gamma"))
 
 
 @dataclass(frozen=True)
@@ -302,7 +312,8 @@ def critical_budgets(p: TheoryParams, *, nu_c=False, nu_t=False, x0=None, profil
     ``beta_lo`` at a fixed gap, its tail slope fitted on the last 30%.
     Each is a column of one ``BoundProblem`` over ``p``'s betas (once per
     budget) and the profile's beta pairs, with the bits of its solve alone.
-    The inputs are checked first, then the roots in the order above."""
+    The inputs are checked first, then the roots in the order above, then
+    that the tail's roots are positive (``DomainError``)."""
     fails = "fails already at nu = 0"
     # The half-error budget needs no message: negative at nu = 0, it is never NaN.
     scalars = ([("nu_c", math.inf, f"negative large-initialization improvement margin {fails}")]
@@ -314,12 +325,11 @@ def critical_budgets(p: TheoryParams, *, nu_c=False, nu_t=False, x0=None, profil
     x0s = [start for _, start, _ in scalars]
     if profile is not None:
         delta_gap, beta_grid, x0_profile = profile
-        if not delta_gap > 0.0:
-            raise ParameterError(f"delta_gap must be positive, got {delta_gap!r}")
+        require((delta_gap > 0.0, f"delta_gap must be positive, got {delta_gap!r}"))
         betas = [float(bl) for bl in beta_grid]
         k = max(2, int(len(betas) * 0.3))
-        if len(set(betas[-k:])) < 2:
-            raise ParameterError("beta_grid needs two distinct values in its last 30% (tail slope)")
+        require((len(set(betas[-k:])) >= 2,
+                 "beta_grid needs two distinct values in its last 30% (tail slope)"))
         check_initialization(x0_profile, p)
         beta_lo += betas
         beta_hi += [bl + delta_gap for bl in betas]
@@ -335,6 +345,8 @@ def critical_budgets(p: TheoryParams, *, nu_c=False, nu_t=False, x0=None, profil
     if profile is not None:
         nus = [_root(v, f"negative improvement margin at x0={x0_profile!r} {fails} "
                         f"(beta_lo={bl!r})") for bl, v in zip(betas, solved[len(scalars):])]
+        if not min(nus[-k:]) > 0.0:  # a root at nu = 0, as where c is subnormal
+            raise DomainError("tail slope needs a positive nu_star in the last 30% of beta_grid")
         xs, ys = np.array(betas[-k:]), np.log(nus[-k:])
         slope = float(((xs - xs.mean()) * (ys - ys.mean())).sum() / ((xs - xs.mean()) ** 2).sum())
         found["profile"] = ProfileResult(points=tuple(zip(betas, nus)),
@@ -350,13 +362,11 @@ def _log_weight_variable(num_levels: int, beta_lo):
     """The support log(L/i), i = 1..L, of the log-weight variable, and
     ``beta_lo`` as a float array; ``ParameterError`` unless L is an integer
     in [2, MAX_LEVELS], as in ``TheoryParams``, and every entry of
-    ``beta_lo`` is positive and finite (negated comparisons, so NaN fails
-    them too)."""
-    if not (isinstance(num_levels, (int, np.integer)) and 2 <= num_levels <= MAX_LEVELS):
-        raise ParameterError(f"num_levels must be an integer in [2, {MAX_LEVELS}]")
+    ``beta_lo`` is positive and finite (NaN compares false, so it fails)."""
+    require((isinstance(num_levels, (int, np.integer)) and 2 <= num_levels <= MAX_LEVELS,
+             f"num_levels must be an integer in [2, {MAX_LEVELS}]"))
     beta_lo = np.asarray(beta_lo, dtype=float)
-    if not ((beta_lo > 0.0) & (beta_lo < math.inf)).all():
-        raise ParameterError("beta_lo must be positive and finite")
+    require((((beta_lo > 0.0) & (beta_lo < math.inf)).all(), "beta_lo must be positive and finite"))
     return np.log(num_levels / np.arange(1.0, num_levels + 1.0)), beta_lo
 
 
@@ -395,6 +405,5 @@ def conditional_mean_check(num_levels: int, beta_lo, t):
     """
     support, beta_lo = _log_weight_variable(num_levels, beta_lo)
     t = np.asarray(t, dtype=float)
-    if not ((t >= 0.0) & (t < math.log(num_levels))).all():
-        raise ParameterError("t must lie in [0, log(num_levels))")
+    require((((t >= 0.0) & (t < math.log(num_levels))).all(), "t must lie in [0, log(num_levels))"))
     return _mean_excess(support, beta_lo, t[..., None]), _mean_excess(support, beta_lo, 0.0)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, require
 from .params import TheoryParams
 
 ALPHA_FLOOR = 1e-4
@@ -79,16 +79,14 @@ class SimWorld:
     alpha: np.ndarray     # per-question acceptance probability in (0, 1]
 
     def __post_init__(self) -> None:
-        if self.weights.ndim != 1 or self.weights.shape != self.alpha.shape:
-            raise ParameterError("weights and alpha must be 1-D arrays of equal length")
-        # Negated comparisons, so that NaN entries (which ``min`` and ``max``
-        # propagate) fail them too.  Reductions, not masks: a per-question
-        # temporary would stay resident in the heap through the run.
-        if (not abs(float(self.weights.sum()) - 1.0) <= 1e-9
-                or not self.weights.min() >= 0.0):
-            raise ParameterError("weights must be a finite probability vector")
-        if not (self.alpha.min() >= 0.0 and self.alpha.max() <= 1.0):
-            raise ParameterError("alpha must lie in [0, 1]")
+        # Reductions, not masks, which would stay resident in the heap through
+        # the run; NaN, which they propagate, fails the rules.  ``min`` needs a
+        # non-empty array: the weights' sum rule comes first, alpha's rule later.
+        require((self.weights.ndim == 1 and self.weights.shape == self.alpha.shape,
+                 "weights and alpha must be 1-D arrays of equal length"),
+                (abs(float(self.weights.sum()) - 1.0) <= 1e-9 and self.weights.min() >= 0.0,
+                 "weights must be a finite probability vector"))
+        require((self.alpha.min() >= 0.0 and self.alpha.max() <= 1.0, "alpha must lie in [0, 1]"))
         cdf = np.cumsum(self.weights, dtype=np.float64)
         cdf /= cdf[-1]
         support = self.weights > 0.0
@@ -118,13 +116,10 @@ def build_world(question_count: int, v_target: float, p: TheoryParams,
     population mean matches ``v_target`` almost exactly.  Deterministic
     given ``seed``.
     """
-    if not 0.0 < v_target < 1.0:
-        raise ParameterError("v_target must lie in (0, 1)")
-    if question_count < 2:
-        raise ParameterError("question_count must be >= 2")
-    if question_count > MAX_QUESTIONS:
-        raise ParameterError(
-            f"question_count must be at most {MAX_QUESTIONS}, got {question_count}")
+    require((0.0 < v_target < 1.0, "v_target must lie in (0, 1)"),
+            (question_count >= 2, "question_count must be >= 2"),
+            (question_count <= MAX_QUESTIONS,
+             f"question_count must be at most {MAX_QUESTIONS}, got {question_count}"))
 
     pivot = p.c * v_target
     n_low = int(math.floor(p.gamma * question_count))
@@ -135,13 +130,11 @@ def build_world(question_count: int, v_target: float, p: TheoryParams,
     low_mean = 0.5 * (_LOW_MIN + pivot - _MARGIN) if n_low else 0.0
     need_high = (v_target * question_count - low_mean * n_low) / n_high
     hi_end = 2.0 * need_high - (pivot + _MARGIN)
-    if not pivot + _MARGIN < need_high and n_low:
-        raise ParameterError(
-            f"infeasible target: high-group mean {need_high!r} not above pivot {pivot!r}")
-    if hi_end > 1.0 or need_high >= 1.0 or need_high <= pivot + _MARGIN:
-        raise ParameterError(
-            f"infeasible target: (c={p.c!r}, gamma={p.gamma!r}, v_target={v_target!r}) "
-            "admit no valid acceptance vector")
+    require((pivot + _MARGIN < need_high or not n_low,
+             f"infeasible target: high-group mean {need_high!r} not above pivot {pivot!r}"),
+            (hi_end <= 1.0 and pivot + _MARGIN < need_high < 1.0,
+             f"infeasible target: (c={p.c!r}, gamma={p.gamma!r}, v_target={v_target!r}) "
+             "admit no valid acceptance vector"))
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     alpha = np.empty(question_count)
@@ -155,10 +148,10 @@ def build_world(question_count: int, v_target: float, p: TheoryParams,
     alpha[n_low:] = np.clip(alpha[n_low:] + shift, pivot + 0.5 * _MARGIN, 1.0)
 
     world = SimWorld(weights=weights, alpha=alpha)
-    if abs(world.expected_reward - v_target) > 1e-3:
-        raise ParameterError("construction missed the target reward by more than 1e-3")
-    if not satisfies_coupling(alpha, weights, p.c, p.gamma):
-        raise ParameterError("constructed world violates the acceptance-reward coupling")
+    require((abs(world.expected_reward - v_target) <= 1e-3,
+             "construction missed the target reward by more than 1e-3"),
+            (satisfies_coupling(alpha, weights, p.c, p.gamma),
+             "constructed world violates the acceptance-reward coupling"))
     return world
 
 
@@ -176,10 +169,10 @@ def multi_try_acceptance(alpha: np.ndarray, m: int, out=None) -> np.ndarray:
 
 def _tries(m) -> np.ndarray:
     """``m`` as a float array, or ``ParameterError`` unless every entry is a
-    whole number >= 1 (negated comparisons, so NaN fails them too)."""
+    whole number >= 1 (NaN compares false, so it fails)."""
     m = np.asarray(m, dtype=float)
-    if not ((m >= 1.0) & (m < math.inf) & (np.trunc(m) == m)).all():
-        raise ParameterError("m must be a whole number >= 1")
+    require((((m >= 1.0) & (m < math.inf) & (np.trunc(m) == m)).all(),
+             "m must be a whole number >= 1"))
     return m
 
 
@@ -311,10 +304,8 @@ def run_selfimprove(world: SimWorld, p: TheoryParams, rounds: int, seed,
     state: one copy of ``world.alpha`` and one m-try buffer, which every
     round writes in place; ``world`` is left as it was.
     """
-    if rounds < 1:
-        raise ParameterError("rounds must be >= 1")
-    if p.n > MAX_SAMPLES:
-        raise ParameterError(f"n must be at most {MAX_SAMPLES}, got {p.n}")
+    require((rounds >= 1, "rounds must be >= 1"),
+            (p.n <= MAX_SAMPLES, f"n must be at most {MAX_SAMPLES}, got {p.n}"))
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     records = []
     tries = np.empty_like(world.alpha)
@@ -329,8 +320,7 @@ def run_selfimprove(world: SimWorld, p: TheoryParams, rounds: int, seed,
 def run_replications(world: SimWorld, p: TheoryParams, rounds: int,
                      replications: int, seed: int) -> list[RoundRecord]:
     """Independent replications from the same initial world, flat record list."""
-    if replications < 1:
-        raise ParameterError("replications must be >= 1")
+    require((replications >= 1, "replications must be >= 1"))
     top = np.random.SeedSequence(seed)
     records: list[RoundRecord] = []
     for rep, child in enumerate(top.spawn(replications)):

@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
+from dataclasses import fields
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from selfimprove import BoundProblem, TheoryParams, critical_budgets, curriculum_coefficients
+from selfimprove import (BoundProblem, TheoryParams, checks, critical_budgets,
+                         curriculum_coefficients)
 from selfimprove.cli import main
 from selfimprove.regions import improvement_margin
 
@@ -428,3 +436,89 @@ def test_simulation_csv(tmp_path):
                         "V_realized,bound,bound_satisfied")
     assert len(lines) == 5
     assert lines[1].split(",")[0] == "0"
+
+
+def test_subnormal_c_scan_exits_0(tmp_path):
+    # c*sqrt(radicand) underflows, so the map's quotient overflows to inf: the
+    # image is -inf, and the next step makes it NaN, with no RuntimeWarning.
+    (tmp_path / "config.json").write_text('{"c": 5e-324}')
+    assert run_in(tmp_path, ["scan", "--x0-points", "40", "--config", "config.json"]) == 0
+    assert len(list(tmp_path.glob("panel_*.csv"))) == 4
+
+
+# The fuzz's values: signed zeros, the smallest subnormal, extremes, NaN, a
+# negative.  Counts and sizes stay small, so that each run takes milliseconds.
+FUZZ_VALUES = (0, -0.0, 5e-324, 1e-300, 0.5, 1, 1e300, math.inf, math.nan, -1)
+FUZZ_FLOAT = st.sampled_from([repr(v) for v in FUZZ_VALUES])
+
+
+def fuzz_ints(*values):
+    return st.sampled_from([str(v) for v in values])
+
+
+FUZZ_COMMON = {"--seed": fuzz_ints(-1, 0, 1), "--threads": fuzz_ints(0, 1, 2),
+               "--beta-lo": FUZZ_FLOAT, "--beta": FUZZ_FLOAT, "--nu": FUZZ_FLOAT}
+# Each subcommand's own options, with their values (None: a switch).
+FUZZ_OPTIONS = {
+    "intervals": {"--a": FUZZ_FLOAT},
+    "thresholds": {"--x0": FUZZ_FLOAT, "--nu-c": None, "--nu-t": None,
+                   "--curve": fuzz_ints(-1, 0, 1, 3), "--profile": None,
+                   "--delta-gap": FUZZ_FLOAT,
+                   "--beta-grid": st.builds("{}:{}:{}".format, FUZZ_FLOAT, FUZZ_FLOAT,
+                                            fuzz_ints(-1, 0, 1, 2, 5))},
+    "regions": {"--x0": FUZZ_FLOAT},
+    "scan": {"--panel": st.sampled_from(["a", "b", "c", "d", "all"]),
+             "--x0-points": fuzz_ints(-1, 0, 1, 2, 40)},
+    "simulate": {"--rounds": fuzz_ints(-1, 0, 1, 2), "--replications": fuzz_ints(-1, 0, 1, 2),
+                 "--questions": fuzz_ints(-1, 0, 1, 2, 200), "--v-target": FUZZ_FLOAT},
+    "verify": {"--fast": None},
+}
+# What every run of a subcommand gets: regions requires --x0, and the default
+# scan grid and simulated world are large.
+FUZZ_REQUIRED = {"regions": {"--x0"}, "scan": {"--x0-points"},
+                 "simulate": {"--questions", "--rounds"}}
+FUZZ_CONFIG = st.none() | st.dictionaries(
+    st.sampled_from([*(f.name for f in fields(TheoryParams)), "nu"]), st.sampled_from(FUZZ_VALUES),
+    max_size=3)
+
+
+@st.composite
+def fuzz_argvs(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    options = {**FUZZ_COMMON, **FUZZ_OPTIONS[command]}
+    flags = draw(st.sets(st.sampled_from(sorted(options)))) | FUZZ_REQUIRED.get(command, set())
+    # ``--flag=value``, so that a value starting with "-" is not read as a flag.
+    return ([command, *(flag if options[flag] is None else f"{flag}={draw(options[flag])}"
+                        for flag in sorted(flags))], draw(FUZZ_CONFIG))
+
+
+# A config with both n and nu warns that nu wins; pytest, not stderr, gets it.
+@pytest.mark.filterwarnings("ignore:config sets both n and nu:UserWarning")
+@settings(max_examples=150, deadline=None)
+@given(case=fuzz_argvs())
+@example(case=(["scan", "--panel=all", "--x0-points=40"], {"c": 5e-324}))
+@example(case=(["thresholds", "--profile", "--beta-grid=0.01:inf:5"], None))
+@example(case=(["scan", "--panel=d", "--beta=0.01", "--beta-lo=0.005"], None))
+@example(case=(["thresholds", "--profile", "--beta-grid=0.5:1:5"], {"c": 5e-324}))
+def test_fuzzed_argv_exits_0_or_2_and_a_fault_writes_one_error_line(case):
+    """Random argvs of every subcommand, and random config keys, exit 0 or 2,
+    never 3 (a fault of the program, a leaked RuntimeWarning included); a
+    fault prints one ``error:`` line and creates no ``--out``.  The property
+    checks of ``verify`` are replaced by one passing result: they read no
+    input, and ``test_verify_fast_passes`` runs them."""
+    argv, config = case
+    passing = [checks.CheckResult("fuzz", True, "")]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(checks, "run_checks", lambda fast: passing):
+        if config is not None:
+            with open(os.path.join(tmp, "config.json"), "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            argv = [*argv, f"--config={os.path.join(tmp, 'config.json')}"]
+        out = os.path.join(tmp, "new")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, f"--out={out}"])
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert not os.path.exists(out)

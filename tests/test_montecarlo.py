@@ -12,9 +12,9 @@ from selfimprove import (BoundProblem, ParameterError, ScanConfig, TheoryParams,
 from selfimprove import montecarlo
 from selfimprove.cubic import Interval
 from selfimprove.dynamics import PLATEAU_TOL, iterate, run_schedule
-from selfimprove.montecarlo import (_improvement_interval, _scan_cell, baseline_run,
-                                    classify_feasible, classify_improvement, measured_interval,
-                                    run_scans)
+from selfimprove.montecarlo import (_scan_cell, baseline_run, classify_feasible,
+                                    classify_improvement, measured_interval, run_scans)
+from selfimprove.regions import _improvement_interval
 
 P = TheoryParams()
 
@@ -44,6 +44,18 @@ def test_config_validation():
         with pytest.raises(ParameterError, match="nu_values"):
             ScanConfig(kind="feasible", vary="beta_hi", vary_values=(0.3,),
                        fixed_value=0.1, nu_values=(nu,))
+    # NaN compares false, so it fails the rules stated as what must hold.
+    with pytest.raises(ParameterError, match="vary_values must be non-empty and strictly"):
+        ScanConfig(kind="feasible", vary="beta_hi", vary_values=(0.3, math.nan),
+                   fixed_value=0.1, nu_values=(0.01,))
+    with pytest.raises(ParameterError, match="nu_values must be non-empty and strictly"):
+        ScanConfig(kind="feasible", vary="beta_hi", vary_values=(0.3,),
+                   fixed_value=0.1, nu_values=(0.01, math.nan))
+    for vary_values, fixed_value in (((math.nan,), 0.1), ((0.3,), math.nan),
+                                     ((0.3, math.inf), 0.1)):
+        with pytest.raises(ParameterError, match="vary_values and fixed_value must be finite"):
+            ScanConfig(kind="feasible", vary="beta_hi", vary_values=vary_values,
+                       fixed_value=fixed_value, nu_values=(0.01,))
 
 
 def test_grid_spacing_matches_cell():

@@ -8,6 +8,7 @@ from selfimprove import (BoundProblem, DomainError, ParameterError, TheoryParams
                          effective_sigma, invariant_interval, load_config,
                          validate_domain)
 from selfimprove.cli import _resolve_params, build_parser
+from selfimprove.errors import require
 from selfimprove.params import MAX_LEVELS, SIGMA_MAX
 from selfimprove.regions import last_true
 
@@ -188,6 +189,22 @@ def test_load_config_nu_wins_with_warning(tmp_path):
     with pytest.warns(UserWarning, match="nu wins"):
         p, nu, keys = load_config(str(path))
     assert p.n == 100 and nu == 0.25 and keys == {"n", "nu"}
+
+
+def test_load_config_rejects_a_null_nu(tmp_path):
+    # JSON null is not a number: it must not read as an absent override.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"nu": None}))
+    with pytest.raises(ParameterError, match="nu must be a number, got None"):
+        load_config(str(path))
+
+
+def test_require_raises_the_message_of_the_first_rule_that_fails():
+    require((True, "first"), (1 > 0, "second"))
+    with pytest.raises(ParameterError, match="^second$"):
+        require((True, "first"), (False, "second"), (False, "third"))
+    with pytest.raises(ParameterError, match="^nan$"):
+        require((math.nan > 0.0, "nan"))
 
 
 def test_load_config_rejects_fractional_integers(tmp_path):

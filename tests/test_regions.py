@@ -377,6 +377,15 @@ def test_profile_unimodal_small_grid():
     assert profile.tail_slope < 0.0
 
 
+def test_profile_tail_of_zero_roots_has_no_slope():
+    # At a subnormal c every root is nu = 0: negative margin there, and none
+    # at the next float.  log(0) has no slope, so the profile is a DomainError.
+    p = TheoryParams(c=5e-324)
+    assert critical_budgets(p, x0=0.49)["nu_star"] == 0.0
+    with pytest.raises(DomainError, match="tail slope needs a positive nu_star"):
+        critical_budgets(p, profile=(0.1, np.linspace(0.5, 1.0, 5), 0.49))
+
+
 def test_threshold_curve_samples():
     nu_c = critical_budgets(P, nu_c=True)["nu_c"]
     grid = list(np.linspace(0.1, 0.9, 9) * nu_c) + [1.1 * nu_c]
