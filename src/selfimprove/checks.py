@@ -13,6 +13,7 @@ calls the full-size (``fast=False``) version instead of re-implementing it.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -464,8 +465,10 @@ def check_scan_determinism(fast: bool) -> CheckResult:
     p = TheoryParams()
     cfg = _small_panel("feasible")
     first = montecarlo.run_scans([cfg], p)[0]
-    again = montecarlo.run_scans([cfg], p, threads=2)[0]
-    ok = first == again
+    # Two scans at once on two threads: they must share no state.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        again = list(pool.map(lambda _: montecarlo.run_scans([cfg], p)[0], range(2)))
+    ok = again == [first, first]
     return CheckResult("scan-determinism", ok, "single- vs multi-thread identical")
 
 

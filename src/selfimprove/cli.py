@@ -26,7 +26,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config with TheoryParams keys")
     parser.add_argument("--seed", type=int, default=0, help="random seed (U64)")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+    parser.add_argument("--threads", type=int, default=1, help="must be 1 (runs are serial)")
     parser.add_argument("--beta-lo", type=float, dest="beta_lo")
     parser.add_argument("--beta", type=float, dest="beta_hi")
     parser.add_argument("--nu", type=float, help="budget parameter override")
@@ -195,13 +195,9 @@ def cmd_regions(args, params: TheoryParams, nu: float) -> tuple[int, list]:
 
 def cmd_scan(args, params: TheoryParams, nu: float) -> tuple[int, list]:
     panels = montecarlo.default_panels(params, "abcd" if args.panel == "all" else args.panel)
-    cfgs = []
-    for cfg in panels.values():
-        if args.x0_points != cfg.x0_points:
-            cfg = montecarlo.ScanConfig(**{**asdict(cfg), "x0_points": args.x0_points})
-        cfgs.append(cfg)
+    cfgs = [replace(cfg, x0_points=args.x0_points) for cfg in panels.values()]
     files = []
-    for name, cells in zip(panels, montecarlo.run_scans(cfgs, params, threads=args.threads)):
+    for name, cells in zip(panels, montecarlo.run_scans(cfgs, params)):
         files.append((f"panel_{name}.csv",
                       ["axis1", "axis2", "measured_len", "analytic_len", "agree"],
                       [[c.axis1, c.axis2, c.measured_len, c.analytic_len, c.agree]
@@ -297,7 +293,8 @@ def _check_common(args) -> None:
     require((os.path.isdir(args.out) or not os.path.lexists(args.out),
              f"--out {args.out!r} exists and is not a directory"),
             (args.seed >= 0, "--seed must be a non-negative integer"),
-            (args.threads >= 1, "--threads must be a positive integer"),
+            (args.seed == 0 or args.command == "simulate", f"{args.command} does not use --seed"),
+            (args.threads == 1, "--threads must be 1: every run is serial"),
             (a is None or math.isfinite(a), f"--a must be finite, got {a!r}"),
             (curve is None or 1 <= curve <= montecarlo.MAX_GRID_POINTS,
              "--curve must lie in [1, 10^6]"),

@@ -9,7 +9,7 @@ the analytic one.  The baseline recursion, which the betas do not enter, runs
 once for all the budgets of the panels that share them and their grid, and
 a row (one swept value with all its budgets) is classified in one run, each
 point carrying its own budget: the map's budget terms are formed once, and
-each worker thread runs its rows in one reused pair of buffers.  The
+every row of the group runs in one reused pair of buffers.  The
 analytic conditions are sufficient, so the measured region may strictly
 contain the analytic region; the testable guarantee is containment.  For
 improvement it holds for the threshold region intersected with the
@@ -21,8 +21,6 @@ per-cell ``agree`` flag records the stronger endpoint-level agreement.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,11 +202,11 @@ def _scan_cell(cfg: ScanConfig, vary_value: float, pp: TheoryParams, nu: float,
                       analytic_len=a_len, agree=agree)
 
 
-def run_scans(cfgs, p: TheoryParams, threads: int = 1) -> list[tuple[CellResult, ...]]:
+def run_scans(cfgs, p: TheoryParams) -> list[tuple[CellResult, ...]]:
     """The cells of each panel of ``cfgs``, in order, each in grid order
     (swept exponent major, budget minor), with the bits of the panel run
-    alone at any thread count (a row reads the panel's shared arrays and
-    writes only its worker's buffers).
+    alone.  A call shares no state with another, so concurrent calls give
+    the cells of serial ones.
 
     Panels with the same budgets and grid form a group: it runs the
     baseline once for all of them, solves their thresholds in one bisection
@@ -220,12 +218,12 @@ def run_scans(cfgs, p: TheoryParams, threads: int = 1) -> list[tuple[CellResult,
         groups.setdefault((cfg.nu_values, cfg.x0_points), []).append(i)
     results = [()] * len(cfgs)
     for members in groups.values():
-        for i, cells in zip(members, _scan_group([cfgs[i] for i in members], p, threads)):
+        for i, cells in zip(members, _scan_group([cfgs[i] for i in members], p)):
             results[i] = cells
     return results
 
 
-def _scan_group(cfgs, p: TheoryParams, threads: int) -> list[tuple[CellResult, ...]]:
+def _scan_group(cfgs, p: TheoryParams) -> list[tuple[CellResult, ...]]:
     """The panels of one group, which share ``nu_values`` and ``x0_points``."""
     grid = x0_grid(p, cfgs[0].x0_points)
     nus = np.array(cfgs[0].nu_values)
@@ -251,32 +249,23 @@ def _scan_group(cfgs, p: TheoryParams, threads: int) -> list[tuple[CellResult, .
     baseline = baseline_run(x0, p, budget)
     for shared in (x0, *budget, *baseline):
         shared.flags.writeable = False
-    return [_scan_panel(cfg, p, grid, x0, budget, baseline, rows, threads)
+    buffers = (np.empty_like(x0), np.empty_like(x0))
+    return [_scan_panel(cfg, p, grid, x0, budget, baseline, rows, buffers)
             for cfg, rows in zip(cfgs, analytic)]
 
 
 def _scan_panel(cfg: ScanConfig, p: TheoryParams, grid, x0, budget, baseline, analytic,
-                threads: int) -> tuple[CellResult, ...]:
+                buffers) -> tuple[CellResult, ...]:
     """One panel's cells from its group's arrays and its analytic intervals
-    (one row per swept value)."""
-    sets = [p.with_betas(*cfg.betas(v)) for v in cfg.vary_values]
+    (one row per swept value), each row classified in ``buffers``."""
     classify = classify_feasible if cfg.kind == "feasible" else classify_improvement
-    worker = threading.local()
-
-    def scan_row(v: float, pp: TheoryParams, row) -> list[CellResult]:
-        if not hasattr(worker, "buffers"):
-            worker.buffers = (np.empty_like(x0), np.empty_like(x0))
-        flags = classify(x0, pp, budget, baseline, worker.buffers).reshape(-1, len(grid))
-        return [_scan_cell(cfg, v, pp, n, a, grid, f)
-                for n, a, f in zip(cfg.nu_values, row, flags)]
-
-    per_row = (cfg.vary_values, sets, analytic)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(scan_row, *per_row))
-    else:
-        rows = list(map(scan_row, *per_row))
-    return tuple(cell for row in rows for cell in row)
+    cells = []
+    for v, row in zip(cfg.vary_values, analytic):
+        pp = p.with_betas(*cfg.betas(v))
+        flags = classify(x0, pp, budget, baseline, buffers).reshape(-1, len(grid))
+        cells.extend(_scan_cell(cfg, v, pp, n, a, grid, f)
+                     for n, a, f in zip(cfg.nu_values, row, flags))
+    return tuple(cells)
 
 
 def default_panels(p: TheoryParams, names="abcd") -> dict[str, ScanConfig]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -108,10 +107,9 @@ def load_config(path: str) -> tuple[TheoryParams, float | None, frozenset[str]]:
 
     Returns the parameters, the ``nu`` override (``None`` when absent) and
     the set of keys the file sets.  An optional ``nu`` key overrides the
-    budget parameter; when both ``n`` and ``nu`` appear, ``nu`` wins and a
-    warning is emitted.  Unknown keys, non-numeric or non-finite values
-    (JSON ``null``, ``true``, ``NaN``, ``Infinity``), an unreadable file and
-    malformed JSON raise ``ParameterError``.
+    budget parameter.  Both ``n`` and ``nu``, unknown keys, non-numeric or
+    non-finite values (JSON ``null``, ``true``, ``NaN``, ``Infinity``), an
+    unreadable file and malformed JSON raise ``ParameterError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -134,9 +132,8 @@ def load_config(path: str) -> tuple[TheoryParams, float | None, frozenset[str]]:
         require((number, f"{key} must be a number, got {value!r}"),
                 (number and abs(value) <= sys.float_info.max, f"{key} must be a finite number"))
     nu_override = raw.pop("nu", None)
-    if nu_override is not None and "n" in raw:
-        warnings.warn("config sets both n and nu; nu wins", stacklevel=2)
     integers = [key for key in ("pi_size", "n", "m", "L") if key in raw]
-    require(*((float(raw[key]).is_integer(), f"{key} must be an integer") for key in integers))
+    require((nu_override is None or "n" not in raw, "config sets both n and nu; set one"),
+            *((float(raw[key]).is_integer(), f"{key} must be an integer") for key in integers))
     raw.update({key: int(raw[key]) for key in integers})
     return TheoryParams(**raw), (None if nu_override is None else float(nu_override)), keys

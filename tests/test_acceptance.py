@@ -48,7 +48,7 @@ def nu_star_grid():
 def panels():
     start = time.perf_counter()
     configs = si.default_panels(P)
-    results = {name: (cfg, run_scans([cfg], P, threads=8)[0])
+    results = {name: (cfg, run_scans([cfg], P)[0])
                for name, cfg in configs.items()}
     return results, time.perf_counter() - start
 

@@ -127,7 +127,7 @@ def test_scan_panel_deterministic(tmp_path):
     assert main(["scan", "--panel", "a", "--x0-points", "400",
                  "--out", str(first)]) == 0
     assert main(["scan", "--panel", "a", "--x0-points", "400",
-                 "--out", str(second), "--threads", "3"]) == 0
+                 "--out", str(second)]) == 0
     assert (first / "panel_a.csv").read_bytes() == (second / "panel_a.csv").read_bytes()
 
 
@@ -154,12 +154,13 @@ def test_manifest_lists_outputs_and_resolved_params(tmp_path):
 
 def test_config_precedence_flags_over_file(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"beta_lo": 0.2, "beta_hi": 0.5}))
+    config.write_text(json.dumps({"beta_lo": 0.2, "beta_hi": 0.5, "n": 100}))
     assert run_in(tmp_path, ["regions", "--config", str(config), "--beta", "0.9",
                              "--x0", "0.5", "--nu", "0.005"]) == 0
     rows = read_rows(tmp_path / "regions.csv")
     assert float(rows[0]["beta_lo"]) == 0.2   # from config
     assert float(rows[0]["beta_hi"]) == 0.9   # flag wins
+    assert float(rows[0]["nu"]) == 0.005      # the --nu flag goes over the config's n
 
 
 def test_config_unknown_key_exits_2(tmp_path):
@@ -182,6 +183,7 @@ def test_verify_fast_passes(tmp_path, capsys):
     ('{"n": true}', ["regions", "--x0", "0.5", "--config", "config.json"]),
     (None, ["simulate", "--seed", "-1", "--questions", "500", "--rounds", "1"]),
     (None, ["scan", "--panel", "a", "--x0-points", "100", "--threads", "0"]),
+    (None, ["scan", "--panel", "a", "--x0-points", "100", "--threads", "2"]),
     (None, ["intervals", "--nu", "nan"]),
     (None, ["intervals", "--nu", "inf"]),
     ('{"nu": Infinity}', ["intervals", "--config", "config.json"]),
@@ -229,9 +231,13 @@ def test_verify_fast_passes(tmp_path, capsys):
     ('{"L": 1001}', ["intervals", "--config", "config.json"]),
     ('{"n": 10000001}',
      ["simulate", "--questions", "500", "--rounds", "1", "--config", "config.json"]),
+    (None, ["intervals", "--seed", "5"]),
+    (None, ["scan", "--panel", "a", "--x0-points", "100", "--seed", "1"]),
+    (None, ["verify", "--fast", "--seed", "1"]),
+    ('{"n": 100, "nu": 0.25}', ["intervals", "--config", "config.json"]),
 ], ids=["missing-config", "malformed-json", "string-value", "bool-integer",
-        "negative-seed", "zero-threads", "nan-nu", "inf-nu", "config-inf-nu",
-        "nan-x0", "x0-above-ceiling", "nan-a", "inf-a", "huge-beta-hi",
+        "negative-seed", "zero-threads", "threads-above-one", "nan-nu", "inf-nu",
+        "config-inf-nu", "nan-x0", "x0-above-ceiling", "nan-a", "inf-a", "huge-beta-hi",
         "config-inf-beta-hi", "negative-curve", "empty-grid", "one-point-grid", "constant-grid",
         "bad-grid-after-csv", "verify-beta", "verify-beta-lo", "verify-nu",
         "verify-config", "scan-nu", "scan-config-nu", "scan-x0-points-above-bound",
@@ -242,7 +248,8 @@ def test_verify_fast_passes(tmp_path, capsys):
         "config-negative-nu", "curve-above-bound", "beta-grid-above-bound",
         "questions-above-bound", "thresholds-bracket-error", "scan-one-x0-point",
         "simulate-infeasible-target", "config-levels-above-bound",
-        "simulate-samples-above-bound"])
+        "simulate-samples-above-bound", "intervals-seed", "scan-seed", "verify-seed",
+        "config-n-and-nu"])
 def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, argv):
     if config is not None:
         (tmp_path / "config.json").write_text(config)
@@ -492,8 +499,6 @@ def fuzz_argvs(draw):
                         for flag in sorted(flags))], draw(FUZZ_CONFIG))
 
 
-# A config with both n and nu warns that nu wins; pytest, not stderr, gets it.
-@pytest.mark.filterwarnings("ignore:config sets both n and nu:UserWarning")
 @settings(max_examples=150, deadline=None)
 @given(case=fuzz_argvs())
 @example(case=(["scan", "--panel=all", "--x0-points=40"], {"c": 5e-324}))

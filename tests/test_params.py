@@ -183,12 +183,11 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(str(path))
 
 
-def test_load_config_nu_wins_with_warning(tmp_path):
+def test_load_config_rejects_both_n_and_nu(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"n": 100, "nu": 0.25}))
-    with pytest.warns(UserWarning, match="nu wins"):
-        p, nu, keys = load_config(str(path))
-    assert p.n == 100 and nu == 0.25 and keys == {"n", "nu"}
+    with pytest.raises(ParameterError, match="config sets both n and nu; set one"):
+        load_config(str(path))
 
 
 def test_load_config_rejects_a_null_nu(tmp_path):
