@@ -6,10 +6,12 @@ summaries only.  Every run writes ``manifest_<subcommand>.json`` with the
 resolved parameters, seed, outputs, version, and duration, enough to
 reproduce the output files byte for byte.
 
-``main`` resolves the parameters once and hands them to ``cmd_<name>``,
-which computes everything and returns ``(exit_code, files)``; only then is
-``--out`` created and written.  So a run that fails writes nothing, not even
-the directory.
+Each subcommand is one row of ``SUBCOMMANDS``, from which the parser is
+built.  ``main`` checks the flags by the row's rules, resolves the
+parameters once and hands them to the row's ``cmd_<name>``, which computes
+everything and returns ``(exit_code, files)``; only then is ``--out``
+created and written.  So a run that fails writes nothing, not even the
+directory.
 
 Exit codes: 0 success, 1 property failure (verify, which still writes its
 manifest), 2 usage error or any toolkit error (parameter, domain or
@@ -27,71 +29,14 @@ import os
 import sys
 import time
 from dataclasses import asdict, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, checks, montecarlo, regions, simulate
+from . import __version__, montecarlo, regions, simulate
 from .cubic import invariant_interval
 from .errors import ParameterError, SelfImproveError, require
 from .params import TheoryParams, load_config
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config with TheoryParams keys")
-    parser.add_argument("--seed", type=int, default=0, help="random seed (U64)")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="must be 1 (runs are serial)")
-    parser.add_argument("--beta-lo", type=float, dest="beta_lo")
-    parser.add_argument("--beta", type=float, dest="beta_hi")
-    parser.add_argument("--nu", type=float, help="budget parameter override")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="selfimprove",
-        description="Finite-sample self-improvement dynamics toolkit")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_int = sub.add_parser("intervals", help="invariant/feasibility/improvement intervals")
-    _add_common(p_int)
-    p_int.add_argument("--a", type=float, help="scale coefficient for the invariant interval")
-
-    p_thr = sub.add_parser("thresholds", help="improvement thresholds and critical budgets")
-    _add_common(p_thr)
-    p_thr.add_argument("--x0", type=float, help="initialization for the largest improving budget")
-    p_thr.add_argument("--nu-c", action="store_true", dest="nu_c",
-                       help="emit the collapse budget")
-    p_thr.add_argument("--nu-t", action="store_true", dest="nu_t",
-                       help="emit the baseline half-error budget")
-    p_thr.add_argument("--curve", type=int, metavar="N",
-                       help="sample the improvement threshold on N budget points")
-    p_thr.add_argument("--profile", action="store_true",
-                       help="largest improving budget along beta_lo at fixed gap")
-    p_thr.add_argument("--delta-gap", type=float, default=0.1, dest="delta_gap")
-    p_thr.add_argument("--beta-grid", default="0.01:12:60", dest="beta_grid",
-                       help="profile grid as start:stop:count")
-
-    p_reg = sub.add_parser("regions", help="evaluate the error functional and margin")
-    _add_common(p_reg)
-    p_reg.add_argument("--x0", type=float, required=True)
-
-    p_scan = sub.add_parser("scan", help="feasible/improvement region panels")
-    _add_common(p_scan)
-    p_scan.add_argument("--panel", default="all", choices=["a", "b", "c", "d", "all"])
-    p_scan.add_argument("--x0-points", type=int, default=2000, dest="x0_points")
-
-    p_sim = sub.add_parser("simulate", help="stochastic generate-filter-update loop")
-    _add_common(p_sim)
-    p_sim.add_argument("--rounds", type=int, default=5)
-    p_sim.add_argument("--replications", type=int, default=1)
-    p_sim.add_argument("--questions", type=int, default=10_000)
-    p_sim.add_argument("--v-target", type=float, default=0.5, dest="v_target")
-
-    p_ver = sub.add_parser("verify", help="run the property-check table")
-    _add_common(p_ver)
-    p_ver.add_argument("--fast", action="store_true", help="reduced grids")
-    return parser
 
 
 def _resolve_params(args) -> tuple[TheoryParams, float | None, float]:
@@ -104,8 +49,9 @@ def _resolve_params(args) -> tuple[TheoryParams, float | None, float]:
     if overrides:
         params = TheoryParams(**{**asdict(params), **overrides})
     nu_override = nu_override if args.nu is None else args.nu
-    require(*((key not in keys, f'{args.command} does not use a config "{key}"')
-              for key in sorted(_UNUSED_OPTIONS.get(args.command, {}))),
+    reads = SUBCOMMANDS[args.command].reads
+    require(*((key in reads, f'{args.command} does not use a config "{key}"')
+              for key in sorted(keys & COMMON_OPTIONS.keys())),
             (nu_override is None or 0.0 <= nu_override < math.inf,
              f"nu must be non-negative and finite, got {nu_override!r}"))
     return params, nu_override, params.default_nu if nu_override is None else nu_override
@@ -223,6 +169,7 @@ def cmd_simulate(args, params: TheoryParams, nu: float) -> tuple[int, list]:
 
 
 def cmd_verify(args, params: TheoryParams, nu: float) -> tuple[int, list]:
+    from . import checks  # only verify pays for importing the property table
     results = checks.run_checks(fast=args.fast)
     width = max(len(r.name) for r in results)
     for r in results:
@@ -252,8 +199,7 @@ def _write_outputs(args, params: TheoryParams, nu_override: float | None, files,
         "subcommand": args.command,
         "parameters": asdict(params),
         "nu_override": nu_override,
-        "options": {k: v for k, v in vars(args).items()
-                    if k not in ("command", "config") and not k.startswith("_")},
+        "options": {k: v for k, v in vars(args).items() if k not in ("command", "config")},
         "seed": args.seed,
         "outputs": outputs,
         "version": __version__,
@@ -265,51 +211,105 @@ def _write_outputs(args, params: TheoryParams, nu_override: float | None, files,
         fh.write("\n")
 
 
-_COMMANDS = {
-    "intervals": cmd_intervals,
-    "thresholds": cmd_thresholds,
-    "regions": cmd_regions,
-    "scan": cmd_scan,
-    "simulate": cmd_simulate,
-    "verify": cmd_verify,
+class Subcommand(NamedTuple):
+    """One row of the command table: the function that runs a subcommand, its
+    help line, the ``COMMON_OPTIONS`` it reads, its own flags as ``(flag,
+    argparse keywords)`` and its rules, each ``args -> (holds, message)``."""
+    run: Callable
+    help: str
+    reads: frozenset
+    flags: tuple
+    rules: tuple = ()
+
+
+# The options every parser has, by destination.  A row that does not read
+# one still parses it, so that every manifest records it, but hides it from
+# ``--help`` and rejects any value but its default.
+COMMON_OPTIONS = {
+    "config": ("--config", dict(help="JSON config with TheoryParams keys")),
+    "seed": ("--seed", dict(type=int, default=0, help="random seed (U64)")),
+    "out": ("--out", dict(default=".", help="output directory")),
+    "threads": ("--threads", dict(type=int, default=1)),
+    "beta_lo": ("--beta-lo", dict(type=float, help="beta_lo override")),
+    "beta_hi": ("--beta", dict(type=float, help="beta_hi override")),
+    "nu": ("--nu", dict(type=float, help="budget parameter override")),
+}
+_PARAMS = frozenset({"config", "beta_lo", "beta_hi"})
+
+SUBCOMMANDS = {
+    "intervals": Subcommand(
+        cmd_intervals, "invariant/feasibility/improvement intervals", _PARAMS | {"nu"},
+        (("--a", dict(type=float, help="scale coefficient for the invariant interval")),),
+        (lambda args: (args.a is None or math.isfinite(args.a),
+                       f"--a must be finite, got {args.a!r}"),)),
+    "thresholds": Subcommand(
+        cmd_thresholds, "improvement thresholds and critical budgets", _PARAMS,
+        (("--x0", dict(type=float, help="initialization for the largest improving budget")),
+         ("--nu-c", dict(action="store_true", help="emit the collapse budget")),
+         ("--nu-t", dict(action="store_true", help="emit the baseline half-error budget")),
+         ("--curve", dict(type=int, metavar="N",
+                          help="sample the improvement threshold on N budget points")),
+         ("--profile", dict(action="store_true",
+                            help="largest improving budget along beta_lo at fixed gap")),
+         ("--delta-gap", dict(type=float, default=0.1)),
+         ("--beta-grid", dict(default="0.01:12:60", help="profile grid as start:stop:count"))),
+        (lambda args: (args.curve is None or 1 <= args.curve <= montecarlo.MAX_GRID_POINTS,
+                       "--curve must lie in [1, 10^6]"),)),
+    "regions": Subcommand(cmd_regions, "evaluate the error functional and margin",
+                          _PARAMS | {"nu"}, (("--x0", dict(type=float, required=True)),)),
+    "scan": Subcommand(cmd_scan, "feasible/improvement region panels", _PARAMS,
+                       (("--panel", dict(default="all", choices=["a", "b", "c", "d", "all"])),
+                        ("--x0-points", dict(type=int, default=2000)))),
+    "simulate": Subcommand(
+        cmd_simulate, "stochastic generate-filter-update loop", frozenset({"config", "seed"}),
+        (("--rounds", dict(type=int, default=5)), ("--replications", dict(type=int, default=1)),
+         ("--questions", dict(type=int, default=10_000)),
+         ("--v-target", dict(type=float, default=0.5)))),
+    "verify": Subcommand(cmd_verify, "run the property-check table", frozenset(),
+                         (("--fast", dict(action="store_true", help="reduced grids")),)),
 }
 
 
-# Common options a subcommand has no use for, by destination: they are
-# rejected, so that no manifest records a parameter its run did not use.  A
-# config key named like one of them (beta_lo, beta_hi, nu) is rejected too.
-_UNUSED_OPTIONS = {
-    "thresholds": {"nu": "--nu"},
-    "scan": {"nu": "--nu"},
-    "simulate": {"beta_lo": "--beta-lo", "beta_hi": "--beta", "nu": "--nu"},
-    "verify": {"config": "--config", "beta_lo": "--beta-lo", "beta_hi": "--beta",
-               "nu": "--nu"},
-}
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="selfimprove",
+        description="Finite-sample self-improvement dynamics toolkit")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, row in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=row.help)
+        for dest, (flag, spec) in COMMON_OPTIONS.items():
+            action = p.add_argument(flag, dest=dest, **spec)
+            if dest not in row.reads | {"out"}:
+                action.help = argparse.SUPPRESS
+        for flag, spec in row.flags:
+            p.add_argument(flag, **spec)
+    return parser
 
 
-def _check_common(args) -> None:
-    """The rules on the flags, of every subcommand, in test order."""
-    a, curve = getattr(args, "a", None), getattr(args, "curve", None)
+def _check_flags(args, row: Subcommand) -> None:
+    """The rules on the flags, in test order: the common ones, the row's, and
+    one for each option with no default (an override) that it does not read."""
     require((os.path.isdir(args.out) or not os.path.lexists(args.out),
              f"--out {args.out!r} exists and is not a directory"),
             (args.seed >= 0, "--seed must be a non-negative integer"),
-            (args.seed == 0 or args.command == "simulate", f"{args.command} does not use --seed"),
+            (args.seed == 0 or "seed" in row.reads, f"{args.command} does not use --seed"),
             (args.threads == 1, "--threads must be 1: every run is serial"),
-            (a is None or math.isfinite(a), f"--a must be finite, got {a!r}"),
-            (curve is None or 1 <= curve <= montecarlo.MAX_GRID_POINTS,
-             "--curve must lie in [1, 10^6]"),
+            *(rule(args) for rule in row.rules),
             *((getattr(args, dest) is None, f"{args.command} does not use {flag}")
-              for dest, flag in _UNUSED_OPTIONS.get(args.command, {}).items()))
+              for dest, (flag, spec) in COMMON_OPTIONS.items()
+              if "default" not in spec and dest not in row.reads))
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_common(args)
+        row = SUBCOMMANDS[args.command]
+        _check_flags(args, row)
         params, nu_override, nu = _resolve_params(args)
         start = time.monotonic()
-        code, files = _COMMANDS[args.command](args, params, nu)
+        code, files = row.run(args, params, nu)
         _write_outputs(args, params, nu_override, files, start)
         return code
     except SelfImproveError as exc:

@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import fields
 from unittest import mock
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from selfimprove import (BoundProblem, TheoryParams, checks, critical_budgets,
                          curriculum_coefficients)
-from selfimprove.cli import main
+from selfimprove.cli import COMMON_OPTIONS, SUBCOMMANDS, build_parser, main
 from selfimprove.regions import improvement_margin
 
 
@@ -260,6 +262,50 @@ def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, a
     assert [f.name for f in tmp_path.iterdir()] == ([] if config is None else ["config.json"])
 
 
+# A value for each common option a subcommand may not read; regions needs --x0.
+UNREAD_VALUES = {"config": "config.json", "seed": "1", "beta_lo": "0.3", "beta_hi": "0.3",
+                 "nu": "0.3"}
+REQUIRED = {"regions": ["--x0", "0.5"]}
+# From the command table: each flag, then each config key (where the command
+# takes a config), of a common option the command does not read; then the
+# rules on values of the other flags.
+FLAG_RULE_FAULTS = {
+    **{f"{name}-{dest}": ("{}", [name, *REQUIRED.get(name, []), COMMON_OPTIONS[dest][0],
+                                 UNREAD_VALUES[dest]],
+                          f"{name} does not use {COMMON_OPTIONS[dest][0]}")
+       for name, row in SUBCOMMANDS.items() for dest in UNREAD_VALUES if dest not in row.reads},
+    **{f"{name}-config-{key}": (json.dumps({key: 0.3}),
+                                [name, *REQUIRED.get(name, []), "--config", "config.json"],
+                                f'{name} does not use a config "{key}"')
+       for name, row in SUBCOMMANDS.items() if "config" in row.reads
+       for key in ("beta_lo", "beta_hi", "nu") if key not in row.reads},
+    "negative-seed": ("{}", ["simulate", "--seed", "-1"], "--seed must be a non-negative integer"),
+    "threads-2": ("{}", ["scan", "--threads", "2"], "--threads must be 1: every run is serial"),
+    "infinite-a": ("{}", ["intervals", "--a", "inf"], "--a must be finite, got inf"),
+    "zero-curve": ("{}", ["thresholds", "--curve", "0"], "--curve must lie in [1, 10^6]"),
+}
+
+
+@pytest.mark.parametrize("fault", FLAG_RULE_FAULTS)
+def test_each_flag_rule_exits_2_with_its_message(tmp_path, capsys, fault):
+    config, argv, error = FLAG_RULE_FAULTS[fault]
+    (tmp_path / "config.json").write_text(config)
+    assert run_in(tmp_path, [*argv, "--out", "new"]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_help_lists_out_the_options_read_and_own_flags(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    listed = re.findall(r"^  (?:-h, )?(--[a-z0-9-]+)", capsys.readouterr().out, re.MULTILINE)
+    row = SUBCOMMANDS[name]
+    assert sorted(listed) == sorted(["--help", "--out", *(flag for flag, _ in row.flags),
+                                     *(COMMON_OPTIONS[dest][0] for dest in row.reads)])
+
+
 # The flag sets of ``thresholds`` that choose which budgets one solve holds,
 # the last one the budget_sweep benchmark's argv.
 THRESHOLD_FLAGS = {
@@ -463,23 +509,25 @@ def fuzz_ints(*values):
     return st.sampled_from([str(v) for v in values])
 
 
-FUZZ_COMMON = {"--seed": fuzz_ints(-1, 0, 1), "--threads": fuzz_ints(0, 1, 2),
-               "--beta-lo": FUZZ_FLOAT, "--beta": FUZZ_FLOAT, "--nu": FUZZ_FLOAT}
-# Each subcommand's own options, with their values (None: a switch).
+# Each flag's values (None: a switch), whichever subcommand parses it.
 FUZZ_OPTIONS = {
-    "intervals": {"--a": FUZZ_FLOAT},
-    "thresholds": {"--x0": FUZZ_FLOAT, "--nu-c": None, "--nu-t": None,
-                   "--curve": fuzz_ints(-1, 0, 1, 3), "--profile": None,
-                   "--delta-gap": FUZZ_FLOAT,
-                   "--beta-grid": st.builds("{}:{}:{}".format, FUZZ_FLOAT, FUZZ_FLOAT,
-                                            fuzz_ints(-1, 0, 1, 2, 5))},
-    "regions": {"--x0": FUZZ_FLOAT},
-    "scan": {"--panel": st.sampled_from(["a", "b", "c", "d", "all"]),
-             "--x0-points": fuzz_ints(-1, 0, 1, 2, 40)},
-    "simulate": {"--rounds": fuzz_ints(-1, 0, 1, 2), "--replications": fuzz_ints(-1, 0, 1, 2),
-                 "--questions": fuzz_ints(-1, 0, 1, 2, 200), "--v-target": FUZZ_FLOAT},
-    "verify": {"--fast": None},
+    "--seed": fuzz_ints(-1, 0, 1), "--threads": fuzz_ints(0, 1, 2), "--beta-lo": FUZZ_FLOAT,
+    "--beta": FUZZ_FLOAT, "--nu": FUZZ_FLOAT, "--a": FUZZ_FLOAT, "--x0": FUZZ_FLOAT,
+    "--nu-c": None, "--nu-t": None, "--curve": fuzz_ints(-1, 0, 1, 3), "--profile": None,
+    "--delta-gap": FUZZ_FLOAT,
+    "--beta-grid": st.builds("{}:{}:{}".format, FUZZ_FLOAT, FUZZ_FLOAT, fuzz_ints(-1, 0, 1, 2, 5)),
+    "--panel": st.sampled_from(["a", "b", "c", "d", "all"]),
+    "--x0-points": fuzz_ints(-1, 0, 1, 2, 40),
+    "--rounds": fuzz_ints(-1, 0, 1, 2), "--replications": fuzz_ints(-1, 0, 1, 2),
+    "--questions": fuzz_ints(-1, 0, 1, 2, 200), "--v-target": FUZZ_FLOAT,
+    "--fast": None,
 }
+# Each subcommand's flags, as its parser has them; every run gets its own
+# --out and, from FUZZ_CONFIG, its --config.
+(_SUBPARSERS,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+FUZZ_FLAGS = {name: sorted({a.option_strings[-1] for a in parser._actions}
+                           - {"--help", "--out", "--config"})
+              for name, parser in _SUBPARSERS.choices.items()}
 # What every run of a subcommand gets: regions requires --x0, and the default
 # scan grid and simulated world are large.
 FUZZ_REQUIRED = {"regions": {"--x0"}, "scan": {"--x0-points"},
@@ -491,11 +539,10 @@ FUZZ_CONFIG = st.none() | st.dictionaries(
 
 @st.composite
 def fuzz_argvs(draw):
-    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
-    options = {**FUZZ_COMMON, **FUZZ_OPTIONS[command]}
-    flags = draw(st.sets(st.sampled_from(sorted(options)))) | FUZZ_REQUIRED.get(command, set())
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = draw(st.sets(st.sampled_from(FUZZ_FLAGS[command]))) | FUZZ_REQUIRED.get(command, set())
     # ``--flag=value``, so that a value starting with "-" is not read as a flag.
-    return ([command, *(flag if options[flag] is None else f"{flag}={draw(options[flag])}"
+    return ([command, *(flag if FUZZ_OPTIONS[flag] is None else f"{flag}={draw(FUZZ_OPTIONS[flag])}"
                         for flag in sorted(flags))], draw(FUZZ_CONFIG))
 
 
@@ -510,7 +557,9 @@ def test_fuzzed_argv_exits_0_or_2_and_a_fault_writes_one_error_line(case):
     never 3 (a fault of the program, a leaked RuntimeWarning included); a
     fault prints one ``error:`` line and creates no ``--out``.  The property
     checks of ``verify`` are replaced by one passing result: they read no
-    input, and ``test_verify_fast_passes`` runs them."""
+    input, and ``test_verify_fast_passes`` runs them.  Every flag a parser
+    has must have values here, so that a new flag is fuzzed too."""
+    assert {flag for flags in FUZZ_FLAGS.values() for flag in flags} == set(FUZZ_OPTIONS)
     argv, config = case
     passing = [checks.CheckResult("fuzz", True, "")]
     err = io.StringIO()
