@@ -7,11 +7,12 @@ resolved parameters, seed, outputs, version, and duration, enough to
 reproduce the output files byte for byte.
 
 Each subcommand is one row of ``SUBCOMMANDS``, from which the parser is
-built.  ``main`` checks the flags by the row's rules, resolves the
-parameters once and hands them to the row's ``cmd_<name>``, which computes
-everything and returns ``(exit_code, files)``; only then is ``--out``
-created and written.  So a run that fails writes nothing, not even the
-directory.
+built.  It registers flags only for the subcommands its ``argv`` names,
+which include the one argparse parses with.  ``main`` checks the flags by
+the row's rules, resolves the parameters once and hands them to the row's
+``cmd_<name>``, which computes everything and returns ``(exit_code,
+files)``; only then is ``--out`` created and written.  So a run that
+fails writes nothing, not even the directory.
 
 Exit codes: 0 success, 1 property failure (verify, which still writes its
 manifest), 2 usage error or any toolkit error (parameter, domain or
@@ -58,7 +59,7 @@ def _resolve_params(args) -> tuple[TheoryParams, float | None, float]:
 
 
 def _fmt(value) -> str:
-    """One CSV field: floats round-trip exactly, bools are lower-case."""
+    """One CSV field: floats round-trip exactly (as csv writes them), bools are lower-case."""
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (bool, np.bool_)):
@@ -194,7 +195,7 @@ def _write_outputs(args, params: TheoryParams, nu_override: float | None, files,
         with open(outputs[-1], "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows([_fmt(value) for value in row] for row in rows)
+            writer.writerows([v if type(v) is float else _fmt(v) for v in row] for row in rows)
     manifest = {
         "subcommand": args.command,
         "parameters": asdict(params),
@@ -270,7 +271,8 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """Every subcommand's parser, with the flags of those ``argv`` names (all without it)."""
     parser = argparse.ArgumentParser(
         prog="selfimprove",
         description="Finite-sample self-improvement dynamics toolkit")
@@ -278,6 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, row in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=row.help)
+        if argv is not None and name not in argv:
+            continue
         for dest, (flag, spec) in COMMON_OPTIONS.items():
             action = p.add_argument(flag, dest=dest, **spec)
             if dest not in row.reads | {"out"}:
@@ -302,8 +306,8 @@ def _check_flags(args, row: Subcommand) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         row = SUBCOMMANDS[args.command]
         _check_flags(args, row)

@@ -50,18 +50,21 @@ def last_true(holds, lo, hi):
     boundary in [lo, hi] and fails after it, elementwise.
 
     ``lo`` and ``hi`` are non-negative float64 values or arrays (``hi`` may
-    be +inf); ``holds`` maps an array of points to a boolean array and is
-    never evaluated at ``lo`` or ``hi``.  Non-negative doubles order like
-    their int64 bit patterns, so at most 63 halvings of the pattern interval
-    end at adjacent floats, at any scale: ``lo'`` is the last point found to
-    hold (or ``lo``), ``hi'`` the first found to fail (or ``hi``).
+    be +inf) with ``lo <= hi``; ``holds`` maps an array of points to a
+    boolean array.  A step is one call of ``holds`` on every element:
+    strictly inside an open bracket, at ``lo`` once the element has
+    converged (the outcome is discarded), never at a ``hi`` above ``lo``.
+    Non-negative doubles order like their int64 bit patterns, so at most 63
+    halvings of the pattern interval end at adjacent floats, at any scale:
+    ``lo'`` is the last point found to hold (or ``lo``), ``hi'`` the first
+    found to fail (or ``hi``).
     """
     # Adding 0.0 turns -0.0, whose bit pattern is negative, into +0.0.
     lo, hi = ((np.asarray(end, dtype=float) + 0.0).view(np.int64) for end in (lo, hi))
-    while (wide := hi - lo > 1).any():
-        mid = lo + (hi - lo) // 2
+    while (wide := (gap := hi - lo) > 1).any():
+        mid = lo + gap // 2  # a converged element's mid is its lo
         ok = np.asarray(holds(mid.view(np.float64)), dtype=bool)
-        lo = np.where(wide & ok, mid, lo)
+        lo = np.where(ok, mid, lo)
         hi = np.where(wide & ~ok, mid, hi)
     return lo.view(np.float64)[()], hi.view(np.float64)[()]
 
@@ -69,6 +72,12 @@ def last_true(holds, lo, hi):
 # ---------------------------------------------------------------------------
 # Error functional and improvement margin
 # ---------------------------------------------------------------------------
+
+def _geometric_series(q, L: int):
+    """The sum of ``np.power(q, j)`` over j < L - 1, defined at q = 1; q^0
+    and q^1 are 1 and q bit for bit, so it starts at 1 + q."""
+    return sum((np.power(q, j) for j in range(2, L - 1)), 1.0 + q if L > 2 else 1.0)
+
 
 class BudgetStage(NamedTuple):
     """The terms of the error functional that depend on the budgets ``nu``
@@ -87,16 +96,17 @@ class BoundProblem:
 
     ``beta_lo`` and ``beta_hi`` broadcast together and are checked by the
     rules ``TheoryParams`` applies; ``p`` supplies every other constant.
-    Per set it keeps ``first`` and ``final`` (the curriculum coefficients)
-    and the factors 2^(-beta_hi), exp(-beta_hi/L) and L^(-beta_hi): floats
-    for ``p``'s own betas, arrays for several.  Every method evaluates at
-    budgets ``nu`` and initializations ``x0``, broadcast against the sets
-    along their axes; ``x0 = inf``, the default, is the
-    large-initialization limit, where the residual term vanishes.  An array
-    result is NaN where a positivity condition fails; a scalar result
-    raises ``DomainError`` naming the first one.  Every power is a ufunc,
-    whose array loop runs on scalars too, so a solve for one set has the
-    bits of the same solve in a batch.
+    Per set it keeps ``first`` and ``final`` (the curriculum coefficients),
+    the factors 2^(-beta_hi), exp(-beta_hi/L) and L^(-beta_hi), and the
+    margin's constant (final - 1)(1 - gamma)/2: floats for ``p``'s own
+    betas, arrays for several.  Every method evaluates at budgets ``nu``
+    and initializations ``x0``, broadcast against the sets along their
+    axes; ``x0 = inf``, the default, is the large-initialization limit,
+    where the residual term vanishes.  An array result is NaN where a
+    positivity condition fails; a scalar result raises ``DomainError``
+    naming the first one.  Every power is a ufunc, whose array loop runs on
+    scalars too, so a solve for one set has the bits of the same solve in a
+    batch.
 
     An evaluation has two stages: ``budget_stage(nu)``, the terms that do
     not depend on ``x0``, then the rest.  Every method that takes ``x0``
@@ -117,6 +127,7 @@ class BoundProblem:
         self.first, self.final = coeffs.first, coeffs.final
         self.hard, self.decay, self.hard_weight = (
             np.power(2.0, exponent), np.exp(exponent / L), np.power(L, exponent))
+        self.margin_offset = 0.5 * (self.final - 1.0) * (1.0 - p.gamma)
 
     def budget_stage(self, nu) -> BudgetStage:
         """The first stage of an evaluation at budgets ``nu``."""
@@ -128,9 +139,7 @@ class BoundProblem:
             cd_nu, cdp_nu = p.c_delta * nu, p.c_delta_prime * nu
             base_inner = 1.0 - gamma - cdp_nu
             q = cd_nu / (2.0 * c * np.power(base_inner, 1.5))
-            # Finite geometric sum; identical to (1 - q^(L-1))/(1 - q) but defined at q = 1.
-            series = sum(np.power(q, j) for j in range(L - 1))
-            baseline = cd_nu / (c * np.sqrt(base_inner)) * series
+            baseline = cd_nu / (c * np.sqrt(base_inner)) * _geometric_series(q, L)
             hard_inner = self.hard * (1.0 - gamma) - cdp_nu
             return BudgetStage(cd_nu, cdp_nu, baseline, cd_nu / (c * np.sqrt(hard_inner)),
                                (nu >= 0.0, base_inner > 0.0, hard_inner > 0.0))
@@ -150,7 +159,7 @@ class BoundProblem:
             tail = b.tail_numerator / (1.0 - common_ratio)
             hard_term = np.power(ratio, self.p.L - 1) * self.hard_weight * residual
             error = b.baseline - self.final * (tail + hard_term)
-            margin = -error - 0.5 * (self.final - 1.0) * (1.0 - gamma)
+            margin = -error - self.margin_offset
             nonnegative, base_ok, hard_ok = b.holds
             holds = (nonnegative, base_ok, res_inner > 0.0, ratio_inner > 0.0, hard_ok,
                      common_ratio < 1.0 - _SERIES_GUARD)

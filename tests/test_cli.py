@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -9,13 +10,14 @@ import tempfile
 from dataclasses import fields
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selfimprove import (BoundProblem, TheoryParams, checks, critical_budgets,
                          curriculum_coefficients)
-from selfimprove.cli import COMMON_OPTIONS, SUBCOMMANDS, build_parser, main
+from selfimprove.cli import COMMON_OPTIONS, SUBCOMMANDS, _fmt, _write_outputs, build_parser, main
 from selfimprove.regions import improvement_margin
 
 
@@ -491,6 +493,54 @@ def test_simulation_csv(tmp_path):
     assert lines[1].split(",")[0] == "0"
 
 
+def test_written_fields_follow_the_fmt_rule(tmp_path):
+    """Exact floats go to csv unformatted: it writes a float as its repr,
+    which is ``_fmt``'s rule, so every field's bytes are ``_fmt``'s."""
+    floats = [0.1, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16]
+    others = [0, -3, 10**20, True, False, np.True_, np.False_, "", "skipped"]
+    rows = [floats, others, [*others, *floats][::-1], ["", 0.1], [0.1, ""], [""], [True, 1e16]]
+    args = argparse.Namespace(command="thresholds", out=str(tmp_path), seed=0, config=None)
+    _write_outputs(args, TheoryParams(), None, [("mixed.csv", ["a", "b"], rows)], 0.0)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerows([["a", "b"], *([_fmt(v) for v in row] for row in rows)])
+    written = (tmp_path / "mixed.csv").read_bytes().decode("utf-8")
+    assert written == expected.getvalue()
+    assert written.splitlines()[1] == "0.1,-0.0,nan,inf,-inf,5e-324,1e+16"
+    assert written.splitlines()[2] == "0,-3,100000000000000000000,true,false,true,false,,skipped"
+
+
+def _parse(parser, argv):
+    """A parse's Namespace as its repr (NaN included), or its exit code with
+    what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return repr(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+FULL_PARSER = build_parser()
+HAND_ARGVS = [[], ["-h"], ["--version"], ["bogus"], ["--bogus", "scan"],
+              ["scan", "--panel", "verify"], *([name, "-h"] for name in SUBCOMMANDS)]
+
+
+@pytest.mark.parametrize("argv", HAND_ARGVS, ids=" ".join)
+def test_parser_of_the_named_subcommands_parses_as_the_full_one(argv):
+    """``build_parser(argv)`` registers only the flags of the subcommands
+    ``argv`` names, and gives the same Namespace, or the same exit with the
+    same output, as the parser of every flag."""
+    assert _parse(build_parser(argv), argv) == _parse(FULL_PARSER, argv)
+
+
+def test_parser_registers_flags_only_for_the_named_subcommands():
+    (subparsers,) = (a for a in build_parser(["scan", "--panel", "verify"])._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    flagged = {name for name, p in subparsers.choices.items() if len(p._actions) > 1}
+    assert flagged == {"scan", "verify"} and set(subparsers.choices) == set(SUBCOMMANDS)
+
+
 def test_subnormal_c_scan_exits_0(tmp_path):
     # c*sqrt(radicand) underflows, so the map's quotient overflows to inf: the
     # image is -inf, and the next step makes it NaN, with no RuntimeWarning.
@@ -544,6 +594,14 @@ def fuzz_argvs(draw):
     # ``--flag=value``, so that a value starting with "-" is not read as a flag.
     return ([command, *(flag if FUZZ_OPTIONS[flag] is None else f"{flag}={draw(FUZZ_OPTIONS[flag])}"
                         for flag in sorted(flags))], draw(FUZZ_CONFIG))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=fuzz_argvs())
+def test_fuzzed_argv_parses_as_with_the_full_parser(case):
+    argv, config = case
+    argv = [*argv, "--out=new", *(["--config=config.json"] if config is not None else [])]
+    assert _parse(build_parser(argv), argv) == _parse(FULL_PARSER, argv)
 
 
 @settings(max_examples=150, deadline=None)

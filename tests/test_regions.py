@@ -111,10 +111,10 @@ def test_solvers_build_the_problem_once(monkeypatch):
         assert counts["margins"] > 10
 
 
-def test_problem_from_beta_arrays_keeps_five_floats_per_set():
+def test_problem_from_beta_arrays_keeps_six_floats_per_set():
     beta_lo = np.array([0.05, 0.1, 0.4])
     problem = BoundProblem(P, beta_lo, beta_lo + 0.3)
-    state = ("first", "final", "hard", "decay", "hard_weight")
+    state = ("first", "final", "hard", "decay", "hard_weight", "margin_offset")
     assert set(vars(problem)) == {"p", *state}
     assert problem.p is P
     for i, lo in enumerate(beta_lo):
@@ -125,6 +125,8 @@ def test_problem_from_beta_arrays_keeps_five_floats_per_set():
         assert problem.hard[i] == pytest.approx(2.0 ** -(lo + 0.3), rel=1e-15)
         assert problem.decay[i] == pytest.approx(math.exp(-(lo + 0.3) / P.L), rel=1e-15)
         assert problem.hard_weight[i] == pytest.approx(P.L ** -(lo + 0.3), rel=1e-15)
+        # The margin's constant, formed once per set.
+        assert problem.margin_offset[i] == 0.5 * (problem.final[i] - 1.0) * (1.0 - P.gamma)
 
 
 @pytest.mark.parametrize("beta_lo, beta_hi, fragment", [
@@ -319,6 +321,33 @@ def test_baseline_term_geometric_forms_agree():
         ratio_form = (P.c_delta * nu / (P.c * math.sqrt(inner))
                       * (1 - q ** (P.L - 1)) / (1 - q))
         assert PROBLEM.baseline(float(nu)) == pytest.approx(ratio_form, rel=1e-12)
+
+
+@pytest.mark.parametrize("levels", [2, 3, 5, 12])
+def test_geometric_series_has_the_bits_of_the_power_sum(levels):
+    """The series starts at 1 + q, where the sum of ``np.power(q, j)`` over
+    j < L - 1 starts with q^0 and q^1: the same bits, edge values included,
+    and so the same baseline term."""
+    edges = [math.nan, 0.0, -0.0, 1.0, math.inf, -math.inf, 5e-324, -5e-324, 1e308]
+    q = np.concatenate([RNG.uniform(-2.0, 2.0, 200), np.exp(RNG.uniform(-700, 700, 200)),
+                        edges])
+    with np.errstate(all="ignore"):
+        old = sum(np.power(q, j) for j in range(levels - 1))
+        new = np.broadcast_to(regions._geometric_series(q, levels), q.shape)
+        assert new.tobytes() == old.tobytes()
+        for value in q.tolist():  # the float path of a lone budget
+            old = sum(np.power(np.float64(value), j) for j in range(levels - 1))
+            assert np.float64(regions._geometric_series(np.float64(value), levels)).tobytes() \
+                == np.float64(old).tobytes()
+    p = TheoryParams(L=levels)
+    nu = np.concatenate([RNG.uniform(0.0, 0.05, 50), [0.0, -0.0, 1e-300, 5e-324, math.inf]])
+    stage = BoundProblem(p).budget_stage(nu)
+    with np.errstate(all="ignore"):
+        inner = 1.0 - p.gamma - p.c_delta_prime * nu
+        q = p.c_delta * nu / (2.0 * p.c * np.power(inner, 1.5))
+        old = p.c_delta * nu / (p.c * np.sqrt(inner)) * sum(np.power(q, j)
+                                                            for j in range(levels - 1))
+    assert stage.baseline.tobytes() == old.tobytes()
 
 
 def test_max_improving_nu_roundtrip():

@@ -44,6 +44,35 @@ def test_last_true_halves_at_most_63_times():
     assert len(calls) <= 63
 
 
+def test_last_true_evaluates_inside_open_brackets_and_at_lo_once_converged():
+    """Every argument ``holds`` receives: strictly inside the bracket of an
+    element still open, at ``lo`` once it has converged (here the [0, 1]
+    element, one step before the [0, inf] one), and never at a ``hi`` above
+    ``lo``.  The converged element's outcome is discarded."""
+    lo, hi = np.array([0.0, 0.0, 2.0, 3.0]), np.array([1.0, math.inf, 2.0, 3.0])
+    calls = []
+
+    def holds(x):
+        calls.append(x.copy())
+        return x < -1.0
+
+    new_lo, new_hi = last_true(holds, lo, hi)
+    assert new_lo.tolist() == [0.0, 0.0, 2.0, 3.0] and new_hi.tolist() == [5e-324] * 2 + [2.0, 3.0]
+    bracket_lo, bracket_hi = lo.copy(), hi.copy()
+    at_lo = []
+    for x in calls:
+        is_open = bracket_lo.view(np.int64) + 1 < bracket_hi.view(np.int64)
+        assert ((bracket_lo < x) & (x < bracket_hi))[is_open].all()
+        assert (x == bracket_lo)[~is_open].all()
+        at_lo.append(~is_open)
+        bracket_hi = np.where(is_open & ~(x < -1.0), x, bracket_hi)
+    assert (bracket_hi == new_hi).all()
+    # The [0, 1] element converges one step before [0, inf], and is then
+    # evaluated once at its lo, 0.0; the equal ends are evaluated at lo alone.
+    assert np.array(at_lo).sum(axis=0).tolist() == [1, 0, len(calls), len(calls)]
+    assert calls[-1][0] == 0.0
+
+
 @given(levels=st.integers(min_value=2, max_value=12),
        pairs=st.lists(st.tuples(st.floats(min_value=0.001, max_value=3.0),
                                 st.floats(min_value=0.001, max_value=5.0)),
