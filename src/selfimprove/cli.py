@@ -6,18 +6,18 @@ summaries only.  Every run writes ``manifest_<subcommand>.json`` with the
 resolved parameters, seed, outputs, version, and duration, enough to
 reproduce the output files byte for byte.
 
-Each subcommand is one row of ``SUBCOMMANDS``, from which the parser is
-built.  It registers flags only for the subcommands its ``argv`` names,
-which include the one argparse parses with.  ``main`` checks the flags by
-the row's rules, resolves the parameters once and hands them to the row's
-``cmd_<name>``, which computes everything and returns ``(exit_code,
-files)``; only then is ``--out`` created and written.  So a run that
-fails writes nothing, not even the directory.
+Each subcommand is one row of ``SUBCOMMANDS``.  The parser registers, for
+the subcommands its ``argv`` names, only ``--out``, the common options the
+row reads and the row's flags, so argparse rejects any other flag.  ``main``
+checks the flag values by the row's rules, resolves the parameters once and
+hands them to the row's ``cmd_<name>``, which computes everything and
+returns ``(exit_code, files)``; only then is ``--out`` created and written.
+So a run that fails writes nothing, not even the directory.
 
 Exit codes: 0 success, 1 property failure (verify, which still writes its
 manifest), 2 usage error or any toolkit error (parameter, domain or
-bracketing), 3 any other exception (a fault in the program, reported as one
-``error:`` line).
+bracketing), 3 any other exception (a fault in the program); 2 and 3 print
+one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -223,9 +223,10 @@ class Subcommand(NamedTuple):
     rules: tuple = ()
 
 
-# The options every parser has, by destination.  A row that does not read
-# one still parses it, so that every manifest records it, but hides it from
-# ``--help`` and rejects any value but its default.
+# The common options, by destination.  A parser registers only ``--out`` and
+# those its row reads, and takes the others' defaults, so that every manifest
+# records all of them.  No row reads ``threads``; the entry stays for the
+# pinned manifests' ``"threads": 1`` and goes with their re-pin (ROADMAP item 4).
 COMMON_OPTIONS = {
     "config": ("--config", dict(help="JSON config with TheoryParams keys")),
     "seed": ("--seed", dict(type=int, default=0, help="random seed (U64)")),
@@ -265,50 +266,48 @@ SUBCOMMANDS = {
         cmd_simulate, "stochastic generate-filter-update loop", frozenset({"config", "seed"}),
         (("--rounds", dict(type=int, default=5)), ("--replications", dict(type=int, default=1)),
          ("--questions", dict(type=int, default=10_000)),
-         ("--v-target", dict(type=float, default=0.5)))),
+         ("--v-target", dict(type=float, default=0.5))),
+        (lambda args: (args.seed >= 0, "--seed must be a non-negative integer"),)),
     "verify": Subcommand(cmd_verify, "run the property-check table", frozenset(),
                          (("--fast", dict(action="store_true", help="reduced grids")),)),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a parameter error: one line, exit 2
+        raise ParameterError(message)
+
+
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """Every subcommand's parser, with the flags of those ``argv`` names (all without it)."""
-    parser = argparse.ArgumentParser(
-        prog="selfimprove",
-        description="Finite-sample self-improvement dynamics toolkit")
+    parser = _Parser(prog="selfimprove",
+                     description="Finite-sample self-improvement dynamics toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, row in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=row.help)
         if argv is not None and name not in argv:
             continue
+        p.set_defaults(**{dest: spec.get("default") for dest, (_, spec) in COMMON_OPTIONS.items()})
         for dest, (flag, spec) in COMMON_OPTIONS.items():
-            action = p.add_argument(flag, dest=dest, **spec)
-            if dest not in row.reads | {"out"}:
-                action.help = argparse.SUPPRESS
+            if dest in row.reads | {"out"}:
+                p.add_argument(flag, dest=dest, **spec)
         for flag, spec in row.flags:
             p.add_argument(flag, **spec)
     return parser
 
 
 def _check_flags(args, row: Subcommand) -> None:
-    """The rules on the flags, in test order: the common ones, the row's, and
-    one for each option with no default (an override) that it does not read."""
+    """The rules on the flag values, in test order: ``--out``'s, then the row's."""
     require((os.path.isdir(args.out) or not os.path.lexists(args.out),
              f"--out {args.out!r} exists and is not a directory"),
-            (args.seed >= 0, "--seed must be a non-negative integer"),
-            (args.seed == 0 or "seed" in row.reads, f"{args.command} does not use --seed"),
-            (args.threads == 1, "--threads must be 1: every run is serial"),
-            *(rule(args) for rule in row.rules),
-            *((getattr(args, dest) is None, f"{args.command} does not use {flag}")
-              for dest, (flag, spec) in COMMON_OPTIONS.items()
-              if "default" not in spec and dest not in row.reads))
+            *(rule(args) for rule in row.rules))
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
     try:
+        args = build_parser(argv).parse_args(argv)
         row = SUBCOMMANDS[args.command]
         _check_flags(args, row)
         params, nu_override, nu = _resolve_params(args)

@@ -21,6 +21,7 @@ per-cell ``agree`` flag records the stronger endpoint-level agreement.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,7 @@ class ScanConfig:
              "vary_values and fixed_value must be finite"),
             (all(0.0 <= nu < math.inf for nu in self.nu_values),
              "nu_values must be non-negative and finite"),
+            (isinstance(self.x0_points, numbers.Integral), "x0_points must be an integer"),
             (2 <= self.x0_points <= MAX_GRID_POINTS, "x0_points must lie in [2, 10^6]"),
         )
 

@@ -48,6 +48,11 @@ def check_betas(L: int, beta_lo, beta_hi) -> None:
         raise ParameterError(str(np.ravel(reasons)[np.argmin(ok)]))
 
 
+def _is_int(value) -> bool:
+    """An ``int`` that is not a ``bool``: ``True`` is not a count of 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TheoryParams:
     """Primitive model/task constants.
@@ -80,12 +85,12 @@ class TheoryParams:
             (0.0 <= self.gamma < 1.0, "gamma must lie in [0, 1)"),
             (0.0 < self.delta < 1.0, "delta must lie in (0, 1)"),
             (0.0 < self.delta_prime <= 1.0, "delta_prime must lie in (0, 1]"),
-            (isinstance(self.pi_size, int) and self.pi_size >= 2,
+            (_is_int(self.pi_size) and self.pi_size >= 2,
              "pi_size must be an integer >= 2"),
             (0.0 < self.tau <= 1.0, "tau must lie in (0, 1]"),
-            (isinstance(self.n, int) and self.n >= 1, "n must be an integer >= 1"),
-            (isinstance(self.m, int) and self.m >= 1, "m must be an integer >= 1"),
-            (isinstance(self.L, int) and 2 <= self.L <= MAX_LEVELS,
+            (_is_int(self.n) and self.n >= 1, "n must be an integer >= 1"),
+            (_is_int(self.m) and self.m >= 1, "m must be an integer >= 1"),
+            (_is_int(self.L) and 2 <= self.L <= MAX_LEVELS,
              f"L must be an integer in [2, {MAX_LEVELS}]"),
         )
         check_betas(self.L, self.beta_lo, self.beta_hi)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from selfimprove import (BoundProblem, TheoryParams, checks, critical_budgets,
+from selfimprove import (BoundProblem, ParameterError, TheoryParams, checks, critical_budgets,
                          curriculum_coefficients)
 from selfimprove.cli import COMMON_OPTIONS, SUBCOMMANDS, _fmt, _write_outputs, build_parser, main
 from selfimprove.regions import improvement_margin
@@ -74,13 +74,6 @@ def test_intervals_huge_scale_is_a_valid_row(tmp_path, a):
     base = next(r for r in read_rows(tmp_path / "intervals.csv") if r["kind"] == "I")
     assert base["valid"] == "true"
     assert 0.0 < float(base["lo"]) < 1e-250 and base["hi"] == "0.98"
-
-
-def test_malformed_flag_exits_2_without_files(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_in(tmp_path, ["intervals", "--bogus-flag", "1"])
-    assert exc.value.code == 2
-    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_thresholds_x0_zero_exits_2(tmp_path):
@@ -239,6 +232,13 @@ def test_verify_fast_passes(tmp_path, capsys):
     (None, ["scan", "--panel", "a", "--x0-points", "100", "--seed", "1"]),
     (None, ["verify", "--fast", "--seed", "1"]),
     ('{"n": 100, "nu": 0.25}', ["intervals", "--config", "config.json"]),
+    # Usage errors, which argparse finds: each is one error line too.
+    (None, ["intervals", "--bogus-flag", "1"]),
+    (None, ["regions"]),
+    (None, ["simulate", "--seed=0.5"]),
+    (None, ["bogus"]),
+    (None, ["scan", "--panel", "a", "--threads", "1"]),
+    (None, ["thresholds", "--nu", "0.3"]),
 ], ids=["missing-config", "malformed-json", "string-value", "bool-integer",
         "negative-seed", "zero-threads", "threads-above-one", "nan-nu", "inf-nu",
         "config-inf-nu", "nan-x0", "x0-above-ceiling", "nan-a", "inf-a", "huge-beta-hi",
@@ -253,7 +253,8 @@ def test_verify_fast_passes(tmp_path, capsys):
         "questions-above-bound", "thresholds-bracket-error", "scan-one-x0-point",
         "simulate-infeasible-target", "config-levels-above-bound",
         "simulate-samples-above-bound", "intervals-seed", "scan-seed", "verify-seed",
-        "config-n-and-nu"])
+        "config-n-and-nu", "unknown-flag", "regions-without-x0", "non-integer-seed",
+        "unknown-command", "threads-one", "thresholds-ambiguous-nu"])
 def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, argv):
     if config is not None:
         (tmp_path / "config.json").write_text(config)
@@ -268,13 +269,17 @@ def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, a
 UNREAD_VALUES = {"config": "config.json", "seed": "1", "beta_lo": "0.3", "beta_hi": "0.3",
                  "nu": "0.3"}
 REQUIRED = {"regions": ["--x0", "0.5"]}
+# argparse's line for an unread flag that abbreviates two of the row's flags.
+AMBIGUOUS = {"thresholds-nu": "ambiguous option: --nu could match --nu-c, --nu-t"}
 # From the command table: each flag, then each config key (where the command
 # takes a config), of a common option the command does not read; then the
-# rules on values of the other flags.
+# rules on values of the other flags.  argparse rejects an unread flag, since
+# the command's parser does not register it.
 FLAG_RULE_FAULTS = {
     **{f"{name}-{dest}": ("{}", [name, *REQUIRED.get(name, []), COMMON_OPTIONS[dest][0],
                                  UNREAD_VALUES[dest]],
-                          f"{name} does not use {COMMON_OPTIONS[dest][0]}")
+                          AMBIGUOUS.get(f"{name}-{dest}", "unrecognized arguments: "
+                                        f"{COMMON_OPTIONS[dest][0]} {UNREAD_VALUES[dest]}"))
        for name, row in SUBCOMMANDS.items() for dest in UNREAD_VALUES if dest not in row.reads},
     **{f"{name}-config-{key}": (json.dumps({key: 0.3}),
                                 [name, *REQUIRED.get(name, []), "--config", "config.json"],
@@ -282,7 +287,7 @@ FLAG_RULE_FAULTS = {
        for name, row in SUBCOMMANDS.items() if "config" in row.reads
        for key in ("beta_lo", "beta_hi", "nu") if key not in row.reads},
     "negative-seed": ("{}", ["simulate", "--seed", "-1"], "--seed must be a non-negative integer"),
-    "threads-2": ("{}", ["scan", "--threads", "2"], "--threads must be 1: every run is serial"),
+    "threads-2": ("{}", ["scan", "--threads", "2"], "unrecognized arguments: --threads 2"),
     "infinite-a": ("{}", ["intervals", "--a", "inf"], "--a must be finite, got inf"),
     "zero-curve": ("{}", ["thresholds", "--curve", "0"], "--curve must lie in [1, 10^6]"),
 }
@@ -511,19 +516,22 @@ def test_written_fields_follow_the_fmt_rule(tmp_path):
 
 
 def _parse(parser, argv):
-    """A parse's Namespace as its repr (NaN included), or its exit code with
-    what it printed."""
+    """A parse's Namespace as its repr (NaN included), its usage error's
+    message, or its exit code with what it printed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             return repr(parser.parse_args(argv))
+        except ParameterError as exc:
+            return f"error: {exc}"
         except SystemExit as exc:
             return exc.code, out.getvalue(), err.getvalue()
 
 
 FULL_PARSER = build_parser()
 HAND_ARGVS = [[], ["-h"], ["--version"], ["bogus"], ["--bogus", "scan"],
-              ["scan", "--panel", "verify"], *([name, "-h"] for name in SUBCOMMANDS)]
+              ["scan", "--panel", "verify"], ["regions"], ["scan", "--threads", "1"],
+              *([name, "-h"] for name in SUBCOMMANDS)]
 
 
 @pytest.mark.parametrize("argv", HAND_ARGVS, ids=" ".join)
@@ -561,7 +569,7 @@ def fuzz_ints(*values):
 
 # Each flag's values (None: a switch), whichever subcommand parses it.
 FUZZ_OPTIONS = {
-    "--seed": fuzz_ints(-1, 0, 1), "--threads": fuzz_ints(0, 1, 2), "--beta-lo": FUZZ_FLOAT,
+    "--seed": fuzz_ints(-1, 0, 1), "--beta-lo": FUZZ_FLOAT,
     "--beta": FUZZ_FLOAT, "--nu": FUZZ_FLOAT, "--a": FUZZ_FLOAT, "--x0": FUZZ_FLOAT,
     "--nu-c": None, "--nu-t": None, "--curve": fuzz_ints(-1, 0, 1, 3), "--profile": None,
     "--delta-gap": FUZZ_FLOAT,

@@ -35,7 +35,7 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         ScanConfig(kind="feasible", vary="beta_hi", vary_values=(0.3, 0.2),
                    fixed_value=0.1, nu_values=(0.01,))
-    for points in (1, 10**6 + 1):
+    for points in (1, 10**6 + 1, 2.5):
         with pytest.raises(ParameterError, match="x0_points"):
             ScanConfig(kind="feasible", vary="beta_hi", vary_values=(0.3,),
                        fixed_value=0.1, nu_values=(0.01,), x0_points=points)

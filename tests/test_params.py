@@ -95,6 +95,8 @@ def test_equal_params_stay_equal_and_hash_alike():
     (dict(beta_lo=0.5, beta_hi=0.5), "beta_hi"),
     (dict(beta_hi=1e308), "underflows"),
     (dict(L=MAX_LEVELS + 1), "L must"),
+    (dict(n=True), "n must"),
+    (dict(m=True), "m must"),
 ])
 def test_invalid_parameters_name_the_invariant(kwargs, fragment):
     with pytest.raises(ParameterError, match=fragment):
