@@ -596,11 +596,11 @@ def check_acceptance_count_mean(fast: bool) -> CheckResult:
 def check_update_range(fast: bool) -> CheckResult:
     p = TheoryParams(n=500)
     world = simulate.build_world(1000, 0.5, p, seed=9)
-    alpha = world.alpha
+    alpha, tries = world.alpha.copy(), np.empty_like(world.alpha)
     ss = np.random.SeedSequence(23)
     for t, child in enumerate(ss.spawn(5)):
         rng = np.random.Generator(np.random.Philox(child))
-        alpha, record = simulate._one_round(world, p, alpha, rng, 0, t)
+        _, record = simulate._one_round(world, p, alpha, rng, 0, t, tries)
         if not ((alpha > 0.0).all() and (alpha <= 1.0).all()):
             return CheckResult("update-range", False, "alpha escaped (0, 1]")
         if not record.collapsed and record.v_realized != float(world.weights @ alpha):

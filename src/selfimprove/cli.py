@@ -60,8 +60,8 @@ def _resolve_params(args) -> tuple[TheoryParams, float | None, float]:
 
 def _fmt(value) -> str:
     """One CSV field: floats round-trip exactly (as csv writes them), bools are lower-case."""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, (bool, np.bool_)):
         return str(value).lower()
     return str(value)
@@ -274,6 +274,9 @@ SUBCOMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # a flag's prefix is an unrecognized argument
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # a usage error is a parameter error: one line, exit 2
         raise ParameterError(message)
 

@@ -11,8 +11,9 @@ represented keep their acceptance probability (a documented modeling
 simplification; a shared model would also move them).
 
 A run owns its state: one copy of the world's acceptance array and one
-m-try buffer, which every round writes in place.  The world is never
-written, and each round has the bits of a round that returns a new array.
+m-try buffer.  A round updates the state its caller holds, both arrays in
+place, and never writes the world; the tests check that a run has the bits
+of a chain of rounds that each return a new array.
 
 Randomness comes from counter-based Philox streams keyed by spawned seed
 sequences, one per (replication, round), so replications are reproducible
@@ -248,27 +249,20 @@ def _distinct(ascending: np.ndarray) -> np.ndarray:
 
 def _one_round(world: SimWorld, p: TheoryParams, alpha: np.ndarray,
                rng: np.random.Generator, replication: int, round_index: int,
-               out=None, tries=None) -> tuple[np.ndarray, RoundRecord]:
-    """One round from acceptance ``alpha`` over ``world``'s questions: the
-    next acceptance array and the round's record.
-
-    numpy's ``out`` idiom: the m-try acceptance goes into ``tries`` and the
-    next acceptance into ``out``, each if given.  ``out`` may be ``alpha``,
-    which the round then updates in place, or ``tries``, which it writes
-    only after its last read of the acceptance.  Without ``out`` the next
-    acceptance is a new array (``alpha`` itself after a collapse), and
-    ``alpha`` is not written.
-    """
-    accept_m = multi_try_acceptance(alpha, p.m, out=tries)
-    z_m = float(world.weights @ accept_m)
-    alpha_m_min = float(np.min(accept_m, where=world.support, initial=np.inf))
+               tries: np.ndarray) -> tuple[np.ndarray, RoundRecord]:
+    """One round over ``world``'s questions from the caller's state: writes
+    the m-try acceptance of ``alpha`` into ``tries``, updates ``alpha`` in
+    place and returns it with the round's record."""
+    multi_try_acceptance(alpha, p.m, out=tries)
+    z_m = float(world.weights @ tries)
+    alpha_m_min = float(np.min(tries, where=world.support, initial=np.inf))
     if not alpha_m_min > 0.0:
         raise DomainError(_DEGENERATE)
 
     # Draw i of the sample is accepted when try i of the second stream is
     # below its m-try acceptance.
     questions = _draw(world, p.n, rng)
-    accepted_mask = rng.random(p.n) < accept_m[questions]
+    accepted_mask = rng.random(p.n) < tries[questions]
     n_accept = int(accepted_mask.sum())
 
     bound = math.nan  # a collapsed round (no accepted draw) skips the update
@@ -276,23 +270,16 @@ def _one_round(world: SimWorld, p: TheoryParams, alpha: np.ndarray,
         error_budget = math.sqrt(2.0 * math.log(p.pi_size / p.delta) / n_accept)
         bound = p.tau * (1.0 - (z_m / alpha_m_min) * error_budget)
         represented = _distinct(np.sort(questions[accepted_mask]))
-        filtered = world.weights[represented] * accept_m[represented]
+        filtered = world.weights[represented] * tries[represented]
         share = filtered / filtered.sum()
-    del accept_m  # a new m-try array is released before a new ``out`` is allocated
-
-    if out is None:
-        out = alpha.copy() if n_accept else alpha
-    elif out is not alpha:
-        np.copyto(out, alpha)
-    if n_accept:
         # Each updated entry lies in [ALPHA_FLOOR, 1]: the budget is positive
         # and every share lies in (0, 1].
-        out[represented] = np.maximum(ALPHA_FLOOR, 1.0 - error_budget * share)
+        alpha[represented] = np.maximum(ALPHA_FLOOR, 1.0 - error_budget * share)
 
-    v_realized = float(world.weights @ out)
+    v_realized = float(world.weights @ alpha)
     record = RoundRecord(replication, round_index, n_accept, z_m, alpha_m_min,
                          v_realized, bound, v_realized >= bound, collapsed=not n_accept)
-    return out, record
+    return alpha, record
 
 
 def run_selfimprove(world: SimWorld, p: TheoryParams, rounds: int, seed,
@@ -312,7 +299,7 @@ def run_selfimprove(world: SimWorld, p: TheoryParams, rounds: int, seed,
     alpha = world.alpha.copy()
     for t, child in enumerate(ss.spawn(rounds)):
         rng = np.random.Generator(np.random.Philox(child))
-        _, record = _one_round(world, p, alpha, rng, replication, t, out=alpha, tries=tries)
+        _, record = _one_round(world, p, alpha, rng, replication, t, tries)
         records.append(record)
     return records
 

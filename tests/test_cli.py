@@ -239,6 +239,9 @@ def test_verify_fast_passes(tmp_path, capsys):
     (None, ["bogus"]),
     (None, ["scan", "--panel", "a", "--threads", "1"]),
     (None, ["thresholds", "--nu", "0.3"]),
+    # A flag's prefix is not the flag: each is an unrecognized argument.
+    (None, ["scan", "--x0", "40"]),
+    (None, ["simulate", "--q", "100", "--s", "3"]),
 ], ids=["missing-config", "malformed-json", "string-value", "bool-integer",
         "negative-seed", "zero-threads", "threads-above-one", "nan-nu", "inf-nu",
         "config-inf-nu", "nan-x0", "x0-above-ceiling", "nan-a", "inf-a", "huge-beta-hi",
@@ -254,7 +257,8 @@ def test_verify_fast_passes(tmp_path, capsys):
         "simulate-infeasible-target", "config-levels-above-bound",
         "simulate-samples-above-bound", "intervals-seed", "scan-seed", "verify-seed",
         "config-n-and-nu", "unknown-flag", "regions-without-x0", "non-integer-seed",
-        "unknown-command", "threads-one", "thresholds-ambiguous-nu"])
+        "unknown-command", "threads-one", "thresholds-ambiguous-nu", "scan-x0-prefix",
+        "simulate-prefixes"])
 def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, argv):
     if config is not None:
         (tmp_path / "config.json").write_text(config)
@@ -269,8 +273,6 @@ def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, a
 UNREAD_VALUES = {"config": "config.json", "seed": "1", "beta_lo": "0.3", "beta_hi": "0.3",
                  "nu": "0.3"}
 REQUIRED = {"regions": ["--x0", "0.5"]}
-# argparse's line for an unread flag that abbreviates two of the row's flags.
-AMBIGUOUS = {"thresholds-nu": "ambiguous option: --nu could match --nu-c, --nu-t"}
 # From the command table: each flag, then each config key (where the command
 # takes a config), of a common option the command does not read; then the
 # rules on values of the other flags.  argparse rejects an unread flag, since
@@ -278,8 +280,8 @@ AMBIGUOUS = {"thresholds-nu": "ambiguous option: --nu could match --nu-c, --nu-t
 FLAG_RULE_FAULTS = {
     **{f"{name}-{dest}": ("{}", [name, *REQUIRED.get(name, []), COMMON_OPTIONS[dest][0],
                                  UNREAD_VALUES[dest]],
-                          AMBIGUOUS.get(f"{name}-{dest}", "unrecognized arguments: "
-                                        f"{COMMON_OPTIONS[dest][0]} {UNREAD_VALUES[dest]}"))
+                          f"unrecognized arguments: {COMMON_OPTIONS[dest][0]} "
+                          f"{UNREAD_VALUES[dest]}")
        for name, row in SUBCOMMANDS.items() for dest in UNREAD_VALUES if dest not in row.reads},
     **{f"{name}-config-{key}": (json.dumps({key: 0.3}),
                                 [name, *REQUIRED.get(name, []), "--config", "config.json"],
@@ -501,7 +503,8 @@ def test_simulation_csv(tmp_path):
 def test_written_fields_follow_the_fmt_rule(tmp_path):
     """Exact floats go to csv unformatted: it writes a float as its repr,
     which is ``_fmt``'s rule, so every field's bytes are ``_fmt``'s."""
-    floats = [0.1, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16]
+    floats = [0.1, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16,
+              np.float64(0.1), np.float32(0.5), np.float64(-0.0)]
     others = [0, -3, 10**20, True, False, np.True_, np.False_, "", "skipped"]
     rows = [floats, others, [*others, *floats][::-1], ["", 0.1], [0.1, ""], [""], [True, 1e16]]
     args = argparse.Namespace(command="thresholds", out=str(tmp_path), seed=0, config=None)
@@ -511,7 +514,7 @@ def test_written_fields_follow_the_fmt_rule(tmp_path):
     writer.writerows([["a", "b"], *([_fmt(v) for v in row] for row in rows)])
     written = (tmp_path / "mixed.csv").read_bytes().decode("utf-8")
     assert written == expected.getvalue()
-    assert written.splitlines()[1] == "0.1,-0.0,nan,inf,-inf,5e-324,1e+16"
+    assert written.splitlines()[1] == "0.1,-0.0,nan,inf,-inf,5e-324,1e+16,0.1,0.5,-0.0"
     assert written.splitlines()[2] == "0,-3,100000000000000000000,true,false,true,false,,skipped"
 
 
