@@ -10,6 +10,16 @@ sample, proportionally to the filtered question marginal.  Questions never
 represented keep their acceptance probability (a documented modeling
 simplification; a shared model would also move them).
 
+Where the per-round bound has content, measured at n = 2000: it is below 0
+in every round that criterion 15, the ``sim-bound-coverage`` check and the
+``sim_large_world`` benchmark run (10^4 or 10^6 questions, m = 4, where
+Z_m / alpha_m_min is about 11; largest bounds -0.119 and -0.230), so their
+coverage of 1.0000 holds vacuously.  Where the bound is positive and the
+questions far outnumber n, it fails: at m = 16 on criterion 15's world of
+10^4 questions every bound is positive (smallest 0.653), and coverage over
+20 replications x 5 rounds is 0.80, 0.79 and 0.79 at three seeds.  At
+m = 16 and 1,000 questions every round meets its positive bound.
+
 A run owns its state: one copy of the world's acceptance array and one
 m-try buffer.  A round updates the state its caller holds, both arrays in
 place, and never writes the world; the tests check that a run has the bits

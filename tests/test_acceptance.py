@@ -25,6 +25,8 @@ from selfimprove import checks
 from selfimprove.montecarlo import (classify_improvement, measured_interval, run_scans,
                                     x0_grid)
 
+from exact import ExactMargin
+
 P = si.TheoryParams()
 X0_REFERENCE = 0.5 * (1.0 - P.gamma)
 
@@ -340,55 +342,21 @@ def test_c17_phase_transition():
            f"{measured:.3f} vs analytic {analytic:.3f}")
 
 
-def _margin_50_digits(mpmath, beta_lo: float, beta_hi: float, nu: float, x0: float):
-    """Improvement margin and hard-level series ratio at the given floats,
-    assembled term by term as ``regions`` does but in 50-digit arithmetic."""
-    f = mpmath.mpf
-    with mpmath.workdps(50):
-        bl, bh, nu, x0 = f(beta_lo), f(beta_hi), f(nu), f(x0)
-        c, gamma, L = f(P.c), f(P.gamma), P.L
-        cd = mpmath.sqrt(2 * mpmath.log(f(P.pi_size) / f(P.delta)))
-        cdp = mpmath.sqrt(mpmath.log(1 / f(P.delta_prime)) / 2)
-        weight_sum = mpmath.fsum(mpmath.power(i, -bl) for i in range(1, L + 1))
-        first = L / weight_sum
-        final = weight_sum / mpmath.power(L, 1 - bl)
-        hard = mpmath.power(2, -bh)
-
-        base_inner = 1 - gamma - cdp * nu
-        res_inner = first * x0 - cdp * nu
-        hard_inner = hard * (1 - gamma) - cdp * nu
-        assert min(base_inner, res_inner, hard_inner) > 0
-        q = cd * nu / (2 * c * base_inner ** 1.5)
-        baseline = (cd * nu / (c * mpmath.sqrt(base_inner))
-                    * mpmath.fsum(q ** j for j in range(L - 1)))
-        residual = cd * nu / (c * mpmath.sqrt(res_inner))
-        ratio_inner = hard * (1 - gamma - residual) - cdp * nu
-        assert ratio_inner > 0
-        ratio = cd * nu / (2 * c * ratio_inner ** 1.5)
-        rho = ratio * mpmath.exp(-bh / L)
-        tail = cd * nu / (c * mpmath.sqrt(hard_inner)) / (1 - rho)
-        hard_term = ratio ** (L - 1) * mpmath.power(L, -bh) * residual
-        error = baseline - final * (tail + hard_term)
-        return -error - (final - 1) * (1 - gamma) / 2, rho
-
-
 def test_refuted_expectations_survive_50_digit_arithmetic():
     """The float roots behind criteria 9 and 10 are true sign changes of the
     margin, and at large beta_lo the root lies inside the domain (rho < 1,
     so nu_star < nu_break) although rho is close to 1 there."""
-    mpmath = pytest.importorskip("mpmath")
     for beta_lo, gap in ((1e-3, 0.05), (1e-4, 0.05), (8.0, 0.1), (12.0, 0.1)):
         beta_hi = beta_lo + gap
         pp = P.with_betas(beta_lo, beta_hi)
+        exact = ExactMargin(pp)
         nu_star = si.critical_budgets(pp, x0=X0_REFERENCE)["nu_star"]
-        half, _ = _margin_50_digits(mpmath, beta_lo, beta_hi, 0.5 * nu_star, X0_REFERENCE)
+        half, _, _ = exact.evaluate(0.5 * nu_star, X0_REFERENCE)
         reference = si.BoundProblem(pp).margin(0.5 * nu_star, X0_REFERENCE)
         assert abs(float(half) - reference) <= 1e-9 * abs(reference)
-        below, _ = _margin_50_digits(mpmath, beta_lo, beta_hi,
-                                     nu_star * (1 - 1e-7), X0_REFERENCE)
-        above, rho = _margin_50_digits(mpmath, beta_lo, beta_hi,
-                                       nu_star * (1 + 1e-7), X0_REFERENCE)
+        below, _, _ = exact.evaluate(nu_star * (1 - 1e-7), X0_REFERENCE)
+        above, _, rho = exact.evaluate(nu_star * (1 + 1e-7), X0_REFERENCE)
         assert below < 0 < above, (beta_lo, gap)
         assert rho < 1, (beta_lo, gap)
         if beta_lo >= 8.0:
-            assert rho > 0.9, (beta_lo, gap)
+            assert float(rho) > 0.9, (beta_lo, gap)

@@ -238,7 +238,6 @@ def test_verify_fast_passes(tmp_path, capsys):
     (None, ["simulate", "--seed=0.5"]),
     (None, ["bogus"]),
     (None, ["scan", "--panel", "a", "--threads", "1"]),
-    (None, ["thresholds", "--nu", "0.3"]),
     # A flag's prefix is not the flag: each is an unrecognized argument.
     (None, ["scan", "--x0", "40"]),
     (None, ["simulate", "--q", "100", "--s", "3"]),
@@ -257,7 +256,7 @@ def test_verify_fast_passes(tmp_path, capsys):
         "simulate-infeasible-target", "config-levels-above-bound",
         "simulate-samples-above-bound", "intervals-seed", "scan-seed", "verify-seed",
         "config-n-and-nu", "unknown-flag", "regions-without-x0", "non-integer-seed",
-        "unknown-command", "threads-one", "thresholds-ambiguous-nu", "scan-x0-prefix",
+        "unknown-command", "threads-one", "scan-x0-prefix",
         "simulate-prefixes"])
 def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, argv):
     if config is not None:

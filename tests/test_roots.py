@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from selfimprove import BoundProblem, TheoryParams, critical_budgets, curriculum_coefficients
 from selfimprove.regions import improvement_margin, last_true
 
+from exact import ExactMargin, bisect
+
 P = TheoryParams()
 X0 = 0.49
 
@@ -238,88 +240,38 @@ def test_max_improving_nu_is_a_sign_change_or_a_domain_edge(beta_hi, fraction, x
     assert after >= 0.0 or math.isnan(after)
 
 
-def _margin_50_digits(mpmath, p: TheoryParams, nu, x0):
-    """The margin of ``regions`` and its baseline term in 50-digit
-    arithmetic (``x0 = inf`` is the large-initialization limit); the margin
-    is ``None`` outside the domain, the series guard included."""
-    f = mpmath.mpf
-    c, gamma, L = f(p.c), f(p.gamma), p.L
-    cd = mpmath.sqrt(2 * mpmath.log(f(p.pi_size) / f(p.delta)))
-    cdp = mpmath.sqrt(mpmath.log(1 / f(p.delta_prime)) / 2)
-    weight_sum = mpmath.fsum(mpmath.power(i, -f(p.beta_lo)) for i in range(1, L + 1))
-    first = L / weight_sum
-    final = weight_sum / mpmath.power(L, 1 - f(p.beta_lo))
-    hard = mpmath.power(2, -f(p.beta_hi))
-
-    base_inner = 1 - gamma - cdp * nu
-    if base_inner <= 0:
-        return None, mpmath.inf
-    q = cd * nu / (2 * c * base_inner ** 1.5)
-    baseline = cd * nu / (c * mpmath.sqrt(base_inner)) * mpmath.fsum(q ** j for j in range(L - 1))
-    if x0 == math.inf:
-        residual = 0
-    else:
-        res_inner = first * x0 - cdp * nu
-        if res_inner <= 0:
-            return None, baseline
-        residual = cd * nu / (c * mpmath.sqrt(res_inner))
-    ratio_inner = hard * (1 - gamma - residual) - cdp * nu
-    hard_inner = hard * (1 - gamma) - cdp * nu
-    if ratio_inner <= 0 or hard_inner <= 0:
-        return None, baseline
-    ratio = cd * nu / (2 * c * ratio_inner ** 1.5)
-    rho = ratio * mpmath.exp(-f(p.beta_hi) / L)
-    if rho >= 1 - f(1e-10):
-        return None, baseline
-    tail = cd * nu / (c * mpmath.sqrt(hard_inner)) / (1 - rho)
-    hard_term = ratio ** (L - 1) * mpmath.power(L, -f(p.beta_hi)) * residual
-    error = baseline - final * (tail + hard_term)
-    return -error - (final - 1) * (1 - gamma) / 2, baseline
-
-
-def _bisect_50_digits(mpmath, holds, near: float):
-    """Last point of [near/2, 2 near] where ``holds`` is true, bisected to
-    well below double precision."""
-    lo, hi = mpmath.mpf(near) / 2, mpmath.mpf(near) * 2
-    assert holds(lo) and not holds(hi)
-    for _ in range(180):
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
-    return lo
-
-
 def test_roots_match_a_50_digit_bisection_of_the_same_margin():
     """Agreement is relative, not in ULP: near 0.995 nu_c the threshold is
     ill-conditioned, and thousands of ULP there are still about 1e-12."""
-    mpmath = pytest.importorskip("mpmath")
+    exact_p = ExactMargin(P)
 
-    def improving_in_nu(p, x0):
+    def improving_in_nu(exact_margin, x0):
         def holds(nu):
-            margin, _ = _margin_50_digits(mpmath, p, nu, x0)
+            margin, _, _ = exact_margin.evaluate(nu, x0)
             return margin is not None and margin < 0
         return holds
 
     def not_improving_in_x0(nu):
         def holds(x0):
-            margin, _ = _margin_50_digits(mpmath, P, mpmath.mpf(nu), x0)
+            margin, _, _ = exact_p.evaluate(nu, x0)
             return margin is None or margin >= 0
         return holds
 
     def baseline_below_half(nu):
-        return _margin_50_digits(mpmath, P, nu, math.inf)[1] < (1 - mpmath.mpf(P.gamma)) / 2
+        return exact_p.evaluate(nu)[1] < (1 - exact_p.gamma) / 2
 
     budgets = critical_budgets(P, nu_c=True, nu_t=True, x0=X0)
     nu_c = budgets["nu_c"]
-    cases = [(nu_c, improving_in_nu(P, math.inf)),
+    cases = [(nu_c, improving_in_nu(exact_p, math.inf)),
              (budgets["nu_t"], baseline_below_half),
-             (budgets["nu_star"], improving_in_nu(P, X0))]
+             (budgets["nu_star"], improving_in_nu(exact_p, X0))]
     for beta_hi in (12.0, 40.0):
         pp = P.with_betas(P.beta_lo, beta_hi)
-        cases.append((critical_budgets(pp, nu_c=True)["nu_c"], improving_in_nu(pp, math.inf)))
+        cases.append((critical_budgets(pp, nu_c=True)["nu_c"],
+                      improving_in_nu(ExactMargin(pp), math.inf)))
     nus = np.array([0.02, 0.3, 0.6, 0.9, 0.995]) * nu_c
     for nu, threshold in zip(nus.tolist(), BoundProblem(P).threshold(nus).tolist()):
         cases.append((threshold, not_improving_in_x0(nu)))
-    with mpmath.workdps(50):
-        for root, holds in cases:
-            exact = _bisect_50_digits(mpmath, holds, root)
-            assert abs(root - exact) <= 1e-11 * exact, (root, float(exact))
+    for root, holds in cases:
+        exact = bisect(holds, root)
+        assert abs(root - float(exact)) <= 1e-11 * float(exact), (root, float(exact))

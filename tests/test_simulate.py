@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfimprove import (DomainError, ParameterError, RoundRecord, SimWorld, TheoryParams,
-                         acceptance_gain_ratio, build_world,
+                         acceptance_gain_ratio, build_world, checks,
                          mean_to_min_acceptance_ratio, multi_try_acceptance,
                          run_replications, run_selfimprove, satisfies_coupling)
-from selfimprove.simulate import MAX_QUESTIONS, MAX_SAMPLES, _distinct, _draw, _one_round
+from selfimprove.simulate import (ALPHA_FLOOR, MAX_QUESTIONS, MAX_SAMPLES, _distinct, _draw,
+                                  _one_round)
 
 P = TheoryParams()
 
@@ -267,6 +268,49 @@ def test_bound_coverage_reduced():
     assert coverage >= 0.95
 
 
+# ---------------------------------------------------------------------------
+# where the per-round bound has content: measured facts
+# ---------------------------------------------------------------------------
+
+def live_bound_rounds(questions, m, seed):
+    """The live rounds of 20 replications x 5 at n = 2000 on a world built as
+    criterion 15 builds its own, with ``questions`` questions, at ``m``."""
+    p = TheoryParams(m=m)
+    world = build_world(questions, 0.5, p, seed=checks._SEED)
+    live = [r for r in run_replications(world, p, 5, 20, seed=seed) if not r.collapsed]
+    assert len(live) == 100
+    return live
+
+
+BOUND_SEEDS = [checks._SEED, 0, 1]
+
+
+@pytest.mark.parametrize("seed", BOUND_SEEDS)
+def test_the_bound_is_negative_in_criterion_15s_setting(seed):
+    """At 10^4 questions and m = 4, Z_m / alpha_m_min is about 11 and the
+    budget term about 0.10: every bound is below 0 (largest -0.181), so the
+    coverage of 1.0000 that criterion 15 reports holds vacuously."""
+    assert all(r.bound < 0.0 for r in live_bound_rounds(10_000, 4, seed))
+
+
+@pytest.mark.parametrize("seed", BOUND_SEEDS)
+def test_a_positive_bound_fails_where_questions_far_outnumber_the_draws(seed):
+    """At m = 16 on the same world every bound is positive (smallest 0.653),
+    and the realized reward misses it in a fifth of the rounds: coverage
+    0.80, 0.79 and 0.79, below 0.95."""
+    live = live_bound_rounds(10_000, 16, seed)
+    assert all(r.bound > 0.0 for r in live)
+    assert sum(r.bound_satisfied for r in live) / len(live) < 0.95
+
+
+@pytest.mark.parametrize("seed", BOUND_SEEDS)
+def test_a_positive_bound_holds_where_the_draws_outnumber_the_questions(seed):
+    """At m = 16 and 1,000 questions every bound is positive (0.653 to
+    0.900), and every round meets it."""
+    live = live_bound_rounds(1000, 16, seed)
+    assert all(r.bound > 0.0 and r.bound_satisfied for r in live)
+
+
 
 # ---------------------------------------------------------------------------
 # the round's shortcuts reproduce the plain computation bit for bit
@@ -434,6 +478,25 @@ def test_round_matches_the_plain_round():
         expected_world = SimWorld(weights=world.weights, alpha=expected_alpha)
         assert np.array_equal(alpha.view(np.int64), expected_alpha.view(np.int64))
         assert repr(record) == repr(expected)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("kind", ["uniform", "dirichlet"])
+def test_update_spends_exactly_the_error_budget(kind, seed):
+    """The shares of the represented questions sum to 1, so over the entries
+    a round changes, 1 - alpha sums to the round's error budget (within
+    6.4e-14 relative on these worlds)."""
+    p = TheoryParams(n=500)
+    world = build_world(1000, 0.5, p, seed) if kind == "uniform" else dirichlet_world(800, seed)
+    alpha, tries = world.alpha.copy(), np.empty_like(world.alpha)
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(4)):
+        before = alpha.copy()
+        _, record = _one_round(world, p, alpha, np.random.Generator(np.random.Philox(child)),
+                               0, t, tries)
+        changed = before != alpha
+        assert not record.collapsed and (alpha[changed] > ALPHA_FLOOR).all()
+        budget = math.sqrt(2.0 * math.log(p.pi_size / p.delta) / record.n_accept)
+        assert math.fsum(1.0 - alpha[changed]) == pytest.approx(budget, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
