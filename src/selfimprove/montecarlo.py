@@ -6,10 +6,9 @@ directly running the bound recursions (feasibility: both sequences strictly
 increasing and in-domain; improvement: easy-to-hard final value strictly
 above the baseline final value), and the measured interval is compared with
 the analytic one.  The baseline recursion, which the betas do not enter, runs
-once for all the budgets of the panels that share them and their grid, and
-a row (one swept value with all its budgets) is classified in one run, each
-point carrying its own budget: the map's budget terms are formed once, and
-every row of the group runs in one reused pair of buffers.  The
+once for the panels that share their budgets and grid; a row (one swept
+value with all its budgets) is classified in one run, in one reused pair of
+buffers; a panel's cells are measured and compared in one array pass.  The
 analytic conditions are sufficient, so the measured region may strictly
 contain the analytic region; the testable guarantee is containment.  For
 improvement it holds for the threshold region intersected with the
@@ -134,74 +133,52 @@ def classify_improvement(x0, p: TheoryParams, nu, baseline=None, buffers=None) -
     ``nu``, ``baseline`` and ``buffers`` as for ``classify_feasible``."""
     baseline_final, _ = baseline_run(x0, p, nu) if baseline is None else baseline
     coeffs = curriculum_coefficients(p)
-    final, _ = run_schedule(x0, coeffs.schedule, p, nu, buffers)
-    # The schedule is never empty, so an array ``final`` is the run's own.
-    final = np.multiply(coeffs.final, final,
-                        out=final if isinstance(final, np.ndarray) else None)
-    return final > baseline_final
+    # The images go into one array, ``buffers[0]`` or the first image's own.
+    final = step(x0, coeffs.schedule[0], p, nu, out=None if buffers is None else buffers[0])
+    own = final if isinstance(final, np.ndarray) else None
+    for a in coeffs.schedule[1:]:
+        final = step(final, a, p, nu, out=own)
+    return np.multiply(coeffs.final, final, out=own) > baseline_final
 
 
-def _nearest_index(grid: np.ndarray, value: float) -> int:
-    """``np.argmin(np.abs(grid - value))`` on an ascending uniform grid: the
-    index the spacing gives, or a neighbour of it, whichever is nearest, the
-    first on ties.  Equal to the argmin wherever distances to adjacent grid
-    points do not round together, as for a value in [-1, 2] and the grids of
-    ``x0_grid`` (every analytic midpoint lies in (0, 1))."""
-    last = grid.size - 1
-    if last == 0:
-        return 0
-    lo, hi = grid.item(0), grid.item(last)
-    guess = round(min(max((value - lo) / (hi - lo) * last, 0.0), last))
-    start = max(guess - 1, 0)
-    distances = [abs(x - value) for x in grid[start:start + 3].tolist()]
-    return start + distances.index(min(distances))
-
-
-def measured_interval(grid: np.ndarray, flags: np.ndarray,
-                      analytic: Interval | None) -> tuple[float, float, float]:
-    """(lo, hi, length) of the maximal run (the first on ties), preferring
-    the run containing the analytic midpoint when one exists; ``grid`` is
-    ascending and uniform, as ``x0_grid`` makes it."""
-    # Flag changes, with False beyond both ends, alternate between run
-    # starts and one past run ends.
-    flags = np.asarray(flags, dtype=bool)
-    edges = np.empty(flags.size + 1, dtype=bool)
-    edges[0], edges[-1] = flags[0], flags[-1]
-    np.not_equal(flags[1:], flags[:-1], out=edges[1:-1])
-    changes = np.flatnonzero(edges)
-    if changes.size == 0:
-        return math.nan, math.nan, 0.0
-    starts, ends = changes[::2], changes[1::2] - 1
-
-    chosen = None
-    if analytic is not None and analytic.valid:
-        mid = 0.5 * (analytic.lo + analytic.hi)
-        j = _nearest_index(grid, mid)
-        if flags[j]:
-            chosen = int(np.searchsorted(starts, j, side="right")) - 1
-    if chosen is None:
-        chosen = int(np.argmax(ends - starts))
-    lo, hi = float(grid[starts[chosen]]), float(grid[ends[chosen]])
-    return lo, hi, hi - lo
-
-
-def _scan_cell(cfg: ScanConfig, vary_value: float, pp: TheoryParams, nu: float,
-               analytic: Interval, grid: np.ndarray, flags: np.ndarray) -> CellResult:
-    lo, hi, length = measured_interval(grid, flags, analytic)
-
-    cell = (1.0 - pp.gamma) / cfg.x0_points
-    if analytic.valid:
-        agree = (length > 0.0
-                 and abs(lo - analytic.lo) <= cell + 1e-12
-                 and abs(hi - analytic.hi) <= cell + 1e-12)
-        a_lo, a_hi, a_len = analytic.lo, analytic.hi, analytic.length
-    else:
-        agree = length == 0.0
-        a_lo = a_hi = math.nan
-        a_len = 0.0
-    return CellResult(axis1=vary_value, axis2=nu, measured_lo=lo, measured_hi=hi,
-                      measured_len=length, analytic_lo=a_lo, analytic_hi=a_hi,
-                      analytic_len=a_len, agree=agree)
+def measured_interval(grid: np.ndarray, flags, analytic: Interval | None):
+    """(lo, hi, length) of each row of ``flags`` (shape (..., N) over the N
+    points of ``grid``, ascending and uniform as ``x0_grid`` makes it): its
+    maximal run (the first on ties), or, where ``analytic`` (fields of the
+    leading shape, or None) is valid and the grid point nearest its midpoint
+    is flagged, the run holding that point; NaN, NaN, 0 where no point is
+    flagged.  Arrays of the leading shape, or three floats for one row."""
+    rows = np.asarray(flags, dtype=bool).reshape(-1, grid.size)
+    count, last, index = rows.shape[0], grid.size - 1, np.arange(rows.shape[0])
+    # Flag changes, with False beyond both ends of each row, alternate
+    # between run starts and one past run ends, row after row.
+    edges = np.empty((count, grid.size + 1), dtype=bool)
+    edges[:, 0], edges[:, -1] = rows[:, 0], rows[:, -1]
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=edges[:, 1:-1])
+    row, changes = np.nonzero(edges)
+    row, starts, ends = row[::2], changes[::2], changes[1::2] - 1
+    order = np.lexsort((starts - ends, row))      # by row, longest first, stable
+    heads = order[np.diff(row[order], prepend=-1) > 0]
+    chosen = np.full(count, -1)
+    chosen[row[heads]] = heads
+    if analytic is not None:
+        valid = np.reshape(analytic.valid, count)
+        mid = np.where(valid, 0.5 * (np.reshape(analytic.lo, count)
+                                     + np.reshape(analytic.hi, count)), grid[0])
+        # The grid point nearest the midpoint, the first on ties: the index
+        # the spacing gives (``np.rint`` rounds half to even) or a neighbour.
+        guess = np.rint(np.clip((mid - grid[0]) / ((grid[-1] - grid[0]) or 1.0) * last, 0, last))
+        window = np.minimum(np.maximum(guess.astype(int) - 1, 0)[:, None] + np.arange(3), last)
+        near = window[index, np.argmin(np.abs(grid[window] - mid[:, None]), axis=1)]
+        # The run holding it is its row's last run starting at or before it.
+        holding = np.searchsorted(row * grid.size + starts, index * grid.size + near, "right") - 1
+        chosen = np.where(valid & rows[index, near], holding, chosen)
+    # A row with no run takes run -1, appended past the others: the NaN past the grid.
+    past = np.append(grid, np.nan)
+    lo, hi = (past[np.append(side, grid.size)[chosen]] for side in (starts, ends))
+    shape = np.shape(flags)[:-1]
+    return tuple(a.reshape(shape) if shape else a.item()
+                 for a in (lo, hi, np.where(chosen < 0, 0.0, hi - lo)))
 
 
 def run_scans(cfgs, p: TheoryParams) -> list[tuple[CellResult, ...]]:
@@ -229,7 +206,7 @@ def _scan_group(cfgs, p: TheoryParams) -> list[tuple[CellResult, ...]]:
     """The panels of one group, which share ``nu_values`` and ``x0_points``."""
     grid = x0_grid(p, cfgs[0].x0_points)
     nus = np.array(cfgs[0].nu_values)
-    # Each panel's analytic intervals, one list per swept value.
+    # Each panel's analytic intervals: arrays, one row per swept value.
     analytic = [None] * len(cfgs)
     for kind in ("improvement", "feasible"):
         members = [i for i, cfg in enumerate(cfgs) if cfg.kind == kind]
@@ -237,14 +214,13 @@ def _scan_group(cfgs, p: TheoryParams) -> list[tuple[CellResult, ...]]:
             continue
         betas = np.array([cfgs[i].betas(v) for i in members for v in cfgs[i].vary_values]).T
         if kind == "improvement":
-            solved = BoundProblem(p, *betas).threshold(nus[:, None]).T.tolist()
-            rows = [[_improvement_interval(p, t) for t in row] for row in solved]
+            solved = _improvement_interval(p, BoundProblem(p, *betas).threshold(nus[:, None]).T)
         else:
             solved = feasibility_interval(p, nus, *betas[:, :, None])
-            rows = [list(map(Interval, *row)) for row in zip(*(
-                field.tolist() for field in (solved.lo, solved.hi, solved.valid, solved.reason)))]
-        for i in members:
-            analytic[i], rows = rows[:len(cfgs[i].vary_values)], rows[len(cfgs[i].vary_values):]
+        splits = np.cumsum([len(cfgs[i].vary_values) for i in members])[:-1]
+        for i, *fields in zip(members, *(np.split(field, splits)
+                                         for field in (solved.lo, solved.hi, solved.valid))):
+            analytic[i] = Interval(*fields)
     # A row's points: the grid once per budget, each point with its budget.
     x0 = np.tile(grid, len(nus))
     budget = map_budget(p, np.repeat(nus, len(grid)))
@@ -252,22 +228,30 @@ def _scan_group(cfgs, p: TheoryParams) -> list[tuple[CellResult, ...]]:
     for shared in (x0, *budget, *baseline):
         shared.flags.writeable = False
     buffers = (np.empty_like(x0), np.empty_like(x0))
-    return [_scan_panel(cfg, p, grid, x0, budget, baseline, rows, buffers)
-            for cfg, rows in zip(cfgs, analytic)]
+    return [_scan_panel(cfg, p, grid, x0, budget, baseline, a, buffers)
+            for cfg, a in zip(cfgs, analytic)]
 
 
 def _scan_panel(cfg: ScanConfig, p: TheoryParams, grid, x0, budget, baseline, analytic,
                 buffers) -> tuple[CellResult, ...]:
     """One panel's cells from its group's arrays and its analytic intervals
-    (one row per swept value), each row classified in ``buffers``."""
+    (one row per swept value): each row classified in ``buffers``, then
+    every cell measured in one call."""
     classify = classify_feasible if cfg.kind == "feasible" else classify_improvement
-    cells = []
-    for v, row in zip(cfg.vary_values, analytic):
-        pp = p.with_betas(*cfg.betas(v))
-        flags = classify(x0, pp, budget, baseline, buffers).reshape(-1, len(grid))
-        cells.extend(_scan_cell(cfg, v, pp, n, a, grid, f)
-                     for n, a, f in zip(cfg.nu_values, row, flags))
-    return tuple(cells)
+    flags = np.empty((len(cfg.vary_values), x0.size), dtype=bool)
+    for v, row in zip(cfg.vary_values, flags):
+        row[...] = classify(x0, p.with_betas(*cfg.betas(v)), budget, baseline, buffers)
+    lo, hi, length = measured_interval(grid, flags.reshape(*analytic.valid.shape, -1), analytic)
+    valid, tol = analytic.valid, (1.0 - p.gamma) / cfg.x0_points + 1e-12   # a cell apart
+    agree = np.where(valid, (length > 0.0) & (np.abs(lo - analytic.lo) <= tol)
+                     & (np.abs(hi - analytic.hi) <= tol), length == 0.0)
+    # Each NaN becomes the one ``math.nan``: tuples compare items by identity
+    # first, so the cells of two runs compare equal.
+    columns = ([math.nan if math.isnan(v) else v for v in column.ravel().tolist()] for column in (
+        lo, hi, length, np.where(valid, analytic.lo, math.nan),
+        np.where(valid, analytic.hi, math.nan), np.where(valid, analytic.hi - analytic.lo, 0.0)))
+    return tuple(map(CellResult, [v for v in cfg.vary_values for _ in cfg.nu_values],
+                     cfg.nu_values * len(cfg.vary_values), *columns, agree.ravel().tolist()))
 
 
 def default_panels(p: TheoryParams, names="abcd") -> dict[str, ScanConfig]:

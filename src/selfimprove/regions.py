@@ -283,15 +283,21 @@ def feasibility_interval(p: TheoryParams, nu, beta_lo=None, beta_hi=None) -> Int
     return Interval(lo, hi, valid, reason)
 
 
-def _improvement_interval(p: TheoryParams, threshold: float) -> Interval:
+_IMPROVING = ("no improving initialization", "empty: threshold at or above ceiling")
+
+
+def _improvement_interval(p: TheoryParams, threshold) -> Interval:
     """The improving initializations (threshold, 1 - gamma): invalid where
-    the threshold is NaN (none improves) or at or above the ceiling."""
-    if math.isnan(threshold):
-        return Interval(math.nan, math.nan, False, "no improving initialization")
-    ceiling = 1.0 - p.gamma
-    if threshold >= ceiling:
-        return Interval(threshold, ceiling, False, "empty: threshold at or above ceiling")
-    return Interval(threshold, ceiling, True)
+    the threshold is NaN (none improves, and both ends are NaN) or at or
+    above the ceiling.  Broadcasts over an array of thresholds; a scalar
+    threshold gives an interval of Python scalars."""
+    threshold = np.asarray(threshold, dtype=float)
+    none = np.isnan(threshold)
+    valid, reason = verdicts(_IMPROVING, (~none, threshold < 1.0 - p.gamma))
+    hi = np.where(none, np.nan, 1.0 - p.gamma)
+    if threshold.ndim == 0:
+        return Interval(float(threshold), float(hi), bool(valid), reason)
+    return Interval(threshold, hi, valid, reason)
 
 
 def check_initialization(x0: float, p: TheoryParams) -> None:

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from selfimprove import (BoundProblem, ParameterError, ScanConfig, TheoryParams,
+from selfimprove import (BoundProblem, CellResult, ParameterError, ScanConfig, TheoryParams,
                          curriculum_coefficients, default_panels, feasibility_interval, x0_grid)
 from selfimprove import montecarlo
 from selfimprove.cubic import Interval
 from selfimprove.dynamics import PLATEAU_TOL, iterate, run_schedule
-from selfimprove.montecarlo import (_scan_cell, baseline_run, classify_feasible,
+from selfimprove.montecarlo import (baseline_run, classify_feasible,
                                     classify_improvement, measured_interval, run_scans)
 from selfimprove.regions import _improvement_interval
 
@@ -176,49 +176,88 @@ def loop_measured_interval(grid, flags, analytic):
     return lo, hi, hi - lo
 
 
-@given(flags=st.lists(st.booleans(), min_size=1, max_size=60),
-       mid=st.one_of(st.none(), st.floats(min_value=-0.2, max_value=1.2)),
-       valid=st.booleans())
-@example(flags=[True], mid=None, valid=True)                         # one point, in a run
-@example(flags=[False], mid=0.5, valid=True)                         # one point, no run
-@example(flags=[False] * 7, mid=0.5, valid=True)                     # all False
-@example(flags=[True] * 7, mid=None, valid=True)                     # all True
-@example(flags=[True, True, False, True, False, True, True], mid=None,
-         valid=True)                                                 # runs at both ends
-@example(flags=[True, False, True, True, False, True, True], mid=None,
-         valid=True)                                                 # tie: first wins
-@example(flags=[True, True, False, True, True, False, True], mid=0.95,
-         valid=True)                                                 # midpoint in a later run
-@example(flags=[True, True, False, True, True, False, True], mid=0.4,
-         valid=True)                                                 # midpoint off every run
-@example(flags=[True, True, False, True, True, False, True], mid=0.95,
-         valid=False)                                                # invalid analytic
-@settings(max_examples=300, deadline=None)
-def test_measured_interval_matches_plain_loop(flags, mid, valid):
-    flags = np.array(flags)
-    grid = (np.arange(len(flags)) + 0.5) / len(flags)
-    analytic = None if mid is None else Interval(mid - 0.01, mid + 0.01, valid)
-    got = measured_interval(grid, flags, analytic)
-    want = loop_measured_interval(grid, flags, analytic)
-    assert np.array_equal(got, want, equal_nan=True)
+@st.composite
+def flag_stacks(draw):
+    """Rows of flags over one grid, each with its own analytic interval:
+    ``(mid, valid)``, or None for no interval."""
+    size = draw(st.integers(min_value=1, max_value=60))
+    rows = st.lists(st.booleans(), min_size=size, max_size=size)
+    analytic = st.one_of(st.none(), st.tuples(st.floats(min_value=-0.2, max_value=1.2),
+                                               st.booleans()))
+    return draw(st.lists(st.tuples(rows, analytic), min_size=1, max_size=8))
 
 
-def _argmin_nearest(grid, value):
-    return int(np.argmin(np.abs(grid - value)))
+@given(stack=flag_stacks(), nested=st.booleans())
+@example(stack=[([True], None)], nested=False)                        # one point, in a run
+@example(stack=[([False], (0.5, True))], nested=False)                # one point, no run
+@example(stack=[([False] * 7, (0.5, True)),                           # all False
+                ([True] * 7, None),                                   # all True
+                ([True] * 7, (0.5, True)),                            # all True, valid
+                ([True, True, False, True, False, True, True], None),  # runs at both ends
+                ([True, False, True, True, False, True, True], None),  # tie: first wins
+                ([True, True, False, True, True, False, True], (0.95, True)),   # later run
+                ([True, True, False, True, True, False, True], (0.4, True)),    # off every run
+                ([True, True, False, True, True, False, True], (0.95, False))],  # invalid
+         nested=True)
+@settings(max_examples=200, deadline=None)
+def test_measured_interval_matches_plain_loop(stack, nested):
+    """One call on a stack of rows gives, row by row, what the plain loop
+    gives each row alone, and a call on one row gives three floats.  A row
+    without an interval enters the stack as an invalid one."""
+    flags = np.array([row for row, _ in stack])
+    grid = (np.arange(flags.shape[1]) + 0.5) / flags.shape[1]
+    analytic = [None if a is None else Interval(a[0] - 0.01, a[0] + 0.01, a[1])
+                for _, a in stack]
+    want = [repr(loop_measured_interval(grid, row, a)) for row, a in zip(flags, analytic)]
+    for row, a, expected in zip(flags, analytic, want):
+        got = measured_interval(grid, row, a)
+        assert all(type(v) is float for v in got) and repr(got) == expected
+    lead = (2, len(stack) // 2) if nested and len(stack) % 2 == 0 else (len(stack),)
+    filled = [Interval(math.nan, math.nan, False) if a is None else a for a in analytic]
+    stacked = Interval(*(np.array([getattr(a, name) for a in filled]).reshape(lead)
+                         for name in ("lo", "hi", "valid")))
+    results = [(lead, measured_interval(grid, flags.reshape(*lead, -1), stacked))]
+    if all(a is None for a in analytic):
+        results.append(((len(stack),), measured_interval(grid, flags, None)))
+    for shape, got in results:
+        assert [v.shape for v in got] == [shape] * 3
+        assert [repr(tuple(map(float, cell))) for cell in zip(*(v.ravel() for v in got))] == want
+
+
+def assert_nearest_is_argmin(grid, mids):
+    """``measured_interval`` looks up the grid point nearest each of ``mids``,
+    the first on ties, as ``np.argmin(np.abs(grid - mid))`` does.  Each
+    probe row flags every point but the argmin's two neighbours, so the
+    argmin is a one-point run, chosen only if it is the point looked up:
+    from 5 points on, either neighbour's lookup gives a longer or earlier run."""
+    mids = np.asarray(mids, dtype=float)
+    for chunk in np.array_split(mids, max(1, mids.size * grid.size // 10**6)):
+        k = np.argmin(np.abs(grid - chunk[:, None]), axis=1)
+        probes = np.ones((chunk.size, grid.size + 2), dtype=bool)    # one pad at each end
+        probes[np.arange(chunk.size), k] = probes[np.arange(chunk.size), k + 2] = False
+        probes = probes[:, 1:-1]
+        lo, hi, length = measured_interval(grid, probes,
+                                           Interval(chunk, chunk, np.full(chunk.size, True)))
+        assert np.array_equal(lo, grid[k]) and np.array_equal(hi, grid[k])
+        assert not length.any()
 
 
 def test_nearest_index_is_argmin_at_every_cell_of_the_default_panels(monkeypatch):
     """Every analytic midpoint the command-line scan looks up, on its own grid."""
-    nearest, seen = montecarlo._nearest_index, []
+    seen = []
 
-    def checked(grid, value):
-        seen.append((nearest(grid, value), _argmin_nearest(grid, value)))
-        return seen[-1][0]
+    def recorded(grid, flags, analytic):
+        seen.append((grid, analytic))
+        return measured(grid, flags, analytic)
 
-    monkeypatch.setattr(montecarlo, "_nearest_index", checked)
+    measured = montecarlo.measured_interval
+    monkeypatch.setattr(montecarlo, "measured_interval", recorded)
     run_scans(list(default_panels(P).values()), P)
-    assert len(seen) > 300
-    assert [got for got, _ in seen] == [want for _, want in seen]
+    assert len(seen) == 4                                      # one call per panel
+    mids = [0.5 * (a.lo + a.hi)[a.valid] for _, a in seen]
+    assert sum(m.size for m in mids) > 300
+    for (grid, _), m in zip(seen, mids):
+        assert_nearest_is_argmin(grid, m)
 
 
 @pytest.mark.parametrize("points", [1, 2, 3, 10, 600, 2000, 10**5])
@@ -228,14 +267,13 @@ def test_nearest_index_is_argmin_at_random_points_and_ties(points):
         grid = x0_grid(TheoryParams(gamma=gamma), points)
         k = rng.integers(0, points, 200)
         halfway = 0.5 * (grid[k] + grid[np.minimum(k + 1, points - 1)])
-        values = np.concatenate([rng.uniform(-0.2, 1.2, 200), grid[k], halfway,
-                                 np.nextafter(halfway, -1.0), np.nextafter(halfway, 2.0),
-                                 [-1.0, 0.0, 1.0, 2.0]])
-        got = [montecarlo._nearest_index(grid, float(v)) for v in values]
-        assert got == [_argmin_nearest(grid, v) for v in values]
+        assert_nearest_is_argmin(grid, np.concatenate([
+            rng.uniform(-0.2, 1.2, 200), grid[k], halfway, np.nextafter(halfway, -1.0),
+            np.nextafter(halfway, 2.0), [-1.0, 0.0, 1.0, 2.0]]))
     # Exact ties: both neighbours at the same computed distance, so the first wins.
     grid = np.arange(8) + 0.5
-    assert [montecarlo._nearest_index(grid, v) for v in (1.0, 2.0, 7.0)] == [0, 1, 6]
+    assert_nearest_is_argmin(grid, [1.0, 2.0, 7.0])
+    assert np.argmin(np.abs(grid - np.array([[1.0], [2.0], [7.0]])), axis=1).tolist() == [0, 1, 6]
 
 
 def loop_run(x0, schedule, p, nu):
@@ -336,6 +374,21 @@ def test_panels_scanned_in_groups_equal_each_panel_alone():
     assert same
 
 
+def test_reruns_compare_equal_with_their_nan_fields():
+    """Cells compare as tuples, whose items compare by identity first, so
+    an empty cell's NaN fields and those of an invalid analytic interval
+    are the one ``math.nan``: two runs of the same panels compare equal."""
+    cfgs = [ScanConfig(kind="feasible", vary="beta_hi", vary_values=(0.3, 0.75),
+                       fixed_value=0.1, nu_values=(0.0, 0.02, 0.09), x0_points=100),
+            ScanConfig(kind="improvement", vary="beta_lo", vary_values=(0.05, 0.3),
+                       fixed_value=0.4, nu_values=(0.0, 0.01, 0.05), x0_points=100)]
+    first = run_scans(cfgs, P)
+    fields = [(c.measured_lo, c.analytic_lo) for cells in first for c in cells]
+    assert {math.isnan(lo) for lo, _ in fields} == {math.isnan(lo) for _, lo in fields} == \
+        {True, False}
+    assert run_scans(cfgs, P) == first
+
+
 def test_concurrent_scans_match_serial_under_fast_switching():
     """More concurrent scans than cores, switching often: each call's
     buffers stay its own, so every call gives the serial default panels."""
@@ -422,8 +475,11 @@ def diff_increasing(values):
 def per_cell_scan(cfg, p):
     """Reference scan: every cell classified on its own from full
     ``iterate`` trajectories, with its analytic interval from its own
-    solve: ``feasibility_interval`` or the threshold's."""
+    solve (``feasibility_interval`` or the threshold's), its run from the
+    plain loop, and agreement when both endpoints lie within a cell of the
+    analytic ones (or, with no analytic interval, when no point is flagged)."""
     grid = x0_grid(p, cfg.x0_points)
+    near = (1.0 - p.gamma) / cfg.x0_points + 1e-12
     cells = []
     for v in cfg.vary_values:
         pp = p.with_betas(*cfg.betas(v))
@@ -437,7 +493,14 @@ def per_cell_scan(cfg, p):
             else:
                 flags = co.final * curriculum[-1] > baseline[-1]
                 analytic = _improvement_interval(pp, float(BoundProblem(pp).threshold(nu)))
-            cells.append(_scan_cell(cfg, v, pp, nu, analytic, grid, flags))
+            lo, hi, length = loop_measured_interval(grid, flags, analytic)
+            if analytic.valid:
+                agree = (length > 0.0 and abs(lo - analytic.lo) <= near
+                         and abs(hi - analytic.hi) <= near)
+                ends = analytic.lo, analytic.hi, analytic.length
+            else:
+                agree, ends = length == 0.0, (math.nan, math.nan, 0.0)
+            cells.append(CellResult(v, nu, lo, hi, length, *ends, agree))
     return tuple(cells)
 
 

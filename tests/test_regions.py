@@ -250,6 +250,33 @@ def test_feasibility_propagates_invalidity():
     assert not region.valid
 
 
+def one_threshold_improvement_interval(p, threshold):
+    """Reference: the improving interval of one threshold, case by case."""
+    ceiling = 1.0 - p.gamma
+    if math.isnan(threshold):
+        return Interval(math.nan, math.nan, False, "no improving initialization")
+    if threshold >= ceiling:
+        return Interval(threshold, ceiling, False, "empty: threshold at or above ceiling")
+    return Interval(threshold, ceiling, True)
+
+
+def test_improvement_intervals_equal_the_one_threshold_rule():
+    """Field for field, ``reason`` included: NaN (none improves), zero, a
+    threshold inside, the last double below the ceiling, the ceiling and
+    beyond it; one array call, each threshold alone, and a 2-D array, the
+    shape the scan passes, keeps its shape."""
+    ceiling = 1.0 - P.gamma
+    thresholds = [math.nan, 0.0, 0.3, math.nextafter(ceiling, 0.0), ceiling, 2.0, math.inf]
+    want = [one_threshold_improvement_interval(P, t) for t in thresholds]
+    many = regions._improvement_interval(P, np.array(thresholds))
+    assert repr(intervals_of(many)) == repr(want)
+    assert repr([regions._improvement_interval(P, t) for t in thresholds]) == repr(want)
+    grid = regions._improvement_interval(P, np.array(thresholds[:6]).reshape(2, 3))
+    assert [np.shape(field) for field in (grid.lo, grid.hi, grid.valid)] == [(2, 3)] * 3
+    assert repr(intervals_of(Interval(*(np.ravel(field) for field in (
+        grid.lo, grid.hi, grid.valid, grid.reason))))) == repr(want[:6])
+
+
 def test_threshold_strictly_increasing():
     nu_c = critical_budgets(P, nu_c=True)["nu_c"]
     values = [PROBLEM.threshold(float(nu)) for nu in np.linspace(0.05, 0.95, 16) * nu_c]
