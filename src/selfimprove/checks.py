@@ -455,15 +455,12 @@ def check_coefficients_increasing(fast: bool) -> CheckResult:
 # montecarlo
 # ---------------------------------------------------------------------------
 
-def _small_panel(kind: str) -> montecarlo.ScanConfig:
-    return montecarlo.ScanConfig(kind=kind, vary="beta_hi",
-                                 vary_values=(0.3, 0.4), fixed_value=0.1,
-                                 nu_values=(0.005, 0.012), x0_points=400)
-
-
 def check_scan_determinism(fast: bool) -> CheckResult:
     p = TheoryParams()
-    cfg = _small_panel("feasible")
+    # The budget 0.06 is past the fold: half the cells are empty, with NaN
+    # fields, which compare equal only if every run holds the same NaN.
+    cfg = montecarlo.ScanConfig(kind="feasible", vary="beta_hi", vary_values=(0.3, 0.4),
+                                fixed_value=0.1, nu_values=(0.005, 0.06), x0_points=400)
     first = montecarlo.run_scans([cfg], p)[0]
     # Two scans at once on two threads: they must share no state.
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -596,7 +593,8 @@ def check_acceptance_count_mean(fast: bool) -> CheckResult:
 def check_update_range(fast: bool) -> CheckResult:
     p = TheoryParams(n=500)
     world = simulate.build_world(1000, 0.5, p, seed=9)
-    alpha, tries = world.alpha.copy(), np.empty_like(world.alpha)
+    alpha = world.alpha.copy()
+    tries = simulate.multi_try_acceptance(alpha, p.m, out=np.empty_like(alpha))
     ss = np.random.SeedSequence(23)
     for t, child in enumerate(ss.spawn(5)):
         rng = np.random.Generator(np.random.Philox(child))

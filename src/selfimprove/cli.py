@@ -6,9 +6,11 @@ summaries only.  Every run writes ``manifest_<subcommand>.json`` with the
 resolved parameters, seed, outputs, version, and duration, enough to
 reproduce the output files byte for byte.
 
-Each subcommand is one row of ``SUBCOMMANDS``.  The parser registers, for
-the subcommands its ``argv`` names, only ``--out``, the common options the
-row reads and the row's flags, so argparse rejects any other flag.  ``main``
+Each subcommand is one row of ``SUBCOMMANDS``.  The parser builds only the
+subparser of the subcommand ``argv`` starts with (all six when it starts
+with none, so help and usage errors list them all) and registers, for the
+subcommands its ``argv`` names, only ``--out``, the common options the row
+reads and the row's flags, so argparse rejects any other flag.  ``main``
 checks the flag values by the row's rules, resolves the parameters once and
 hands them to the row's ``cmd_<name>``, which computes everything and
 returns ``(exit_code, files)``; only then is ``--out`` created and written.
@@ -282,12 +284,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """Every subcommand's parser, with the flags of those ``argv`` names (all without it)."""
+    """The parser of the subcommand ``argv[0]`` names, alone; else every
+    subcommand's parser, so that help and usage errors list them all, with
+    the flags of those ``argv`` names (all without it)."""
     parser = _Parser(prog="selfimprove",
                      description="Finite-sample self-improvement dynamics toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, row in SUBCOMMANDS.items():
+    named = argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS
+    for name in named:
+        row = SUBCOMMANDS[name]
         p = sub.add_parser(name, help=row.help)
         if argv is not None and name not in argv:
             continue

@@ -26,9 +26,16 @@ import numpy as np
 
 from .params import TheoryParams
 
-# Steps whose increment magnitude falls below this are plateaus: numerical
-# convergence to a fixed point, not a monotonicity violation.
-PLATEAU_TOL = 1e-14
+# A step that falls by at most this many machine epsilons of its start is a
+# plateau: numerical convergence to a fixed point, not a monotonicity
+# violation.  The iterates of criterion 5's 100-step runs, and of every scan
+# run, never fall once converged (0 ULP); the slack of 4 covers the rounding
+# of one evaluation of the map (its last subtraction rounds by half an ULP of
+# its result, and the term it subtracts carries the few roundings before it)
+# and stays far below the smallest fall that must count: 23 epsilons, a start
+# at 1 - gamma at nu = 1e-15.
+PLATEAU_EPSILONS = 4
+_PLATEAU_FLOOR = 1.0 - PLATEAU_EPSILONS * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -138,10 +145,15 @@ def iterate(x0, schedule, p: TheoryParams, nu) -> np.ndarray:
 
 
 def rises(before, after, out=None):
-    """Per element: the step from ``before`` to ``after`` rises or stays
-    within ``PLATEAU_TOL``.  A NaN on either side fails.  The difference
-    goes into ``out`` if given (it may be ``before``)."""
-    return np.subtract(after, before, out=out) >= -PLATEAU_TOL
+    """Per element: ``after >= before * (1 - PLATEAU_EPSILONS * eps)``,
+    the step from ``before`` to ``after`` rises or falls by at most
+    ``PLATEAU_EPSILONS`` epsilons of ``before``.  A NaN on either side
+    fails.  For ``before <= 0`` the rule is no tolerance: at zero a step
+    must not fall, and below zero it must rise by that share of
+    ``|before|``; the maps never test such a step, because a point at or
+    below zero leaves the domain on its next step.  The scaled start goes
+    into ``out`` if given (it may be ``before``)."""
+    return np.multiply(before, _PLATEAU_FLOOR, out=out) <= after
 
 
 def increasing(values) -> np.ndarray:
@@ -158,7 +170,7 @@ def run_schedule(x0, schedule, p: TheoryParams, nu, buffers=None):
 
     On arrays, which ``nu`` broadcasts to, a run writes into two arrays of
     ``x0``'s shape: ``buffers`` if given, else two of its own.  Step t writes its image into
-    ``buffers[t % 2]`` and the difference ``rises`` tests into the other,
+    ``buffers[t % 2]`` and the scaled start ``rises`` tests into the other,
     so the final images are in one of them.  ``x0`` is never written,
     unless a caller passes it as ``buffers[1]`` to run on from an image it
     holds there.

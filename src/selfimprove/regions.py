@@ -57,15 +57,25 @@ def last_true(holds, lo, hi):
     Non-negative doubles order like their int64 bit patterns, so at most 63
     halvings of the pattern interval end at adjacent floats, at any scale:
     ``lo'`` is the last point found to hold (or ``lo``), ``hi'`` the first
-    found to fail (or ``hi``).
+    found to fail (or ``hi``).  The first step broadcasts the ends to the
+    predicate's shape in new arrays; every later step updates them in
+    place, so the caller's ``lo`` and ``hi`` are never written.  From the
+    second step on, ``holds`` receives one buffer that each step
+    overwrites: a predicate that keeps its argument must copy it.
     """
     # Adding 0.0 turns -0.0, whose bit pattern is negative, into +0.0.
     lo, hi = ((np.asarray(end, dtype=float) + 0.0).view(np.int64) for end in (lo, hi))
-    while (wide := (gap := hi - lo) > 1).any():
-        mid = lo + gap // 2  # a converged element's mid is its lo
+    gap = hi - lo
+    if (wide := gap > 1).any():
+        mid = lo + (gap >> 1)  # a converged element's mid is its lo
         ok = np.asarray(holds(mid.view(np.float64)), dtype=bool)
-        lo = np.where(ok, mid, lo)
-        hi = np.where(wide & ~ok, mid, hi)
+        lo, hi = np.where(ok, mid, lo), np.where(wide & ~ok, mid, hi)
+        gap, mid, wide = np.empty_like(lo), np.empty_like(lo), np.empty(lo.shape, dtype=bool)
+        while np.greater(np.subtract(hi, lo, out=gap), 1, out=wide).any():
+            np.add(lo, np.right_shift(gap, 1, out=mid), out=mid)
+            ok = np.asarray(holds(mid.view(np.float64)), dtype=bool)
+            np.copyto(lo, mid, where=ok)
+            np.copyto(hi, mid, where=np.greater(wide, ok, out=wide))  # wide and not ok
     return lo.view(np.float64)[()], hi.view(np.float64)[()]
 
 
@@ -358,8 +368,11 @@ def critical_budgets(p: TheoryParams, *, nu_c=False, nu_t=False, x0=None, profil
     solved = np.atleast_1d(problem.max_improving_nu(x0s, half))
     found = {name: _root(v, message) for (name, _, message), v in zip(scalars, solved)}
     if profile is not None:
-        nus = [_root(v, f"negative improvement margin at x0={x0_profile!r} {fails} "
-                        f"(beta_lo={bl!r})") for bl, v in zip(betas, solved[len(scalars):])]
+        nus = solved[len(scalars):].tolist()
+        for bl, v in zip(betas, nus):  # a message is formatted only for a missing root
+            if math.isnan(v):
+                raise BracketError(f"negative improvement margin at x0={x0_profile!r} {fails} "
+                                   f"(beta_lo={bl!r})")
         if not min(nus[-k:]) > 0.0:  # a root at nu = 0, as where c is subnormal
             raise DomainError("tail slope needs a positive nu_star in the last 30% of beta_grid")
         xs, ys = np.array(betas[-k:]), np.log(nus[-k:])

@@ -531,7 +531,8 @@ def _parse(parser, argv):
 
 
 FULL_PARSER = build_parser()
-HAND_ARGVS = [[], ["-h"], ["--version"], ["bogus"], ["--bogus", "scan"],
+HAND_ARGVS = [[], ["-h"], ["--version"], ["bogus"], ["--bogus", "scan"], ["bogus", "scan"],
+              ["-1", "scan"], ["--", "scan"],
               ["scan", "--panel", "verify"], ["regions"], ["scan", "--threads", "1"],
               *([name, "-h"] for name in SUBCOMMANDS)]
 
@@ -544,11 +545,35 @@ def test_parser_of_the_named_subcommands_parses_as_the_full_one(argv):
     assert _parse(build_parser(argv), argv) == _parse(FULL_PARSER, argv)
 
 
+def _subparsers(argv):
+    """``build_parser(argv)``'s subparsers by name."""
+    (action,) = (a for a in build_parser(argv)._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
 def test_parser_registers_flags_only_for_the_named_subcommands():
-    (subparsers,) = (a for a in build_parser(["scan", "--panel", "verify"])._actions
-                     if isinstance(a, argparse._SubParsersAction))
-    flagged = {name for name, p in subparsers.choices.items() if len(p._actions) > 1}
-    assert flagged == {"scan", "verify"} and set(subparsers.choices) == set(SUBCOMMANDS)
+    """A subcommand first: its parser alone, with its flags.  Anything else
+    first (nothing, a help or version flag, an unknown word, a negative
+    number, ``--``): all six, so help and the invalid-choice error list
+    them, with flags only for the subcommands ``argv`` names."""
+    ((name, parser),) = _subparsers(["scan", "--panel", "verify"]).items()
+    assert name == "scan" and len(parser._actions) > 1
+    for argv in ([], ["-h"], ["--version"], ["bogus", "scan"], ["-1", "scan"], ["--", "scan"]):
+        choices = _subparsers(argv)
+        assert list(choices) == list(SUBCOMMANDS)
+        flagged = {name for name, p in choices.items() if len(p._actions) > 1}
+        assert flagged == ({"scan"} & set(argv))
+    assert list(_subparsers(None)) == list(SUBCOMMANDS)
+    assert all(len(p._actions) > 1 for p in _subparsers(None).values())
+
+
+@pytest.mark.parametrize("argv", [["bogus", "scan"], ["-1", "scan"]], ids=" ".join)
+def test_an_unknown_command_error_names_every_subcommand(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument command: invalid choice: {argv[0]!r}")
+    assert err.count("\n") == 1 and all(repr(name) in err for name in SUBCOMMANDS)
 
 
 def test_subnormal_c_scan_exits_0(tmp_path):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from selfimprove import BoundProblem, TheoryParams, curriculum_coefficients, invariant_interval
-from selfimprove.dynamics import (PLATEAU_TOL, increasing, iterate, map_budget, rises,
+from selfimprove import (BoundProblem, TheoryParams, checks, curriculum_coefficients,
+                         invariant_interval)
+from selfimprove.dynamics import (PLATEAU_EPSILONS, increasing, iterate, map_budget, rises,
                                   run_schedule, step)
 
 # Frozen from high-precision summation: sum_{i=1..5} i^(-0.1) = 4.550881937194478
@@ -15,6 +16,7 @@ FINAL_COEFF_L5 = 1.0691104262371469   # 4.550881937194478 / 5^0.9
 RATIO_FIRST_STEP = 0.7578582832551990  # 2^(-0.4)
 
 P = TheoryParams()
+EPS = np.finfo(float).eps
 
 
 def domain_lo(nu):
@@ -211,18 +213,65 @@ def test_step_on_the_map_budget_has_the_bits_of_step_on_nu(starts, a, budgets, b
 
 
 def test_rises_is_the_two_clause_test():
-    """``after - before >= -PLATEAU_TOL`` has the truth table of "rises, or
-    moves by at most ``PLATEAU_TOL``" at the tolerance, its neighbours,
-    signed zeros, infinities and NaN."""
-    tol = PLATEAU_TOL
-    changes = np.array([tol, np.nextafter(tol, 1.0), np.nextafter(tol, 0.0),
-                        -tol, np.nextafter(-tol, -1.0), np.nextafter(-tol, 0.0),
-                        0.0, -0.0, math.inf, -math.inf, math.nan])
-    expected = [True, True, True, True, False, True, True, True, True, False, False]
-    got = rises(np.zeros_like(changes), changes)
+    """"Rises, or falls by at most ``PLATEAU_EPSILONS`` epsilons of the
+    start" is one comparison, ``after >= before * (1 - PLATEAU_EPSILONS *
+    eps)``: from a positive start, a rise, a plateau and a fall of exactly
+    the slack pass, and the next float down fails.  A fall of
+    2e-15 at 0.98 (9 epsilons) fails: the old absolute tolerance 1e-14
+    passed it, and so would a slack 10^5 times larger.  Infinities and NaN
+    follow the comparison."""
+    start = 0.98
+    floor = start * (1.0 - PLATEAU_EPSILONS * EPS)
+    afters = np.array([start, np.nextafter(start, 1.0), floor, np.nextafter(floor, 1.0),
+                       np.nextafter(floor, 0.0), start - 2e-15, math.inf, -math.inf, math.nan])
+    expected = [True, True, True, True, False, False, True, False, False]
+    got = rises(np.full_like(afters, start), afters)
     assert got.tolist() == expected
-    assert got.tolist() == ((changes > 0.0) | (np.abs(changes) <= tol)).tolist()
+    assert got.tolist() == (afters >= floor).tolist()
     assert not rises(math.nan, 0.0) and not rises(0.0, math.nan)
+
+
+def test_rises_at_or_below_zero_has_no_slack():
+    """For ``before <= 0`` the scaled start is not below it: at zero a step
+    must not fall (the signed zeros are equal), and below zero it must rise
+    by ``PLATEAU_EPSILONS`` epsilons of ``|before|``, so standing still
+    fails.  The maps never test such a step: a point at or below zero
+    leaves the domain on its next step, at every budget."""
+    assert rises(0.0, 0.0) and rises(0.0, -0.0) and rises(-0.0, 0.0) and rises(0.0, 5e-324)
+    assert not rises(0.0, -5e-324)
+    needed = -(1.0 - PLATEAU_EPSILONS * EPS)
+    assert rises(-1.0, needed) and not rises(-1.0, np.nextafter(needed, -2.0))
+    assert not rises(-1.0, -1.0) and not rises(-1.0, -2.0)
+    for x, nu in ((0.0, 0.0), (-0.0, 0.0), (0.0, 0.01), (-0.3, 0.0), (-0.3, 0.01)):
+        assert math.isnan(step(x, 1.0, P, nu))
+
+
+def test_a_fall_at_a_tiny_budget_is_not_a_plateau():
+    """At nu = 1e-15 a start at 1 - gamma falls 5.0e-15 (45 ULP, 23
+    epsilons of the start) in its first step and then stays put: a fall,
+    which the old absolute tolerance 1e-14 called a plateau, and which a
+    slack 10^5 times larger would too."""
+    values = iterate(1.0 - P.gamma, (1.0,) * 100, P, 1e-15)
+    fall = values[0] - values[1]
+    assert fall == pytest.approx(5.0e-15, rel=1e-3) and fall / np.spacing(values[0]) == 45.0
+    assert (values[1:] == values[1]).all()
+    assert not rises(values[0], values[1]) and not increasing(values)
+    assert increasing(values[1:])
+
+
+def test_converged_iterates_of_criterion_5_never_fall():
+    """The measurement behind ``PLATEAU_EPSILONS``: in criterion 5's
+    100-step runs from 200 starts inside the invariant interval (the draws
+    of ``checks.check_trajectory_classification``), no step falls at all,
+    so converged iterates reach their float fixed point from below and
+    stay.  The slack of 4 epsilons covers rounding, not a measured wiggle."""
+    nu = 0.05
+    interval = invariant_interval(1.0, P, nu)
+    draws = checks._rng().random((200, 3))[:, 0]
+    starts = checks._uniform(interval.lo + 1e-6, interval.hi - 1e-6, draws)
+    values = iterate(starts, (1.0,) * 100, P, nu)
+    assert (values[1:] >= values[:-1]).all()
+    assert increasing(values).all()
 
 
 @given(x=st.floats(min_value=0.15, max_value=0.97),
@@ -253,9 +302,12 @@ def test_eval_map_increasing_in_scale(x, a, bump):
 
 
 def test_increasing_plateau_and_nan_rules():
+    # Per column: a rise; a fall of exactly the slack, then a rise; a fall
+    # of twice the slack, then a rise; a NaN image; a NaN after the start.
     values = np.array([[0.1, 0.1, 0.3, 0.1, 0.5],
-                       [0.2, 0.1 + PLATEAU_TOL / 2, 0.3 - PLATEAU_TOL / 2, 0.2, math.nan],
-                       [0.3, 0.1, 0.2, math.nan, math.nan]])
+                       [0.2, 0.1 * (1.0 - PLATEAU_EPSILONS * EPS),
+                        0.3 * (1.0 - 2 * PLATEAU_EPSILONS * EPS), 0.2, math.nan],
+                       [0.3, 0.1, 0.4, math.nan, math.nan]])
     assert increasing(values).tolist() == [True, True, False, False, False]
     assert increasing(values[1:2]).tolist() == [True] * 4 + [False]
 

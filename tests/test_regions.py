@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from selfimprove import (BoundProblem, DomainError, ParameterError, TheoryParams,
+from selfimprove import (BoundProblem, BracketError, DomainError, ParameterError, TheoryParams,
                          coefficient_growth_ratio, conditional_mean_check, critical_budgets,
                          curriculum_coefficients, feasibility_interval, invariant_interval)
 from selfimprove import regions
@@ -391,6 +391,21 @@ def test_max_improving_nu_rejects_bad_initialization():
         critical_budgets(P, x0=0.0)
     with pytest.raises(ParameterError):
         critical_budgets(P, x0=1.0 - P.gamma)
+
+
+def test_a_missing_profile_root_is_named_after_the_scalar_roots():
+    """Where ``beta_lo`` is so small that the final coefficient is 1, the
+    margin is not negative at nu = 0 and the profile has no root there: the
+    error names the first such ``beta_lo``, and only once every scalar root
+    has been found."""
+    grid = np.array([0.5, 1e-300, 1e-17, 0.6, 0.7])
+    fails = "negative improvement margin at x0=0.49 fails already at nu = 0"
+    with pytest.raises(BracketError) as raised:
+        critical_budgets(P, nu_c=True, x0=0.3, profile=(0.1, grid, 0.49))
+    assert str(raised.value) == f"{fails} (beta_lo=1e-300)"
+    with pytest.raises(BracketError) as raised:
+        critical_budgets(P.with_betas(1e-300, 0.5), x0=0.3, profile=(0.1, grid, 0.49))
+    assert str(raised.value) == "negative improvement margin at x0=0.3 fails already at nu = 0"
 
 
 def test_max_improving_nu_monotonicities_small_grid():

@@ -75,6 +75,74 @@ def test_last_true_evaluates_inside_open_brackets_and_at_lo_once_converged():
     assert calls[-1][0] == 0.0
 
 
+def where_loop(holds, lo, hi):
+    """``last_true`` as it was before it updated its bracket in place: each
+    step builds new ends with ``np.where``."""
+    lo, hi = ((np.asarray(end, dtype=float) + 0.0).view(np.int64) for end in (lo, hi))
+    while (wide := (gap := hi - lo) > 1).any():
+        mid = lo + gap // 2
+        ok = np.asarray(holds(mid.view(np.float64)), dtype=bool)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(wide & ~ok, mid, hi)
+    return lo.view(np.float64)[()], hi.view(np.float64)[()]
+
+
+def _traced(solver, boundary, lo, hi):
+    """``solver``'s bracket for ``x < boundary`` and the bytes of every
+    point it evaluated; the caller's ends must keep their bytes."""
+    before = [np.asarray(end).tobytes() for end in (lo, hi)]
+    calls = []
+
+    def holds(x):
+        calls.append(x.tobytes())
+        return x < boundary
+
+    ends = solver(holds, lo, hi)
+    assert [np.asarray(end).tobytes() for end in (lo, hi)] == before
+    return ends, calls
+
+
+TINY, BIG = 5e-324, np.finfo(float).max
+BRACKETS = {
+    "0-d": (-0.0, math.inf, 1e-300),
+    "0-d converged": (1.0, math.nextafter(1.0, 2.0), 1.5),
+    "0-d equal ends": (2.0, 2.0, 3.0),
+    "0-d ends, 1-d boundary": (0.0, math.inf, np.array([0.0, TINY, 0.5, BIG, math.inf])),
+    "1-d": (np.array([-0.0, 0.0, 0.0, 2.0, 1.0, 0.0, 0.25]),
+            np.array([math.inf, 1.0, TINY, 2.0, math.nextafter(1.0, 2.0), math.inf, 0.75]),
+            np.array([0.3, -0.0, 1.0, 2.0, 1.0, math.inf, 0.5])),
+    "2-d": (np.array([[0.0], [-0.0], [1e-310]]), np.array([[1.0, math.inf, 1e-310, 4.0]]),
+            np.array([[0.5, 1e300, 0.0, 3.0], [TINY, 2.0, 1e-320, math.inf],
+                      [1e-310, 5.0, 1.0, 1e-309]])),
+}
+
+
+@pytest.mark.parametrize("name", BRACKETS)
+def test_in_place_bracket_has_the_bits_and_calls_of_the_where_loop(name):
+    """On 0-d, 1-d and 2-d brackets (ends broadcast against the boundary),
+    with signed zeros, +inf, adjacent (converged) and equal ends, the
+    in-place bisection returns the ``np.where`` loop's ends bit for bit,
+    after the same calls at the same points, and writes neither of the
+    caller's ends."""
+    lo, hi, boundary = BRACKETS[name]
+    (new_lo, new_hi), calls = _traced(last_true, boundary, lo, hi)
+    (old_lo, old_hi), old_calls = _traced(where_loop, boundary, lo, hi)
+    assert calls == old_calls
+    for new, old in ((new_lo, old_lo), (new_hi, old_hi)):
+        assert type(new) is type(old) and np.shape(new) == np.shape(old)
+        assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
+
+
+@given(st.lists(st.tuples(non_negative, non_negative, non_negative), min_size=1, max_size=8))
+@settings(deadline=None)
+def test_in_place_bracket_equals_the_where_loop_on_random_brackets(triples):
+    lo, boundary, hi = (np.array(column) for column in zip(*(sorted(t) for t in triples)))
+    (new_lo, new_hi), calls = _traced(last_true, boundary, lo, hi)
+    (old_lo, old_hi), old_calls = _traced(where_loop, boundary, lo, hi)
+    assert calls == old_calls
+    assert new_lo.tobytes() == old_lo.tobytes() and new_hi.tobytes() == old_hi.tobytes()
+
+
 @given(levels=st.integers(min_value=2, max_value=12),
        pairs=st.lists(st.tuples(st.floats(min_value=0.001, max_value=3.0),
                                 st.floats(min_value=0.001, max_value=5.0)),

@@ -200,7 +200,8 @@ def test_round_records_well_formed():
 def test_update_keeps_alpha_in_range_and_v_consistent():
     p = TheoryParams(n=500)
     world = build_world(2000, 0.5, p, seed=3)
-    alpha, tries = world.alpha.copy(), np.empty_like(world.alpha)
+    alpha = world.alpha.copy()
+    tries = multi_try_acceptance(alpha, p.m, out=np.empty_like(alpha))
     ss = np.random.SeedSequence(99)
     for t, child in enumerate(ss.spawn(6)):
         rng = np.random.Generator(np.random.Philox(child))
@@ -471,7 +472,8 @@ def test_round_matches_the_plain_round():
     world = dirichlet_world()
     p = TheoryParams(n=800)
     expected_world = world
-    alpha, tries = world.alpha.copy(), np.empty_like(world.alpha)
+    alpha = world.alpha.copy()
+    tries = multi_try_acceptance(alpha, p.m, out=np.empty_like(alpha))
     for t in range(4):
         _, record = _one_round(world, p, alpha, philox(t), 0, t, tries)
         expected_alpha, expected = plain_round(expected_world, p, philox(t), 0, t)
@@ -488,7 +490,8 @@ def test_update_spends_exactly_the_error_budget(kind, seed):
     6.4e-14 relative on these worlds)."""
     p = TheoryParams(n=500)
     world = build_world(1000, 0.5, p, seed) if kind == "uniform" else dirichlet_world(800, seed)
-    alpha, tries = world.alpha.copy(), np.empty_like(world.alpha)
+    alpha = world.alpha.copy()
+    tries = multi_try_acceptance(alpha, p.m, out=np.empty_like(alpha))
     for t, child in enumerate(np.random.SeedSequence(seed).spawn(4)):
         before = alpha.copy()
         _, record = _one_round(world, p, alpha, np.random.Generator(np.random.Philox(child)),
