@@ -20,10 +20,14 @@ questions far outnumber n, it fails: at m = 16 on criterion 15's world of
 20 replications x 5 rounds is 0.80, 0.79 and 0.79 at three seeds.  At
 m = 16 and 1,000 questions every round meets its positive bound.
 
-A run owns its state: one copy of the world's acceptance array and one
-m-try buffer.  A round updates the state its caller holds, both arrays in
-place, and never writes the world; the tests check that a run has the bits
-of a chain of rounds that each return a new array.
+A run owns its state (``_RunState``): a copy of the world's acceptance
+array and an m-try buffer, updated in place (40 bytes per question with the
+world's 24), and the m-try support minimum, carried with the entries updated
+since.  A round takes it in full only after updating the question that held
+it, so its full passes are the m-try pass (one per round, pinned by the
+benchmark's element counter) and the two BLAS means.  Replications restart
+one state; the tests check that a run has the bits of a chain of rounds
+that each return a new array.
 
 Randomness comes from counter-based Philox streams keyed by spawned seed
 sequences, one per (replication, round), so replications are reproducible
@@ -48,14 +52,14 @@ ALPHA_FLOOR = 1e-4
 # Largest world ``build_world`` constructs.  A run holds 40 bytes per
 # question: the world's 24 (weights, sampling CDF, initial alpha) and its own
 # 16 (current alpha, m-try buffer), with no per-question temporary in a
-# round; about 0.4 GB at this bound.  tracemalloc reads 40.9 bytes per
-# question at 10^6 questions and n = 2000, and 32.4 at build_world's peak.
+# round; about 0.4 GB at this bound.  tracemalloc reads 40.8 bytes per
+# question at 10^6 questions and n = 2000, and 25.9 at build_world's peak.
 MAX_QUESTIONS = 10**7
 
-# Largest per-round sample ``n`` a run draws.  A round peaks at 33 bytes per
-# draw, in the draw's check (the uniforms, the questions, their shifted index
-# and its CDF lookup, and the miss mask): about 0.33 GB at this bound.
-# tracemalloc reads 33.0 bytes per draw at n = 10^6.
+# Largest per-round sample ``n`` a run draws.  A round peaks at 26 bytes per
+# draw, in the draw's check (the uniforms, the questions, one CDF lookup and
+# two masks): about 0.26 GB at this bound.  tracemalloc reads 26.0 bytes per
+# draw at n = 10^6.
 MAX_SAMPLES = 10**7
 
 # Construction margins for the synthetic world: the low group sits in
@@ -74,16 +78,17 @@ class SimWorld:
     round reject a zero m-try minimum as degenerate) but never produced by
     ``build_world`` or the update rule.
 
-    Two plain attributes, not fields, are set once on construction:
-    ``cdf``, the sampling CDF of ``weights`` exactly as
-    ``Generator.choice(..., p=weights)`` builds it on every call (8 bytes
-    per question), and ``support``, ``True`` when every weight is positive
-    and otherwise the mask of positive weights (the ``where=`` of a
-    population minimum).  Worlds compare by identity: an array field has no
-    single truth value to compare by.
+    Three plain attributes, not fields, are set once on construction.
+    ``cdf`` is the sampling CDF of ``weights`` exactly as
+    ``Generator.choice(..., p=weights)`` builds it on every call, and
+    ``lower`` its lower neighbours (``cdf[q-1]``, 0 at ``q = 0``): two views
+    of one zero-padded array, 8 bytes per question.  ``support`` is ``True``
+    when every weight is positive and otherwise the mask of positive weights
+    (the ``where=`` of a population minimum).  Worlds compare by identity:
+    an array field has no single truth value to compare by.
 
     A run never changes its world: ``alpha`` is the initial acceptance, which
-    a run copies once into the acceptance array its rounds update in place.
+    each replication copies into the acceptance array of its run state.
     """
 
     weights: np.ndarray   # question distribution, sums to 1
@@ -98,10 +103,12 @@ class SimWorld:
                 (abs(float(self.weights.sum()) - 1.0) <= 1e-9 and self.weights.min() >= 0.0,
                  "weights must be a finite probability vector"))
         require((self.alpha.min() >= 0.0 and self.alpha.max() <= 1.0, "alpha must lie in [0, 1]"))
-        cdf = np.cumsum(self.weights, dtype=np.float64)
+        padded = np.zeros(self.weights.size + 1)
+        cdf = np.cumsum(self.weights, dtype=np.float64, out=padded[1:])
         cdf /= cdf[-1]
         support = self.weights > 0.0
         object.__setattr__(self, "cdf", cdf)
+        object.__setattr__(self, "lower", padded[:-1])
         object.__setattr__(self, "support", True if support.all() else support)
 
     @property
@@ -156,7 +163,8 @@ def build_world(question_count: int, v_target: float, p: TheoryParams,
     weights = np.full(question_count, 1.0 / question_count)
     # Exact mean correction via a constant shift of the high group.
     shift = (v_target - float(weights @ alpha)) * question_count / n_high
-    alpha[n_low:] = np.clip(alpha[n_low:] + shift, pivot + 0.5 * _MARGIN, 1.0)
+    high = alpha[n_low:]
+    np.clip(np.add(high, shift, out=high), pivot + 0.5 * _MARGIN, 1.0, out=high)
 
     world = SimWorld(weights=weights, alpha=alpha)
     require((abs(world.expected_reward - v_target) <= 1e-3,
@@ -241,7 +249,7 @@ def _draw(world: SimWorld, n: int, rng: np.random.Generator) -> np.ndarray:
     cdf, uniforms = world.cdf, rng.random(n)
     questions = (uniforms * cdf.size).astype(np.intp)
     miss = cdf[questions] <= uniforms
-    miss |= (cdf[questions - 1] > uniforms) & (questions > 0)
+    miss |= world.lower[questions] > uniforms
     if miss.any():
         miss = np.flatnonzero(miss)
         miss = miss[uniforms[miss].argsort()]
@@ -249,23 +257,42 @@ def _draw(world: SimWorld, n: int, rng: np.random.Generator) -> np.ndarray:
     return questions
 
 
-def _distinct(ascending: np.ndarray) -> np.ndarray:
-    """``np.unique`` of a non-empty ascending array: the first of each run."""
-    first = np.empty(ascending.size, dtype=bool)
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a non-empty array (sorted in place): each run's first."""
+    values.sort()
+    first = np.empty(values.size, dtype=bool)
     first[0] = True
-    np.not_equal(ascending[1:], ascending[:-1], out=first[1:])
-    return ascending[first]
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
 
 
-def _one_round(world: SimWorld, p: TheoryParams, alpha: np.ndarray,
-               rng: np.random.Generator, replication: int, round_index: int,
-               tries: np.ndarray) -> tuple[np.ndarray, RoundRecord]:
+class _RunState:
+    """A run's state on ``world``: the acceptance array its rounds update in
+    place, the m-try buffer, and the m-try support minimum carried from the
+    last round with the entries updated since (``None``: take it in full)."""
+
+    def __init__(self, world: SimWorld) -> None:
+        self.alpha, self.tries = world.alpha.copy(), np.empty_like(world.alpha)
+        self.minimum, self.changed = math.inf, None
+
+    def restart(self, world: SimWorld) -> None:
+        np.copyto(self.alpha, world.alpha)
+        self.changed = None
+
+
+def _one_round(world: SimWorld, p: TheoryParams, state: _RunState,
+               rng: np.random.Generator, replication: int,
+               round_index: int) -> tuple[np.ndarray, RoundRecord]:
     """One round over ``world``'s questions from the caller's state: writes
-    the m-try acceptance of ``alpha`` into ``tries``, updates ``alpha`` in
-    place and returns it with the round's record."""
-    multi_try_acceptance(alpha, p.m, out=tries)
+    the m-try acceptance of ``state.alpha`` into ``state.tries``, updates
+    ``state.alpha`` in place and returns it with the round's record."""
+    alpha = state.alpha
+    tries = multi_try_acceptance(alpha, p.m, out=state.tries)
     z_m = float(world.weights @ tries)
-    alpha_m_min = float(np.min(tries, where=world.support, initial=np.inf))
+    if state.changed is None:
+        alpha_m_min = float(np.minimum.reduce(tries, where=world.support, initial=np.inf))
+    else:  # every other entry of the support kept its value
+        alpha_m_min = float(np.minimum.reduce(tries[state.changed], initial=state.minimum))
     if not alpha_m_min > 0.0:
         raise DomainError(_DEGENERATE)
 
@@ -275,21 +302,43 @@ def _one_round(world: SimWorld, p: TheoryParams, alpha: np.ndarray,
     accepted_mask = rng.random(p.n) < tries[questions]
     n_accept = int(accepted_mask.sum())
 
+    state.minimum, state.changed = alpha_m_min, np.empty(0, dtype=np.intp)
     bound = math.nan  # a collapsed round (no accepted draw) skips the update
     if n_accept:
         error_budget = math.sqrt(2.0 * math.log(p.pi_size / p.delta) / n_accept)
         bound = p.tau * (1.0 - (z_m / alpha_m_min) * error_budget)
-        represented = _distinct(np.sort(questions[accepted_mask]))
-        filtered = world.weights[represented] * tries[represented]
-        share = filtered / filtered.sum()
+        represented = _distinct(questions[accepted_mask])
+        # Drawn questions have positive weight: the carried minimum is stale
+        # when one of them held it.
+        share = tries[represented]
+        state.changed = None if share.min() == alpha_m_min else represented
+        share *= world.weights[represented]
+        share /= share.sum()
         # Each updated entry lies in [ALPHA_FLOOR, 1]: the budget is positive
         # and every share lies in (0, 1].
-        alpha[represented] = np.maximum(ALPHA_FLOOR, 1.0 - error_budget * share)
+        share *= error_budget
+        np.subtract(1.0, share, out=share)
+        alpha[represented] = np.maximum(ALPHA_FLOOR, share, out=share)
 
     v_realized = float(world.weights @ alpha)
     record = RoundRecord(replication, round_index, n_accept, z_m, alpha_m_min,
                          v_realized, bound, v_realized >= bound, collapsed=not n_accept)
     return alpha, record
+
+
+def _runs(world: SimWorld, p: TheoryParams, rounds: int, seeds,
+          replication: int) -> list[RoundRecord]:
+    """One run per seed sequence of ``seeds``, numbered from ``replication``."""
+    require((rounds >= 1, "rounds must be >= 1"),
+            (p.n <= MAX_SAMPLES, f"n must be at most {MAX_SAMPLES}, got {p.n}"))
+    state, records = _RunState(world), []
+    for rep, ss in enumerate(seeds, replication):
+        if rep > replication:
+            state.restart(world)
+        for t, child in enumerate(ss.spawn(rounds)):
+            rng = np.random.Generator(np.random.Philox(child))
+            records.append(_one_round(world, p, state, rng, rep, t)[1])
+    return records
 
 
 def run_selfimprove(world: SimWorld, p: TheoryParams, rounds: int, seed,
@@ -298,29 +347,16 @@ def run_selfimprove(world: SimWorld, p: TheoryParams, rounds: int, seed,
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence`` (the latter is
     how parallel replications receive spawned substreams).  The run owns its
-    state: one copy of ``world.alpha`` and one m-try buffer, which every
-    round writes in place; ``world`` is left as it was.
+    state (``_RunState``), which every round writes in place; ``world`` is
+    left as it was.
     """
-    require((rounds >= 1, "rounds must be >= 1"),
-            (p.n <= MAX_SAMPLES, f"n must be at most {MAX_SAMPLES}, got {p.n}"))
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    records = []
-    tries = np.empty_like(world.alpha)
-    alpha = world.alpha.copy()
-    for t, child in enumerate(ss.spawn(rounds)):
-        rng = np.random.Generator(np.random.Philox(child))
-        _, record = _one_round(world, p, alpha, rng, replication, t, tries)
-        records.append(record)
-    return records
+    return _runs(world, p, rounds, [ss], replication)
 
 
 def run_replications(world: SimWorld, p: TheoryParams, rounds: int,
                      replications: int, seed: int) -> list[RoundRecord]:
-    """Independent replications from the same initial world, flat record list."""
+    """Independent replications from the same initial world, flat record
+    list; the replications share one state, restarted for each."""
     require((replications >= 1, "replications must be >= 1"))
-    top = np.random.SeedSequence(seed)
-    records: list[RoundRecord] = []
-    for rep, child in enumerate(top.spawn(replications)):
-        records.extend(run_selfimprove(world, p, rounds, child, replication=rep))
-    return records
-
+    return _runs(world, p, rounds, np.random.SeedSequence(seed).spawn(replications), 0)

@@ -10,7 +10,7 @@ from selfimprove import (DomainError, ParameterError, RoundRecord, SimWorld, The
                          mean_to_min_acceptance_ratio, multi_try_acceptance,
                          run_replications, run_selfimprove, satisfies_coupling)
 from selfimprove.simulate import (ALPHA_FLOOR, MAX_QUESTIONS, MAX_SAMPLES, _distinct, _draw,
-                                  _one_round)
+                                  _one_round, _RunState)
 
 P = TheoryParams()
 
@@ -200,12 +200,12 @@ def test_round_records_well_formed():
 def test_update_keeps_alpha_in_range_and_v_consistent():
     p = TheoryParams(n=500)
     world = build_world(2000, 0.5, p, seed=3)
-    alpha = world.alpha.copy()
-    tries = multi_try_acceptance(alpha, p.m, out=np.empty_like(alpha))
+    state = _RunState(world)
+    alpha = state.alpha
     ss = np.random.SeedSequence(99)
     for t, child in enumerate(ss.spawn(6)):
         rng = np.random.Generator(np.random.Philox(child))
-        result, record = _one_round(world, p, alpha, rng, 0, t, tries)
+        result, record = _one_round(world, p, state, rng, 0, t)
         assert result is alpha
         assert (alpha > 0.0).all() and (alpha <= 1.0).all()
         if not record.collapsed:
@@ -389,8 +389,9 @@ def test_draw_is_the_search_on_weights_with_zeros_and_a_spike(weights, spike, he
 def test_distinct_is_unique():
     rng = np.random.default_rng(4)
     for size in (1, 2, 1700):
-        values = np.sort(rng.integers(0, 500, size=size))
-        assert np.array_equal(_distinct(values), np.unique(values))
+        values = rng.integers(0, 500, size=size)
+        expected = np.unique(values)
+        assert np.array_equal(_distinct(values), expected)
 
 
 def edge_alphas(seed):
@@ -472,10 +473,10 @@ def test_round_matches_the_plain_round():
     world = dirichlet_world()
     p = TheoryParams(n=800)
     expected_world = world
-    alpha = world.alpha.copy()
-    tries = multi_try_acceptance(alpha, p.m, out=np.empty_like(alpha))
+    state = _RunState(world)
+    alpha = state.alpha
     for t in range(4):
-        _, record = _one_round(world, p, alpha, philox(t), 0, t, tries)
+        _, record = _one_round(world, p, state, philox(t), 0, t)
         expected_alpha, expected = plain_round(expected_world, p, philox(t), 0, t)
         expected_world = SimWorld(weights=world.weights, alpha=expected_alpha)
         assert np.array_equal(alpha.view(np.int64), expected_alpha.view(np.int64))
@@ -490,12 +491,12 @@ def test_update_spends_exactly_the_error_budget(kind, seed):
     6.4e-14 relative on these worlds)."""
     p = TheoryParams(n=500)
     world = build_world(1000, 0.5, p, seed) if kind == "uniform" else dirichlet_world(800, seed)
-    alpha = world.alpha.copy()
-    tries = multi_try_acceptance(alpha, p.m, out=np.empty_like(alpha))
+    state = _RunState(world)
+    alpha = state.alpha
     for t, child in enumerate(np.random.SeedSequence(seed).spawn(4)):
         before = alpha.copy()
-        _, record = _one_round(world, p, alpha, np.random.Generator(np.random.Philox(child)),
-                               0, t, tries)
+        _, record = _one_round(world, p, state, np.random.Generator(np.random.Philox(child)),
+                               0, t)
         changed = before != alpha
         assert not record.collapsed and (alpha[changed] > ALPHA_FLOOR).all()
         budget = math.sqrt(2.0 * math.log(p.pi_size / p.delta) / record.n_accept)
@@ -540,12 +541,23 @@ def collapsing_world():
                     alpha=np.random.default_rng(1).uniform(0.2, 0.4, 40))
 
 
-@pytest.mark.parametrize("seed", [0, 7, 7919])
+def crowded_world():
+    """50 questions under P's 2000 draws: nearly every question is represented
+    in every round, the one that holds the m-try minimum included."""
+    return SimWorld(weights=np.full(50, 1 / 50),
+                    alpha=np.random.default_rng(2).uniform(0.05, 1.0, 50))
+
+
+CHAIN_SEEDS = [0, 7, 7919]
+
+
+@pytest.mark.parametrize("seed", CHAIN_SEEDS)
 @pytest.mark.parametrize("world, p", [
     (dirichlet_world(), TheoryParams(n=800)),
     (build_world(2000, 0.5, P, seed=3), TheoryParams(n=500, m=2)),
     (collapsing_world(), COLLAPSING),
-], ids=["dirichlet", "built", "collapsing"])
+    (crowded_world(), P),
+], ids=["dirichlet", "built", "collapsing", "crowded"])
 def test_run_is_the_chain_of_bare_rounds_bit_for_bit(seed, world, p):
     alpha = world.alpha.copy()
     assert bits(run_selfimprove(world, p, 8, seed, replication=2)) == \
@@ -553,6 +565,20 @@ def test_run_is_the_chain_of_bare_rounds_bit_for_bit(seed, world, p):
     assert bits(run_replications(world, p, 3, 3, seed)) == \
         bits(chained_replications(world, p, 3, 3, seed))
     assert np.array_equal(world.alpha.view(np.int64), alpha.view(np.int64))
+
+
+@pytest.mark.parametrize("seed", CHAIN_SEEDS)
+def test_the_crowded_setting_updates_the_minimum_holder(seed):
+    """On the plain chain of 8 rounds, an entry that a round changed held
+    that round's m-try minimum in at least 3 rounds (3 at each seed here): a
+    run that carried the minimum through them would record a stale one."""
+    world, held = crowded_world(), 0
+    for child in np.random.SeedSequence(seed).spawn(8):
+        alpha, record = plain_round(world, P, np.random.Generator(np.random.Philox(child)))
+        accept_m = 1.0 - (1.0 - world.alpha) ** P.m
+        held += bool((accept_m[world.alpha != alpha] == record.alpha_m_min).any())
+        world = SimWorld(weights=world.weights, alpha=alpha)
+    assert held >= 3
 
 
 def test_the_collapsing_setting_mixes_collapsed_and_updated_rounds():
