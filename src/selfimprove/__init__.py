@@ -17,7 +17,7 @@ from .regions import (BoundProblem, ProfileResult, coefficient_growth_ratio,
                       validate_domain)
 from .simulate import (RoundRecord, SimWorld, acceptance_gain_ratio, build_world,
                        mean_to_min_acceptance_ratio, multi_try_acceptance,
-                       run_replications, run_selfimprove, satisfies_coupling)
+                       run_replications, satisfies_coupling)
 
 __version__ = "0.1.0"
 
@@ -29,5 +29,5 @@ __all__ = [
     "curriculum_coefficients", "default_panels", "effective_sigma", "exact_root_gap",
     "feasibility_interval", "gap_lower_bound", "invariant_interval", "load_config",
     "mean_to_min_acceptance_ratio", "multi_try_acceptance", "run_replications",
-    "run_selfimprove", "satisfies_coupling", "validate_domain", "x0_grid",
+    "satisfies_coupling", "validate_domain", "x0_grid",
 ]

@@ -29,9 +29,14 @@ benchmark's element counter) and the two BLAS means.  Replications restart
 one state; the tests check that a run has the bits of a chain of rounds
 that each return a new array.
 
-Randomness comes from counter-based Philox streams keyed by spawned seed
-sequences, one per (replication, round), so replications are reproducible
-bit for bit at one BLAS thread count, and safe to run in parallel.  The
+``run_replications`` is the one way to run the loop; one run is
+``replications=1``.  Round t of replication r of a run of R replications of
+T rounds draws from the counter-based stream
+``Philox(SeedSequence(seed).spawn(R)[r].spawn(T)[t])``, so a run is
+reproducible bit for bit at one BLAS thread count, and ``simulate --seed s
+--questions Q --rounds T --replications R`` writes the records of
+``run_replications(build_world(Q, 0.5, TheoryParams(), seed=s),
+TheoryParams(), T, R, s)`` (0.5 is ``--v-target``'s default).  The
 weighted means (``weights @ ...``) are BLAS dot products, whose summation
 order in a threaded BLAS depends on its thread count: at 10^6 questions
 their last bits do.
@@ -326,37 +331,20 @@ def _one_round(world: SimWorld, p: TheoryParams, state: _RunState,
     return alpha, record
 
 
-def _runs(world: SimWorld, p: TheoryParams, rounds: int, seeds,
-          replication: int) -> list[RoundRecord]:
-    """One run per seed sequence of ``seeds``, numbered from ``replication``."""
-    require((rounds >= 1, "rounds must be >= 1"),
+def run_replications(world: SimWorld, p: TheoryParams, rounds: int,
+                     replications: int, seed: int) -> list[RoundRecord]:
+    """``replications`` independent runs of ``rounds`` rounds from ``world``'s
+    initial acceptance as one flat record list, deterministic in ``seed``
+    (the module docstring gives each round's stream).  The replications share
+    one state, restarted for each; ``world`` is left as it was."""
+    require((replications >= 1, "replications must be >= 1"),
+            (rounds >= 1, "rounds must be >= 1"),
             (p.n <= MAX_SAMPLES, f"n must be at most {MAX_SAMPLES}, got {p.n}"))
     state, records = _RunState(world), []
-    for rep, ss in enumerate(seeds, replication):
-        if rep > replication:
+    for rep, ss in enumerate(np.random.SeedSequence(seed).spawn(replications)):
+        if rep:
             state.restart(world)
         for t, child in enumerate(ss.spawn(rounds)):
             rng = np.random.Generator(np.random.Philox(child))
             records.append(_one_round(world, p, state, rng, rep, t)[1])
     return records
-
-
-def run_selfimprove(world: SimWorld, p: TheoryParams, rounds: int, seed,
-                    replication: int = 0) -> list[RoundRecord]:
-    """Run ``rounds`` generate-filter-update rounds; deterministic in seed.
-
-    ``seed`` may be an int or a ``numpy.random.SeedSequence`` (the latter is
-    how parallel replications receive spawned substreams).  The run owns its
-    state (``_RunState``), which every round writes in place; ``world`` is
-    left as it was.
-    """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return _runs(world, p, rounds, [ss], replication)
-
-
-def run_replications(world: SimWorld, p: TheoryParams, rounds: int,
-                     replications: int, seed: int) -> list[RoundRecord]:
-    """Independent replications from the same initial world, flat record
-    list; the replications share one state, restarted for each."""
-    require((replications >= 1, "replications must be >= 1"))
-    return _runs(world, p, rounds, np.random.SeedSequence(seed).spawn(replications), 0)

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from selfimprove import (BoundProblem, ParameterError, TheoryParams, checks, critical_budgets,
-                         curriculum_coefficients)
+from selfimprove import (BoundProblem, ParameterError, TheoryParams, build_world, checks,
+                         critical_budgets, curriculum_coefficients, run_replications)
 from selfimprove.cli import COMMON_OPTIONS, SUBCOMMANDS, _fmt, _write_outputs, build_parser, main
 from selfimprove.regions import improvement_margin
 
@@ -136,6 +136,35 @@ def test_simulate_deterministic(tmp_path):
     a = (tmp_path / "s1" / "simulation.csv").read_bytes()
     b = (tmp_path / "s2" / "simulation.csv").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("replications, config", [
+    (1, None),
+    (3, None),
+    (3, {"n": 3, "m": 1}),  # three draws at m = 1: some rounds accept none
+], ids=["one", "three", "collapsing"])
+def test_simulate_writes_the_records_of_the_library_run(tmp_path, replications, config):
+    """Each row of ``simulate --seed s``'s CSV is the record of
+    ``run_replications`` at seed s on ``build_world``'s world at seed s."""
+    seed, questions, rounds = 7, 1500, 4
+    argv = ["simulate", "--seed", str(seed), "--questions", str(questions),
+            "--rounds", str(rounds), "--replications", str(replications), "--out", "out"]
+    p = TheoryParams()
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", "config.json"]
+        p = TheoryParams(**config)
+    assert run_in(tmp_path, argv) == 0
+    records = run_replications(build_world(questions, 0.5, p, seed=seed), p, rounds,
+                               replications, seed)
+    rows = read_rows(tmp_path / "out" / "simulation.csv")
+    assert len(rows) == len(records) == replications * rounds
+    for row, r in zip(rows, records):
+        assert list(row.values()) == [
+            str(r.replication), str(r.round_index), str(r.n_accept), repr(r.z_m),
+            repr(r.alpha_m_min), repr(r.v_realized), repr(r.bound),
+            "skipped" if r.collapsed else repr(r.bound_satisfied).lower()]
+    assert any(r.collapsed for r in records) == (config is not None)
 
 
 def test_manifest_lists_outputs_and_resolved_params(tmp_path):

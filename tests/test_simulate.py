@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from selfimprove import (DomainError, ParameterError, RoundRecord, SimWorld, TheoryParams,
                          acceptance_gain_ratio, build_world, checks,
                          mean_to_min_acceptance_ratio, multi_try_acceptance,
-                         run_replications, run_selfimprove, satisfies_coupling)
+                         run_replications, satisfies_coupling)
 from selfimprove.simulate import (ALPHA_FLOOR, MAX_QUESTIONS, MAX_SAMPLES, _distinct, _draw,
                                   _one_round, _RunState)
 
@@ -63,7 +63,7 @@ def test_build_world_bounds_question_count_before_allocating():
 
 def test_run_bounds_the_sample_count_before_the_first_round():
     with pytest.raises(ParameterError, match="at most"):
-        run_selfimprove(small_world(), TheoryParams(n=MAX_SAMPLES + 1), 1, seed=0)
+        run_replications(small_world(), TheoryParams(n=MAX_SAMPLES + 1), 1, 1, seed=0)
 
 
 def test_world_validation():
@@ -136,7 +136,7 @@ def test_ratio_degenerate_error():
 def test_round_of_a_zero_m_try_minimum_is_a_domain_error(low):
     world = SimWorld(weights=np.full(4, 0.25), alpha=np.array([low, 0.5, 0.6, 0.7]))
     with pytest.raises(DomainError):
-        run_selfimprove(world, P, rounds=1, seed=0)
+        run_replications(world, P, rounds=1, replications=1, seed=0)
 
 
 def test_gain_ratio_identities():
@@ -166,11 +166,19 @@ def test_gain_ratio_domain():
 def test_run_reproducible_bit_for_bit():
     p = TheoryParams(n=400)
     world = small_world()
-    a = run_selfimprove(world, p, rounds=4, seed=123)
-    b = run_selfimprove(world, p, rounds=4, seed=123)
+    a = run_replications(world, p, rounds=4, replications=1, seed=123)
+    b = run_replications(world, p, rounds=4, replications=1, seed=123)
     assert a == b
-    c = run_selfimprove(world, p, rounds=4, seed=124)
+    c = run_replications(world, p, rounds=4, replications=1, seed=124)
     assert a != c
+
+
+def test_run_checks_replications_then_rounds():
+    p = TheoryParams(n=MAX_SAMPLES + 1)
+    with pytest.raises(ParameterError, match="^replications must be >= 1$"):
+        run_replications(small_world(), p, rounds=0, replications=0, seed=0)
+    with pytest.raises(ParameterError, match="^rounds must be >= 1$"):
+        run_replications(small_world(), p, rounds=0, replications=1, seed=0)
 
 
 def test_replications_reproducible_and_distinct():
@@ -189,7 +197,7 @@ def test_replications_reproducible_and_distinct():
 def test_round_records_well_formed():
     p = TheoryParams(n=500)
     world = build_world(2000, 0.5, p, seed=3)
-    records = run_selfimprove(world, p, rounds=4, seed=7)
+    records = run_replications(world, p, rounds=4, replications=1, seed=7)
     assert [r.round_index for r in records] == [0, 1, 2, 3]
     for r in records:
         assert 0 <= r.n_accept <= p.n
@@ -215,7 +223,7 @@ def test_update_keeps_alpha_in_range_and_v_consistent():
 def test_unrepresented_questions_keep_alpha():
     p = TheoryParams(n=10)
     world = small_world(count=5000)
-    records = run_selfimprove(world, p, rounds=1, seed=1)
+    records = run_replications(world, p, rounds=1, replications=1, seed=1)
     assert records[0].n_accept <= 10
 
 
@@ -223,7 +231,7 @@ def test_collapse_round_skips_update():
     p = TheoryParams(n=20, m=1)
     alpha = np.full(50, 1e-9)
     world = SimWorld(weights=np.full(50, 0.02), alpha=alpha)
-    records = run_selfimprove(world, p, rounds=1, seed=0)
+    records = run_replications(world, p, rounds=1, replications=1, seed=0)
     assert records[0].collapsed
     assert math.isnan(records[0].bound)
     assert records[0].v_realized == pytest.approx(1e-9)
@@ -507,10 +515,9 @@ def test_update_spends_exactly_the_error_budget(kind, seed):
 # the run writes its state in place, with the bits of a new array per round
 # ---------------------------------------------------------------------------
 
-def chained_rounds(world, p, rounds, seed, replication=0):
-    """``run_selfimprove`` as a chain of bare rounds: ``plain_round``s, each
-    of which returns a new acceptance array and writes none."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+def chained_rounds(world, p, rounds, ss, replication):
+    """One replication of a run as a chain of bare rounds: ``plain_round``s,
+    each of which returns a new acceptance array and writes none."""
     records = []
     for t, child in enumerate(ss.spawn(rounds)):
         alpha, record = plain_round(world, p, np.random.Generator(np.random.Philox(child)),
@@ -548,6 +555,15 @@ def crowded_world():
                     alpha=np.random.default_rng(2).uniform(0.05, 1.0, 50))
 
 
+# Two draws at m = 1: an error budget above 1, so every accepted draw sets
+# its question to ALPHA_FLOOR, below the m-try minimum the run carries.
+UNDERCUTTING = TheoryParams(n=2, m=1)
+
+
+def undercutting_world():
+    return build_world(1000, 0.5, UNDERCUTTING, seed=3)
+
+
 CHAIN_SEEDS = [0, 7, 7919]
 
 
@@ -557,11 +573,12 @@ CHAIN_SEEDS = [0, 7, 7919]
     (build_world(2000, 0.5, P, seed=3), TheoryParams(n=500, m=2)),
     (collapsing_world(), COLLAPSING),
     (crowded_world(), P),
-], ids=["dirichlet", "built", "collapsing", "crowded"])
+    (undercutting_world(), UNDERCUTTING),
+], ids=["dirichlet", "built", "collapsing", "crowded", "undercutting"])
 def test_run_is_the_chain_of_bare_rounds_bit_for_bit(seed, world, p):
     alpha = world.alpha.copy()
-    assert bits(run_selfimprove(world, p, 8, seed, replication=2)) == \
-        bits(chained_rounds(world, p, 8, seed, replication=2))
+    assert bits(run_replications(world, p, 8, 1, seed)) == \
+        bits(chained_replications(world, p, 8, 1, seed))
     assert bits(run_replications(world, p, 3, 3, seed)) == \
         bits(chained_replications(world, p, 3, 3, seed))
     assert np.array_equal(world.alpha.view(np.int64), alpha.view(np.int64))
@@ -579,6 +596,18 @@ def test_the_crowded_setting_updates_the_minimum_holder(seed):
         held += bool((accept_m[world.alpha != alpha] == record.alpha_m_min).any())
         world = SimWorld(weights=world.weights, alpha=alpha)
     assert held >= 3
+
+
+def test_the_undercutting_setting_drops_the_minimum_below_the_carried_one():
+    """In each replication the round after the first accepted one reads the
+    m-try minimum of ALPHA_FLOOR, below that accepted round's (0.0392 at this
+    seed): its update moved an entry under the minimum the run carries."""
+    floor = float(multi_try_acceptance(np.array([ALPHA_FLOOR]), UNDERCUTTING.m)[0])
+    records = chained_replications(undercutting_world(), UNDERCUTTING, 6, 3, seed=0)
+    for rep in range(3):
+        run = [r for r in records if r.replication == rep]
+        first = next(t for t, r in enumerate(run) if not r.collapsed)
+        assert run[first + 1].alpha_m_min == floor < run[first].alpha_m_min
 
 
 def test_the_collapsing_setting_mixes_collapsed_and_updated_rounds():
