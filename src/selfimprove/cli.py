@@ -157,6 +157,7 @@ def cmd_scan(args, params: TheoryParams, nu: float) -> tuple[int, list]:
 
 
 def cmd_simulate(args, params: TheoryParams, nu: float) -> tuple[int, list]:
+    simulate.check_run(params, args.rounds, args.replications)    # before the world's arrays
     world = simulate.build_world(args.questions, args.v_target, params, seed=args.seed)
     records = simulate.run_replications(world, params, args.rounds,
                                         args.replications, seed=args.seed)

@@ -89,9 +89,9 @@ def curriculum_coefficients(p: TheoryParams, beta_lo=None, beta_hi=None) -> Curr
 
 
 class MapBudget(NamedTuple):
-    """The map's budget terms at budgets ``nu``, from ``map_budget``."""
+    """The map's budget terms at budgets ``nu``, from ``map_budget``; not
+    ``nu`` itself, which no step reads."""
 
-    nu: object
     cd_nu: object      # c_delta * nu
     cdp_nu: object     # c_delta_prime * nu
 
@@ -100,7 +100,7 @@ def map_budget(p: TheoryParams, nu) -> MapBudget:
     """The terms of ``p``'s map at budgets ``nu`` (a float or an array):
     every step at these budgets may take them for ``nu``, so a run forms
     the products once instead of once per step, with the same bits."""
-    return MapBudget(nu, p.c_delta * nu, p.c_delta_prime * nu)
+    return MapBudget(p.c_delta * nu, p.c_delta_prime * nu)
 
 
 def step(x, a: float, p: TheoryParams, nu, out=None):
@@ -127,7 +127,7 @@ def step(x, a: float, p: TheoryParams, nu, out=None):
         value = np.subtract(1.0 - p.gamma, value, out=buffer)
     if buffer is None:
         return value if inside else np.float64(np.nan)
-    value[~inside] = np.nan
+    np.copyto(value, np.nan, where=np.logical_not(inside, out=inside))
     return value
 
 

@@ -8,7 +8,11 @@ above the baseline final value), and the measured interval is compared with
 the analytic one.  The baseline recursion, which the betas do not enter, runs
 once for the panels that share their budgets and grid; a row (one swept
 value with all its budgets) is classified in one run, in one reused pair of
-buffers; a panel's cells are measured and compared in one array pass.  The
+buffers; the first easy-to-hard image, which only beta_lo enters, runs once
+for a panel sweeping beta_hi and is passed to each row as ``first``, held
+in the spare ``buffers[1]`` by improvement rows and in an array of its own
+by feasibility rows, whose runs write both buffers; a panel's cells are
+measured and compared in one array pass.  The
 analytic conditions are sufficient, so the measured region may strictly
 contain the analytic region; the testable guarantee is containment.  For
 improvement it holds for the threshold region intersected with the
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubic import Interval
-from .dynamics import curriculum_coefficients, map_budget, run_schedule, step
+from .dynamics import MapBudget, curriculum_coefficients, map_budget, run_schedule, step
 from .errors import require
 from .params import TheoryParams
 from .regions import BoundProblem, _improvement_interval, feasibility_interval
@@ -109,36 +113,45 @@ def baseline_run(x0, p: TheoryParams, nu):
     return run_schedule(x0, (1.0,) * p.L, p, nu)
 
 
-def classify_feasible(x0, p: TheoryParams, nu, baseline=None, buffers=None) -> np.ndarray:
+def classify_feasible(x0, p: TheoryParams, nu, baseline=None, buffers=None,
+                      first=None) -> np.ndarray:
     """Start points whose baseline and easy-to-hard sequences are strictly
     increasing (plateau-tolerant) and in-domain at every step.
 
     ``nu`` is a float, one budget per point, or their ``MapBudget``;
-    ``baseline`` is ``baseline_run(x0, p, nu)`` if the caller has it, and
-    ``buffers`` two arrays of ``x0``'s shape the runs may write (see
-    ``run_schedule``).  The easy-to-hard monotonicity is monitored from the
-    first image on, matching the sequence the guarantee is stated for.
+    ``baseline`` is ``baseline_run(x0, p, nu)`` and ``first`` the first
+    easy-to-hard image, ``step(x0, curriculum_coefficients(p).first, p,
+    nu)``, if the caller has them; neither is written.  ``buffers`` are two
+    arrays of ``x0``'s shape the runs may write (see ``run_schedule``), so a
+    given ``first`` is neither of them.  The easy-to-hard monotonicity is
+    monitored from the first image on, matching the sequence the guarantee
+    is stated for.
     """
     _, baseline_rising = baseline_run(x0, p, nu) if baseline is None else baseline
     schedule = curriculum_coefficients(p).schedule
-    # The first image may go into ``buffers[1]``, which the run then overwrites.
-    first = step(x0, schedule[0], p, nu, out=None if buffers is None else buffers[1])
+    if first is None:
+        # Into ``buffers[1]``, which the run then overwrites.
+        first = step(x0, schedule[0], p, nu, out=None if buffers is None else buffers[1])
     _, rising = run_schedule(first, schedule[1:], p, nu, buffers)
     return baseline_rising & rising
 
 
-def classify_improvement(x0, p: TheoryParams, nu, baseline=None, buffers=None) -> np.ndarray:
+def classify_improvement(x0, p: TheoryParams, nu, baseline=None, buffers=None,
+                         first=None) -> np.ndarray:
     """Start points where the easy-to-hard final value (with the final
     rescale) strictly exceeds the baseline final value, both in-domain.
-    ``nu``, ``baseline`` and ``buffers`` as for ``classify_feasible``."""
+    ``nu``, ``baseline``, ``buffers`` and ``first`` as for
+    ``classify_feasible``, except that only ``buffers[0]`` is written, so
+    a given ``first`` may be held in ``buffers[1]``."""
     baseline_final, _ = baseline_run(x0, p, nu) if baseline is None else baseline
     coeffs = curriculum_coefficients(p)
-    # The images go into one array, ``buffers[0]`` or the first image's own.
-    final = step(x0, coeffs.schedule[0], p, nu, out=None if buffers is None else buffers[0])
-    own = final if isinstance(final, np.ndarray) else None
-    for a in coeffs.schedule[1:]:
-        final = step(final, a, p, nu, out=own)
-    return np.multiply(coeffs.final, final, out=own) > baseline_final
+    final, schedule = (x0, coeffs.schedule) if first is None else (first, coeffs.schedule[1:])
+    # The images go into one array: ``buffers[0]``, or the first image's own.
+    out = None if buffers is None else buffers[0]
+    for a in schedule:
+        final = step(final, a, p, nu, out=out)
+        out = final if isinstance(final, np.ndarray) else None
+    return np.multiply(coeffs.final, final, out=out) > baseline_final
 
 
 def measured_interval(grid: np.ndarray, flags, analytic: Interval | None):
@@ -155,7 +168,7 @@ def measured_interval(grid: np.ndarray, flags, analytic: Interval | None):
     edges = np.empty((count, grid.size + 1), dtype=bool)
     edges[:, 0], edges[:, -1] = rows[:, 0], rows[:, -1]
     np.not_equal(rows[:, 1:], rows[:, :-1], out=edges[:, 1:-1])
-    row, changes = np.nonzero(edges)
+    row, changes = np.divmod(np.flatnonzero(edges), grid.size + 1)
     row, starts, ends = row[::2], changes[::2], changes[1::2] - 1
     order = np.lexsort((starts - ends, row))      # by row, longest first, stable
     heads = order[np.diff(row[order], prepend=-1) > 0]
@@ -221,9 +234,11 @@ def _scan_group(cfgs, p: TheoryParams) -> list[tuple[CellResult, ...]]:
         for i, *fields in zip(members, *(np.split(field, splits)
                                          for field in (solved.lo, solved.hi, solved.valid))):
             analytic[i] = Interval(*fields)
-    # A row's points: the grid once per budget, each point with its budget.
+    # A row's points: the grid once per budget, each point with its budget's
+    # terms, formed per budget and repeated: the products' bits, with no
+    # array of repeated budgets.
     x0 = np.tile(grid, len(nus))
-    budget = map_budget(p, np.repeat(nus, len(grid)))
+    budget = MapBudget(*(np.repeat(term, len(grid)) for term in map_budget(p, nus)))
     baseline = baseline_run(x0, p, budget)
     for shared in (x0, *budget, *baseline):
         shared.flags.writeable = False
@@ -236,11 +251,20 @@ def _scan_panel(cfg: ScanConfig, p: TheoryParams, grid, x0, budget, baseline, an
                 buffers) -> tuple[CellResult, ...]:
     """One panel's cells from its group's arrays and its analytic intervals
     (one row per swept value): each row classified in ``buffers``, then
-    every cell measured in one call."""
-    classify = classify_feasible if cfg.kind == "feasible" else classify_improvement
-    flags = np.empty((len(cfg.vary_values), x0.size), dtype=bool)
-    for v, row in zip(cfg.vary_values, flags):
-        row[...] = classify(x0, p.with_betas(*cfg.betas(v)), budget, baseline, buffers)
+    every cell measured in one call.  A panel sweeping ``beta_hi`` keeps
+    ``beta_lo``, so its rows share their first easy-to-hard image: it is
+    computed once, into ``buffers[1]`` for improvement rows, which never
+    write it, and into an array of its own for feasible rows."""
+    feasible = cfg.kind == "feasible"
+    classify = classify_feasible if feasible else classify_improvement
+    rows = [p.with_betas(*cfg.betas(v)) for v in cfg.vary_values]
+    first = None
+    if cfg.vary == "beta_hi":
+        first = step(x0, curriculum_coefficients(rows[0]).first, p, budget,
+                     out=None if feasible else buffers[1])
+    flags = np.empty((len(rows), x0.size), dtype=bool)
+    for pp, row in zip(rows, flags):
+        row[...] = classify(x0, pp, budget, baseline, buffers, first)
     lo, hi, length = measured_interval(grid, flags.reshape(*analytic.valid.shape, -1), analytic)
     valid, tol = analytic.valid, (1.0 - p.gamma) / cfg.x0_points + 1e-12   # a cell apart
     agree = np.where(valid, (length > 0.0) & (np.abs(lo - analytic.lo) <= tol)

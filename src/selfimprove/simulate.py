@@ -331,15 +331,23 @@ def _one_round(world: SimWorld, p: TheoryParams, state: _RunState,
     return alpha, record
 
 
+def check_run(p: TheoryParams, rounds: int, replications: int) -> None:
+    """``run_replications``' rules on its scalars, in order: ``ParameterError``
+    with the first that fails.  A caller about to build a world for the run
+    checks them first, so a fault allocates nothing in proportion to it."""
+    require((replications >= 1, "replications must be >= 1"),
+            (rounds >= 1, "rounds must be >= 1"),
+            (p.n <= MAX_SAMPLES, f"n must be at most {MAX_SAMPLES}, got {p.n}"))
+
+
 def run_replications(world: SimWorld, p: TheoryParams, rounds: int,
                      replications: int, seed: int) -> list[RoundRecord]:
     """``replications`` independent runs of ``rounds`` rounds from ``world``'s
     initial acceptance as one flat record list, deterministic in ``seed``
     (the module docstring gives each round's stream).  The replications share
-    one state, restarted for each; ``world`` is left as it was."""
-    require((replications >= 1, "replications must be >= 1"),
-            (rounds >= 1, "rounds must be >= 1"),
-            (p.n <= MAX_SAMPLES, f"n must be at most {MAX_SAMPLES}, got {p.n}"))
+    one state, restarted for each; ``world`` is left as it was.  Its rules
+    are ``check_run``'s."""
+    check_run(p, rounds, replications)
     state, records = _RunState(world), []
     for rep, ss in enumerate(np.random.SeedSequence(seed).spawn(replications)):
         if rep:

@@ -7,6 +7,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from unittest import mock
 
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 from selfimprove import (BoundProblem, ParameterError, TheoryParams, build_world, checks,
                          critical_budgets, curriculum_coefficients, run_replications)
-from selfimprove.cli import COMMON_OPTIONS, SUBCOMMANDS, _fmt, _write_outputs, build_parser, main
+from selfimprove.cli import (COMMON_OPTIONS, SUBCOMMANDS, _fmt, _resolve_params,
+                             _write_outputs, build_parser, main)
 from selfimprove.regions import improvement_margin
 
 
@@ -165,6 +167,26 @@ def test_simulate_writes_the_records_of_the_library_run(tmp_path, replications, 
             repr(r.alpha_m_min), repr(r.v_realized), repr(r.bound),
             "skipped" if r.collapsed else repr(r.bound_satisfied).lower()]
     assert any(r.collapsed for r in records) == (config is not None)
+
+
+@pytest.mark.parametrize("flag, error", [("--rounds", "rounds must be >= 1"),
+                                         ("--replications", "replications must be >= 1")])
+def test_a_run_fault_is_rejected_before_the_world_is_built(flag, error):
+    """The run's rules hold before ``build_world`` allocates: at the largest
+    world, a run of no rounds or no replications raises in-process having
+    traced under 1 MB, where building the world first took 275 MB."""
+    argv = ["simulate", "--questions", "10000000", flag, "0"]
+    args = build_parser(argv).parse_args(argv)
+    params, _, nu = _resolve_params(args)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError) as raised:
+            SUBCOMMANDS["simulate"].run(args, params, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == error
+    assert peak < 2**20
 
 
 def test_manifest_lists_outputs_and_resolved_params(tmp_path):

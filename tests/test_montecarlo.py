@@ -12,7 +12,7 @@ from selfimprove import (BoundProblem, CellResult, ParameterError, ScanConfig, T
                          curriculum_coefficients, default_panels, feasibility_interval, x0_grid)
 from selfimprove import montecarlo
 from selfimprove.cubic import Interval
-from selfimprove.dynamics import PLATEAU_EPSILONS, iterate, run_schedule
+from selfimprove.dynamics import PLATEAU_EPSILONS, iterate, map_budget, run_schedule, step
 from selfimprove.montecarlo import (baseline_run, classify_feasible,
                                     classify_improvement, measured_interval, run_scans)
 from selfimprove.regions import _improvement_interval
@@ -319,45 +319,77 @@ def test_classifiers_match_plain_loop(beta_lo, gap, nu, levels):
 
 def test_runs_and_classifiers_never_write_their_inputs():
     """The run kernels write into buffers of their own: ``x0``, the
-    per-point budgets and a shared baseline keep their bytes."""
+    per-point budgets, a shared baseline and a shared first image keep
+    their bytes."""
     grid = x0_grid(P, 50)
     x0 = np.append(np.tile(grid, 3), math.nan)
     nu = np.append(np.repeat([0.0, 0.012, 0.2], grid.size), 0.01)
     before = x0.tobytes(), nu.tobytes()
     run_schedule(x0, curriculum_coefficients(P).schedule, P, nu)
     baseline = baseline_run(x0, P, nu)
-    shared = [a.tobytes() for a in baseline]
+    first = step(x0, curriculum_coefficients(P).first, P, nu)
+    shared = [a.tobytes() for a in (*baseline, first)]
     for classify in (classify_feasible, classify_improvement):
         classify(x0, P, nu, baseline)
         classify(x0, P, nu)
+        classify(x0, P, nu, baseline, None, first)
+        classify(x0, P, nu, baseline, (np.empty_like(x0), np.empty_like(x0)), first)
     assert (x0.tobytes(), nu.tobytes()) == before
-    assert [a.tobytes() for a in baseline] == shared
+    assert [a.tobytes() for a in (*baseline, first)] == shared
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("levels, beta_hi", [(2, 1.2), (5, 0.35)])
+def test_classifiers_with_a_given_first_image_equal_the_plain_calls(levels, beta_hi, buffered):
+    """A caller's first image, as a ``beta_hi``-swept panel shares it, gives
+    the flags of the call that computes it, bit for bit: NaN starts, starts
+    outside the domain and zero budgets included.  An improvement call may
+    hold it in ``buffers[1]``, which it never writes.  At two levels one
+    step more or less moves flags on this grid."""
+    p = TheoryParams(L=levels, beta_lo=P.beta_lo, beta_hi=beta_hi)
+    grid = x0_grid(p, 400)
+    x0 = np.concatenate([np.tile(grid, 4), [math.nan, 0.0, -1.0, 1.0]])
+    nu = map_budget(p, np.append(np.repeat([0.0, 0.004, 0.02, 0.3], grid.size), [0.0, 0.01] * 2))
+    baseline = baseline_run(x0, p, nu)
+    fresh = (lambda: (np.empty_like(x0), np.empty_like(x0))) if buffered else (lambda: None)
+    for classify in (classify_feasible, classify_improvement):
+        plain = classify(x0, p, nu, baseline, fresh())
+        assert plain.any() and not plain.all()
+        first = step(x0, curriculum_coefficients(p).first, p, nu)
+        assert np.isnan(first).any() and not np.isnan(first).all()
+        assert classify(x0, p, nu, baseline, fresh(), first).tobytes() == plain.tobytes()
+        if buffered and classify is classify_improvement:
+            held = fresh()
+            step(x0, curriculum_coefficients(p).first, p, nu, out=held[1])
+            assert classify(x0, p, nu, baseline, held, held[1]).tobytes() == plain.tobytes()
+            assert held[1].tobytes() == first.tobytes()
 
 
 @pytest.mark.parametrize("name", ["a", "c"])
 def test_rows_on_one_worker_buffers_do_not_depend_on_order(name, monkeypatch):
-    """A panel's rows read its x0, budget terms and baseline and write only
-    the scan's one pair of buffers: on it, the rows in reverse order and
-    one row twice give the flags of the panel's own run, and after the panel
-    the shared arrays keep their bytes."""
+    """A panel's rows read its x0, budget terms, baseline and shared first
+    image and write only the scan's one pair of buffers: on it, the rows in
+    reverse order and one row twice give the flags of the panel's own run,
+    and after the panel the shared arrays keep their bytes."""
     cfg = replace(default_panels(P)[name], x0_points=300)
     kind = "classify_feasible" if cfg.kind == "feasible" else "classify_improvement"
     classify, rows, before = getattr(montecarlo, kind), [], []
 
-    def recorded(x0, pp, nu, baseline, buffers):
+    def recorded(x0, pp, nu, baseline, buffers, first):
         if not rows:
-            before.extend(a.tobytes() for a in (x0, *nu, *baseline))
-        flags = classify(x0, pp, nu, baseline, buffers)
-        rows.append(((x0, pp, nu, baseline, buffers), flags.tobytes()))
+            before.extend(a.tobytes() for a in (x0, *nu, *baseline, first))
+        flags = classify(x0, pp, nu, baseline, buffers, first)
+        rows.append(((x0, pp, nu, baseline, buffers, first), flags.tobytes()))
         return flags
 
     monkeypatch.setattr(montecarlo, kind, recorded)
     run_scans([cfg], P)
     assert len(rows) == len(cfg.vary_values)
-    x0, _, nu, baseline, buffers = rows[0][0]
-    shared = (x0, *nu, *baseline)
+    x0, _, nu, baseline, buffers, first = rows[0][0]
+    shared = (x0, *nu, *baseline, first)
     assert [a.tobytes() for a in shared] == before
-    assert all(args[-1] is buffers for args, _ in rows)        # one set, reused
+    # One set of buffers and one first image, reused by every row.
+    assert all(args[-2] is buffers and args[-1] is first for args, _ in rows)
     for args, flags in rows[::-1] + rows[:1] * 2:
         assert classify(*args).tobytes() == flags
     assert [a.tobytes() for a in shared] == before

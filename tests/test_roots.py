@@ -343,3 +343,52 @@ def test_roots_match_a_50_digit_bisection_of_the_same_margin():
     for root, holds in cases:
         exact = bisect(holds, root)
         assert abs(root - float(exact)) <= 1e-11 * float(exact), (root, float(exact))
+
+
+def ulp_neighbours(roots, width):
+    """The ``2 * width + 1`` floats centred on each of ``roots``, one row each."""
+    return (np.asarray(roots, dtype=float)[:, None].view(np.int64)
+            + np.arange(-width, width + 1)).view(np.float64)
+
+
+def test_nu_roots_are_the_bisections_inside_a_window_of_sign_flips():
+    """A measured fact about the margin as it stands, on a fixed seed: a
+    target is monotone outside a window of ULP around some roots, and inside
+    it the root is the flip that ``last_true``'s midpoints reach.  Of 100
+    random sets, 7 flip the sign of the margin more than once within 2048
+    ULP of their ``max_improving_nu``, the widest from first to last flip
+    over 155 ULP (at beta_lo = 0.0011, where the margin is a small
+    difference of larger terms); on either side of the flips every point
+    keeps its sign.  A formula change that moves these counts says so."""
+    rng = np.random.default_rng(0)
+    beta_hi = rng.uniform(0.02, 3.0, 100)
+    beta_lo = rng.uniform(0.01, 0.99, 100) * beta_hi
+    x0 = rng.uniform(0.01, 0.97, 100)
+    roots = BoundProblem(P, beta_lo, beta_hi).max_improving_nu(x0)
+    width = 2048
+    improving = improvement_margin(BoundProblem(P, beta_lo[:, None], beta_hi[:, None]),
+                                   ulp_neighbours(roots, width), x0[:, None]) < 0.0
+    flips = improving[:, 1:] != improving[:, :-1]
+    first = np.argmax(flips, axis=1)
+    last = flips.shape[1] - 1 - np.argmax(flips[:, ::-1], axis=1)
+    assert flips.any(axis=1).all()
+    assert (flips.sum(axis=1) > 1).sum() == 7
+    assert (last - first).max() == 155
+    # The root is a flip: improving at it, not one float above.
+    assert improving[:, width].all() and not improving[:, width + 1].any()
+    points = np.arange(flips.shape[1] + 1)
+    assert np.where(points <= first[:, None], improving, True).all()
+    assert not np.where(points > last[:, None], improving, False).any()
+
+
+def test_a_threshold_on_an_exact_zero_run_of_the_margin_is_its_top():
+    """A measured fact about the margin as it stands: at this set and budget
+    the margin is exactly 0.0 on the 91 floats up to the threshold, positive
+    below them and negative above, and ``threshold``, the last point where
+    the margin is not negative, returns the top of the run."""
+    problem = BoundProblem(P.with_betas(0.13269625516161898, 1.623667073393449))
+    nu = 0.007890896949674233
+    threshold = problem.threshold(nu)
+    margin = improvement_margin(problem, nu, ulp_neighbours([threshold], 200)[0])
+    assert np.flatnonzero(margin == 0.0).tolist() == list(range(110, 201))
+    assert (margin[:110] > 0.0).all() and (margin[201:] < 0.0).all()
