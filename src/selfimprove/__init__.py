@@ -14,7 +14,7 @@ from .montecarlo import CellResult, ScanConfig, default_panels, x0_grid
 from .params import TheoryParams, load_config
 from .regions import (BoundProblem, ProfileResult, coefficient_growth_ratio,
                       conditional_mean_check, critical_budgets, feasibility_interval,
-                      validate_domain)
+                      improvement_interval, validate_domain)
 from .simulate import (RoundRecord, SimWorld, acceptance_gain_ratio, build_world,
                        mean_to_min_acceptance_ratio, multi_try_acceptance,
                        run_replications, satisfies_coupling)
@@ -27,7 +27,7 @@ __all__ = [
     "SelfImproveError", "SimWorld", "TheoryParams", "acceptance_gain_ratio", "build_world",
     "coefficient_growth_ratio", "conditional_mean_check", "critical_budgets", "cubic_roots",
     "curriculum_coefficients", "default_panels", "effective_sigma", "exact_root_gap",
-    "feasibility_interval", "gap_lower_bound", "invariant_interval", "load_config",
-    "mean_to_min_acceptance_ratio", "multi_try_acceptance", "run_replications",
+    "feasibility_interval", "gap_lower_bound", "improvement_interval", "invariant_interval",
+    "load_config", "mean_to_min_acceptance_ratio", "multi_try_acceptance", "run_replications",
     "satisfies_coupling", "validate_domain", "x0_grid",
 ]

@@ -475,8 +475,8 @@ def check_scan_contains_analytic(fast: bool) -> CheckResult:
     grid = montecarlo.x0_grid(p, points)
     cell = (1.0 - p.gamma) / points
     nus = (0.005, 0.012, 0.02)
-    thresholds = regions.BoundProblem(p).threshold(np.array(nus))  # NaN: none improves
-    for nu, threshold in zip(nus, thresholds):
+    improving = regions.improvement_interval(p, np.array(nus))
+    for nu, threshold, improves in zip(nus, improving.lo, improving.valid):
         baseline = montecarlo.baseline_run(grid, p, nu)
         feas = montecarlo.classify_feasible(grid, p, nu, baseline)
         analytic = regions.feasibility_interval(p, nu)
@@ -486,7 +486,7 @@ def check_scan_contains_analytic(fast: bool) -> CheckResult:
                 return CheckResult("scan-contains-analytic", False,
                                    f"feasible point misclassified at nu={nu}")
         impr = montecarlo.classify_improvement(grid, p, nu, baseline)
-        if analytic.valid and threshold < 1.0 - p.gamma:
+        if analytic.valid and improves:
             lo = max(threshold, analytic.lo)
             hi = min(1.0 - p.gamma, analytic.hi)
             inside = (grid > lo + cell) & (grid < hi - cell)

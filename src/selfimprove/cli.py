@@ -76,8 +76,7 @@ def cmd_intervals(args, params: TheoryParams, nu: float) -> tuple[int, list]:
         rows.append(["I", args.a, nu, iv.lo, iv.hi, iv.valid])
     feas = regions.feasibility_interval(params, nu)
     rows.append(["I_M", params.beta_hi, nu, feas.lo, feas.hi, feas.valid])
-    improving = regions._improvement_interval(
-        params, float(regions.BoundProblem(params).threshold(nu)))
+    improving = regions.improvement_interval(params, nu)
     rows.append(["I_N", params.beta_hi, nu, improving.lo, improving.hi, improving.valid])
     print(f"wrote {len(rows)} interval rows (nu={nu:.6g})")
     return 0, [("intervals.csv", ["kind", "a_or_beta", "nu", "lo", "hi", "valid"], rows)]

@@ -5,15 +5,17 @@ cell, every start point on a fixed initialization grid is classified by
 directly running the bound recursions (feasibility: both sequences strictly
 increasing and in-domain; improvement: easy-to-hard final value strictly
 above the baseline final value), and the measured interval is compared with
-the analytic one.  The baseline recursion, which the betas do not enter, runs
-once for the panels that share their budgets and grid; a row (one swept
-value with all its budgets) is classified in one run, in one reused pair of
-buffers; the first easy-to-hard image, which only beta_lo enters, runs once
-for a panel sweeping beta_hi and is passed to each row as ``first``, held
-in the spare ``buffers[1]`` by improvement rows and in an array of its own
-by feasibility rows, whose runs write both buffers; a panel's cells are
-measured and compared in one array pass.  The
-analytic conditions are sufficient, so the measured region may strictly
+the analytic one.  The panels of one kind that share their budgets and grid
+form a group: the baseline recursion, which the betas do not enter, runs once
+for it, and one call of the kind's region function, ``feasibility_interval``
+or ``improvement_interval``, gives the analytic intervals of all its panels;
+a row (one swept value with all its budgets) is classified in one run, in one
+reused pair of buffers; the first easy-to-hard image, which only beta_lo
+enters, runs once for a panel sweeping beta_hi and is passed to each row as
+``first``, held in the spare ``buffers[1]`` by improvement rows and in an
+array of its own by feasibility rows, whose runs write both buffers; a
+panel's cells are measured and compared in one array pass.  The analytic
+conditions are sufficient, so the measured region may strictly
 contain the analytic region; the testable guarantee is containment.  For
 improvement it holds for the threshold region intersected with the
 feasibility interval, since starts below the baseline's lower fixed point
@@ -33,7 +35,7 @@ from .cubic import Interval
 from .dynamics import MapBudget, curriculum_coefficients, map_budget, run_schedule, step
 from .errors import require
 from .params import TheoryParams
-from .regions import BoundProblem, _improvement_interval, feasibility_interval
+from .regions import feasibility_interval, improvement_interval
 
 # Largest grid a caller may ask for: the x0 grid here, and the command
 # line's budget curve and beta grid.
@@ -200,14 +202,15 @@ def run_scans(cfgs, p: TheoryParams) -> list[tuple[CellResult, ...]]:
     alone.  A call shares no state with another, so concurrent calls give
     the cells of serial ones.
 
-    Panels with the same budgets and grid form a group: it runs the
-    baseline once for all of them, solves their thresholds in one bisection
-    and their feasibility intervals in one cubic call, over all their beta
-    pairs.  One group's arrays are freed before the next group's are built.
+    Panels of one kind with the same budgets and grid form a group: it runs
+    the baseline once for all of them and solves their analytic intervals
+    in one region call (one threshold bisection, or one cubic call) over
+    all their beta pairs.  One group's arrays are freed before the next
+    group's are built.
     """
     groups: dict = {}
     for i, cfg in enumerate(cfgs):
-        groups.setdefault((cfg.nu_values, cfg.x0_points), []).append(i)
+        groups.setdefault((cfg.kind, cfg.nu_values, cfg.x0_points), []).append(i)
     results = [()] * len(cfgs)
     for members in groups.values():
         for i, cells in zip(members, _scan_group([cfgs[i] for i in members], p)):
@@ -216,24 +219,19 @@ def run_scans(cfgs, p: TheoryParams) -> list[tuple[CellResult, ...]]:
 
 
 def _scan_group(cfgs, p: TheoryParams) -> list[tuple[CellResult, ...]]:
-    """The panels of one group, which share ``nu_values`` and ``x0_points``."""
+    """The panels of one group, which share ``kind``, ``nu_values`` and
+    ``x0_points``."""
     grid = x0_grid(p, cfgs[0].x0_points)
     nus = np.array(cfgs[0].nu_values)
-    # Each panel's analytic intervals: arrays, one row per swept value.
-    analytic = [None] * len(cfgs)
-    for kind in ("improvement", "feasible"):
-        members = [i for i, cfg in enumerate(cfgs) if cfg.kind == kind]
-        if not members:
-            continue
-        betas = np.array([cfgs[i].betas(v) for i in members for v in cfgs[i].vary_values]).T
-        if kind == "improvement":
-            solved = _improvement_interval(p, BoundProblem(p, *betas).threshold(nus[:, None]).T)
-        else:
-            solved = feasibility_interval(p, nus, *betas[:, :, None])
-        splits = np.cumsum([len(cfgs[i].vary_values) for i in members])[:-1]
-        for i, *fields in zip(members, *(np.split(field, splits)
-                                         for field in (solved.lo, solved.hi, solved.valid))):
-            analytic[i] = Interval(*fields)
+    # Each panel's analytic intervals, one row per swept value.  The region
+    # is called by its module-level name, so a tracer wrapping module
+    # functions (perfbench) sees the call.
+    region = improvement_interval if cfgs[0].kind == "improvement" else feasibility_interval
+    betas = np.array([cfg.betas(v) for cfg in cfgs for v in cfg.vary_values]).T
+    solved = region(p, nus, *betas[:, :, None])
+    splits = np.cumsum([len(cfg.vary_values) for cfg in cfgs])[:-1]
+    analytic = [Interval(*fields) for fields in zip(
+        *(np.split(field, splits) for field in (solved.lo, solved.hi, solved.valid)))]
     # A row's points: the grid once per budget, each point with its budget's
     # terms, formed per budget and repeated: the products' bits, with no
     # array of repeated budgets.

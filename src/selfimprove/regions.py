@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cubic import Interval, invariant_interval
-from .dynamics import curriculum_coefficients
+from .dynamics import curriculum_coefficients, map_budget
 from .errors import BracketError, DomainError, masked, require, verdicts
 from .params import MAX_LEVELS, TheoryParams, check_betas
 
@@ -160,7 +160,7 @@ class BoundProblem:
         # A float stays one: its products are a ufunc's bits, without the dispatch.
         nu = nu if isinstance(nu, float) else np.asarray(nu, dtype=float)
         with np.errstate(all="ignore"):
-            cd_nu, cdp_nu = p.c_delta * nu, p.c_delta_prime * nu
+            cd_nu, cdp_nu = map_budget(p, nu)
             base_inner = 1.0 - gamma - cdp_nu
             q = cd_nu / (2.0 * c * np.power(base_inner, 1.5))
             baseline = cd_nu / (c * np.sqrt(base_inner)) * _geometric_series(q, L)
@@ -310,12 +310,13 @@ def feasibility_interval(p: TheoryParams, nu, beta_lo=None, beta_hi=None) -> Int
 _IMPROVING = ("no improving initialization", "empty: threshold at or above ceiling")
 
 
-def _improvement_interval(p: TheoryParams, threshold) -> Interval:
-    """The improving initializations (threshold, 1 - gamma): invalid where
-    the threshold is NaN (none improves, and both ends are NaN) or at or
-    above the ceiling.  Broadcasts over an array of thresholds; a scalar
-    threshold gives an interval of Python scalars."""
-    threshold = np.asarray(threshold, dtype=float)
+def improvement_interval(p: TheoryParams, nu, beta_lo=None, beta_hi=None) -> Interval:
+    """The improving initializations (threshold, 1 - gamma), from one
+    threshold bisection: invalid where the threshold is NaN (none improves,
+    and both ends are NaN) or at or above the ceiling.  Broadcasts as
+    ``feasibility_interval`` does, over ``nu`` and any beta arrays (checked
+    as in ``BoundProblem``); one budget and one beta pair give Python scalars."""
+    threshold = np.asarray(BoundProblem(p, beta_lo, beta_hi).threshold(nu))
     none = np.isnan(threshold)
     valid, reason = verdicts(_IMPROVING, (~none, threshold < 1.0 - p.gamma))
     hi = np.where(none, np.nan, 1.0 - p.gamma)

@@ -292,6 +292,24 @@ def test_verify_fast_passes(tmp_path, capsys):
     # A flag's prefix is not the flag: each is an unrecognized argument.
     (None, ["scan", "--x0", "40"]),
     (None, ["simulate", "--q", "100", "--s", "3"]),
+    # The rest of the fault argvs of CI's loop, as it runs them.
+    (None, ["thresholds", "--profile", "--beta-grid", "0:1:5"]),
+    (None, ["thresholds", "--profile", "--beta-grid", "0.01:500:3"]),
+    (None, ["thresholds", "--profile", "--delta-gap", "0"]),
+    (None, ["thresholds", "--profile", "--beta-grid", "0.01:inf:5"]),
+    (None, ["thresholds", "--profile", "--beta-grid", "nan:1:5"]),
+    (None, ["scan", "--panel", "d", "--beta", "0.01", "--beta-lo", "0.005"]),
+    (None, ["scan", "--panel", "d", "--beta", "0.01", "--beta-lo", "0.005",
+            "--x0-points", "1000000"]),
+    (None, ["simulate", "--questions", "1"]),
+    (None, ["scan", "--panel", "a", "--threads", "2"]),
+    (None, ["intervals", "--bogus", "1"]),
+    (None, ["bogus", "scan"]),
+    (None, ["thresholds", "--nu", "0.3"]),
+    (None, ["simulate", "--rounds", "0"]),
+    (None, ["simulate", "--replications", "0"]),
+    (None, ["simulate", "--questions", "10000000", "--rounds", "0"]),
+    (None, ["simulate", "--questions", "10000000", "--replications", "0"]),
 ], ids=["missing-config", "malformed-json", "string-value", "bool-integer",
         "negative-seed", "zero-threads", "threads-above-one", "nan-nu", "inf-nu",
         "config-inf-nu", "nan-x0", "x0-above-ceiling", "nan-a", "inf-a", "huge-beta-hi",
@@ -308,11 +326,25 @@ def test_verify_fast_passes(tmp_path, capsys):
         "simulate-samples-above-bound", "intervals-seed", "scan-seed", "verify-seed",
         "config-n-and-nu", "unknown-flag", "regions-without-x0", "non-integer-seed",
         "unknown-command", "threads-one", "scan-x0-prefix",
-        "simulate-prefixes"])
+        "simulate-prefixes", "profile-zero-beta-lo", "profile-huge-beta-hi",
+        "profile-zero-delta-gap", "profile-inf-grid-end", "profile-nan-grid-end",
+        "scan-d-empty-axis", "scan-d-empty-axis-largest-grid", "simulate-one-question",
+        "scan-threads-2", "unknown-flag-alone", "unknown-command-before-scan",
+        "thresholds-nu-alone", "simulate-zero-rounds", "simulate-zero-replications",
+        "largest-world-zero-rounds", "largest-world-zero-replications"])
 def test_parameter_faults_exit_2_with_one_line_error(tmp_path, capsys, config, argv):
+    """Each fault exits 2 with one error line, writes nothing and is
+    rejected before anything is allocated for it: under 1 MB traced."""
     if config is not None:
         (tmp_path / "config.json").write_text(config)
-    assert run_in(tmp_path, [*argv, "--out", "new"]) == 2
+    tracemalloc.start()
+    try:
+        code = run_in(tmp_path, [*argv, "--out", "new"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2**20
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "new").exists()

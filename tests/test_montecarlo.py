@@ -9,13 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selfimprove import (BoundProblem, CellResult, ParameterError, ScanConfig, TheoryParams,
-                         curriculum_coefficients, default_panels, feasibility_interval, x0_grid)
+                         curriculum_coefficients, default_panels, feasibility_interval,
+                         improvement_interval, x0_grid)
 from selfimprove import montecarlo
 from selfimprove.cubic import Interval
 from selfimprove.dynamics import PLATEAU_EPSILONS, iterate, map_budget, run_schedule, step
 from selfimprove.montecarlo import (baseline_run, classify_feasible,
                                     classify_improvement, measured_interval, run_scans)
-from selfimprove.regions import _improvement_interval
 
 P = TheoryParams()
 # A step may fall by PLATEAU_EPSILONS machine epsilons of its start.
@@ -396,12 +396,13 @@ def test_rows_on_one_worker_buffers_do_not_depend_on_order(name, monkeypatch):
 
 
 def test_panels_scanned_in_groups_equal_each_panel_alone():
-    """Panels with the same budgets and grid share one baseline run and one
-    threshold solve: the cells of each panel run alone, bit for bit, in the
-    order given, a repeated panel and a lone grid size included."""
+    """Panels of one kind with the same budgets and grid share one baseline
+    run and one region call: the cells of each panel run alone, bit for
+    bit, in the order given, a repeated panel, a lone grid size and an
+    improvement panel on the feasibility panels' budgets and grid included."""
     panels = {name: replace(cfg, x0_points=300) for name, cfg in default_panels(P).items()}
     cfgs = [panels["c"], replace(panels["a"], x0_points=500), panels["d"], panels["b"],
-            panels["a"], panels["d"]]
+            panels["a"], panels["d"], replace(panels["c"], nu_values=panels["a"].nu_values)]
     # repr tells -0.0 from 0.0 and NaN fields apart, bit for bit; compared as
     # one flag, since a diff of the long strings would take minutes.
     same = repr(run_scans(cfgs, P)) == repr([run_scans([cfg], P)[0] for cfg in cfgs])
@@ -507,8 +508,8 @@ def diff_increasing(values):
 
 def per_cell_scan(cfg, p):
     """Reference scan: every cell classified on its own from full
-    ``iterate`` trajectories, with its analytic interval from its own
-    solve (``feasibility_interval`` or the threshold's), its run from the
+    ``iterate`` trajectories, with its analytic interval from its own solve
+    (``feasibility_interval`` or ``improvement_interval``), its run from the
     plain loop, and agreement when both endpoints lie within a cell of the
     analytic ones (or, with no analytic interval, when no point is flagged)."""
     grid = x0_grid(p, cfg.x0_points)
@@ -525,7 +526,7 @@ def per_cell_scan(cfg, p):
                 analytic = feasibility_interval(pp, nu)
             else:
                 flags = co.final * curriculum[-1] > baseline[-1]
-                analytic = _improvement_interval(pp, float(BoundProblem(pp).threshold(nu)))
+                analytic = improvement_interval(pp, nu)
             lo, hi, length = loop_measured_interval(grid, flags, analytic)
             if analytic.valid:
                 agree = (length > 0.0 and abs(lo - analytic.lo) <= near

@@ -5,7 +5,8 @@ import pytest
 
 from selfimprove import (BoundProblem, BracketError, DomainError, ParameterError, TheoryParams,
                          coefficient_growth_ratio, conditional_mean_check, critical_budgets,
-                         curriculum_coefficients, feasibility_interval, invariant_interval)
+                         curriculum_coefficients, feasibility_interval, improvement_interval,
+                         invariant_interval)
 from selfimprove import regions
 from selfimprove.cubic import Interval
 
@@ -260,21 +261,40 @@ def one_threshold_improvement_interval(p, threshold):
     return Interval(threshold, ceiling, True)
 
 
-def test_improvement_intervals_equal_the_one_threshold_rule():
+def test_improvement_intervals_equal_the_one_threshold_rule(monkeypatch):
     """Field for field, ``reason`` included: NaN (none improves), zero, a
     threshold inside, the last double below the ceiling, the ceiling and
-    beyond it; one array call, each threshold alone, and a 2-D array, the
-    shape the scan passes, keeps its shape."""
+    beyond it, fed in as budgets to a threshold that returns them; one
+    array call, each threshold alone, and a 2-D array, the shape the scan
+    passes, keeps its shape."""
+    monkeypatch.setattr(BoundProblem, "threshold", lambda self, nu: np.asarray(nu)[()])
     ceiling = 1.0 - P.gamma
     thresholds = [math.nan, 0.0, 0.3, math.nextafter(ceiling, 0.0), ceiling, 2.0, math.inf]
     want = [one_threshold_improvement_interval(P, t) for t in thresholds]
-    many = regions._improvement_interval(P, np.array(thresholds))
+    many = improvement_interval(P, np.array(thresholds))
     assert repr(intervals_of(many)) == repr(want)
-    assert repr([regions._improvement_interval(P, t) for t in thresholds]) == repr(want)
-    grid = regions._improvement_interval(P, np.array(thresholds[:6]).reshape(2, 3))
+    assert repr([improvement_interval(P, t) for t in thresholds]) == repr(want)
+    grid = improvement_interval(P, np.array(thresholds[:6]).reshape(2, 3))
     assert [np.shape(field) for field in (grid.lo, grid.hi, grid.valid)] == [(2, 3)] * 3
     assert repr(intervals_of(Interval(*(np.ravel(field) for field in (
         grid.lo, grid.hi, grid.valid, grid.reason))))) == repr(want[:6])
+
+
+def test_improvement_intervals_equal_the_one_set_solves():
+    """Field for field, ``reason`` included: one call over budgets x beta
+    pairs equals the one-set scalar calls, at nu = 0, the smallest
+    subnormal, a budget with a valid region, the default budget (its
+    threshold above the ceiling), a budget past the collapse budget and NaN."""
+    pairs = [(P.beta_lo, P.beta_hi), (0.05, 0.3), (0.3, 0.9), (0.02, 2.0)]
+    nus = [0.0, 5e-324, 0.01, P.default_nu, 0.05, math.nan]
+    want = [improvement_interval(P.with_betas(*pair), nu) for nu in nus for pair in pairs]
+    reasons = {interval.reason for interval in want}
+    assert reasons == {None, "empty: threshold at or above ceiling", "no improving initialization"}
+    beta_lo, beta_hi = np.array(pairs).T
+    many = improvement_interval(P, np.array(nus)[:, None], beta_lo, beta_hi)
+    assert np.shape(many.valid) == (len(nus), len(pairs))
+    assert repr(intervals_of(Interval(*(np.ravel(field) for field in (
+        many.lo, many.hi, many.valid, many.reason))))) == repr(want)
 
 
 def test_threshold_strictly_increasing():
