@@ -404,7 +404,8 @@ def check_geometric_identity(fast: bool) -> CheckResult:
         q = rng.uniform(0.0, 0.99)
         length = int(rng.integers(2, 12))
         ratio_form = (1.0 - q ** (length - 1)) / (1.0 - q)
-        sum_form = sum(q ** j for j in range(length - 1))
+        # The series the error functional's baseline term sums.
+        sum_form = regions._geometric_series(q, length)
         if abs(ratio_form - sum_form) > 1e-12 * max(1.0, abs(sum_form)):
             return CheckResult("geometric-forms-identity", False, f"q={q}, L={length}")
     return CheckResult("geometric-forms-identity", True, "ratio equals explicit sum")

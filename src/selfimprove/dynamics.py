@@ -163,24 +163,20 @@ def increasing(values) -> np.ndarray:
     return rises(values[:-1], values[1:]).all(axis=0) & ~np.isnan(values[0])
 
 
-def run_schedule(x0, schedule, p: TheoryParams, nu, buffers=None):
+def run_schedule(x0, schedule, p: TheoryParams, nu):
     """``iterate``'s last row and ``increasing`` of its rows, without
     storing them: the final images of ``x0`` under ``schedule``, and per
     point whether it is not NaN and every step ``rises``.
 
     On arrays, which ``nu`` broadcasts to, a run writes into two arrays of
-    ``x0``'s shape: ``buffers`` if given, else two of its own.  Step t writes its image into
-    ``buffers[t % 2]`` and the scaled start ``rises`` tests into the other,
-    so the final images are in one of them.  ``x0`` is never written,
-    unless a caller passes it as ``buffers[1]`` to run on from an image it
-    holds there.
+    its own, of ``x0``'s shape, and never into ``x0``: step t writes its
+    image into one and the scaled start ``rises`` tests into the other,
+    so the final images are in one of them.
     """
     x = np.asarray(x0, dtype=float)
     rising = ~np.isnan(x)
-    if x.ndim == 0:
-        buffers = (None, None)                   # floats rebind numpy scalars
-    elif buffers is None:
-        buffers = (np.empty_like(x), np.empty_like(x))
+    # Floats rebind numpy scalars.
+    buffers = (None, None) if x.ndim == 0 else (np.empty_like(x), np.empty_like(x))
     for t, a in enumerate(schedule):
         image = step(x, a, p, nu, out=buffers[t % 2])
         rising &= rises(x, image, out=buffers[1 - t % 2])

@@ -9,17 +9,15 @@ the analytic one.  The panels of one kind that share their budgets and grid
 form a group: the baseline recursion, which the betas do not enter, runs once
 for it, and one call of the kind's region function, ``feasibility_interval``
 or ``improvement_interval``, gives the analytic intervals of all its panels;
-a row (one swept value with all its budgets) is classified in one run, in one
-reused pair of buffers; the first easy-to-hard image, which only beta_lo
-enters, runs once for a panel sweeping beta_hi and is passed to each row as
-``first``, held in the spare ``buffers[1]`` by improvement rows and in an
-array of its own by feasibility rows, whose runs write both buffers; a
-panel's cells are measured and compared in one array pass.  The analytic
-conditions are sufficient, so the measured region may strictly
-contain the analytic region; the testable guarantee is containment.  For
-improvement it holds for the threshold region intersected with the
-feasibility interval, since starts below the baseline's lower fixed point
-leave the recursion's domain and are not counted as improving.  The
+a row (one swept value with all its budgets) is classified in one run, in
+arrays the classifier allocates; the first easy-to-hard image, which only
+beta_lo enters, runs once for a panel sweeping beta_hi and is passed to each
+row as ``first``; a panel's cells are measured and compared in one array
+pass.  The analytic conditions are sufficient, so the measured region may
+strictly contain the analytic region; the testable guarantee is
+containment.  For improvement it holds for the threshold region intersected
+with the feasibility interval, since starts below the baseline's lower fixed
+point leave the recursion's domain and are not counted as improving.  The
 per-cell ``agree`` flag records the stronger endpoint-level agreement.
 """
 
@@ -115,41 +113,36 @@ def baseline_run(x0, p: TheoryParams, nu):
     return run_schedule(x0, (1.0,) * p.L, p, nu)
 
 
-def classify_feasible(x0, p: TheoryParams, nu, baseline=None, buffers=None,
-                      first=None) -> np.ndarray:
+def classify_feasible(x0, p: TheoryParams, nu, baseline=None, first=None) -> np.ndarray:
     """Start points whose baseline and easy-to-hard sequences are strictly
     increasing (plateau-tolerant) and in-domain at every step.
 
     ``nu`` is a float, one budget per point, or their ``MapBudget``;
     ``baseline`` is ``baseline_run(x0, p, nu)`` and ``first`` the first
     easy-to-hard image, ``step(x0, curriculum_coefficients(p).first, p,
-    nu)``, if the caller has them; neither is written.  ``buffers`` are two
-    arrays of ``x0``'s shape the runs may write (see ``run_schedule``), so a
-    given ``first`` is neither of them.  The easy-to-hard monotonicity is
-    monitored from the first image on, matching the sequence the guarantee
-    is stated for.
+    nu)``, if the caller has them.  No input is written: the runs write
+    only arrays of their own.  The easy-to-hard monotonicity is monitored
+    from the first image on, matching the sequence the guarantee is stated
+    for.
     """
     _, baseline_rising = baseline_run(x0, p, nu) if baseline is None else baseline
     schedule = curriculum_coefficients(p).schedule
     if first is None:
-        # Into ``buffers[1]``, which the run then overwrites.
-        first = step(x0, schedule[0], p, nu, out=None if buffers is None else buffers[1])
-    _, rising = run_schedule(first, schedule[1:], p, nu, buffers)
+        first = step(x0, schedule[0], p, nu)
+    _, rising = run_schedule(first, schedule[1:], p, nu)
     return baseline_rising & rising
 
 
-def classify_improvement(x0, p: TheoryParams, nu, baseline=None, buffers=None,
-                         first=None) -> np.ndarray:
+def classify_improvement(x0, p: TheoryParams, nu, baseline=None, first=None) -> np.ndarray:
     """Start points where the easy-to-hard final value (with the final
     rescale) strictly exceeds the baseline final value, both in-domain.
-    ``nu``, ``baseline``, ``buffers`` and ``first`` as for
-    ``classify_feasible``, except that only ``buffers[0]`` is written, so
-    a given ``first`` may be held in ``buffers[1]``."""
+    ``nu``, ``baseline`` and ``first`` as for ``classify_feasible``: the
+    first step run here allocates one array, and each later step writes
+    into it."""
     baseline_final, _ = baseline_run(x0, p, nu) if baseline is None else baseline
     coeffs = curriculum_coefficients(p)
     final, schedule = (x0, coeffs.schedule) if first is None else (first, coeffs.schedule[1:])
-    # The images go into one array: ``buffers[0]``, or the first image's own.
-    out = None if buffers is None else buffers[0]
+    out = None
     for a in schedule:
         final = step(final, a, p, nu, out=out)
         out = final if isinstance(final, np.ndarray) else None
@@ -240,29 +233,25 @@ def _scan_group(cfgs, p: TheoryParams) -> list[tuple[CellResult, ...]]:
     baseline = baseline_run(x0, p, budget)
     for shared in (x0, *budget, *baseline):
         shared.flags.writeable = False
-    buffers = (np.empty_like(x0), np.empty_like(x0))
-    return [_scan_panel(cfg, p, grid, x0, budget, baseline, a, buffers)
-            for cfg, a in zip(cfgs, analytic)]
+    return [_scan_panel(cfg, p, grid, x0, budget, baseline, a) for cfg, a in zip(cfgs, analytic)]
 
 
-def _scan_panel(cfg: ScanConfig, p: TheoryParams, grid, x0, budget, baseline, analytic,
-                buffers) -> tuple[CellResult, ...]:
-    """One panel's cells from its group's arrays and its analytic intervals
-    (one row per swept value): each row classified in ``buffers``, then
-    every cell measured in one call.  A panel sweeping ``beta_hi`` keeps
-    ``beta_lo``, so its rows share their first easy-to-hard image: it is
-    computed once, into ``buffers[1]`` for improvement rows, which never
-    write it, and into an array of its own for feasible rows."""
-    feasible = cfg.kind == "feasible"
-    classify = classify_feasible if feasible else classify_improvement
+def _scan_panel(cfg: ScanConfig, p: TheoryParams, grid, x0, budget, baseline,
+                analytic) -> tuple[CellResult, ...]:
+    """One panel's cells from its group's read-only arrays and its analytic
+    intervals (one row per swept value): each row classified in one call,
+    then every cell measured in one call.  A panel sweeping ``beta_hi``
+    keeps ``beta_lo``, so its rows share their first easy-to-hard image:
+    it is computed once, and read-only like the group's arrays."""
+    classify = classify_feasible if cfg.kind == "feasible" else classify_improvement
     rows = [p.with_betas(*cfg.betas(v)) for v in cfg.vary_values]
     first = None
     if cfg.vary == "beta_hi":
-        first = step(x0, curriculum_coefficients(rows[0]).first, p, budget,
-                     out=None if feasible else buffers[1])
+        first = step(x0, curriculum_coefficients(rows[0]).first, p, budget)
+        first.flags.writeable = False
     flags = np.empty((len(rows), x0.size), dtype=bool)
     for pp, row in zip(rows, flags):
-        row[...] = classify(x0, pp, budget, baseline, buffers, first)
+        row[...] = classify(x0, pp, budget, baseline, first)
     lo, hi, length = measured_interval(grid, flags.reshape(*analytic.valid.shape, -1), analytic)
     valid, tol = analytic.valid, (1.0 - p.gamma) / cfg.x0_points + 1e-12   # a cell apart
     agree = np.where(valid, (length > 0.0) & (np.abs(lo - analytic.lo) <= tol)

@@ -1,7 +1,8 @@
 """An exact oracle for the improvement margin of ``regions``: the same terms,
 assembled one by one in the standard library's ``decimal`` at 60 digits, and
-a bisection to well below double precision.  Each function works under a
-local context, so the caller's ``decimal`` context never changes; floats
+a bisection to well below double precision; and the flags of ``montecarlo``'s
+classifiers from both maps iterated at 60 digits.  Each function works under
+a local context, so the caller's ``decimal`` context never changes; floats
 convert to ``Decimal`` exactly."""
 
 import math
@@ -59,6 +60,43 @@ class ExactMargin:
             hard_term = ratio ** (self.L - 1) * self.hard_weight * residual
             error = baseline - self.final * (tail + hard_term)
             return -error - (self.final - 1) * (1 - gamma) / 2, baseline, rho
+
+
+class ExactRuns(ExactMargin):
+    """The baseline and easy-to-hard maps of one parameter set ``p``, with
+    the margin's constants and the difficulty ratios (1 + 1/t)^(-beta_hi)."""
+
+    def __init__(self, p) -> None:
+        super().__init__(p)
+        with localcontext(_CONTEXT):
+            neg = -Decimal(p.beta_hi)
+            self.schedule = (self.first,) + tuple(
+                (Decimal(t + 1) / t) ** neg for t in range(1, p.L))
+
+    def run(self, schedule, x0, nu):
+        """``x0`` and its images under the maps of ``schedule``, or ``None``
+        once a radicand ``a*x - c_delta_prime*nu`` is not positive."""
+        with localcontext(_CONTEXT):
+            nu = Decimal(nu)
+            values = [Decimal(x0)]
+            for a in schedule:
+                inner = a * values[-1] - self.cdp * nu
+                if inner <= 0:
+                    return None
+                values.append(1 - self.gamma - self.cd * nu / (self.c * inner.sqrt()))
+            return values
+
+    def flags(self, x0, nu) -> tuple[bool, bool]:
+        """``(feasible, improving)`` at start ``x0`` and budget ``nu``, exactly:
+        both runs in-domain, and both never falling (the easy-to-hard run from
+        its first image on), or the rescaled easy-to-hard final value above
+        the baseline's."""
+        base, cur = self.run((1,) * self.L, x0, nu), self.run(self.schedule, x0, nu)
+        if base is None or cur is None:
+            return False, False
+        with localcontext(_CONTEXT):
+            never_falls = all(b >= a for run in (base, cur[1:]) for a, b in zip(run, run[1:]))
+            return never_falls, self.final * cur[-1] > base[-1]
 
 
 def bisect(holds, near: float) -> Decimal:

@@ -9,9 +9,10 @@ from finite-sample lower bounds, and the budget laws are asymptotic.
 Criteria 9, 10, 16 and 17 therefore assert what the bounds promise (a
 limit, an upper envelope, containment, the collapse of the analytic
 region) and assert the stronger expectation that exact computation refutes
-as a measured fact; their docstrings give the numbers.  The last test
-re-evaluates the improvement margin in 50-digit arithmetic to show that
-the computed roots behind those refutations are not rounding artefacts.
+as a measured fact; their docstrings give the numbers.  The last two tests
+re-evaluate the improvement margin and both maps in 50-digit arithmetic to
+show that the computed roots behind those refutations, and the scan's flags
+at the edges of its measured runs, are not rounding artefacts.
 """
 
 import math
@@ -22,10 +23,10 @@ import pytest
 
 import selfimprove as si
 from selfimprove import checks
-from selfimprove.montecarlo import (classify_improvement, measured_interval, run_scans,
-                                    x0_grid)
+from selfimprove.montecarlo import (classify_feasible, classify_improvement, measured_interval,
+                                    run_scans, x0_grid)
 
-from exact import ExactMargin
+from exact import ExactMargin, ExactRuns
 
 P = si.TheoryParams()
 X0_REFERENCE = 0.5 * (1.0 - P.gamma)
@@ -360,3 +361,29 @@ def test_refuted_expectations_survive_50_digit_arithmetic():
         assert rho < 1, (beta_lo, gap)
         if beta_lo >= 8.0:
             assert float(rho) > 0.9, (beta_lo, gap)
+
+
+def test_scan_flags_at_run_edges_survive_50_digit_arithmetic():
+    """The flags behind criteria 16 and 17 where they change are those of
+    both maps iterated exactly from the same float inputs: at the 2,000-point
+    grid's points on either side of every run edge of 37 cells (the swept
+    values 2, 6 and 10 by the budgets 1, 5 and 9 of each default panel, and
+    criterion 17's 0.95 nu_c), 110 points in all, none disagrees."""
+    cells = [(cfg.kind, P.with_betas(*cfg.betas(v)), nu)
+             for cfg in si.default_panels(P).values()
+             for v in cfg.vary_values[2:11:4] for nu in cfg.nu_values[1:10:4]]
+    cells.append(("improvement", P, 0.95 * si.critical_budgets(P, nu_c=True)["nu_c"]))
+    checked = 0
+    for kind, pp, nu in cells:
+        grid = x0_grid(pp, 2000)
+        feasible = kind == "feasible"
+        flags = (classify_feasible if feasible else classify_improvement)(grid, pp, nu)
+        edges = np.flatnonzero(flags[1:] != flags[:-1])
+        # A feasible run has a lower and an upper edge; an improving run
+        # reaches the top of the grid.
+        assert edges.size == (2 if feasible else 1), (kind, pp, nu)
+        exact = ExactRuns(pp)
+        for i in np.union1d(edges, edges + 1).tolist():
+            assert exact.flags(grid[i], nu)[0 if feasible else 1] == flags[i], (kind, pp, nu, i)
+            checked += 1
+    assert checked == 110

@@ -318,7 +318,7 @@ def test_classifiers_match_plain_loop(beta_lo, gap, nu, levels):
 
 
 def test_runs_and_classifiers_never_write_their_inputs():
-    """The run kernels write into buffers of their own: ``x0``, the
+    """The run kernels write into arrays of their own: ``x0``, the
     per-point budgets, a shared baseline and a shared first image keep
     their bytes."""
     grid = x0_grid(P, 50)
@@ -332,64 +332,56 @@ def test_runs_and_classifiers_never_write_their_inputs():
     for classify in (classify_feasible, classify_improvement):
         classify(x0, P, nu, baseline)
         classify(x0, P, nu)
-        classify(x0, P, nu, baseline, None, first)
-        classify(x0, P, nu, baseline, (np.empty_like(x0), np.empty_like(x0)), first)
+        classify(x0, P, nu, baseline, first)
     assert (x0.tobytes(), nu.tobytes()) == before
     assert [a.tobytes() for a in (*baseline, first)] == shared
 
 
-@pytest.mark.parametrize("buffered", [False, True])
 @pytest.mark.parametrize("levels, beta_hi", [(2, 1.2), (5, 0.35)])
-def test_classifiers_with_a_given_first_image_equal_the_plain_calls(levels, beta_hi, buffered):
+def test_classifiers_with_a_given_first_image_equal_the_plain_calls(levels, beta_hi):
     """A caller's first image, as a ``beta_hi``-swept panel shares it, gives
     the flags of the call that computes it, bit for bit: NaN starts, starts
-    outside the domain and zero budgets included.  An improvement call may
-    hold it in ``buffers[1]``, which it never writes.  At two levels one
-    step more or less moves flags on this grid."""
+    outside the domain and zero budgets included.  At two levels one step
+    more or less moves flags on this grid."""
     p = TheoryParams(L=levels, beta_lo=P.beta_lo, beta_hi=beta_hi)
     grid = x0_grid(p, 400)
     x0 = np.concatenate([np.tile(grid, 4), [math.nan, 0.0, -1.0, 1.0]])
     nu = map_budget(p, np.append(np.repeat([0.0, 0.004, 0.02, 0.3], grid.size), [0.0, 0.01] * 2))
     baseline = baseline_run(x0, p, nu)
-    fresh = (lambda: (np.empty_like(x0), np.empty_like(x0))) if buffered else (lambda: None)
     for classify in (classify_feasible, classify_improvement):
-        plain = classify(x0, p, nu, baseline, fresh())
+        plain = classify(x0, p, nu, baseline)
         assert plain.any() and not plain.all()
         first = step(x0, curriculum_coefficients(p).first, p, nu)
         assert np.isnan(first).any() and not np.isnan(first).all()
-        assert classify(x0, p, nu, baseline, fresh(), first).tobytes() == plain.tobytes()
-        if buffered and classify is classify_improvement:
-            held = fresh()
-            step(x0, curriculum_coefficients(p).first, p, nu, out=held[1])
-            assert classify(x0, p, nu, baseline, held, held[1]).tobytes() == plain.tobytes()
-            assert held[1].tobytes() == first.tobytes()
+        assert classify(x0, p, nu, baseline, first).tobytes() == plain.tobytes()
 
 
 @pytest.mark.parametrize("name", ["a", "c"])
-def test_rows_on_one_worker_buffers_do_not_depend_on_order(name, monkeypatch):
+def test_rows_do_not_depend_on_order(name, monkeypatch):
     """A panel's rows read its x0, budget terms, baseline and shared first
-    image and write only the scan's one pair of buffers: on it, the rows in
+    image, all read-only, and write only arrays of their own: the rows in
     reverse order and one row twice give the flags of the panel's own run,
     and after the panel the shared arrays keep their bytes."""
     cfg = replace(default_panels(P)[name], x0_points=300)
     kind = "classify_feasible" if cfg.kind == "feasible" else "classify_improvement"
     classify, rows, before = getattr(montecarlo, kind), [], []
 
-    def recorded(x0, pp, nu, baseline, buffers, first):
+    def recorded(x0, pp, nu, baseline, first):
         if not rows:
             before.extend(a.tobytes() for a in (x0, *nu, *baseline, first))
-        flags = classify(x0, pp, nu, baseline, buffers, first)
-        rows.append(((x0, pp, nu, baseline, buffers, first), flags.tobytes()))
+        flags = classify(x0, pp, nu, baseline, first)
+        rows.append(((x0, pp, nu, baseline, first), flags.tobytes()))
         return flags
 
     monkeypatch.setattr(montecarlo, kind, recorded)
     run_scans([cfg], P)
     assert len(rows) == len(cfg.vary_values)
-    x0, _, nu, baseline, buffers, first = rows[0][0]
+    x0, _, nu, baseline, first = rows[0][0]
     shared = (x0, *nu, *baseline, first)
     assert [a.tobytes() for a in shared] == before
-    # One set of buffers and one first image, reused by every row.
-    assert all(args[-2] is buffers and args[-1] is first for args, _ in rows)
+    assert not any(a.flags.writeable for a in shared)
+    # One first image, computed once and read by every row.
+    assert all(args[-1] is first for args, _ in rows)
     for args, flags in rows[::-1] + rows[:1] * 2:
         assert classify(*args).tobytes() == flags
     assert [a.tobytes() for a in shared] == before
@@ -426,7 +418,7 @@ def test_reruns_compare_equal_with_their_nan_fields():
 
 def test_concurrent_scans_match_serial_under_fast_switching():
     """More concurrent scans than cores, switching often: each call's
-    buffers stay its own, so every call gives the serial default panels."""
+    arrays stay its own, so every call gives the serial default panels."""
     cfgs = list(default_panels(P).values())
     serial = run_scans(cfgs, P)
     interval = sys.getswitchinterval()
